@@ -336,8 +336,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", type=str, default=None,
                         help="output root (default $BUBBLETOWER_OUT or ./runs)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized probes")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("constants", help="energy constants table", parents=[common])

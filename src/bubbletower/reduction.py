@@ -1,12 +1,13 @@
 """Discretized Lyapunov-Schmidt reduction.
 
 The pipeline: (i) a projected linear solver for the linearized operator with
-the translation directions Z_i = U'(. - xi_i) projected out (a symmetric
-bordered saddle system), (ii) a damped fixed-point iteration for the
-correction phi(xi), (iii) the reduced energy as a function of the scale
-parameters Lambda, and (iv) an outer Newton solve driving its gradient to
-zero, which simultaneously drives the multipliers c_i to zero and yields a
-genuine discrete solution v = Ubar + phi.
+the translation directions Z_i = U'(. - xi_i) projected out (block
+elimination of the bordered system through its k x k Schur complement, so
+only the tridiagonal operator is factored), (ii) a damped fixed-point
+iteration for the correction phi(xi), (iii) the reduced energy as a function
+of the scale parameters Lambda, and (iv) an outer Newton solve driving its
+gradient to zero, which simultaneously drives the multipliers c_i to zero
+and yields a genuine discrete solution v = Ubar + phi.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.interpolate import CubicSpline
 
@@ -101,12 +101,16 @@ def check_window(xi, epsilon: float, k: int, m_window: float = 10.0):
 
 
 class ProjectedSolver:
-    """Factorized saddle solver for the projected linear problem.
+    """Block-elimination solver for the projected linear problem.
 
     Solves L phi = h + sum_i c_i Z_i with the discrete constraints
-    Z^T phi = 0 via the symmetric bordered system [[A, Z], [Z^T, 0]]; the
-    multipliers are c = -mu.  The factorization is reused across right-hand
-    sides (the fixed-point iteration solves many).
+    Z^T phi = 0, i.e. the bordered system [[A, Z], [Z^T, 0]] [phi; mu] =
+    [h; 0] with c = -mu, by Keller's bordering algorithm: only the
+    tridiagonal A is factored (no fill), A^{-1} Z and the k x k Schur
+    complement S = Z^T A^{-1} Z are formed once, and each right-hand side
+    costs one tridiagonal solve, y = A^{-1} h, mu = S^{-1} Z^T y,
+    phi = y - A^{-1} Z mu.  Solves refuse an S whose 2-norm condition number
+    exceeds 1e12 (nearly dependent Z columns).
     """
 
     def __init__(self, xi, params: ModelParams, grid: Grid,
@@ -117,27 +121,37 @@ class ProjectedSolver:
         self.frame = frame or SpikeFrame(self.xi, default_sigma(params))
         self.matrix = linearized_matrix(self.xi, params, grid)
         self.z = kernel_directions(self.xi, params, grid)
-        n, k = grid.n, self.xi.size
-        saddle = sp.bmat([[self.matrix, sp.csc_matrix(self.z)],
-                          [sp.csc_matrix(self.z.T), None]], format="csc")
         try:
-            self._lu = spla.splu(saddle)
+            self._lu = spla.splu(self.matrix, permc_spec="NATURAL")
         except RuntimeError as exc:
             raise ConditioningError(
-                f"saddle factorization failed (n={n}, k={k}, "
-                f"h={grid.h:g}): {exc}") from exc
-        self._n = n
-        self._k = k
+                f"operator factorization failed (n={grid.n}, "
+                f"k={self.xi.size}, h={grid.h:g}): {exc}") from exc
+        self._az = self._lu.solve(self.z)
+        self._schur = self.z.T @ self._az
+        sv = np.linalg.svd(self._schur, compute_uv=False)
+        self._schur_cond = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else math.inf
 
     def solve_values(self, rhs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        sol = self._lu.solve(np.concatenate([rhs, np.zeros(self._k)]))
+        if self._schur_cond > 1e12:
+            raise ConditioningError(
+                f"Schur complement Z^T A^-1 Z ill-conditioned (cond "
+                f"{self._schur_cond:.2e}); kernel directions nearly dependent")
+        y = self._lu.solve(rhs)
+        try:
+            mu = np.linalg.solve(self._schur, self.z.T @ y)
+        except np.linalg.LinAlgError as exc:
+            raise ConditioningError(
+                f"singular Schur complement Z^T A^-1 Z: {exc}") from exc
+        phi = y - self._az @ mu
+        sol = np.concatenate([phi, mu])
         scale = 1e12 * max(1.0, float(np.max(np.abs(rhs))))
         if not np.all(np.isfinite(sol)) or np.max(np.abs(sol)) > scale:
             raise ConditioningError(
                 f"projected solve degenerate (|sol| ~ {np.max(np.abs(sol)):.2e} "
                 f"for |rhs| ~ {np.max(np.abs(rhs)):.2e}); spike window violated "
                 "or grid too coarse")
-        return sol[:self._n], -sol[self._n:]
+        return phi, -mu
 
     def solve(self, h_rhs: GridFunction) -> Tuple[GridFunction, np.ndarray]:
         vals, c = self.solve_values(h_rhs.values)
@@ -224,8 +238,7 @@ def solve_correction(xi, params: ModelParams,
 
 def reduced_energy(lambdas, params: ModelParams,
                    config: ReductionConfig = ReductionConfig(),
-                   grid: Optional[Grid] = None,
-                   return_state: bool = False):
+                   grid: Optional[Grid] = None):
     """Energy of the corrected ansatz at xi(Lambda).
 
     At epsilon = 0 with a single spike the problem is translation invariant
@@ -241,8 +254,7 @@ def reduced_energy(lambdas, params: ModelParams,
     v = GridFunction(state.phi.grid,
                      tower_ansatz(xi, state.phi.grid, params).values
                      + state.phi.values, decay=(min(1.0, sigma), min(1.0, sigma)))
-    val = energy(v, params)
-    return (val, state) if return_state else val
+    return energy(v, params)
 
 
 def solve_reduced(params: ModelParams, constants: EnergyConstants,

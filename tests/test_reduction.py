@@ -58,6 +58,38 @@ def test_saddle_symmetry_and_multiplier_routes(c4):
     assert np.max(np.abs(c_full - c_block)) < 1e-10 * max(1.0, np.max(np.abs(c_full)))
 
 
+def test_bordered_solve_matches_saddle_lu(c4):
+    # the block elimination against a direct LU of the bordered system
+    import scipy.sparse as sp
+    for k in (1, 2, 3):
+        for eps in (5e-2, 1e-2, 1e-3):
+            params, _, _, xi, grid, frame = _setup(k=k, eps=eps, c=c4, h=0.05)
+            solver = ProjectedSolver(xi, params, grid, frame)
+            z = kernel_directions(xi, params, grid)
+            saddle = sp.bmat([[solver.matrix, sp.csc_matrix(z)],
+                              [sp.csc_matrix(z.T), None]], format="csc")
+            rng = np.random.default_rng(10 * k)
+            h_vals = rng.normal(size=grid.n) * frame.weight(grid.x)
+            ref = spla.splu(saddle).solve(np.concatenate([h_vals, np.zeros(k)]))
+            phi_ref, c_ref = ref[:grid.n], -ref[grid.n:]
+            phi_vals, c = solver.solve_values(h_vals)
+            assert np.max(np.abs(phi_vals - phi_ref)) < 1e-10 * np.max(np.abs(phi_ref))
+            assert np.max(np.abs(c - c_ref)) < 1e-10 * np.max(np.abs(c_ref))
+            assert solver.orthogonality_defect(phi_vals) < 1e-12
+
+
+def test_nearly_coincident_spikes_raise_conditioning_error():
+    from bubbletower.errors import ConditioningError
+    params = make_params(eps=1e-2, k=2)
+    # Z_1 and Z_2 agree to O(1e-6): the Schur complement has cond ~ 1e14
+    xi = np.array([5.0, 5.0 + 1e-6])
+    grid = grid_for_spikes(xi, default_sigma(params), h=0.05)
+    solver = ProjectedSolver(xi, params, grid)
+    rng = np.random.default_rng(2)
+    with pytest.raises(ConditioningError, match="Schur complement"):
+        solver.solve_values(rng.normal(size=grid.n))
+
+
 def test_operator_norm_probe_uniform_in_eps(c4):
     sups = []
     for eps in (1e-2, 1e-3):
