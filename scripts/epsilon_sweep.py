@@ -2,40 +2,18 @@
 """Trend study over decreasing epsilon: residual, correction, energy gap.
 
 Prints a table of |R|_*, |phi|_* and |E(tower) - prediction| / eps at the
-critical scales, for both regimes, plus the fitted log-log slopes.
+critical scales, for both regimes, plus the fitted log-log slopes.  Each
+point is reduction.sweep_point, the computation behind `bubbletower sweep`.
 """
 
 import argparse
 
 import numpy as np
 
-from bubbletower import (GridFunction, ModelParams, PotentialSpec,
-                         ReductionConfig, SpikeFrame, ansatz_residual,
-                         critical_scales, default_sigma, energy,
-                         energy_constants, energy_expansion, grid_for_spikes,
-                         solve_correction, spike_locations, star_norm,
-                         tower_ansatz)
+from bubbletower import (ModelParams, PotentialSpec, ReductionConfig,
+                         energy_constants, sweep_point)
 
-
-def sweep(q, k, eps_list, h):
-    constants = energy_constants(3, q)
-    pot = PotentialSpec.constant(-1.0)
-    lam = critical_scales(constants,
-                          ModelParams.make(3, q, eps_list[0], k=k, potential=pot))
-    rows = []
-    for eps in eps_list:
-        params = ModelParams.make(3, q, eps, k=k, potential=pot)
-        xi = spike_locations(lam, eps, params)
-        sigma = default_sigma(params)
-        grid = grid_for_spikes(xi, sigma, h=h)
-        frame = SpikeFrame(xi, sigma)
-        r_star = star_norm(ansatz_residual(xi, params, grid), frame)
-        state = solve_correction(xi, params, ReductionConfig(h=h), grid=grid)
-        ub = tower_ansatz(xi, grid, params)
-        e_num = energy(GridFunction(grid, ub.values, decay=(1.0, 1.0)), params)
-        pred = energy_expansion(lam, eps, constants, params).total
-        rows.append((eps, r_star, state.star_norm_phi, abs(e_num - pred) / eps))
-    return rows
+KEYS = ("residual_star", "phi_star", "energy_gap_ratio")
 
 
 def main():
@@ -44,17 +22,22 @@ def main():
     ap.add_argument("--h", type=float, default=0.01)
     args = ap.parse_args()
     eps_list = [float(t) for t in args.eps_list.split(",")]
+    pot = PotentialSpec.constant(-1.0)
+    config = ReductionConfig(h=args.h)
 
     for q, label in ((4.0, "concentrating (q=4)"), (7.0, "flat (q=7)")):
+        constants = energy_constants(3, q)
         for k in (1, 2):
-            rows = sweep(q, k, eps_list, args.h)
+            rows = [sweep_point(ModelParams.make(3, q, eps, k=k, potential=pot),
+                                constants, config) for eps in eps_list]
             print(f"\n{label}, k={k}")
             print(f"{'eps':>10} {'|R|_*':>12} {'|phi|_*':>12} {'gap/eps':>12}")
             for row in rows:
-                print(f"{row[0]:10.2e} {row[1]:12.4e} {row[2]:12.4e} {row[3]:12.4e}")
-            le = np.log([r[0] for r in rows])
-            for i, name in ((1, "|R|_*"), (2, "|phi|_*"), (3, "gap/eps")):
-                slope = np.polyfit(le, np.log([r[i] for r in rows]), 1)[0]
+                print(f"{row['eps']:10.2e}"
+                      + "".join(f" {row[key]:12.4e}" for key in KEYS))
+            le = np.log(eps_list)
+            for key, name in zip(KEYS, ("|R|_*", "|phi|_*", "gap/eps")):
+                slope = np.polyfit(le, np.log([row[key] for row in rows]), 1)[0]
                 print(f"  slope {name}: {slope:.3f}")
 
 

@@ -27,7 +27,7 @@ from .reduced_model import (EnergyBreakdown, TowerConfig, critical_scales,
                             reduced_functional_grad,
                             reduced_functional_hess_diag, spike_locations,
                             tower_amplitudes)
-from .field import (Grid, GridFunction, SpikeFrame, ansatz_residual,
+from .field import (Grid, GridFunction, SpikeFrame, TowerField, ansatz_residual,
                     default_sigma, default_window, energy, full_operator,
                     grid_for_spikes, kernel_directions, linearized_apply,
                     linearized_matrix, nonlinear_remainder, star_norm,
@@ -35,6 +35,6 @@ from .field import (Grid, GridFunction, SpikeFrame, ansatz_residual,
 from .reduction import (ProjectedSolver, RadialSolution, ReductionConfig,
                         ReductionState, assemble_solution, check_window,
                         reduced_energy, solve_correction,
-                        solve_projected_linear, solve_reduced)
+                        solve_projected_linear, solve_reduced, sweep_point)
 from .verifier import (Classification, CompareMetrics, ShotProfile, compare,
                        find_tower, shoot)

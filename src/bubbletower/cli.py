@@ -21,14 +21,12 @@ import numpy as np
 
 from . import __version__
 from .errors import BubbleTowerError
-from .field import (GridFunction, default_sigma, grid_for_spikes, star_norm,
-                    tower_ansatz, ansatz_residual, energy, SpikeFrame)
+from .field import tower_ansatz
 from .profiles import ModelParams, PotentialSpec, Regime
 from .quadrature import energy_constants
-from .reduced_model import (critical_scales, energy_expansion, predicted_tower,
-                            spike_locations)
-from .reduction import (ReductionConfig, assemble_solution, solve_correction,
-                        solve_reduced)
+from .reduced_model import energy_expansion, predicted_tower
+from .reduction import (ReductionConfig, assemble_solution, solve_reduced,
+                        sweep_point)
 from .verifier import compare, find_tower
 
 _FMT = "%.17g"
@@ -53,14 +51,20 @@ def parse_potential(spec: str) -> PotentialSpec:
 
 
 def build_params(args) -> ModelParams:
+    """Model parameters from the flags; exits unless the regime's hypothesis holds."""
     regime = None
     if args.regime:
         regime = Regime.SUB_Q if args.regime == "sub" else Regime.SUPER_Q
     try:
-        return ModelParams.make(args.N, args.q, args.eps, k=args.k,
-                                potential=parse_potential(args.V), regime=regime)
+        params = ModelParams.make(args.N, args.q, args.eps, k=args.k,
+                                  potential=parse_potential(args.V), regime=regime)
     except ValueError as exc:
         raise SystemExit(f"invalid model parameters: {exc}")
+    try:
+        params.check_hypotheses()
+    except BubbleTowerError as exc:
+        raise SystemExit(f"hypothesis violation: {exc}")
+    return params
 
 
 def _out_dir(args) -> Path:
@@ -122,10 +126,6 @@ def cmd_constants(args) -> int:
 def cmd_predict(args) -> int:
     out = _out_dir(args)
     params = build_params(args)
-    try:
-        params.check_hypotheses()
-    except BubbleTowerError as exc:
-        raise SystemExit(f"hypothesis violation: {exc}")
     C = energy_constants(args.N, args.q, tol=args.tol)
     tower = predicted_tower(params, C)
     breakdown = energy_expansion(tower.lambdas, params.epsilon, C, params)
@@ -155,10 +155,6 @@ def _reduction_config(args) -> ReductionConfig:
 def cmd_reduce(args) -> int:
     out = _out_dir(args)
     params = build_params(args)
-    try:
-        params.check_hypotheses()
-    except BubbleTowerError as exc:
-        raise SystemExit(f"hypothesis violation: {exc}")
     C = energy_constants(args.N, args.q, tol=args.tol)
     cfg = _reduction_config(args)
     try:
@@ -196,10 +192,6 @@ def cmd_reduce(args) -> int:
 def cmd_verify(args) -> int:
     out = _out_dir(args)
     params = build_params(args)
-    try:
-        params.check_hypotheses()
-    except BubbleTowerError as exc:
-        raise SystemExit(f"hypothesis violation: {exc}")
     C = energy_constants(args.N, args.q, tol=args.tol)
     cfg = _reduction_config(args)
     try:
@@ -229,36 +221,26 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _sweep_point(eps: float, args) -> Dict[str, float]:
-    params = ModelParams.make(args.N, args.q, eps, k=args.k,
-                              potential=parse_potential(args.V))
-    C = energy_constants(args.N, args.q, tol=args.tol)
-    cfg = ReductionConfig(h=args.h, window_m=args.window_M)
-    lam = critical_scales(C, params)
-    xi = spike_locations(lam, eps, params)
-    sigma = default_sigma(params)
-    grid = grid_for_spikes(xi, sigma, cfg.h, cfg.pad)
-    frame = SpikeFrame(xi, sigma)
-    residual = ansatz_residual(xi, params, grid)
-    res_star = star_norm(residual, frame)
-    state = solve_correction(xi, params, cfg, grid=grid)
-    ub = tower_ansatz(xi, grid, params)
-    e_num = energy(GridFunction(grid, ub.values, decay=(1.0, 1.0)), params)
-    pred = energy_expansion(lam, eps, C, params).total
-    return {"eps": eps, "residual_star": res_star, "phi_star": state.star_norm_phi,
-            "energy_gap_ratio": abs(e_num - pred) / eps}
-
-
 def cmd_sweep(args) -> int:
     out = _out_dir(args)
     eps_list = [float(t) for t in args.eps_list.split(",")]
     if len(eps_list) < 2 or any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise SystemExit("sweep needs at least 2 strictly decreasing epsilon values")
+    potential = parse_potential(args.V)
+    try:
+        C = energy_constants(args.N, args.q, tol=args.tol)
+    except (BubbleTowerError, ValueError) as exc:
+        raise SystemExit(f"energy constants failed: {exc}")
+    cfg = _reduction_config(args)
+
+    def point(eps: float) -> Dict[str, float]:
+        params = ModelParams.make(args.N, args.q, eps, k=args.k, potential=potential)
+        return sweep_point(params, C, cfg)
+
     results: List[Optional[Dict[str, float]]] = [None] * len(eps_list)
     errors: Dict[float, str] = {}
     with concurrent.futures.ThreadPoolExecutor(max_workers=args.workers) as pool:
-        futures = {pool.submit(_sweep_point, eps, args): i
-                   for i, eps in enumerate(eps_list)}
+        futures = {pool.submit(point, eps): i for i, eps in enumerate(eps_list)}
         for fut in concurrent.futures.as_completed(futures):
             i = futures[fut]
             try:
@@ -287,11 +269,26 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _checked(cast, ok, what: str):
+    """argparse type: cast the flag's text, then reject values failing ok."""
+    def parse(text: str):
+        val = cast(text)
+        if not ok(val):
+            raise argparse.ArgumentTypeError(f"{text!r} must be {what}")
+        return val
+    parse.__name__ = cast.__name__     # "invalid float value" on a cast error
+    return parse
+
+
+_POSITIVE = _checked(float, lambda v: v > 0.0, "> 0")
+
+
 def _add_model_args(sp, eps_required=True):
     sp.add_argument("--N", type=int, default=3, help="dimension (>= 3)")
     sp.add_argument("--q", type=float, required=True, help="competing exponent")
     if eps_required:
-        sp.add_argument("--eps", type=float, required=True, help="supercritical shift")
+        sp.add_argument("--eps", required=True, help="supercritical shift",
+                        type=_checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)"))
     sp.add_argument("--k", type=int, default=1, help="tower height")
     sp.add_argument("--V", type=str, default="const:-1",
                     help="potential preset (const:c | rational:a,b)")
@@ -301,8 +298,8 @@ def _add_model_args(sp, eps_required=True):
 
 
 def _add_grid_args(sp):
-    sp.add_argument("--h", type=float, default=0.02, help="grid spacing")
-    sp.add_argument("--window-M", dest="window_M", type=float, default=10.0,
+    sp.add_argument("--h", type=_POSITIVE, default=0.02, help="grid spacing")
+    sp.add_argument("--window-M", dest="window_M", type=_POSITIVE, default=10.0,
                     help="window constant M")
 
 
@@ -363,7 +360,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_grid_args(sp)
     sp.add_argument("--eps-list", dest="eps_list", type=str, required=True,
                     help="comma-separated decreasing epsilon values")
-    sp.add_argument("--workers", type=int, default=4)
+    sp.add_argument("--workers", type=_checked(int, lambda v: v >= 1, ">= 1"), default=4)
     sp.set_defaults(func=cmd_sweep)
 
     if config_defaults:

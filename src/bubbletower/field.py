@@ -6,6 +6,13 @@ at max(30, 10/sigma) beyond the outer spikes keeps boundary effects far below
 discretization error.  Second derivatives use the 3-point stencil with zero
 ghost values; the energy's kinetic term uses the matching staggered first
 difference (see energy).
+
+TowerField holds one spike set's tower Ubar = sum_i U(. - xi_i) with
+everything derived from it (weights, powers of Ubar, the linearized
+potential, the kernel directions, the discrete residual and the star-norm
+weight), so the fixed point of the reduction builds them once, not on every
+step.  nonlinear_remainder, linearized_apply and linearized_matrix are thin
+forms over it for one-off use.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import TruncationError
-from .profiles import ModelParams, critical_exponents, profile_U, profile_dU
+from .profiles import ModelParams, profile_U, profile_dU
 
 __all__ = [
     "Grid",
@@ -36,6 +43,8 @@ __all__ = [
     "linearized_apply",
     "linearized_matrix",
     "full_operator",
+    "kernel_directions",
+    "TowerField",
 ]
 
 
@@ -112,9 +121,6 @@ class GridFunction:
                     f"end value {v[end]:.3e} exceeds decay-tag bound {implied:.3e}; "
                     "domain may be too short", stacklevel=3)
 
-    def with_values(self, values) -> "GridFunction":
-        return GridFunction(self.grid, np.asarray(values, dtype=float), self.decay)
-
 
 @dataclass(frozen=True)
 class SpikeFrame:
@@ -174,15 +180,18 @@ def second_difference(values: np.ndarray, h: float) -> np.ndarray:
     return (padded[2:] - 2.0 * values + padded[:-2]) / (h * h)
 
 
-def _nonlinear_weight(x: np.ndarray, params: ModelParams) -> np.ndarray:
-    """exp(+eps x) in both regimes, since p - p* = s eps (see ModelParams.p)."""
-    return np.exp(params.epsilon * x)
+def _weights(x: np.ndarray, params: ModelParams) -> Tuple[np.ndarray, np.ndarray]:
+    """The weight pair (w_nl, omega w_pot) of the two powers.
 
-
-def _potential_weight(x: np.ndarray, params: ModelParams) -> np.ndarray:
-    """exp(-(p*-q)x) sub-q, exp(+(p*-q)x) super-q."""
-    _, p_star = critical_exponents(params.n_dim)
-    return np.exp(-params.ef_sign * (p_star - params.q) * x)
+    w_nl = exp(+eps x) in both regimes, since p - p* = s eps (see
+    ModelParams.p); w_pot = exp(-(p*-q)x) sub-q, exp(+(p*-q)x) super-q, and
+    omega w_pot is identically zero when V = 0.
+    """
+    w_nl = np.exp(params.epsilon * x)
+    if params.potential.bound == 0.0:
+        return w_nl, np.zeros_like(w_nl)
+    w_pot = np.exp(-params.ef_sign * (params.p_star - params.q) * x)
+    return w_nl, params.omega(x) * w_pot
 
 
 def _check_potential_truncation(psi: GridFunction, params: ModelParams):
@@ -215,7 +224,6 @@ def energy(psi: GridFunction, params: ModelParams) -> float:
     are second-order accurate like centered differences.
     """
     _check_potential_truncation(psi, params)
-    x = psi.grid.x
     h = psi.grid.h
     vals = psi.values
     # staggered first difference including the two boundary half-cells
@@ -223,15 +231,11 @@ def energy(psi: GridFunction, params: ModelParams) -> float:
     dv = np.diff(np.concatenate(([0.0], vals, [0.0]))) / h
     p = params.p
     beta = params.beta
+    w_nl, w_pot = _weights(psi.grid.x, params)
     quad = 0.5 * h * (np.sum(dv * dv) + np.sum(vals * vals))
     av = np.abs(vals)
-    nl = h * np.sum(_nonlinear_weight(x, params) * av ** (p + 1.0))
-    term_nl = beta / (p + 1.0) * nl
-    term_pot = 0.0
-    if params.potential.bound != 0.0:
-        pot = h * np.sum(params.omega(x) * _potential_weight(x, params)
-                         * av ** (params.q + 1.0))
-        term_pot = beta / (params.q + 1.0) * pot
+    term_nl = beta / (p + 1.0) * (h * np.sum(w_nl * av ** (p + 1.0)))
+    term_pot = beta / (params.q + 1.0) * (h * np.sum(w_pot * av ** (params.q + 1.0)))
     return float(quad - term_nl + term_pot)
 
 
@@ -242,44 +246,18 @@ def ansatz_residual(xi, params: ModelParams, grid: Grid) -> GridFunction:
     p = params.p; the derivative part is exact because each translate
     solves the unperturbed profile equation.
     """
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
     x = grid.x
-    p_star = params.p_star
-    beta = params.beta
-    sum_crit = np.zeros(grid.n)
-    ubar = np.zeros(grid.n)
-    for s in xi:
-        ui = profile_U(x - s, params.n_dim)
-        ubar += ui
-        sum_crit += ui ** p_star
-    vals = sum_crit - _nonlinear_weight(x, params) * ubar ** params.p
-    if params.potential.bound != 0.0:
-        vals = vals + params.omega(x) * _potential_weight(x, params) * ubar ** params.q
-    return GridFunction(grid, beta * vals)
+    ubar = tower_ansatz(xi, grid, params).values
+    sum_crit = sum(profile_U(x - s, params.n_dim) ** params.p_star
+                   for s in np.atleast_1d(xi))
+    w_nl, w_pot = _weights(x, params)
+    vals = sum_crit - w_nl * ubar ** params.p + w_pot * ubar ** params.q
+    return GridFunction(grid, params.beta * vals)
 
 
 def nonlinear_remainder(phi: GridFunction, xi, params: ModelParams) -> GridFunction:
-    """Quadratic remainder of the nonlinearity around the tower.
-
-    N(phi) = beta w_nl [ (Ubar+phi)_+^p - Ubar^p - p Ubar^{p-1} phi ]
-           - beta omega w_pot [ (Ubar+phi)_+^q - Ubar^q - q Ubar^{q-1} phi ]
-    with p = params.p; negative parts of Ubar+phi are clipped before powers.
-    """
-    grid = phi.grid
-    x = grid.x
-    ubar = tower_ansatz(xi, grid, params).values
-    bumped = np.maximum(ubar + phi.values, 0.0)
-    p = params.p
-    beta = params.beta
-    n1 = (_nonlinear_weight(x, params)
-          * (bumped ** p - ubar ** p - p * ubar ** (p - 1.0) * phi.values))
-    vals = n1
-    if params.potential.bound != 0.0:
-        n2 = (params.omega(x) * _potential_weight(x, params)
-              * (bumped ** params.q - ubar ** params.q
-                 - params.q * ubar ** (params.q - 1.0) * phi.values))
-        vals = n1 - n2
-    return GridFunction(grid, beta * vals)
+    """Quadratic remainder of the nonlinearity around the tower (TowerField.remainder)."""
+    return GridFunction(phi.grid, TowerField(xi, params, phi.grid).remainder(phi.values))
 
 
 def full_operator(psi: GridFunction, params: ModelParams) -> GridFunction:
@@ -289,45 +267,23 @@ def full_operator(psi: GridFunction, params: ModelParams) -> GridFunction:
     function with this operator equal to sum_i c_i Z_i is a discrete
     solution of the transformed equation up to the kernel directions.
     """
-    x = psi.grid.x
     pos = np.maximum(psi.values, 0.0)
-    p = params.p
-    nl = _nonlinear_weight(x, params) * pos ** p
-    if params.potential.bound != 0.0:
-        nl = nl - params.omega(x) * _potential_weight(x, params) * pos ** params.q
+    w_nl, w_pot = _weights(psi.grid.x, params)
+    nl = w_nl * pos ** params.p - w_pot * pos ** params.q
     vals = -second_difference(psi.values, psi.grid.h) + psi.values - params.beta * nl
     return GridFunction(psi.grid, vals)
 
 
-def linearized_potential(xi, params: ModelParams, grid: Grid) -> np.ndarray:
-    """The multiplicative potential of the linearized operator.
-
-    W(x) = beta [ p w_nl Ubar^{p-1} - q omega w_pot Ubar^{q-1} ], p = params.p.
-    """
-    x = grid.x
-    ubar = tower_ansatz(xi, grid, params).values
-    p = params.p
-    w = p * _nonlinear_weight(x, params) * ubar ** (p - 1.0)
-    if params.potential.bound != 0.0:
-        w = w - params.q * params.omega(x) * _potential_weight(x, params) \
-            * ubar ** (params.q - 1.0)
-    return params.beta * w
-
-
 def linearized_apply(phi: GridFunction, xi, params: ModelParams) -> GridFunction:
     """Apply the linearized operator -phi'' + phi - W phi (3-point stencil)."""
-    w = linearized_potential(xi, params, phi.grid)
+    w = TowerField(xi, params, phi.grid).potential
     vals = -second_difference(phi.values, phi.grid.h) + phi.values - w * phi.values
     return GridFunction(phi.grid, vals)
 
 
 def linearized_matrix(xi, params: ModelParams, grid: Grid) -> sp.csc_matrix:
     """Sparse symmetric matrix of the linearized operator with zero end values."""
-    w = linearized_potential(xi, params, grid)
-    h2 = grid.h * grid.h
-    main = 2.0 / h2 + 1.0 - w
-    off = np.full(grid.n - 1, -1.0 / h2)
-    return sp.diags([off, main, off], offsets=(-1, 0, 1), format="csc")
+    return TowerField(xi, params, grid).matrix()
 
 
 def kernel_directions(xi, params: ModelParams, grid: Grid) -> np.ndarray:
@@ -338,3 +294,55 @@ def kernel_directions(xi, params: ModelParams, grid: Grid) -> np.ndarray:
     for i, s in enumerate(xi):
         z[:, i] = profile_dU(x - s, params.n_dim)
     return z
+
+
+class TowerField:
+    """The tower Ubar = sum_i U(. - xi_i) on one grid, and what derives from it.
+
+    Built once per spike set and reused by every step of the fixed point:
+    x, Ubar (from tower_ansatz), the weights w_nl and omega w_pot, the
+    powers Ubar^p, p Ubar^{p-1} and their q counterparts, the linearized
+    potential W = beta [ p w_nl Ubar^{p-1} - q omega w_pot Ubar^{q-1} ], the
+    kernel directions Z, the discrete residual full_operator(Ubar) and the
+    weight sum_i exp(-sigma |x - xi_i|) of the star norm (sigma defaults to
+    default_sigma(params)).
+    """
+
+    def __init__(self, xi, params: ModelParams, grid: Grid,
+                 sigma: Optional[float] = None):
+        self.params = params
+        self.grid = grid
+        self.x = grid.x
+        self.ubar = tower_ansatz(xi, grid, params)
+        self.xi = np.atleast_1d(np.asarray(xi, dtype=float))
+        if sigma is None:
+            sigma = default_sigma(params)
+        self.frame = SpikeFrame(self.xi, sigma)
+        self.star_weight = self.frame.weight(self.x)
+        self.w_nl, self.w_pot = _weights(self.x, params)
+        u, p, q = self.ubar.values, params.p, params.q
+        u_p1, u_q1 = u ** (p - 1.0), u ** (q - 1.0)
+        self.u_p, self.u_q = u ** p, u ** q
+        self.du_p, self.du_q = p * u_p1, q * u_q1
+        self.potential = params.beta * (p * self.w_nl * u_p1 - q * self.w_pot * u_q1)
+        self.z = kernel_directions(self.xi, params, grid)
+        self.residual = full_operator(self.ubar, params).values
+
+    def remainder(self, phi: np.ndarray) -> np.ndarray:
+        """N(phi) = beta w_nl [ (Ubar+phi)_+^p - Ubar^p - p Ubar^{p-1} phi ]
+        - beta omega w_pot [ (Ubar+phi)_+^q - Ubar^q - q Ubar^{q-1} phi ]."""
+        bumped = np.maximum(self.ubar.values + phi, 0.0)
+        n1 = self.w_nl * (bumped ** self.params.p - self.u_p - self.du_p * phi)
+        n2 = self.w_pot * (bumped ** self.params.q - self.u_q - self.du_q * phi)
+        return self.params.beta * (n1 - n2)
+
+    def matrix(self) -> sp.csc_matrix:
+        """Tridiagonal -d^2 + 1 - W with zero end values."""
+        h2 = self.grid.h * self.grid.h
+        main = 2.0 / h2 + 1.0 - self.potential
+        off = np.full(self.grid.n - 1, -1.0 / h2)
+        return sp.diags([off, main, off], offsets=(-1, 0, 1), format="csc")
+
+    def star_norm(self, values: np.ndarray) -> float:
+        """Weighted sup norm of grid values (see star_norm)."""
+        return float(np.max(np.abs(values) / self.star_weight))

@@ -89,6 +89,18 @@ def spike_locations(lambdas, epsilon: float, params: ModelParams) -> np.ndarray:
     return xi
 
 
+def _psi_coefficients(constants: EnergyConstants, params: ModelParams):
+    """The regime's pieces of the reduced functional Psi.
+
+    Returns (a_pot V_ref, gap, tail): a_pot is a5 with V_ref = V(0) and
+    gap = p*-q sub-q, a5_hat with V_ref = V(inf) and gap = q-p* super-q;
+    tail[i-2] = (k-i+1) a3 is the coefficient of log(Lambda_i), i = 2..k.
+    """
+    a_pot = constants.require("a5" if params.regime is Regime.SUB_Q else "a5_hat")
+    tail = (params.k - np.arange(2, params.k + 1) + 1) * constants.a3
+    return a_pot * params.v_ref, params.exponent_gap, tail
+
+
 def reduced_functional(lambdas, constants: EnergyConstants, params: ModelParams) -> float:
     """Value of the reduced functional at Lambda.
 
@@ -96,12 +108,10 @@ def reduced_functional(lambdas, constants: EnergyConstants, params: ModelParams)
     super-q replaces the first potential term by a5_hat V_inf L1^{q-p*}.
     """
     lam = _check_lambdas(lambdas, params.k)
-    a2, a3 = constants.a2, constants.a3
-    a_pot = constants.require("a5" if params.regime is Regime.SUB_Q else "a5_hat")
-    gap = params.exponent_gap
-    val = a3 * params.k * math.log(lam[0]) + a_pot * params.v_ref * lam[0] ** gap
-    for i in range(2, params.k + 1):
-        val += (params.k - i + 1) * a3 * math.log(lam[i - 1]) - a2 * lam[i - 1]
+    a_v, gap, tail = _psi_coefficients(constants, params)
+    val = constants.a3 * params.k * math.log(lam[0]) + a_v * lam[0] ** gap
+    for coeff, lam_i in zip(tail, lam[1:]):
+        val += coeff * math.log(lam_i) - constants.a2 * lam_i
     return val
 
 
@@ -109,29 +119,19 @@ def reduced_functional_grad(lambdas, constants: EnergyConstants,
                             params: ModelParams) -> np.ndarray:
     """Analytic gradient of the reduced functional."""
     lam = _check_lambdas(lambdas, params.k)
-    a2, a3 = constants.a2, constants.a3
-    a_pot = constants.require("a5" if params.regime is Regime.SUB_Q else "a5_hat")
-    gap = params.exponent_gap
-    g = np.empty(params.k)
-    g[0] = a3 * params.k / lam[0] + a_pot * params.v_ref * gap * lam[0] ** (gap - 1.0)
-    for i in range(2, params.k + 1):
-        g[i - 1] = (params.k - i + 1) * a3 / lam[i - 1] - a2
-    return g
+    a_v, gap, tail = _psi_coefficients(constants, params)
+    g0 = constants.a3 * params.k / lam[0] + a_v * gap * lam[0] ** (gap - 1.0)
+    return np.concatenate(([g0], tail / lam[1:] - constants.a2))
 
 
 def reduced_functional_hess_diag(lambdas, constants: EnergyConstants,
                                  params: ModelParams) -> np.ndarray:
     """Diagonal of the (diagonal) Hessian of the reduced functional."""
     lam = _check_lambdas(lambdas, params.k)
-    a3 = constants.a3
-    a_pot = constants.require("a5" if params.regime is Regime.SUB_Q else "a5_hat")
-    gap = params.exponent_gap
-    d = np.empty(params.k)
-    d[0] = (-a3 * params.k / lam[0] ** 2
-            + a_pot * params.v_ref * gap * (gap - 1.0) * lam[0] ** (gap - 2.0))
-    for i in range(2, params.k + 1):
-        d[i - 1] = -(params.k - i + 1) * a3 / lam[i - 1] ** 2
-    return d
+    a_v, gap, tail = _psi_coefficients(constants, params)
+    d0 = (-constants.a3 * params.k / lam[0] ** 2
+          + a_v * gap * (gap - 1.0) * lam[0] ** (gap - 2.0))
+    return np.concatenate(([d0], -tail / lam[1:] ** 2))
 
 
 def critical_scales(constants: EnergyConstants, params: ModelParams) -> np.ndarray:
@@ -142,14 +142,9 @@ def critical_scales(constants: EnergyConstants, params: ModelParams) -> np.ndarr
     condition on the potential.
     """
     params.check_hypotheses()
-    a2, a3 = constants.a2, constants.a3
-    a_pot = constants.require("a5" if params.regime is Regime.SUB_Q else "a5_hat")
-    gap = params.exponent_gap
-    lam = np.empty(params.k)
-    lam[0] = (-a3 * params.k / (a_pot * params.v_ref * gap)) ** (1.0 / gap)
-    for i in range(2, params.k + 1):
-        lam[i - 1] = (params.k - i + 1) * a3 / a2
-    return lam
+    a_v, gap, tail = _psi_coefficients(constants, params)
+    lam1 = (-constants.a3 * params.k / (a_v * gap)) ** (1.0 / gap)
+    return np.concatenate(([lam1], tail / constants.a2))
 
 
 def tower_amplitudes(lambda_star, constants: EnergyConstants,

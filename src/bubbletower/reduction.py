@@ -8,12 +8,18 @@ iteration for the correction phi(xi), (iii) the reduced energy as a function
 of the scale parameters Lambda, and (iv) an outer Newton solve driving its
 gradient to zero, which simultaneously drives the multipliers c_i to zero
 and yields a genuine discrete solution v = Ubar + phi.
+
+Each correction builds one field.TowerField for its spike set, inside its
+ProjectedSolver (``solver.field``): the operator, Z, the discrete residual
+and every Picard step's remainder and increment norm come from it, and the
+ReductionState carries it, so the energy and the sweep metrics reuse its
+Ubar.  sweep_point gives the trend metrics of one epsilon for ``sweep``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field as dataclass_field
 from typing import Optional, Tuple
 
 import numpy as np
@@ -22,13 +28,11 @@ from scipy.interpolate import CubicSpline
 
 from .errors import (AssemblyError, ConditioningError, ConvergenceError,
                      WindowViolationError)
-from .field import (Grid, GridFunction, SpikeFrame, default_sigma, energy,
-                    full_operator, grid_for_spikes, kernel_directions,
-                    linearized_matrix, nonlinear_remainder, star_norm,
-                    tower_ansatz)
+from .field import (Grid, GridFunction, SpikeFrame, TowerField, ansatz_residual,
+                    default_sigma, energy, grid_for_spikes, tower_ansatz)
 from .profiles import ModelParams, Regime, ef_x_of_r
 from .quadrature import EnergyConstants
-from .reduced_model import critical_scales, spike_locations
+from .reduced_model import critical_scales, energy_expansion, spike_locations
 
 __all__ = [
     "ReductionConfig",
@@ -39,6 +43,7 @@ __all__ = [
     "solve_correction",
     "reduced_energy",
     "solve_reduced",
+    "sweep_point",
     "assemble_solution",
     "RadialSolution",
 ]
@@ -65,17 +70,24 @@ class ReductionConfig:
 
 @dataclass
 class ReductionState:
-    """Converged correction phi with multipliers and diagnostics."""
+    """Converged correction phi, its tower field, multipliers and diagnostics."""
 
     phi: GridFunction
     c: np.ndarray
     star_norm_phi: float
     iterations: int
     converged: bool
-    xi: np.ndarray
-    frame: SpikeFrame
+    field: TowerField
     orth_defect: float
-    increments: list = field(default_factory=list)
+    increments: list = dataclass_field(default_factory=list)
+
+    @property
+    def xi(self) -> np.ndarray:
+        return self.field.xi
+
+    @property
+    def frame(self) -> SpikeFrame:
+        return self.field.frame
 
 
 def check_window(xi, epsilon: float, k: int, m_window: float = 10.0):
@@ -110,23 +122,24 @@ class ProjectedSolver:
     complement S = Z^T A^{-1} Z are formed once, and each right-hand side
     costs one tridiagonal solve, y = A^{-1} h, mu = S^{-1} Z^T y,
     phi = y - A^{-1} Z mu.  Solves refuse an S whose 2-norm condition number
-    exceeds 1e12 (nearly dependent Z columns).
+    exceeds 1e12 (nearly dependent Z columns).  The operator and Z come
+    from one TowerField, kept as ``field`` (its star-norm sigma is that of
+    ``frame``, default_sigma(params) when none is given).
     """
 
     def __init__(self, xi, params: ModelParams, grid: Grid,
                  frame: Optional[SpikeFrame] = None):
-        self.xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        self.params = params
+        self.field = TowerField(xi, params, grid,
+                                None if frame is None else frame.sigma)
         self.grid = grid
-        self.frame = frame or SpikeFrame(self.xi, default_sigma(params))
-        self.matrix = linearized_matrix(self.xi, params, grid)
-        self.z = kernel_directions(self.xi, params, grid)
+        self.matrix = self.field.matrix()
+        self.z = self.field.z
         try:
             self._lu = spla.splu(self.matrix, permc_spec="NATURAL")
         except RuntimeError as exc:
             raise ConditioningError(
                 f"operator factorization failed (n={grid.n}, "
-                f"k={self.xi.size}, h={grid.h:g}): {exc}") from exc
+                f"k={self.z.shape[1]}, h={grid.h:g}): {exc}") from exc
         self._az = self._lu.solve(self.z)
         self._schur = self.z.T @ self._az
         sv = np.linalg.svd(self._schur, compute_uv=False)
@@ -155,8 +168,8 @@ class ProjectedSolver:
 
     def solve(self, h_rhs: GridFunction) -> Tuple[GridFunction, np.ndarray]:
         vals, c = self.solve_values(h_rhs.values)
-        return GridFunction(self.grid, vals,
-                            decay=(self.frame.sigma, self.frame.sigma)), c
+        sigma = self.field.frame.sigma
+        return GridFunction(self.grid, vals, decay=(sigma, sigma)), c
 
     def orthogonality_defect(self, phi_values: np.ndarray) -> float:
         w = self.grid.trapezoid_weights()
@@ -184,26 +197,30 @@ def solve_correction(xi, params: ModelParams,
     sigma = config.sigma if config.sigma is not None else default_sigma(params)
     if grid is None:
         grid = grid_for_spikes(xi, sigma, config.h, config.pad)
-    frame = SpikeFrame(xi, sigma)
-    solver = ProjectedSolver(xi, params, grid, frame)
-    # discrete residual (3-point curvature of the tower), so the fixed point
-    # lands on an exact discrete solution and the energy gradient tracks c_i
-    residual = full_operator(tower_ansatz(xi, grid, params), params).values
+    solver = ProjectedSolver(xi, params, grid, SpikeFrame(xi, sigma))
+    tower = solver.field
 
-    phi = GridFunction(grid, np.zeros(grid.n), decay=(sigma, sigma))
+    phi = np.zeros(grid.n)
     c = np.zeros(xi.size)
     increments: list = []
     damping = 1.0
     grow_streak = 0
-    converged = False
     iterations = 0
+
+    def state(converged: bool) -> ReductionState:
+        return ReductionState(GridFunction(grid, phi, decay=(sigma, sigma)), c,
+                              tower.star_norm(phi), iterations, converged, tower,
+                              solver.orthogonality_defect(phi), increments)
+
     for iterations in range(1, config.max_picard + 1):
-        rhs = nonlinear_remainder(phi, xi, params).values - residual
-        new_vals, c = solver.solve_values(rhs)
+        # the residual is the discrete one (3-point curvature of the tower),
+        # so the fixed point lands on an exact discrete solution and the
+        # energy gradient tracks c_i
+        new_vals, c = solver.solve_values(tower.remainder(phi) - tower.residual)
         if damping != 1.0:
-            new_vals = phi.values + damping * (new_vals - phi.values)
-        inc = star_norm(GridFunction(grid, new_vals - phi.values), frame)
-        phi = GridFunction(grid, new_vals, decay=(sigma, sigma))
+            new_vals = phi + damping * (new_vals - phi)
+        inc = tower.star_norm(new_vals - phi)
+        phi = new_vals
         if increments and inc > increments[-1]:
             grow_streak += 1
             damping = 0.5
@@ -211,29 +228,22 @@ def solve_correction(xi, params: ModelParams,
             grow_streak = 0
         increments.append(inc)
         if inc < config.tol_fp:
-            converged = True
             break
         if grow_streak >= 3:
-            state = ReductionState(phi, c, star_norm(phi, frame), iterations,
-                                   False, xi, frame,
-                                   solver.orthogonality_defect(phi.values),
-                                   increments)
             raise ConvergenceError(
                 f"fixed point diverging after {iterations} iterations "
-                f"(increments {increments[-3:]})", state=state)
-
-    state = ReductionState(phi, c, star_norm(phi, frame), iterations,
-                           converged, xi, frame,
-                           solver.orthogonality_defect(phi.values), increments)
-    if not converged:
+                f"(increments {increments[-3:]})", state=state(False))
+    else:
         raise ConvergenceError(
             f"fixed point did not reach {config.tol_fp:g} in "
-            f"{config.max_picard} iterations", state=state)
-    if state.orth_defect > config.tol_orth:
+            f"{config.max_picard} iterations", state=state(False))
+
+    result = state(True)
+    if result.orth_defect > config.tol_orth:
         raise ConditioningError(
-            f"orthogonality defect {state.orth_defect:.2e} above "
+            f"orthogonality defect {result.orth_defect:.2e} above "
             f"{config.tol_orth:g}")
-    return state
+    return result
 
 
 def reduced_energy(lambdas, params: ModelParams,
@@ -250,10 +260,9 @@ def reduced_energy(lambdas, params: ModelParams,
     else:
         xi = spike_locations(lambdas, params.epsilon, params)
     state = solve_correction(xi, params, config, grid=grid)
-    sigma = state.frame.sigma
-    v = GridFunction(state.phi.grid,
-                     tower_ansatz(xi, state.phi.grid, params).values
-                     + state.phi.values, decay=(min(1.0, sigma), min(1.0, sigma)))
+    decay = min(1.0, state.frame.sigma)
+    v = GridFunction(state.phi.grid, state.field.ubar.values + state.phi.values,
+                     decay=(decay, decay))
     return energy(v, params)
 
 
@@ -334,6 +343,25 @@ def solve_reduced(params: ModelParams, constants: EnergyConstants,
             f"multipliers not driven to zero: max|c| = "
             f"{np.max(np.abs(state.c)):.2e} > {config.tol_c:g}", state=state)
     return lam, state
+
+
+def sweep_point(params: ModelParams, constants: EnergyConstants,
+                config: ReductionConfig = ReductionConfig()) -> dict:
+    """Trend metrics of one epsilon at the closed-form critical scales.
+
+    |R|_* of the analytic tower residual, |phi|_* of the correction and
+    |E(tower) - energy_expansion| / eps, all on the grid that
+    solve_correction builds from config.
+    """
+    eps = params.epsilon
+    lam = critical_scales(constants, params)
+    xi = spike_locations(lam, eps, params)
+    state = solve_correction(xi, params, config)
+    tower = state.field
+    res_star = tower.star_norm(ansatz_residual(xi, params, tower.grid).values)
+    gap = energy(tower.ubar, params) - energy_expansion(lam, eps, constants, params).total
+    return {"eps": eps, "residual_star": res_star, "phi_star": state.star_norm_phi,
+            "energy_gap_ratio": abs(gap) / eps}
 
 
 @dataclass(frozen=True)

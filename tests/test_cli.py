@@ -142,3 +142,18 @@ def test_verify_pipeline_outputs(tmp_path):
     assert payload["sup_rel_near_peak"] < 0.2
     shot_header = (tmp_path / "verify" / "shot.csv").read_text().splitlines()[0]
     assert shot_header == "r,u"
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "--q", "4", "--eps", "5e-2", "--h", "0"],
+    ["reduce", "--q", "4", "--eps", "5e-2", "--h", "-0.01"],
+    ["reduce", "--q", "4", "--eps", "5e-2", "--window-M", "0"],
+    ["reduce", "--q", "4", "--eps", "1.5"],
+    ["verify", "--q", "4", "--eps", "nan"],
+    ["predict", "--q", "4", "--eps", "0"],
+    ["sweep", "--q", "4", "--eps-list", "1e-2,5e-3", "--workers", "0"],
+])
+def test_bad_grid_and_run_arguments_exit_at_parse_time(argv, tmp_path):
+    with pytest.raises(SystemExit):
+        run_cli(argv + ["--out", str(tmp_path)])
+    assert not (tmp_path / argv[0]).exists()

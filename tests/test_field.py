@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bubbletower import (Grid, GridFunction,
-                         SpikeFrame, ansatz_residual, default_sigma, energy,
-                         full_operator, grid_for_spikes, linearized_apply,
+from bubbletower import (Grid, GridFunction, ModelParams, PotentialSpec,
+                         SpikeFrame, TowerField, ansatz_residual,
+                         default_sigma, energy, full_operator, grid_for_spikes,
+                         linearized_apply,
                          linearized_matrix, nonlinear_remainder, profile_U,
                          profile_d2U, profile_dU, spike_locations, star_norm,
                          tower_ansatz, critical_scales)
@@ -311,3 +312,45 @@ def test_full_operator_consistent_with_matrix():
         - full_operator(ub, params).values
     rhs = linearized_matrix(xi, params, g) @ phi
     assert np.max(np.abs(lhs - rhs)) < 1e-7 * np.max(np.abs(rhs))
+
+
+@pytest.mark.parametrize("q,k", [(4.0, 1), (4.0, 2), (7.0, 1), (7.0, 2)])
+def test_analytic_and_discrete_residuals_differ_by_h_squared(q, k, c4, c7):
+    # ansatz_residual takes Ubar'' in closed form, full_operator(tower_ansatz)
+    # the 3-point stencil; in the plain sup norm they differ by O(h^2)
+    params = make_params(q=q, eps=1e-2, k=k)
+    xi = spike_locations(critical_scales(c4 if q == 4.0 else c7, params),
+                         params.epsilon, params)
+    sigma = default_sigma(params)
+    sups = []
+    for h in (0.02, 0.01, 0.005):
+        g = grid_for_spikes(xi, sigma, h=h, pad=3.0)
+        diff = ansatz_residual(xi, params, g).values \
+            - full_operator(tower_ansatz(xi, g, params), params).values
+        sups.append(np.max(np.abs(diff)))
+    assert sups[0] < 1e-3
+    for coarse, fine in zip(sups, sups[1:]):
+        assert 3.8 <= coarse / fine <= 4.2
+
+
+def test_tower_field_against_direct_formulas():
+    # rational V: the cached weights, powers and W of one spike set, against
+    # the formulas written out with an x-dependent omega
+    params = ModelParams.make(3, 4.0, 2e-2, k=2,
+                              potential=PotentialSpec.rational(-2.0, 1.0))
+    xi = spike_locations(np.array([0.8, 0.3]), params.epsilon, params)
+    g = grid_for_spikes(xi, 0.5, h=0.05)
+    tower = TowerField(xi, params, g, sigma=0.5)
+    x, p, q, beta = g.x, params.p, 4.0, params.beta
+    ubar = sum(profile_U(x - s, 3) for s in xi)
+    w_nl = np.exp(params.epsilon * x)
+    w_pot = params.omega(x) * np.exp(-(params.p_star - q) * x)
+    phi = 0.05 * np.sin(x) * SpikeFrame(xi, 0.5).weight(x)
+    b = np.maximum(ubar + phi, 0.0)
+    remainder = beta * (w_nl * (b ** p - ubar ** p - p * ubar ** (p - 1.0) * phi)
+                        - w_pot * (b ** q - ubar ** q - q * ubar ** (q - 1.0) * phi))
+    potential = beta * (p * w_nl * ubar ** (p - 1.0) - q * w_pot * ubar ** (q - 1.0))
+    for cached, direct in ((tower.remainder(phi), remainder),
+                           (tower.potential, potential)):
+        assert np.max(np.abs(cached - direct)) < 1e-12 * np.max(np.abs(direct))
+    assert tower.star_norm(phi) == star_norm(GridFunction(g, phi), SpikeFrame(xi, 0.5))

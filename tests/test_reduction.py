@@ -356,3 +356,26 @@ def test_flat_regime_reduced_energy_has_no_critical_point(c7):
 
     _, values = landscape(1.0)
     assert np.all(np.diff(values) > 0.0)
+
+
+def test_solve_correction_builds_the_tower_once(c4, monkeypatch):
+    # wrap every reference to tower_ansatz that a bubbletower module holds,
+    # as perfbench's span wrappers do, and count the calls of one correction
+    import sys
+    import bubbletower.field as field_module
+    original = field_module.tower_ansatz
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and name.split(".")[0] == "bubbletower":
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    params, _, _, xi, grid, _ = _setup(k=2, c=c4)
+    state = solve_correction(xi, params, ReductionConfig(h=0.02), grid=grid)
+    assert state.iterations > 1
+    assert len(calls) == 1
