@@ -44,7 +44,8 @@ def main():
     t0 = time.time()
     tower = predicted_tower(params, constants)
     found = find_tower(params, tower)
-    assert found.classification is Classification.DECAYING
+    if found.classification is not Classification.DECAYING:
+        raise SystemExit(f"shot is {found.classification.value}, not decaying")
     xi1 = float(state.xi[0])
     metrics = compare(solution.ef, found.ef_image, (xi1 - 2.0, xi1 + 2.0))
     print(f"shooting:  u0 = {found.u0:.4f} ({found.peak_count_ef} peak(s)), "

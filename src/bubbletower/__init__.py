@@ -34,7 +34,7 @@ from .field import (Grid, GridFunction, SpikeFrame, TowerField, ansatz_residual,
                     tower_ansatz)
 from .reduction import (ProjectedSolver, RadialSolution, ReductionConfig,
                         ReductionState, assemble_solution, check_window,
-                        reduced_energy, solve_correction,
+                        reduced_energy, reduced_energy_grad, solve_correction,
                         solve_projected_linear, solve_reduced, sweep_point)
 from .verifier import (Classification, CompareMetrics, ShotProfile, compare,
                        find_tower, shoot)

@@ -6,8 +6,10 @@ elimination of the bordered system through its k x k Schur complement, so
 only the tridiagonal operator is factored), (ii) a damped fixed-point
 iteration for the correction phi(xi), (iii) the reduced energy as a function
 of the scale parameters Lambda, and (iv) an outer Newton solve driving its
-gradient to zero, which simultaneously drives the multipliers c_i to zero
-and yields a genuine discrete solution v = Ubar + phi.
+gradient to zero.  That gradient is a linear form in the multipliers c_i of
+one correction (reduced_energy_grad), so the solve drives the c_i to zero and
+yields a genuine discrete solution v = Ubar + phi; its Newton matrix is the
+diagonal Hessian of the reduced functional Psi.
 
 Each correction builds one field.TowerField for its spike set, inside its
 ProjectedSolver (``solver.field``): the operator, Z, the discrete residual
@@ -28,11 +30,14 @@ from scipy.interpolate import CubicSpline
 
 from .errors import (AssemblyError, ConditioningError, ConvergenceError,
                      WindowViolationError)
+# tower_ansatz is no longer called here; perfbench's span self-test reads
+# reduction.tower_ansatz, so the name stays importable
 from .field import (Grid, GridFunction, SpikeFrame, TowerField, ansatz_residual,
                     default_sigma, energy, grid_for_spikes, tower_ansatz)
-from .profiles import ModelParams, Regime, ef_x_of_r
+from .profiles import ModelParams, Regime, ef_x_of_r, profile_d2U
 from .quadrature import EnergyConstants
-from .reduced_model import critical_scales, energy_expansion, spike_locations
+from .reduced_model import (critical_scales, energy_expansion,
+                            reduced_functional_hess_diag, spike_locations)
 
 __all__ = [
     "ReductionConfig",
@@ -42,6 +47,7 @@ __all__ = [
     "solve_projected_linear",
     "solve_correction",
     "reduced_energy",
+    "reduced_energy_grad",
     "solve_reduced",
     "sweep_point",
     "assemble_solution",
@@ -51,7 +57,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ReductionConfig:
-    """Grid, window and tolerance knobs for one reduction run."""
+    """Grid, window, tolerances and iteration limits for one reduction run."""
 
     h: float = 0.02
     sigma: Optional[float] = None      # None -> default_sigma(params)
@@ -60,8 +66,6 @@ class ReductionConfig:
     tol_orth: float = 1e-10
     tol_c: float = 1e-8
     newton_tol: float = 1e-8           # |grad Phi|_2
-    fd_step: float = 1e-4              # central differences of Phi in Lambda
-    jac_step: float = 1e-3             # finite-difference Jacobian of the gradient
     max_picard: int = 80
     max_newton: int = 40
     window_m: float = 10.0
@@ -266,78 +270,78 @@ def reduced_energy(lambdas, params: ModelParams,
     return energy(v, params)
 
 
+def reduced_energy_grad(lambdas, params: ModelParams,
+                        config: ReductionConfig = ReductionConfig(),
+                        grid: Optional[Grid] = None):
+    """Gradient in Lambda of reduced_energy from one correction: (grad, state).
+
+    energy's gradient at v = Ubar + phi is h sum_i c_i Z_i (see energy), and
+    the constraint Z^T phi = 0 gives dE/dxi_j = h [-sum_i c_i Z_i.Z_j
+    + c_j U''(. - xi_j).phi]; xi_j moves with -log(Lambda_i) for i <= j.
+    """
+    lam = np.asarray(lambdas, dtype=float)
+    xi = spike_locations(lam, params.epsilon, params)
+    state = solve_correction(xi, params, config, grid=grid)
+    tower, phi, c = state.field, state.phi.values, state.c
+    d2u = np.column_stack([profile_d2U(tower.x - s, params.n_dim) for s in xi])
+    de_dxi = tower.grid.h * (c * (d2u.T @ phi) - tower.z.T @ (tower.z @ c))
+    return -np.cumsum(de_dxi[::-1])[::-1] / lam, state
+
+
 def solve_reduced(params: ModelParams, constants: EnergyConstants,
                   config: ReductionConfig = ReductionConfig()):
     """Outer Newton solve for the critical scales of the reduced energy.
 
-    Starts from the closed-form critical point of the reduced functional;
-    the gradient of Phi(Lambda) = energy/epsilon is formed by central
-    differences (the correction phi(Lambda) is only available numerically)
-    and the Jacobian by differencing the gradient.  Returns (Lambda_eps,
-    state at Lambda_eps).
+    Starts from the closed-form critical point of the reduced functional Psi
+    (which checks the regime's hypothesis; epsilon must lie in (0, 1)).  The
+    gradient of Phi(Lambda) = energy/epsilon comes from the multipliers of
+    one correction (reduced_energy_grad); the Newton matrix is the diagonal
+    Hessian of Psi, the limit of that of Phi as epsilon -> 0, and a step is
+    accepted when it lowers |grad Phi|.  Returns (Lambda_eps, state at
+    Lambda_eps); failures raise ConvergenceError with the last state.
     """
-    params.check_hypotheses()
-    if params.epsilon <= 0.0:
-        raise ValueError("outer solve needs epsilon > 0")
-    lam0 = critical_scales(constants, params)
-    xi0 = spike_locations(lam0, params.epsilon, params)
+    lam = critical_scales(constants, params)
+    xi0 = spike_locations(lam, params.epsilon, params)
     sigma = config.sigma if config.sigma is not None else default_sigma(params)
-    # one fixed grid for every energy evaluation of this solve, so that
-    # finite differences in Lambda see a smooth function
+    # one fixed grid for the whole solve: the gradient formula differentiates
+    # in xi with the nodes held still
     grid = grid_for_spikes(xi0, sigma, config.h, config.pad)
-    eps = params.epsilon
     lo, hi = config.lambda_box
 
-    def phi_value(lam):
-        return reduced_energy(lam, params, config, grid=grid) / eps
-
     def gradient(lam):
-        g = np.empty(lam.size)
-        for j in range(lam.size):
-            step = config.fd_step * max(1.0, abs(lam[j]))
-            e_j = np.zeros(lam.size)
-            e_j[j] = step
-            g[j] = (phi_value(lam + e_j) - phi_value(lam - e_j)) / (2.0 * step)
-        return g
+        g, state = reduced_energy_grad(lam, params, config, grid)
+        return g / params.epsilon, state
 
-    lam = lam0.copy()
-    g = gradient(lam)
+    g, state = gradient(lam)
     for _ in range(config.max_newton):
-        if np.linalg.norm(g) < config.newton_tol:
-            break
-        jac = np.empty((lam.size, lam.size))
-        for j in range(lam.size):
-            step = config.jac_step * max(1.0, abs(lam[j]))
-            e_j = np.zeros(lam.size)
-            e_j[j] = step
-            jac[:, j] = (gradient(lam + e_j) - gradient(lam - e_j)) / (2.0 * step)
-        try:
-            delta = np.linalg.solve(jac, -g)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"singular reduced Jacobian: {exc}") from exc
-        t = 1.0
         norm_g = np.linalg.norm(g)
+        if norm_g < config.newton_tol:
+            break
+        hess = reduced_functional_hess_diag(lam, constants, params)
+        if not np.all(hess < 0.0):
+            raise ConvergenceError(
+                f"reduced Hessian diagonal {hess} not negative at Lambda = {lam}",
+                state=state)
+        delta = -g / hess
+        t = 1.0
         for _ in range(12):
             trial = lam + t * delta
             if np.all(trial > lo) and np.all(trial < hi):
-                g_trial = gradient(trial)
+                g_trial, state_trial = gradient(trial)
                 if np.linalg.norm(g_trial) < norm_g:
-                    lam, g = trial, g_trial
+                    lam, g, state = trial, g_trial, state_trial
                     break
             t *= 0.5
         else:
-            if np.any(lam + delta <= lo) or np.any(lam + delta >= hi):
-                raise ConvergenceError(
-                    f"Newton step left the box [{lo:g}, {hi:g}]^k at {lam + delta}")
             raise ConvergenceError(
-                f"line search stagnated at |grad| = {norm_g:.3e}")
+                f"line search found no |grad| below {norm_g:.3e} inside [{lo:g}, "
+                f"{hi:g}]^k along {delta} from Lambda = {lam}", state=state)
     else:
         raise ConvergenceError(
             f"Newton did not reach {config.newton_tol:g} in "
-            f"{config.max_newton} iterations; |grad| = {np.linalg.norm(g):.3e}")
+            f"{config.max_newton} iterations; |grad| = {np.linalg.norm(g):.3e}",
+            state=state)
 
-    xi = spike_locations(lam, eps, params)
-    state = solve_correction(xi, params, config, grid=grid)
     if float(np.max(np.abs(state.c))) > config.tol_c:
         raise ConvergenceError(
             f"multipliers not driven to zero: max|c| = "
@@ -450,7 +454,7 @@ class RadialSolution:
 def assemble_solution(state: ReductionState, params: ModelParams) -> RadialSolution:
     """Back-transform the corrected ansatz to a radial profile."""
     grid = state.phi.grid
-    v = tower_ansatz(state.xi, grid, params).values + state.phi.values
+    v = state.field.ubar.values + state.phi.values
     floor = -1e-6 * float(np.max(v))
     if float(np.min(v)) < floor:
         raise AssemblyError(

@@ -172,16 +172,16 @@ def _ef_peaks(r, u, params: ModelParams) -> int:
 
 def find_tower(params: ModelParams, guess: TowerConfig,
                bracket: Tuple[float, float] = (0.5, 1.5),
-               scan_points: int = 13, bisect_iters: int = 60,
+               scan_points: int = 13,
                r_max: Optional[float] = None) -> ShotProfile:
     """Locate the k-peak decaying solution near a predicted tower.
 
     Concentrating regime: bisection on the initial height u0 between the
     crossing and non-crossing trajectories, seeded at the predicted peak of
     the tower with a +-50% bracket.  Flat regime: backward bisection on the
-    far-field decay coefficient (see module docstring).  Raises
-    ConvergenceError with the scan report when no behaviour change brackets
-    a solution.
+    far-field decay coefficient (see module docstring).  Both bisect until
+    the bracket ends are adjacent floats.  Raises ConvergenceError with the
+    scan report when no behaviour change brackets a solution.
     """
     gamma = params.gamma
     if params.regime is Regime.SUB_Q:
@@ -196,11 +196,9 @@ def find_tower(params: ModelParams, guess: TowerConfig,
                 "no crossing/non-crossing change in the bracket; scan: "
                 + ", ".join(f"{u:.4g}:{s.classification.value}"
                             for u, s in zip(heights, shots)))
-        i = pair
-        a, b = heights[i], heights[i + 1]
-        a_crossing = labels[i]
-        for _ in range(bisect_iters):
-            mid = 0.5 * (a + b)
+        a, b = heights[pair], heights[pair + 1]
+        a_crossing = labels[pair]
+        while (mid := 0.5 * (a + b)) not in (a, b):
             crossed = shoot(mid, params, r_max=r_max).classification \
                 is Classification.CROSSING
             if crossed == a_crossing:
@@ -209,7 +207,7 @@ def find_tower(params: ModelParams, guess: TowerConfig,
                 b = mid
         boundary = b if a_crossing else a
         return shoot(boundary, params, r_max=r_max)
-    return _find_tower_flat(params, guess, bracket, scan_points, bisect_iters)
+    return _find_tower_flat(params, guess, bracket, scan_points)
 
 
 def _first_change(labels) -> Optional[int]:
@@ -264,7 +262,7 @@ def _flat_overshoot(sol) -> bool:
     return False
 
 
-def _find_tower_flat(params, guess, bracket, scan_points, bisect_iters):
+def _find_tower_flat(params, guess, bracket, scan_points):
     gamma = params.gamma
     m = (params.n_dim - 2) / 2.0
     xi1, xik = float(guess.xi[0]), float(guess.xi[-1])
@@ -281,8 +279,7 @@ def _find_tower_flat(params, guess, bracket, scan_points, bisect_iters):
                         for c, l in zip(cs, labels)))
     a, b = cs[pair], cs[pair + 1]
     a_label = labels[pair]
-    for _ in range(bisect_iters):
-        mid = 0.5 * (a + b)
+    while (mid := 0.5 * (a + b)) not in (a, b):
         if _flat_overshoot(_shoot_flat_backward(mid, params, x_hi, x_lo)) == a_label:
             a = mid
         else:

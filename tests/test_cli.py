@@ -144,6 +144,18 @@ def test_verify_pipeline_outputs(tmp_path):
     assert shot_header == "r,u"
 
 
+
+def test_verify_flat_regime_with_rational_potential(tmp_path):
+    # q > p* with V(0) = V(inf) = -1 but a non-constant V in between
+    run_cli(["verify", "--q", "7", "--k", "1", "--V", "rational:-0.5,-0.5",
+             "--eps", "5e-2", "--h", "0.02", "--out", str(tmp_path)])
+    payload = json.loads((tmp_path / "verify" / "verify.json").read_text())
+    assert payload["classification"] == "decaying"
+    assert payload["ef_peaks"] == 1
+    assert payload["sup_rel_near_peak"] < 0.2
+    assert max(abs(c) for c in payload["multipliers"]) < 1e-8
+
+
 @pytest.mark.parametrize("argv", [
     ["reduce", "--q", "4", "--eps", "5e-2", "--h", "0"],
     ["reduce", "--q", "4", "--eps", "5e-2", "--h", "-0.01"],

@@ -8,7 +8,8 @@ from bubbletower import (GridFunction,
                          ProjectedSolver, ReductionConfig, SpikeFrame,
                          assemble_solution, check_window, critical_scales,
                          default_sigma, full_operator, grid_for_spikes,
-                         kernel_directions, reduced_energy, solve_correction,
+                         kernel_directions, reduced_energy,
+                         reduced_energy_grad, solve_correction,
                          solve_projected_linear, solve_reduced,
                          spike_locations, star_norm, tower_ansatz)
 from bubbletower.errors import WindowViolationError
@@ -321,7 +322,7 @@ def test_scaling_identity_on_assembled_solution(c4):
     grid = state.phi.grid
     x = grid.x
     v = np.maximum(sol.spline(x), 0.0)
-    p = params.p_star + params.epsilon
+    p = params.p
     i_p = 2.0 * grid.h * np.sum(v ** (p + 1.0) * np.exp((p - 5.0) * x))
     i_q = 2.0 * grid.h * np.sum(v ** 5.0 * np.exp(-x))
     term_p = (3.0 / (p + 1.0) - 0.5) * i_p
@@ -379,3 +380,54 @@ def test_solve_correction_builds_the_tower_once(c4, monkeypatch):
     state = solve_correction(xi, params, ReductionConfig(h=0.02), grid=grid)
     assert state.iterations > 1
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("q,k,eps", [(4.0, 1, 1e-2), (4.0, 2, 1e-2),
+                                     (4.0, 3, 1e-2), (7.0, 1, 5e-2)])
+def test_multiplier_gradient_matches_central_differences(q, k, eps, c4, c7):
+    # the gradient from one correction's multipliers against central
+    # differences of reduced_energy on the same grid: the gap must fall like
+    # step^2, so it is the differences that carry it
+    params, _, lam_star, _, grid, _ = _setup(eps=eps, k=k, q=q, h=0.03,
+                                             c=c4 if q == 4.0 else c7)
+    config = ReductionConfig(h=0.03)
+    lam = 1.05 * lam_star
+    grad, state = reduced_energy_grad(lam, params, config, grid)
+    assert state.phi.grid == grid
+    gaps = []
+    for step in (3e-4, 1e-4):
+        fd = np.empty(k)
+        for j in range(k):
+            e_j = np.zeros(k)
+            e_j[j] = step * lam[j]
+            fd[j] = (reduced_energy(lam + e_j, params, config, grid)
+                     - reduced_energy(lam - e_j, params, config, grid)) / (2.0 * e_j[j])
+        gaps.append(np.linalg.norm(grad - fd) / np.linalg.norm(grad))
+    assert gaps[1] < 1e-4
+    assert gaps[0] > 5.0 * gaps[1]
+
+
+@pytest.mark.parametrize("k,h,bound", [(2, 0.02, 12), (3, 0.03, 16)])
+def test_solve_reduced_corrections_counted(k, h, bound, c4, monkeypatch):
+    import bubbletower.reduction as reduction_module
+    calls = []
+    original = reduction_module.solve_correction
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(reduction_module, "solve_correction", counted)
+    _, state = solve_reduced(make_params(eps=1e-2, k=k), c4, ReductionConfig(h=h))
+    assert np.max(np.abs(state.c)) < 1e-8
+    assert len(calls) <= bound
+
+
+def test_nonnegative_reduced_hessian_raises_with_state(c4, monkeypatch):
+    import bubbletower.reduction as reduction_module
+    from bubbletower.errors import ConvergenceError
+    monkeypatch.setattr(reduction_module, "reduced_functional_hess_diag",
+                        lambda lam, constants, params: np.zeros(lam.size))
+    with pytest.raises(ConvergenceError, match="not negative") as info:
+        solve_reduced(make_params(eps=1e-2, k=1), c4, ReductionConfig(h=0.03))
+    assert info.value.state is not None and info.value.state.converged

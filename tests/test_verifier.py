@@ -61,6 +61,26 @@ def test_find_tower_single_spike(c4):
     assert abs(x_peak - tower.xi[0]) < 0.15 * tower.xi[0]
 
 
+@pytest.mark.parametrize("q,shooter", [(4.0, "shoot"), (7.0, "_shoot_flat_backward")])
+def test_bisection_shoots_no_height_twice(q, shooter, c4, c7, monkeypatch):
+    # the bisection stops once the bracket ends are adjacent floats; only
+    # the final shot, which keeps the trajectory, repeats a height
+    import bubbletower.verifier as verifier_module
+    heights = []
+    original = getattr(verifier_module, shooter)
+
+    def recorded(height, *args, **kwargs):
+        heights.append(float(height))
+        return original(height, *args, **kwargs)
+
+    monkeypatch.setattr(verifier_module, shooter, recorded)
+    params = make_params(q=q, eps=5e-2, k=1)
+    found = find_tower(params, predicted_tower(params, c4 if q == 4.0 else c7))
+    assert found.classification is Classification.DECAYING
+    assert len(set(heights[:-1])) == len(heights) - 1
+    assert heights[-1] in heights[:-1]
+
+
 def test_find_tower_requires_behaviour_change(c4):
     params = make_params(eps=5e-2, k=1)
     tower = predicted_tower(params, c4)
