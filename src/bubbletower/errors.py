@@ -22,7 +22,7 @@ class TruncationError(BubbleTowerError):
 
 
 class QuadratureConvergenceError(BubbleTowerError):
-    """Adaptive quadrature exhausted its panel budget.
+    """Line quadrature missed its tolerance (QUADPACK reported a warning).
 
     Carries the best available estimate so callers can degrade gracefully.
     """

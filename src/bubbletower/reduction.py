@@ -94,26 +94,29 @@ class ReductionState:
         return self.field.frame
 
 
-def check_window(xi, epsilon: float, k: int, m_window: float = 10.0):
+def check_window(xi, params: ModelParams, m_window: float = 10.0):
     """Admissible-configuration window for the spike set.
 
     Gaps must exceed log(1/(M eps)) and the outermost spike must stay below
-    k log(M/eps).  (With the M factors on these sides the window contains
-    the critical spike choice for the exponent gaps used here.)
+    (1/gap + k - 1) log(1/eps) + k log M, with gap the exponent gap: the
+    critical spikes sit near log(1/eps)/gap, then log(1/eps) apart.  At
+    gap = 1 the outer bound is k log(M/eps).
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    eps, k = params.epsilon, params.k
     if xi[0] <= 0.0:
         raise WindowViolationError(f"first spike must be positive, got {xi[0]:g}")
     if k >= 2:
         min_gap = float(np.min(np.diff(xi)))
-        if min_gap <= math.log(1.0 / (m_window * epsilon)):
+        if min_gap <= math.log(1.0 / (m_window * eps)):
             raise WindowViolationError(
                 f"minimal gap {min_gap:g} below window bound "
-                f"{math.log(1.0 / (m_window * epsilon)):g}")
-    if xi[-1] >= k * math.log(m_window / epsilon):
+                f"{math.log(1.0 / (m_window * eps)):g}")
+    outer = ((1.0 / params.exponent_gap + k - 1) * math.log(1.0 / eps)
+             + k * math.log(m_window))
+    if xi[-1] >= outer:
         raise WindowViolationError(
-            f"outermost spike {xi[-1]:g} beyond window bound "
-            f"{k * math.log(m_window / epsilon):g}")
+            f"outermost spike {xi[-1]:g} beyond window bound {outer:g}")
 
 
 class ProjectedSolver:
@@ -197,7 +200,7 @@ def solve_correction(xi, params: ModelParams,
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if enforce_window and params.epsilon > 0.0:
-        check_window(xi, params.epsilon, params.k, config.window_m)
+        check_window(xi, params, config.window_m)
     sigma = config.sigma if config.sigma is not None else default_sigma(params)
     if grid is None:
         grid = grid_for_spikes(xi, sigma, config.h, config.pad)

@@ -98,12 +98,13 @@ def _rk4_fixed(rhs, r0, r1, y0, n_steps):
 
 
 def shoot(u0: float, params: ModelParams, r_max: Optional[float] = None,
-          r0: float = 1e-6, rtol: float = 1e-10,
-          fixed_step: Optional[float] = None) -> ShotProfile:
+          rtol: float = 1e-10, fixed_step: Optional[float] = None) -> ShotProfile:
     """Integrate the radial equation outward from a series start at r0.
 
     u(r) = u0 - [u0^p - V(0) u0^q] r^2/(2N) + O(r^4) with p = params.p
-    seeds the integration through the regular singular point.  With fixed_step set,
+    seeds the integration through the regular singular point.  The start
+    r0 = min(1e-6, 1e-3 u0^{-(p-1)/2}) lies well inside the spike core,
+    whose radius is u0^{-(p-1)/2}, however tall the tower.  With fixed_step set,
     a plain fourth-order Runge-Kutta with that step is used instead of the
     adaptive integrator (no event handling; used for order checks).
     """
@@ -121,6 +122,7 @@ def shoot(u0: float, params: ModelParams, r_max: Optional[float] = None,
         f = -_signed_power(u, p) + float(pot(r)) * _signed_power(u, q)
         return np.array([du, -(n_dim - 1.0) / r * du + f])
 
+    r0 = min(1e-6, 1e-3 * u0 ** (-0.5 * (p - 1.0)))
     curv = (u0 ** p - float(pot(0.0)) * u0 ** q) / (2.0 * n_dim)
     y0 = np.array([u0 - curv * r0 * r0, -2.0 * curv * r0])
 

@@ -156,6 +156,24 @@ def test_verify_flat_regime_with_rational_potential(tmp_path):
     assert max(abs(c) for c in payload["multipliers"]) < 1e-8
 
 
+@pytest.mark.parametrize("k,eps,h,pot,max_sup", [
+    # tower heights where a fixed series start r0 = 1e-6 lay far outside
+    # the spike core
+    (2, "3e-2", "0.01", "const:-1", 1e-2),
+    (3, "1e-2", "0.02", "const:-1", 1e-2),
+    # V(0) = -1 < 0 < V(inf) = 1: only the concentrating hypothesis holds
+    (1, "5e-2", "0.01", "rational:-1,2", 0.2),
+])
+def test_verify_concentrating(k, eps, h, pot, max_sup, tmp_path):
+    run_cli(["verify", "--q", "4", "--k", str(k), "--V", pot,
+             "--eps", eps, "--h", h, "--out", str(tmp_path)])
+    payload = json.loads((tmp_path / "verify" / "verify.json").read_text())
+    assert payload["classification"] == "decaying"
+    assert payload["ef_peaks"] == k
+    assert payload["sup_rel_near_peak"] < max_sup
+    assert max(abs(c) for c in payload["multipliers"]) < 1e-8
+
+
 @pytest.mark.parametrize("argv", [
     ["reduce", "--q", "4", "--eps", "5e-2", "--h", "0"],
     ["reduce", "--q", "4", "--eps", "5e-2", "--h", "-0.01"],

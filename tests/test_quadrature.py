@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bubbletower import (energy_constants, integrate_line,
+from bubbletower import (energy_constants, integrate_line, quadrature,
                          profile_log_moment_closed_form,
                          profile_moment_closed_form, profile_U)
 from bubbletower.errors import QuadratureConvergenceError, RegimeMismatchError
@@ -43,7 +43,7 @@ def test_critical_power_moment_against_beta_reduction():
 @given(s=st.floats(min_value=2.5, max_value=8.0),
        c_frac=st.floats(min_value=-0.6, max_value=0.6))
 def test_route_independence_of_moments(s, c_frac):
-    # adaptive quadrature vs Beta closed form across the (s, c) family;
+    # Gauss-Kronrod quadrature vs Beta closed form across the (s, c) family;
     # the integrand decays at rate s-c to the left and s+c to the right
     c = c_frac * s
     val, err = integrate_line(lambda x: profile_U(x, 3) ** s * math.exp(-c * x),
@@ -70,6 +70,30 @@ def test_energy_constants_match_closed_forms(c4, c7):
     assert c4.a3 == pytest.approx(A3_N3, rel=1e-10)
     assert c4.a5 == pytest.approx(A5_N3_Q4, rel=1e-10)
     assert c7.a5_hat == pytest.approx(A5HAT_N3_Q7, rel=1e-10)
+
+
+def test_energy_constants_within_reported_error_of_closed_forms(c4, c7):
+    for name, exact in (("a1", A1_N3), ("a2", A2_N3), ("a3", A3_N3),
+                        ("a5", A5_N3_Q4)):
+        assert abs(getattr(c4, name) - exact) <= c4.err[name]
+    assert abs(c7.a5_hat - A5HAT_N3_Q7) <= c7.err["a5_hat"]
+
+
+@pytest.mark.parametrize("q", [4.0, 7.0])
+def test_energy_constants_evaluation_budget(q, monkeypatch):
+    # count integrand calls the way the benchmark's span wrapper does
+    evals = [0]
+    inner = quadrature.integrate_line
+
+    def counting(f, *args, **kwargs):
+        def counted(x):
+            evals[0] += 1
+            return f(x)
+        return inner(counted, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "integrate_line", counting)
+    energy_constants(3, q)
+    assert 0 < evals[0] <= 5000
 
 
 def test_energy_constants_positive(c4, c7):
@@ -128,4 +152,13 @@ def test_panel_budget_exhaustion_carries_best_estimate():
         integrate_line(lambda x: 1.0 / math.cosh(x) ** 2, 2.0, 2.0,
                        tol=1e-14, max_evals=60)
     assert info.value.value == pytest.approx(2.0, rel=0.2)
+    assert abs(info.value.value - 2.0) <= info.value.err
+
+
+def test_subdivision_limit_carries_best_estimate():
+    # at tol 1e-14 the test above stops on QUADPACK's roundoff warning;
+    # this one runs out of subintervals
+    with pytest.raises(QuadratureConvergenceError, match="subdivisions") as info:
+        integrate_line(lambda x: 1.0 / math.cosh(x) ** 2, 2.0, 2.0,
+                       tol=1e-12, max_evals=4)
     assert abs(info.value.value - 2.0) <= info.value.err

@@ -7,8 +7,8 @@ import scipy.sparse.linalg as spla
 from bubbletower import (GridFunction,
                          ProjectedSolver, ReductionConfig, SpikeFrame,
                          assemble_solution, check_window, critical_scales,
-                         default_sigma, full_operator, grid_for_spikes,
-                         kernel_directions, reduced_energy,
+                         default_sigma, energy_constants, full_operator,
+                         grid_for_spikes, kernel_directions, reduced_energy,
                          reduced_energy_grad, solve_correction,
                          solve_projected_linear, solve_reduced,
                          spike_locations, star_norm, tower_ansatz)
@@ -166,13 +166,24 @@ def test_solver_sensitivity_in_spike_positions(c4):
 
 
 def test_window_constraint():
-    check_window(np.array([4.0]), 1e-2, 1, 10.0)
+    # q = 4 has exponent gap 1, where the outer bound is k log(M/eps)
+    p1, p2 = make_params(eps=1e-2, k=1), make_params(eps=1e-2, k=2)
+    check_window(np.array([4.0]), p1, 10.0)
     with pytest.raises(WindowViolationError):
-        check_window(np.array([-1.0]), 1e-2, 1, 10.0)
+        check_window(np.array([-1.0]), p1, 10.0)
     with pytest.raises(WindowViolationError):
-        check_window(np.array([4.0, 5.0]), 1e-2, 2, 10.0)   # gap too small
+        check_window(np.array([4.0, 5.0]), p2, 10.0)   # gap too small
     with pytest.raises(WindowViolationError):
-        check_window(np.array([40.0]), 1e-2, 1, 10.0)       # beyond the window
+        check_window(np.array([40.0]), p1, 10.0)       # beyond the window
+
+
+@pytest.mark.parametrize("q", [3.5, 4.5, 5.5, 6.0])
+def test_single_spike_window_holds_across_exponent_gaps(q):
+    # gap = |q - p*| runs from 0.5 to 1.5; below 1 the first spike sits
+    # beyond k log(M/eps), so the window bound must follow the gap
+    params = make_params(q=q, eps=1e-2, k=1)
+    _, state = solve_reduced(params, energy_constants(3, q), ReductionConfig(h=0.03))
+    assert np.max(np.abs(state.c)) < 1e-8
 
 
 def test_reduced_energy_tends_to_leading_term(c4):
