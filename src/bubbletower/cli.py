@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .errors import BubbleTowerError
 from .field import tower_ansatz  # noqa: F401  read by perfbench's span self-test
-from .profiles import ModelParams, PotentialSpec, Regime
+from .profiles import ModelParams, PotentialSpec
 from .quadrature import energy_constants
 from .reduced_model import energy_expansion, predicted_tower
 from .reduction import (ReductionConfig, assemble_solution, solve_reduced,
@@ -52,12 +52,9 @@ def parse_potential(spec: str) -> PotentialSpec:
 
 def build_params(args) -> ModelParams:
     """Model parameters from the flags; exits unless the regime's hypothesis holds."""
-    regime = None
-    if args.regime:
-        regime = Regime.SUB_Q if args.regime == "sub" else Regime.SUPER_Q
     try:
         params = ModelParams.make(args.N, args.q, args.eps, k=args.k,
-                                  potential=parse_potential(args.V), regime=regime)
+                                  potential=parse_potential(args.V))
     except ValueError as exc:
         raise SystemExit(f"invalid model parameters: {exc}")
     try:
@@ -224,8 +221,6 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     out = _out_dir(args)
     eps_list = [float(t) for t in args.eps_list.split(",")]
-    if len(eps_list) < 2 or any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise SystemExit("sweep needs at least 2 strictly decreasing epsilon values")
     potential = parse_potential(args.V)
     try:
         C = energy_constants(args.N, args.q, tol=args.tol)
@@ -283,6 +278,15 @@ def _checked(cast, ok, what: str):
 _POSITIVE = _checked(float, lambda v: v > 0.0, "> 0")
 
 
+def _eps_list(text: str) -> str:
+    """argparse type: at least 2 strictly decreasing values in (0, 1), kept as text."""
+    vals = [float(t) for t in text.split(",")]
+    if len(vals) < 2 or not all(0.0 < b < a < 1.0 for a, b in zip(vals, vals[1:])):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} must be at least 2 strictly decreasing values in (0, 1)")
+    return text
+
+
 def _add_model_args(sp, eps_required=True):
     sp.add_argument("--N", type=int, default=3, help="dimension (>= 3)")
     sp.add_argument("--q", type=float, required=True, help="competing exponent")
@@ -292,8 +296,6 @@ def _add_model_args(sp, eps_required=True):
     sp.add_argument("--k", type=int, default=1, help="tower height")
     sp.add_argument("--V", type=str, default="const:-1",
                     help="potential preset (const:c | rational:a,b)")
-    sp.add_argument("--regime", choices=("sub", "super"), default=None,
-                    help="override the regime inferred from q")
     sp.add_argument("--tol", type=float, default=1e-12, help="quadrature tolerance")
 
 
@@ -303,28 +305,31 @@ def _add_grid_args(sp):
                     help="window constant M")
 
 
-def _load_config_defaults(argv):
-    """key = value lines from --config FILE become argparse defaults."""
+def _expand_config(argv):
+    """Replace --config FILE by its key = value lines as flags right after the
+    subcommand, so explicit flags, which follow, win by argparse's last-wins rule."""
     if "--config" not in argv:
-        return argv, {}
+        return argv
     i = argv.index("--config")
     try:
         path = argv[i + 1]
     except IndexError:
         raise SystemExit("--config needs a file path")
-    defaults = {}
+    flags = []
     for line in Path(path).read_text().splitlines():
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         key, _, val = line.partition("=")
-        defaults[key.strip().replace("-", "_")] = val.strip()
-    return argv[:i] + argv[i + 2:], defaults
+        key = key.strip().replace("_", "-")
+        if key != "command":
+            flags += ["--" + key, val.strip()]
+    argv = argv[:i] + argv[i + 2:]
+    return argv[:1] + flags + argv[1:]
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    argv, config_defaults = _load_config_defaults(argv)
+    argv = _expand_config(list(sys.argv[1:] if argv is None else argv))
     parser = argparse.ArgumentParser(
         prog="bubbletower",
         description="Bubble-tower constructions for a competing-powers "
@@ -358,17 +363,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     sp = sub.add_parser("sweep", help="trend metrics over decreasing epsilon", parents=[common])
     _add_model_args(sp, eps_required=False)
     _add_grid_args(sp)
-    sp.add_argument("--eps-list", dest="eps_list", type=str, required=True,
+    sp.add_argument("--eps-list", dest="eps_list", type=_eps_list, required=True,
                     help="comma-separated decreasing epsilon values")
     sp.add_argument("--workers", type=_checked(int, lambda v: v >= 1, ">= 1"), default=4)
     sp.set_defaults(func=cmd_sweep)
 
-    if config_defaults:
-        # config supplies subcommand flags as defaults; explicit flags win
-        for key, val in config_defaults.items():
-            flag = "--" + key.replace("_", "-")
-            if flag not in argv and key != "command":
-                argv += [flag, val]
     args = parser.parse_args(argv)
     return args.func(args)
 

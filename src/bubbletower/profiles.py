@@ -36,7 +36,7 @@ _EXP_CLIP = 700.0
 
 
 class Regime(enum.Enum):
-    """Position of the competing exponent q relative to the critical power."""
+    """Position of q relative to p*; ModelParams.regime derives it from q."""
 
     SUB_Q = "sub"      # p^s < q < p*: concentrating tower, needs V(0) < 0
     SUPER_Q = "super"  # q > p*: flat tower, needs V at infinity < 0
@@ -98,13 +98,12 @@ class PotentialSpec:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Dimension, exponents, tower height and regime for one problem instance."""
+    """Dimension, exponents, tower height and potential; the regime follows from q."""
 
     n_dim: int
     q: float
     epsilon: float
     k: int = 1
-    regime: Regime = Regime.SUB_Q
     potential: PotentialSpec = field(default_factory=PotentialSpec.zero)
 
     def __post_init__(self):
@@ -116,23 +115,23 @@ class ModelParams:
         if not (0.0 <= self.epsilon < 1.0):
             raise ValueError("epsilon must lie in [0, 1)")
         p_s, p_star = critical_exponents(self.n_dim)
-        if self.regime is Regime.SUB_Q and not (p_s < self.q < p_star):
-            raise ValueError(f"sub-q regime needs {p_s:g} < q < {p_star:g}, got q={self.q:g}")
-        if self.regime is Regime.SUPER_Q and not (self.q > p_star):
-            raise ValueError(f"super-q regime needs q > {p_star:g}, got q={self.q:g}")
+        if not (p_s < self.q and self.q != p_star):
+            raise ValueError(f"q must exceed {p_s:g} and differ from "
+                             f"p* = {p_star:g}, got q={self.q:g}")
 
     @staticmethod
     def make(n_dim: int, q: float, epsilon: float, k: int = 1,
-             potential: Optional[PotentialSpec] = None,
-             regime: Optional[Regime] = None) -> "ModelParams":
-        """Build params, inferring the regime from q when not given."""
-        _, p_star = critical_exponents(n_dim)
-        if regime is None:
-            regime = Regime.SUB_Q if q < p_star else Regime.SUPER_Q
+             potential: Optional[PotentialSpec] = None) -> "ModelParams":
+        """Build params; the potential defaults to V = 0."""
         if potential is None:
             potential = PotentialSpec.zero()
         return ModelParams(n_dim=n_dim, q=q, epsilon=epsilon, k=k,
-                           regime=regime, potential=potential)
+                           potential=potential)
+
+    @property
+    def regime(self) -> Regime:
+        """SUB_Q for q < p*, SUPER_Q for q > p*."""
+        return Regime.SUB_Q if self.q < self.p_star else Regime.SUPER_Q
 
     @property
     def p_s(self) -> float:

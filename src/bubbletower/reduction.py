@@ -11,6 +11,9 @@ one correction (reduced_energy_grad), so the solve drives the c_i to zero and
 yields a genuine discrete solution v = Ubar + phi; its Newton matrix is the
 diagonal Hessian of the reduced functional Psi.
 
+A run is set by h and the window constant M alone (ReductionConfig); sigma is
+default_sigma(params), and tolerances and limits are the constants below.
+
 Each correction builds one field.TowerField for its spike set, inside its
 ProjectedSolver (``solver.field``): the operator, Z, the discrete residual
 and every Picard step's remainder and increment norm come from it, and the
@@ -55,21 +58,21 @@ __all__ = [
 ]
 
 
+PAD = 3.0            # extra domain beyond max(30, 10/sigma)
+TOL_FP = 1e-11       # fixed-point increment, star norm
+TOL_ORTH = 1e-10     # max_i |Z_i^T phi| of a converged correction
+TOL_C = 1e-8         # max|c| at the Newton solution
+NEWTON_TOL = 1e-8    # |grad Phi|_2
+MAX_PICARD = 80
+MAX_NEWTON = 40
+
+
 @dataclass(frozen=True)
 class ReductionConfig:
-    """Grid, window, tolerances and iteration limits for one reduction run."""
+    """Grid spacing h and window constant M of one reduction run."""
 
     h: float = 0.02
-    sigma: Optional[float] = None      # None -> default_sigma(params)
-    pad: float = 3.0                   # extra domain beyond max(30, 10/sigma)
-    tol_fp: float = 1e-11              # fixed-point increment, star norm
-    tol_orth: float = 1e-10
-    tol_c: float = 1e-8
-    newton_tol: float = 1e-8           # |grad Phi|_2
-    max_picard: int = 80
-    max_newton: int = 40
     window_m: float = 10.0
-    lambda_box: Tuple[float, float] = (0.05, 20.0)
 
 
 @dataclass
@@ -201,11 +204,11 @@ def solve_correction(xi, params: ModelParams,
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if enforce_window and params.epsilon > 0.0:
         check_window(xi, params, config.window_m)
-    sigma = config.sigma if config.sigma is not None else default_sigma(params)
     if grid is None:
-        grid = grid_for_spikes(xi, sigma, config.h, config.pad)
-    solver = ProjectedSolver(xi, params, grid, SpikeFrame(xi, sigma))
+        grid = grid_for_spikes(xi, default_sigma(params), config.h, PAD)
+    solver = ProjectedSolver(xi, params, grid)
     tower = solver.field
+    sigma = tower.frame.sigma
 
     phi = np.zeros(grid.n)
     c = np.zeros(xi.size)
@@ -219,7 +222,7 @@ def solve_correction(xi, params: ModelParams,
                               tower.star_norm(phi), iterations, converged, tower,
                               solver.orthogonality_defect(phi), increments)
 
-    for iterations in range(1, config.max_picard + 1):
+    for iterations in range(1, MAX_PICARD + 1):
         # the residual is the discrete one (3-point curvature of the tower),
         # so the fixed point lands on an exact discrete solution and the
         # energy gradient tracks c_i
@@ -234,7 +237,7 @@ def solve_correction(xi, params: ModelParams,
         else:
             grow_streak = 0
         increments.append(inc)
-        if inc < config.tol_fp:
+        if inc < TOL_FP:
             break
         if grow_streak >= 3:
             raise ConvergenceError(
@@ -242,14 +245,13 @@ def solve_correction(xi, params: ModelParams,
                 f"(increments {increments[-3:]})", state=state(False))
     else:
         raise ConvergenceError(
-            f"fixed point did not reach {config.tol_fp:g} in "
-            f"{config.max_picard} iterations", state=state(False))
+            f"fixed point did not reach {TOL_FP:g} in "
+            f"{MAX_PICARD} iterations", state=state(False))
 
     result = state(True)
-    if result.orth_defect > config.tol_orth:
+    if result.orth_defect > TOL_ORTH:
         raise ConditioningError(
-            f"orthogonality defect {result.orth_defect:.2e} above "
-            f"{config.tol_orth:g}")
+            f"orthogonality defect {result.orth_defect:.2e} above {TOL_ORTH:g}")
     return result
 
 
@@ -299,26 +301,26 @@ def solve_reduced(params: ModelParams, constants: EnergyConstants,
     (which checks the regime's hypothesis; epsilon must lie in (0, 1)).  The
     gradient of Phi(Lambda) = energy/epsilon comes from the multipliers of
     one correction (reduced_energy_grad); the Newton matrix is the diagonal
-    Hessian of Psi, the limit of that of Phi as epsilon -> 0, and a step is
-    accepted when it lowers |grad Phi|.  Returns (Lambda_eps, state at
-    Lambda_eps); failures raise ConvergenceError with the last state.
+    Hessian of Psi, the limit of that of Phi as epsilon -> 0.  A step is halved
+    until all Lambda_i > 0 and |grad Phi| falls; no other bound holds Lambda,
+    whose closed-form Lambda_1 exceeds 20 at exponent gaps below 1.  Returns
+    (Lambda_eps, state at Lambda_eps); failures raise ConvergenceError with
+    the last state.
     """
     lam = critical_scales(constants, params)
     xi0 = spike_locations(lam, params.epsilon, params)
-    sigma = config.sigma if config.sigma is not None else default_sigma(params)
     # one fixed grid for the whole solve: the gradient formula differentiates
     # in xi with the nodes held still
-    grid = grid_for_spikes(xi0, sigma, config.h, config.pad)
-    lo, hi = config.lambda_box
+    grid = grid_for_spikes(xi0, default_sigma(params), config.h, PAD)
 
     def gradient(lam):
         g, state = reduced_energy_grad(lam, params, config, grid)
         return g / params.epsilon, state
 
     g, state = gradient(lam)
-    for _ in range(config.max_newton):
+    for _ in range(MAX_NEWTON):
         norm_g = np.linalg.norm(g)
-        if norm_g < config.newton_tol:
+        if norm_g < NEWTON_TOL:
             break
         hess = reduced_functional_hess_diag(lam, constants, params)
         if not np.all(hess < 0.0):
@@ -329,7 +331,7 @@ def solve_reduced(params: ModelParams, constants: EnergyConstants,
         t = 1.0
         for _ in range(12):
             trial = lam + t * delta
-            if np.all(trial > lo) and np.all(trial < hi):
+            if np.all(trial > 0.0):
                 g_trial, state_trial = gradient(trial)
                 if np.linalg.norm(g_trial) < norm_g:
                     lam, g, state = trial, g_trial, state_trial
@@ -337,18 +339,18 @@ def solve_reduced(params: ModelParams, constants: EnergyConstants,
             t *= 0.5
         else:
             raise ConvergenceError(
-                f"line search found no |grad| below {norm_g:.3e} inside [{lo:g}, "
-                f"{hi:g}]^k along {delta} from Lambda = {lam}", state=state)
+                f"line search found no |grad| below {norm_g:.3e} with Lambda > 0 "
+                f"along {delta} from Lambda = {lam}", state=state)
     else:
         raise ConvergenceError(
-            f"Newton did not reach {config.newton_tol:g} in "
-            f"{config.max_newton} iterations; |grad| = {np.linalg.norm(g):.3e}",
+            f"Newton did not reach {NEWTON_TOL:g} in "
+            f"{MAX_NEWTON} iterations; |grad| = {np.linalg.norm(g):.3e}",
             state=state)
 
-    if float(np.max(np.abs(state.c))) > config.tol_c:
+    if float(np.max(np.abs(state.c))) > TOL_C:
         raise ConvergenceError(
             f"multipliers not driven to zero: max|c| = "
-            f"{np.max(np.abs(state.c)):.2e} > {config.tol_c:g}", state=state)
+            f"{np.max(np.abs(state.c)):.2e} > {TOL_C:g}", state=state)
     return lam, state
 
 

@@ -34,6 +34,10 @@ __all__ = [
 ]
 
 
+# find_tower's scan before bisection: values across the bracket
+SCAN_POINTS = 13
+
+
 class Classification(enum.Enum):
     DECAYING = "decaying"
     CROSSING = "crossing"
@@ -79,34 +83,16 @@ def _count_peaks(values: np.ndarray, floor_frac: float = 0.05) -> int:
     return int(np.count_nonzero(interior))
 
 
-def _rk4_fixed(rhs, r0, r1, y0, n_steps):
-    h = (r1 - r0) / n_steps
-    r = r0
-    y = np.asarray(y0, dtype=float)
-    rs = np.empty(n_steps + 1)
-    ys = np.empty((n_steps + 1, y.size))
-    rs[0], ys[0] = r, y
-    for i in range(n_steps):
-        k1 = rhs(r, y)
-        k2 = rhs(r + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(r + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(r + h, y + h * k3)
-        y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        r = r + h
-        rs[i + 1], ys[i + 1] = r, y
-    return rs, ys
-
-
 def shoot(u0: float, params: ModelParams, r_max: Optional[float] = None,
-          rtol: float = 1e-10, fixed_step: Optional[float] = None) -> ShotProfile:
+          rtol: float = 1e-10) -> ShotProfile:
     """Integrate the radial equation outward from a series start at r0.
 
     u(r) = u0 - [u0^p - V(0) u0^q] r^2/(2N) + O(r^4) with p = params.p
     seeds the integration through the regular singular point.  The start
     r0 = min(1e-6, 1e-3 u0^{-(p-1)/2}) lies well inside the spike core,
-    whose radius is u0^{-(p-1)/2}, however tall the tower.  With fixed_step set,
-    a plain fourth-order Runge-Kutta with that step is used instead of the
-    adaptive integrator (no event handling; used for order checks).
+    whose radius is u0^{-(p-1)/2}, however tall the tower.  The adaptive
+    DOP853 integrator runs to r_max (default 50/sqrt(eps)) unless u crosses
+    zero or exceeds 10 u0 first, which classifies the shot.
     """
     if u0 <= 0.0:
         raise ValueError("initial height must be positive")
@@ -125,13 +111,6 @@ def shoot(u0: float, params: ModelParams, r_max: Optional[float] = None,
     r0 = min(1e-6, 1e-3 * u0 ** (-0.5 * (p - 1.0)))
     curv = (u0 ** p - float(pot(0.0)) * u0 ** q) / (2.0 * n_dim)
     y0 = np.array([u0 - curv * r0 * r0, -2.0 * curv * r0])
-
-    if fixed_step is not None:
-        n_steps = max(8, int(math.ceil((r_max - r0) / fixed_step)))
-        rs, ys = _rk4_fixed(rhs, r0, r_max, y0, n_steps)
-        u, du = ys[:, 0], ys[:, 1]
-        cls = _classify_endpoint(u, du)
-        return ShotProfile(u0, rs, u, du, cls, _ef_peaks(rs, u, params), params)
 
     ev_cross = lambda r, y: y[0]
     ev_cross.terminal, ev_cross.direction = True, -1
@@ -173,24 +152,23 @@ def _ef_peaks(r, u, params: ModelParams) -> int:
 
 
 def find_tower(params: ModelParams, guess: TowerConfig,
-               bracket: Tuple[float, float] = (0.5, 1.5),
-               scan_points: int = 13,
-               r_max: Optional[float] = None) -> ShotProfile:
+               bracket: Tuple[float, float] = (0.5, 1.5)) -> ShotProfile:
     """Locate the k-peak decaying solution near a predicted tower.
 
     Concentrating regime: bisection on the initial height u0 between the
     crossing and non-crossing trajectories, seeded at the predicted peak of
     the tower with a +-50% bracket.  Flat regime: backward bisection on the
-    far-field decay coefficient (see module docstring).  Both bisect until
-    the bracket ends are adjacent floats.  Raises ConvergenceError with the
-    scan report when no behaviour change brackets a solution.
+    far-field decay coefficient (see module docstring).  Both scan SCAN_POINTS
+    values across the bracket, then bisect until the bracket ends are adjacent
+    floats.  Raises ConvergenceError with the scan report when no behaviour
+    change brackets a solution.
     """
     gamma = params.gamma
     if params.regime is Regime.SUB_Q:
         u0_pred = gamma * float(np.sum(np.exp(guess.xi)))
         lo, hi = bracket[0] * u0_pred, bracket[1] * u0_pred
-        heights = np.linspace(lo, hi, scan_points)
-        shots = [shoot(u, params, r_max=r_max) for u in heights]
+        heights = np.linspace(lo, hi, SCAN_POINTS)
+        shots = [shoot(u, params) for u in heights]
         labels = [s.classification is Classification.CROSSING for s in shots]
         pair = _first_change(labels)
         if pair is None:
@@ -201,15 +179,14 @@ def find_tower(params: ModelParams, guess: TowerConfig,
         a, b = heights[pair], heights[pair + 1]
         a_crossing = labels[pair]
         while (mid := 0.5 * (a + b)) not in (a, b):
-            crossed = shoot(mid, params, r_max=r_max).classification \
-                is Classification.CROSSING
+            crossed = shoot(mid, params).classification is Classification.CROSSING
             if crossed == a_crossing:
                 a = mid
             else:
                 b = mid
         boundary = b if a_crossing else a
-        return shoot(boundary, params, r_max=r_max)
-    return _find_tower_flat(params, guess, bracket, scan_points)
+        return shoot(boundary, params)
+    return _find_tower_flat(params, guess, bracket)
 
 
 def _first_change(labels) -> Optional[int]:
@@ -264,13 +241,13 @@ def _flat_overshoot(sol) -> bool:
     return False
 
 
-def _find_tower_flat(params, guess, bracket, scan_points):
+def _find_tower_flat(params, guess, bracket):
     gamma = params.gamma
     m = (params.n_dim - 2) / 2.0
     xi1, xik = float(guess.xi[0]), float(guess.xi[-1])
     c_pred = gamma * math.exp(xik)      # v ~ c e^{-x} beyond the last spike
     x_hi, x_lo = xik + 10.0, xi1 - 25.0
-    cs = np.geomspace(bracket[0] * c_pred, bracket[1] * c_pred, scan_points)
+    cs = np.geomspace(bracket[0] * c_pred, bracket[1] * c_pred, SCAN_POINTS)
     sols = [_shoot_flat_backward(c, params, x_hi, x_lo) for c in cs]
     labels = [_flat_overshoot(s) for s in sols]
     pair = _first_change(labels)

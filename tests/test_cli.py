@@ -108,11 +108,13 @@ def test_sweep_determinism(tmp_path):
         == (tmp_path / "b" / "sweep" / "sweep.json").read_text()
 
 
-def test_config_file_defaults_and_flag_override(tmp_path):
+@pytest.mark.parametrize("flag", [["--h", "0.04"], ["--h=0.04"]],
+                         ids=["separate", "joined"])
+def test_config_file_defaults_and_flag_override(flag, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("q = 4\neps = 5e-2\nV = const:-1\nh = 0.05\n")
     out = tmp_path / "from_config"
-    run_cli(["reduce", "--config", str(cfg), "--h", "0.04", "--out", str(out)])
+    run_cli(["reduce", "--config", str(cfg)] + flag + ["--out", str(out)])
     payload = json.loads((out / "reduce" / "reduction.json").read_text())
     assert payload["grid"]["h"] == pytest.approx(0.04)   # flag wins over file
     assert payload["eps"] == pytest.approx(5e-2)         # file supplied
@@ -182,6 +184,9 @@ def test_verify_concentrating(k, eps, h, pot, max_sup, tmp_path):
     ["verify", "--q", "4", "--eps", "nan"],
     ["predict", "--q", "4", "--eps", "0"],
     ["sweep", "--q", "4", "--eps-list", "1e-2,5e-3", "--workers", "0"],
+    ["sweep", "--q", "4", "--eps-list", "1e-2,abc"],
+    ["sweep", "--q", "4", "--eps-list", "1e-2,2e-2"],
+    ["sweep", "--q", "4", "--eps-list", "1.5,1e-2"],
 ])
 def test_bad_grid_and_run_arguments_exit_at_parse_time(argv, tmp_path):
     with pytest.raises(SystemExit):

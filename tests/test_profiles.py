@@ -155,11 +155,9 @@ def test_ef_inverse_of_profile_is_bubble():
 
 def test_params_regime_windows():
     with pytest.raises(ValueError):
-        ModelParams.make(3, 6.0, 1e-2, regime=Regime.SUB_Q)   # q > p*
-    with pytest.raises(ValueError):
-        ModelParams.make(3, 4.0, 1e-2, regime=Regime.SUPER_Q)  # q < p*
-    with pytest.raises(ValueError):
         ModelParams.make(3, 2.5, 1e-2)   # below p^s in sub-q
+    with pytest.raises(ValueError):
+        ModelParams.make(3, 5.0, 1e-2)   # q = p* belongs to neither regime
     with pytest.raises(ValueError):
         ModelParams.make(3, 4.0, 1.5)
     p = ModelParams.make(3, 4.0, 0.0)    # unperturbed problem is admitted

@@ -177,11 +177,16 @@ def test_window_constraint():
         check_window(np.array([40.0]), p1, 10.0)       # beyond the window
 
 
-@pytest.mark.parametrize("q", [3.5, 4.5, 5.5, 6.0])
-def test_single_spike_window_holds_across_exponent_gaps(q):
+@pytest.mark.parametrize("q,k,eps", [
+    (3.5, 1, 1e-2), (4.5, 1, 1e-2), (5.5, 1, 1e-2), (6.0, 1, 1e-2),
+    # gap 0.5: the closed-form Lambda_1 is 21.6-48.5, so the Newton search
+    # must not confine Lambda to a fixed box
+    (5.5, 2, 1e-2), (4.5, 3, 1e-3), (5.5, 3, 1e-3),
+])
+def test_towers_converge_across_exponent_gaps(q, k, eps):
     # gap = |q - p*| runs from 0.5 to 1.5; below 1 the first spike sits
     # beyond k log(M/eps), so the window bound must follow the gap
-    params = make_params(q=q, eps=1e-2, k=1)
+    params = make_params(q=q, eps=eps, k=k)
     _, state = solve_reduced(params, energy_constants(3, q), ReductionConfig(h=0.03))
     assert np.max(np.abs(state.c)) < 1e-8
 

@@ -21,18 +21,6 @@ def test_shooting_reproduces_bubble_family(lam):
     assert prof.classification is Classification.DECAYING
 
 
-def test_fixed_step_integrator_order():
-    # RK4 core: halving the step cuts the bubble error by ~2^4
-    params = make_params(eps=0.0, v=0.0)
-    u0 = GAMMA_3
-    errs = []
-    for step in (2e-3, 1e-3):
-        prof = shoot(u0, params, r_max=10.0, fixed_step=step)
-        exact = np.array([bubble_w(1.0, 0.0, ri, 3) for ri in prof.r])
-        errs.append(np.max(np.abs(prof.u - exact)))
-    assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.3)
-
-
 def test_shoot_rejects_nonpositive_height():
     with pytest.raises(ValueError):
         shoot(-1.0, make_params(eps=1e-2))
