@@ -64,6 +64,14 @@ def build_params(args) -> ModelParams:
     return params
 
 
+def _energy_constants(args):
+    """Energy constants for the flags; exits when N, q or tol admit none."""
+    try:
+        return energy_constants(args.N, args.q, tol=args.tol)
+    except (BubbleTowerError, ValueError) as exc:
+        raise SystemExit(f"energy constants failed: {exc}")
+
+
 def _out_dir(args) -> Path:
     root = args.out or os.environ.get("BUBBLETOWER_OUT", "runs")
     path = Path(root) / args.command
@@ -98,8 +106,8 @@ def _check_finite(values) -> None:
 
 
 def cmd_constants(args) -> int:
+    C = _energy_constants(args)
     out = _out_dir(args)
-    C = energy_constants(args.N, args.q, tol=args.tol)
     names = ["a1", "a2", "a3", "a4", "a5", "a5_hat", "c_n"]
     rows = []
     record: Dict[str, Optional[float]] = {}
@@ -121,9 +129,9 @@ def cmd_constants(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    out = _out_dir(args)
     params = build_params(args)
-    C = energy_constants(args.N, args.q, tol=args.tol)
+    C = _energy_constants(args)
+    out = _out_dir(args)
     tower = predicted_tower(params, C)
     breakdown = energy_expansion(tower.lambdas, params.epsilon, C, params)
     payload = {
@@ -150,9 +158,9 @@ def _reduction_config(args) -> ReductionConfig:
 
 
 def cmd_reduce(args) -> int:
-    out = _out_dir(args)
     params = build_params(args)
-    C = energy_constants(args.N, args.q, tol=args.tol)
+    C = _energy_constants(args)
+    out = _out_dir(args)
     cfg = _reduction_config(args)
     try:
         lam_eps, state = solve_reduced(params, C, cfg)
@@ -187,9 +195,9 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    out = _out_dir(args)
     params = build_params(args)
-    C = energy_constants(args.N, args.q, tol=args.tol)
+    C = _energy_constants(args)
+    out = _out_dir(args)
     cfg = _reduction_config(args)
     try:
         lam_eps, state = solve_reduced(params, C, cfg)
@@ -219,13 +227,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    out = _out_dir(args)
     eps_list = [float(t) for t in args.eps_list.split(",")]
     potential = parse_potential(args.V)
-    try:
-        C = energy_constants(args.N, args.q, tol=args.tol)
-    except (BubbleTowerError, ValueError) as exc:
-        raise SystemExit(f"energy constants failed: {exc}")
+    C = _energy_constants(args)
+    out = _out_dir(args)
     cfg = _reduction_config(args)
 
     def point(eps: float) -> Dict[str, float]:
@@ -276,6 +281,9 @@ def _checked(cast, ok, what: str):
 
 
 _POSITIVE = _checked(float, lambda v: v > 0.0, "> 0")
+_DIMENSION = _checked(int, lambda v: v >= 3, ">= 3")
+_COUNT = _checked(int, lambda v: v >= 1, ">= 1")
+_UNIT = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
 
 
 def _eps_list(text: str) -> str:
@@ -288,15 +296,14 @@ def _eps_list(text: str) -> str:
 
 
 def _add_model_args(sp, eps_required=True):
-    sp.add_argument("--N", type=int, default=3, help="dimension (>= 3)")
+    sp.add_argument("--N", type=_DIMENSION, default=3, help="dimension (>= 3)")
     sp.add_argument("--q", type=float, required=True, help="competing exponent")
     if eps_required:
-        sp.add_argument("--eps", required=True, help="supercritical shift",
-                        type=_checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)"))
-    sp.add_argument("--k", type=int, default=1, help="tower height")
+        sp.add_argument("--eps", type=_UNIT, required=True, help="supercritical shift")
+    sp.add_argument("--k", type=_COUNT, default=1, help="tower height")
     sp.add_argument("--V", type=str, default="const:-1",
                     help="potential preset (const:c | rational:a,b)")
-    sp.add_argument("--tol", type=float, default=1e-12, help="quadrature tolerance")
+    sp.add_argument("--tol", type=_UNIT, default=1e-12, help="quadrature tolerance")
 
 
 def _add_grid_args(sp):
@@ -341,9 +348,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("constants", help="energy constants table", parents=[common])
-    sp.add_argument("--N", type=int, default=3)
-    sp.add_argument("--q", type=float, required=True)
-    sp.add_argument("--tol", type=float, default=1e-12)
+    sp.add_argument("--N", type=_DIMENSION, default=3, help="dimension (>= 3)")
+    sp.add_argument("--q", type=float, required=True, help="competing exponent")
+    sp.add_argument("--tol", type=_UNIT, default=1e-12, help="quadrature tolerance")
     sp.set_defaults(func=cmd_constants)
 
     sp = sub.add_parser("predict", help="closed-form tower prediction", parents=[common])
@@ -365,7 +372,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_grid_args(sp)
     sp.add_argument("--eps-list", dest="eps_list", type=_eps_list, required=True,
                     help="comma-separated decreasing epsilon values")
-    sp.add_argument("--workers", type=_checked(int, lambda v: v >= 1, ">= 1"), default=4)
+    sp.add_argument("--workers", type=_COUNT, default=4)
     sp.set_defaults(func=cmd_sweep)
 
     args = parser.parse_args(argv)

@@ -65,9 +65,15 @@ def model_constants(n_dim: int):
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Bounded radial potential r -> V(r) with its two limiting values."""
+    """Bounded radial potential r -> V(r) with its two limiting values.
+
+    Two evaluators of the same V: ``evaluate`` takes and returns arrays (the
+    reduction's grids), ``at`` takes and returns one float (the shooter's
+    right-hand sides, called once per integrator stage).
+    """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
+    at: Callable[[float], float]
     v0: float
     v_inf: float
     bound: float
@@ -76,6 +82,7 @@ class PotentialSpec:
     @staticmethod
     def constant(c: float) -> "PotentialSpec":
         return PotentialSpec(lambda r: np.full_like(np.asarray(r, dtype=float), c),
+                             lambda r: c,
                              v0=c, v_inf=c, bound=abs(c), label=f"const:{c:g}")
 
     @staticmethod
@@ -88,7 +95,11 @@ class PotentialSpec:
                 frac = np.where(r > 1.0, 1.0 / (1.0 + r ** -2.0),
                                 r * r / (1.0 + r * r))
             return a + b * frac
-        return PotentialSpec(_eval, v0=a, v_inf=a + b,
+
+        def _at(r):
+            frac = 1.0 / (1.0 + r ** -2.0) if r > 1.0 else r * r / (1.0 + r * r)
+            return a + b * frac
+        return PotentialSpec(_eval, _at, v0=a, v_inf=a + b,
                              bound=abs(a) + abs(b), label=f"rational:{a:g},{b:g}")
 
     @staticmethod

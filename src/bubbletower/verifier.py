@@ -8,6 +8,11 @@ the initial height.  The flat regime has no reachable forward dichotomy
 integrates the transformed equation backward from the far field, bisecting
 on the decay coefficient between undershoot (monotone dive to zero) and
 overshoot (a second hump) behaviours.
+
+Shooting dominates the cost of a verification, so both right-hand sides are
+scalar code (``math`` and ``PotentialSpec.at``; no array is built per call),
+and the concentrating search's scan and bisection shots skip the dense
+interpolant that only the kept shot needs.  Neither changes a computed number.
 """
 
 from __future__ import annotations
@@ -70,10 +75,6 @@ class ShotProfile:
         return r ** m * u
 
 
-def _signed_power(u, expo):
-    return np.sign(u) * np.abs(u) ** expo
-
-
 def _count_peaks(values: np.ndarray, floor_frac: float = 0.05) -> int:
     v = np.asarray(values)
     if v.size < 3:
@@ -84,7 +85,7 @@ def _count_peaks(values: np.ndarray, floor_frac: float = 0.05) -> int:
 
 
 def shoot(u0: float, params: ModelParams, r_max: Optional[float] = None,
-          rtol: float = 1e-10) -> ShotProfile:
+          rtol: float = 1e-10, dense_output: bool = True) -> ShotProfile:
     """Integrate the radial equation outward from a series start at r0.
 
     u(r) = u0 - [u0^p - V(0) u0^q] r^2/(2N) + O(r^4) with p = params.p
@@ -92,24 +93,30 @@ def shoot(u0: float, params: ModelParams, r_max: Optional[float] = None,
     r0 = min(1e-6, 1e-3 u0^{-(p-1)/2}) lies well inside the spike core,
     whose radius is u0^{-(p-1)/2}, however tall the tower.  The adaptive
     DOP853 integrator runs to r_max (default 50/sqrt(eps)) unless u crosses
-    zero or exceeds 10 u0 first, which classifies the shot.
+    zero or exceeds 10 u0 first, which classifies the shot.  The right-hand
+    side is scalar code, one call per integrator stage.
+
+    With ``dense_output=False`` the profile carries no interpolant (ef_image
+    then interpolates linearly between the steps); find_tower's search shots,
+    which read only the classification, skip it.  The steps, and so r, u, du
+    and the classification, do not depend on it.
     """
     if u0 <= 0.0:
         raise ValueError("initial height must be positive")
     p = params.p
     q = params.q
     n_dim = params.n_dim
-    pot = params.potential.evaluate
+    pot = params.potential.at
     if r_max is None:
         r_max = 50.0 / math.sqrt(params.epsilon) if params.epsilon > 0 else 50.0
 
     def rhs(r, y):
         u, du = y
-        f = -_signed_power(u, p) + float(pot(r)) * _signed_power(u, q)
-        return np.array([du, -(n_dim - 1.0) / r * du + f])
+        f = -math.copysign(abs(u) ** p, u) + pot(r) * math.copysign(abs(u) ** q, u)
+        return du, -(n_dim - 1.0) / r * du + f
 
     r0 = min(1e-6, 1e-3 * u0 ** (-0.5 * (p - 1.0)))
-    curv = (u0 ** p - float(pot(0.0)) * u0 ** q) / (2.0 * n_dim)
+    curv = (u0 ** p - pot(0.0) * u0 ** q) / (2.0 * n_dim)
     y0 = np.array([u0 - curv * r0 * r0, -2.0 * curv * r0])
 
     ev_cross = lambda r, y: y[0]
@@ -118,7 +125,7 @@ def shoot(u0: float, params: ModelParams, r_max: Optional[float] = None,
     ev_blow.terminal, ev_blow.direction = True, 1
     sol = solve_ivp(rhs, (r0, r_max), y0, method="DOP853", rtol=rtol,
                     atol=1e-14 * u0, events=[ev_cross, ev_blow],
-                    dense_output=True)
+                    dense_output=dense_output)
     if not sol.success and not any(len(t) for t in sol.t_events):
         raise ConvergenceError(
             f"radial integration failed at r = {sol.t[-1]:.4g}: {sol.message}")
@@ -160,15 +167,18 @@ def find_tower(params: ModelParams, guess: TowerConfig,
     the tower with a +-50% bracket.  Flat regime: backward bisection on the
     far-field decay coefficient (see module docstring).  Both scan SCAN_POINTS
     values across the bracket, then bisect until the bracket ends are adjacent
-    floats.  Raises ConvergenceError with the scan report when no behaviour
-    change brackets a solution.
+    floats.  The concentrating search shots are made with dense_output=False;
+    only the returned shot carries the interpolant that compare() reads.  The
+    flat shots stay dense, because _flat_overshoot samples them.  Raises
+    ConvergenceError with the scan report when no behaviour change brackets
+    a solution.
     """
     gamma = params.gamma
     if params.regime is Regime.SUB_Q:
         u0_pred = gamma * float(np.sum(np.exp(guess.xi)))
         lo, hi = bracket[0] * u0_pred, bracket[1] * u0_pred
         heights = np.linspace(lo, hi, SCAN_POINTS)
-        shots = [shoot(u, params) for u in heights]
+        shots = [shoot(u, params, dense_output=False) for u in heights]
         labels = [s.classification is Classification.CROSSING for s in shots]
         pair = _first_change(labels)
         if pair is None:
@@ -179,7 +189,8 @@ def find_tower(params: ModelParams, guess: TowerConfig,
         a, b = heights[pair], heights[pair + 1]
         a_crossing = labels[pair]
         while (mid := 0.5 * (a + b)) not in (a, b):
-            crossed = shoot(mid, params).classification is Classification.CROSSING
+            crossed = (shoot(mid, params, dense_output=False).classification
+                       is Classification.CROSSING)
             if crossed == a_crossing:
                 a = mid
             else:
@@ -204,15 +215,15 @@ def _flat_rhs(params: ModelParams):
     eps = params.epsilon
     gap = params.q - params.p_star
     m = (params.n_dim - 2) / 2.0
-    pot = params.potential.evaluate
+    pot = params.potential.at
 
     def rhs(x, y):
         v, dv = y
         vv = max(v, 0.0)
         r = math.exp(min(x / m, 700.0))
-        omega = float(pot(r))
-        return np.array([dv, v - beta * (math.exp(eps * x) * vv ** p
-                                         - omega * math.exp(-gap * x) * vv ** q)])
+        omega = pot(r)
+        return dv, v - beta * (math.exp(eps * x) * vv ** p
+                               - omega * math.exp(-gap * x) * vv ** q)
 
     return rhs
 

@@ -146,15 +146,19 @@ def test_verify_pipeline_outputs(tmp_path):
     assert shot_header == "r,u"
 
 
-
-def test_verify_flat_regime_with_rational_potential(tmp_path):
-    # q > p* with V(0) = V(inf) = -1 but a non-constant V in between
-    run_cli(["verify", "--q", "7", "--k", "1", "--V", "rational:-0.5,-0.5",
-             "--eps", "5e-2", "--h", "0.02", "--out", str(tmp_path)])
+@pytest.mark.parametrize("k,eps,h,pot,max_sup", [
+    # V(0) = V(inf) = -1 but a non-constant V in between
+    (1, "5e-2", "0.02", "rational:-0.5,-0.5", 0.2),
+    # a two-spike flat tower; sup_rel measured 9.6e-5
+    (2, "1e-2", "0.02", "const:-1", 1e-3),
+], ids=["k1-rational", "k2-const"])
+def test_verify_flat_regime(k, eps, h, pot, max_sup, tmp_path):
+    run_cli(["verify", "--q", "7", "--k", str(k), "--V", pot,
+             "--eps", eps, "--h", h, "--out", str(tmp_path)])
     payload = json.loads((tmp_path / "verify" / "verify.json").read_text())
     assert payload["classification"] == "decaying"
-    assert payload["ef_peaks"] == 1
-    assert payload["sup_rel_near_peak"] < 0.2
+    assert payload["ef_peaks"] == k
+    assert payload["sup_rel_near_peak"] < max_sup
     assert max(abs(c) for c in payload["multipliers"]) < 1e-8
 
 
@@ -187,6 +191,16 @@ def test_verify_concentrating(k, eps, h, pot, max_sup, tmp_path):
     ["sweep", "--q", "4", "--eps-list", "1e-2,abc"],
     ["sweep", "--q", "4", "--eps-list", "1e-2,2e-2"],
     ["sweep", "--q", "4", "--eps-list", "1.5,1e-2"],
+    ["constants", "--q", "4", "--tol", "0"],
+    ["constants", "--N", "2", "--q", "4"],
+    ["constants", "--q", "1"],
+    ["verify", "--q", "4", "--eps", "5e-2", "--tol", "-1"],
+    ["reduce", "--q", "4", "--eps", "5e-2", "--tol", "nan"],
+    ["predict", "--N", "2", "--q", "4", "--eps", "1e-2"],
+    ["reduce", "--q", "1", "--eps", "5e-2"],
+    ["sweep", "--q", "1", "--eps-list", "1e-2,5e-3"],
+    ["sweep", "--q", "4", "--k", "0", "--eps-list", "1e-2,5e-3"],
+    ["sweep", "--q", "4", "--eps-list", "1e-2,5e-3", "--V", "gaussian:1"],
 ])
 def test_bad_grid_and_run_arguments_exit_at_parse_time(argv, tmp_path):
     with pytest.raises(SystemExit):

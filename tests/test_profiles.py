@@ -237,3 +237,15 @@ def test_rational_potential_extreme_radii():
     assert np.all(np.isfinite(vals))
     assert vals[0] == pytest.approx(-2.0)
     assert vals[-1] == pytest.approx(-1.0)
+
+
+@pytest.mark.parametrize("pot", [PotentialSpec.constant(-1.0),
+                                 PotentialSpec.rational(-2.0, 1.0),
+                                 PotentialSpec.rational(1.0, -2.0)],
+                         ids=lambda pot: pot.label)
+@pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 1.0 + 1e-12, 2.0, 1e3, 1e200])
+def test_scalar_potential_matches_array_form(pot, r):
+    # the shooter reads V through `at`, the reduction through `evaluate`
+    got = pot.at(r)
+    assert type(got) is float
+    assert got == float(pot.evaluate(r))

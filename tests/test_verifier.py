@@ -21,6 +21,23 @@ def test_shooting_reproduces_bubble_family(lam):
     assert prof.classification is Classification.DECAYING
 
 
+@pytest.mark.parametrize("u0,expected", [
+    (30.0, Classification.CROSSING),
+    (35.201864892277335, Classification.DECAYING),   # find_tower's height
+    (1e-2, Classification.BLOWING),
+])
+def test_shot_without_dense_output_takes_the_same_steps(u0, expected):
+    # find_tower's search shots skip the interpolant; the steps, and so the
+    # trajectory and its classification, must not depend on it
+    params = make_params(eps=5e-2, k=1)
+    dense = shoot(u0, params)
+    bare = shoot(u0, params, dense_output=False)
+    assert dense.classification is bare.classification is expected
+    for name in ("r", "u", "du"):
+        assert np.array_equal(getattr(dense, name), getattr(bare, name))
+    assert dense.interpolant is not None and bare.interpolant is None
+
+
 def test_shoot_rejects_nonpositive_height():
     with pytest.raises(ValueError):
         shoot(-1.0, make_params(eps=1e-2))
