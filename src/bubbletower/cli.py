@@ -266,7 +266,7 @@ def cmd_sweep(args) -> int:
     _write_manifest(out, args, [csv_name, "sweep.json"]
                     + [f"point_{r['eps']:.6g}.json" for r in ok])
     print(json.dumps(payload, indent=2, sort_keys=True))
-    return 0
+    return 0 if ok else 1     # the report is written either way
 
 
 def _checked(cast, ok, what: str):

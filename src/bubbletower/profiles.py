@@ -69,11 +69,13 @@ class PotentialSpec:
 
     Two evaluators of the same V: ``evaluate`` takes and returns arrays (the
     reduction's grids), ``at`` takes and returns one float (the shooter's
-    right-hand sides, called once per integrator stage).
+    right-hand sides, called once per integrator stage).  ``slope`` is the
+    scalar V'(r), which the shooter's dense interpolant needs for u'''.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     at: Callable[[float], float]
+    slope: Callable[[float], float]
     v0: float
     v_inf: float
     bound: float
@@ -82,7 +84,7 @@ class PotentialSpec:
     @staticmethod
     def constant(c: float) -> "PotentialSpec":
         return PotentialSpec(lambda r: np.full_like(np.asarray(r, dtype=float), c),
-                             lambda r: c,
+                             lambda r: c, lambda r: 0.0,
                              v0=c, v_inf=c, bound=abs(c), label=f"const:{c:g}")
 
     @staticmethod
@@ -99,7 +101,15 @@ class PotentialSpec:
         def _at(r):
             frac = 1.0 / (1.0 + r ** -2.0) if r > 1.0 else r * r / (1.0 + r * r)
             return a + b * frac
-        return PotentialSpec(_eval, _at, v0=a, v_inf=a + b,
+
+        def _slope(r):
+            # V'(r) = 2b r/(1+r^2)^2; past r = 1 the form 2b/(r^3 (1+r^-2)^2)
+            # tends to 0 where (1+r^2)^2 would overflow (r*r*r gives inf,
+            # where r ** 3 would raise OverflowError)
+            if r > 1.0:
+                return 2.0 * b / (r * r * r * (1.0 + r ** -2.0) ** 2)
+            return 2.0 * b * r / (1.0 + r * r) ** 2
+        return PotentialSpec(_eval, _at, _slope, v0=a, v_inf=a + b,
                              bound=abs(a) + abs(b), label=f"rational:{a:g},{b:g}")
 
     @staticmethod

@@ -9,21 +9,27 @@ integrates the transformed equation backward from the far field, bisecting
 on the decay coefficient between undershoot (monotone dive to zero) and
 overshoot (a second hump) behaviours.
 
-Shooting dominates the cost of a verification, so both right-hand sides are
-scalar code (``math`` and ``PotentialSpec.at``; no array is built per call),
-and the concentrating search's scan and bisection shots skip the dense
-interpolant that only the kept shot needs.  Neither changes a computed number.
+Shooting dominates the cost of a verification.  The outward shots run on
+the compiled DOP853 behind ``scipy.integrate.ode``: the same 8(5,3) method
+as solve_ivp's, without Python code per step besides the right-hand side and
+a step callback that records the trajectory and stops a crossing or blowing
+shot.  Only the kept shot of a search builds a dense interpolant (septic
+Hermite on its steps).  Both right-hand sides are scalar code (``math`` and
+``PotentialSpec.at``).  The flat backward shots stay on solve_ivp, whose
+dense output _flat_overshoot samples.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import ode, solve_ivp
+from scipy.interpolate import BPoly
 
 from .errors import ConvergenceError
 from .profiles import ModelParams, Regime
@@ -41,6 +47,8 @@ __all__ = [
 
 # find_tower's scan before bisection: values across the bracket
 SCAN_POINTS = 13
+# step budget of one shot; the checked shots take a few hundred steps
+MAX_STEPS = 100_000
 
 
 class Classification(enum.Enum):
@@ -91,15 +99,21 @@ def shoot(u0: float, params: ModelParams, r_max: Optional[float] = None,
     u(r) = u0 - [u0^p - V(0) u0^q] r^2/(2N) + O(r^4) with p = params.p
     seeds the integration through the regular singular point.  The start
     r0 = min(1e-6, 1e-3 u0^{-(p-1)/2}) lies well inside the spike core,
-    whose radius is u0^{-(p-1)/2}, however tall the tower.  The adaptive
-    DOP853 integrator runs to r_max (default 50/sqrt(eps)) unless u crosses
-    zero or exceeds 10 u0 first, which classifies the shot.  The right-hand
-    side is scalar code, one call per integrator stage.
+    whose radius is u0^{-(p-1)/2}, however tall the tower.  The compiled
+    DOP853 of Hairer, Norsett & Wanner (scipy's ``ode``) runs to r_max
+    (default 50/sqrt(eps)); a callback records every accepted step and stops
+    the shot once u < 0 (CROSSING) or u > 10 u0 (BLOWING).  A shot that
+    reaches r_max is classified from its tail.  An integration that fails
+    (step budget spent, step size underflow) raises ConvergenceError with
+    the solver's return code and the last accepted step.
 
-    With ``dense_output=False`` the profile carries no interpolant (ef_image
-    then interpolates linearly between the steps); find_tower's search shots,
-    which read only the classification, skip it.  The steps, and so r, u, du
-    and the classification, do not depend on it.
+    With ``dense_output=True`` the profile's interpolant is the septic
+    Hermite interpolant of u on the recorded steps: it matches u and u'
+    there, and u'' and u''' taken from the equation (u''' needs V', the
+    potential's ``slope``).  With ``dense_output=False`` there is none
+    (ef_image then interpolates linearly between the steps); find_tower's
+    search shots, which read only the classification, skip it.  The steps,
+    and so r, u, du and the classification, do not depend on it.
     """
     if u0 <= 0.0:
         raise ValueError("initial height must be positive")
@@ -117,27 +131,44 @@ def shoot(u0: float, params: ModelParams, r_max: Optional[float] = None,
 
     r0 = min(1e-6, 1e-3 * u0 ** (-0.5 * (p - 1.0)))
     curv = (u0 ** p - pot(0.0) * u0 ** q) / (2.0 * n_dim)
-    y0 = np.array([u0 - curv * r0 * r0, -2.0 * curv * r0])
+    steps = []
+    u_blow = 10.0 * u0
 
-    ev_cross = lambda r, y: y[0]
-    ev_cross.terminal, ev_cross.direction = True, -1
-    ev_blow = lambda r, y: y[0] - 10.0 * u0
-    ev_blow.terminal, ev_blow.direction = True, 1
-    sol = solve_ivp(rhs, (r0, r_max), y0, method="DOP853", rtol=rtol,
-                    atol=1e-14 * u0, events=[ev_cross, ev_blow],
-                    dense_output=dense_output)
-    if not sol.success and not any(len(t) for t in sol.t_events):
+    def record(r, y):
+        u = float(y[0])
+        steps.append((r, u, float(y[1])))
+        return -1 if u < 0.0 or u > u_blow else 0
+
+    solver = ode(rhs).set_integrator("dop853", rtol=rtol, atol=1e-14 * u0,
+                                     nsteps=MAX_STEPS)
+    solver.set_solout(record)
+    solver.set_initial_value([u0 - curv * r0 * r0, -2.0 * curv * r0], r0)
+    with warnings.catch_warnings():     # the failure is raised below instead
+        warnings.simplefilter("ignore", UserWarning)
+        solver.integrate(r_max)
+    if not solver.successful():
         raise ConvergenceError(
-            f"radial integration failed at r = {sol.t[-1]:.4g}: {sol.message}")
-    u, du = sol.y[0], sol.y[1]
-    if len(sol.t_events[0]):
-        cls = Classification.CROSSING
-    elif len(sol.t_events[1]):
-        cls = Classification.BLOWING
-    else:
-        cls = _classify_endpoint(u, du)
-    return ShotProfile(u0, sol.t, u, du, cls, _ef_peaks(sol.t, u, params),
-                       params, interpolant=sol.sol)
+            f"radial integration failed at r = {steps[-1][0]:.6g} "
+            f"(DOP853 return code {solver.get_return_code()})", state=steps[-1])
+    r, u, du = (np.array(c) for c in zip(*steps))
+    interpolant = _septic_hermite(r, u, du, rhs, params) if dense_output else None
+    return ShotProfile(u0, r, u, du, _classify_endpoint(u, du),
+                       _ef_peaks(r, u, params), params, interpolant=interpolant)
+
+
+def _septic_hermite(r, u, du, rhs, params: ModelParams) -> BPoly:
+    """Piecewise degree-7 interpolant of u matching u, u', u'', u''' at each r.
+
+    u'' is the right-hand side of the equation; u''' is its r-derivative,
+    (N-1)(u'/r - u'')/r + f_u(r, u) u' + V'(r) |u|^{q-1} u.
+    """
+    p, q, n1 = params.p, params.q, params.n_dim - 1.0
+    d2u = np.array([rhs(ri, (ui, dui))[1] for ri, ui, dui in zip(r, u, du)])
+    au = np.abs(u)
+    f_u = -p * au ** (p - 1.0) + params.potential.evaluate(r) * q * au ** (q - 1.0)
+    f_r = np.array([params.potential.slope(ri) for ri in r]) * np.sign(u) * au ** q
+    d3u = n1 * (du / r - d2u) / r + f_u * du + f_r
+    return BPoly.from_derivatives(r, np.column_stack([u, du, d2u, d3u]))
 
 
 def _classify_endpoint(u, du) -> Classification:
@@ -167,11 +198,13 @@ def find_tower(params: ModelParams, guess: TowerConfig,
     the tower with a +-50% bracket.  Flat regime: backward bisection on the
     far-field decay coefficient (see module docstring).  Both scan SCAN_POINTS
     values across the bracket, then bisect until the bracket ends are adjacent
-    floats.  The concentrating search shots are made with dense_output=False;
-    only the returned shot carries the interpolant that compare() reads.  The
-    flat shots stay dense, because _flat_overshoot samples them.  Raises
-    ConvergenceError with the scan report when no behaviour change brackets
-    a solution.
+    floats.  Every concentrating shot is a call to shoot(); the search shots
+    are made with dense_output=False, and only the returned shot carries the
+    interpolant that compare() reads.  The height found is the integrator's
+    numerical separatrix: another integrator at the same tolerance puts it
+    about 1e-10 relative away.  The flat shots stay dense, because
+    _flat_overshoot samples them.  Raises ConvergenceError with the scan
+    report when no behaviour change brackets a solution.
     """
     gamma = params.gamma
     if params.regime is Regime.SUB_Q:

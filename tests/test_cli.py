@@ -128,11 +128,23 @@ def test_output_root_from_environment(tmp_path, monkeypatch):
 
 def test_sweep_records_per_point_failures(tmp_path):
     # second epsilon is fine, first one violates the spike window for k=2
-    run_cli(["sweep", "--q", "4", "--k", "2", "--V", "const:-1",
-             "--eps-list", "0.9,1e-2", "--h", "0.05", "--out", str(tmp_path)])
+    assert run_cli(["sweep", "--q", "4", "--k", "2", "--V", "const:-1",
+                    "--eps-list", "0.9,1e-2", "--h", "0.05",
+                    "--out", str(tmp_path)]) == 0
     payload = json.loads((tmp_path / "sweep" / "sweep.json").read_text())
     assert len(payload["points"]) == 1
     assert "0.9" in payload["errors"]
+
+
+def test_sweep_with_no_surviving_point_exits_nonzero(tmp_path):
+    # both epsilons violate the spike window for k=2; the report is still
+    # written, but a script must be able to tell the sweep failed
+    assert run_cli(["sweep", "--q", "4", "--k", "2", "--V", "const:-1",
+                    "--eps-list", "0.9,0.8", "--h", "0.05",
+                    "--out", str(tmp_path)]) != 0
+    payload = json.loads((tmp_path / "sweep" / "sweep.json").read_text())
+    assert payload["points"] == []
+    assert set(payload["errors"]) == {"0.9", "0.8"}
 
 
 def test_verify_pipeline_outputs(tmp_path):

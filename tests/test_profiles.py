@@ -249,3 +249,18 @@ def test_scalar_potential_matches_array_form(pot, r):
     got = pot.at(r)
     assert type(got) is float
     assert got == float(pot.evaluate(r))
+
+
+@pytest.mark.parametrize("pot", [PotentialSpec.constant(-1.0),
+                                 PotentialSpec.rational(-2.0, 1.0),
+                                 PotentialSpec.rational(1.0, -2.0)],
+                         ids=lambda pot: pot.label)
+@pytest.mark.parametrize("r", [0.5, 0.999, 1.001, 2.0, 1e6, 1e200])
+def test_potential_slope_matches_central_difference(pot, r):
+    # the shooter's interpolant reads V' through `slope`; the tolerance is
+    # the difference quotient's truncation plus its rounding error
+    h = 1e-3 * r
+    fd = (pot.at(r + h) - pot.at(r - h)) / (2.0 * h)
+    got = pot.slope(r)
+    assert type(got) is float
+    assert abs(got - fd) <= 1e-5 * abs(got) + 4.0 * np.finfo(float).eps * pot.bound / h

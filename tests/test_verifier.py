@@ -1,8 +1,12 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from bubbletower import (Classification, bubble_w, compare, find_tower,
-                         predicted_tower, shoot)
+from bubbletower import (Classification, ModelParams, PotentialSpec, bubble_w,
+                         compare, find_tower, predicted_tower, shoot)
 from bubbletower.errors import ConvergenceError
 from conftest import make_params
 
@@ -38,6 +42,64 @@ def test_shot_without_dense_output_takes_the_same_steps(u0, expected):
     assert dense.interpolant is not None and bare.interpolant is None
 
 
+def test_failed_integration_raises_convergence_error():
+    # V turns NaN past r = 2: the integrator cannot take a step there, and
+    # the shot must say so with a typed error, not a warning
+    const = PotentialSpec.constant(-1.0)
+    broken = PotentialSpec(const.evaluate,
+                           lambda r: math.nan if r > 2.0 else -1.0,
+                           const.slope, v0=-1.0, v_inf=-1.0, bound=1.0)
+    params = ModelParams.make(3, 4.0, 5e-2, potential=broken)
+    with pytest.raises(ConvergenceError, match="failed at r = 2") as info:
+        shoot(35.0, params)
+    r_last, u_last, du_last = info.value.state
+    assert 1.0 < r_last <= 2.0 and math.isfinite(u_last)
+
+
+def test_find_tower_emits_no_warning(c4):
+    params = make_params(eps=5e-2, k=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        found = find_tower(params, predicted_tower(params, c4))
+    assert found.classification is Classification.DECAYING
+
+
+@pytest.fixture(scope="module")
+def kept_const_shot(c4):
+    params = make_params(eps=5e-2, k=1)
+    tower = predicted_tower(params, c4)
+    return params, tower, find_tower(params, tower)
+
+
+def test_kept_shot_interpolant_reproduces_the_steps(kept_const_shot):
+    _, _, found = kept_const_shot
+    np.testing.assert_allclose(found.interpolant(found.r), found.u,
+                               rtol=1e-14, atol=0.0)
+
+
+def test_kept_shot_interpolant_matches_dense_reference(kept_const_shot):
+    # the same trajectory from solve_ivp's DOP853 and its own dense output,
+    # read near the spike where both integrators agree to their tolerance
+    params, tower, found = kept_const_shot
+    u0, p, q, n_dim = found.u0, params.p, params.q, params.n_dim
+
+    def rhs(r, y):
+        u, du = y
+        f = -np.sign(u) * abs(u) ** p - np.sign(u) * abs(u) ** q   # V = -1
+        return [du, -(n_dim - 1.0) / r * du + f]
+
+    r0 = min(1e-6, 1e-3 * u0 ** (-0.5 * (p - 1.0)))
+    curv = (u0 ** p + u0 ** q) / (2.0 * n_dim)
+    ref = solve_ivp(rhs, (r0, found.r[-1]), [u0 - curv * r0 * r0, -2.0 * curv * r0],
+                    method="DOP853", rtol=1e-10, atol=1e-14 * u0,
+                    dense_output=True)
+    x = np.linspace(tower.xi[0] - 2.0, tower.xi[0] + 2.0, 401)
+    r = np.exp(-2.0 * x)                         # N = 3, sub-q: r = e^{-x/m}
+    v_ref = np.sqrt(r) * ref.sol(r)[0]
+    v_got = found.ef_image(x)
+    assert np.max(np.abs(v_got - v_ref)) < 1e-8 * np.max(np.abs(v_ref))
+
+
 def test_shoot_rejects_nonpositive_height():
     with pytest.raises(ValueError):
         shoot(-1.0, make_params(eps=1e-2))
@@ -53,10 +115,8 @@ def test_low_height_exploration_recorded():
                                    Classification.DECAYING)
 
 
-def test_find_tower_single_spike(c4):
-    params = make_params(eps=5e-2, k=1)
-    tower = predicted_tower(params, c4)
-    found = find_tower(params, tower)
+def test_find_tower_single_spike(kept_const_shot):
+    _, tower, found = kept_const_shot
     assert found.classification is Classification.DECAYING
     assert found.peak_count_ef == 1
     # EF peak location near the predicted spike
