@@ -2,12 +2,16 @@
 
 The concentrating regime shoots outward from the origin: below the tower
 height trajectories cross zero, above they relax to the slowly decaying
-supercritical orbit, and the tower is the boundary, found by bisection on
-the initial height.  The flat regime has no reachable forward dichotomy
-(deviations separate only at radii exp(1/eps)), so there the shooter
-integrates the transformed equation backward from the far field, bisecting
-on the decay coefficient between undershoot (monotone dive to zero) and
-overshoot (a second hump) behaviours.
+supercritical orbit, and the tower is the boundary between crossing and
+non-crossing shots.  The search reads the shot's end value u[-1], whose
+sign is that classification (a crossing shot stops at its first step below
+0) and which is u(r_max), continuous in the height, once both ends of the
+bracket reach r_max; there it takes Illinois steps, elsewhere midpoints.
+The flat regime has no reachable forward dichotomy (deviations separate
+only at radii exp(1/eps)), so there the shooter integrates the transformed
+equation backward from the far field, bisecting on the decay coefficient
+between undershoot (monotone dive to zero) and overshoot (a second hump)
+behaviours.
 
 Shooting dominates the cost of a verification.  The outward shots run on
 the compiled DOP853 behind ``scipy.integrate.ode``: the same 8(5,3) method
@@ -15,8 +19,8 @@ as solve_ivp's, without Python code per step besides the right-hand side and
 a step callback that records the trajectory and stops a crossing or blowing
 shot.  Only the kept shot of a search builds a dense interpolant (septic
 Hermite on its steps).  Both right-hand sides are scalar code (``math`` and
-``PotentialSpec.at``).  The flat backward shots stay on solve_ivp, whose
-dense output _flat_overshoot samples.
+``PotentialSpec.at``), the outward one on Python floats.  The flat backward
+shots stay on solve_ivp, whose dense output _flat_overshoot samples.
 """
 
 from __future__ import annotations
@@ -45,8 +49,11 @@ __all__ = [
 ]
 
 
-# find_tower's scan before bisection: values across the bracket
+# find_tower's scan before the search: values across the bracket
 SCAN_POINTS = 13
+# find_tower's outward search stops at this bracket width relative to u0;
+# the classification chatters within about 5e-13 relative of the separatrix
+SEPARATRIX_RTOL = 1e-12
 # step budget of one shot; the checked shots take a few hundred steps
 MAX_STEPS = 100_000
 
@@ -118,29 +125,21 @@ def shoot(u0: float, params: ModelParams, r_max: Optional[float] = None,
     if u0 <= 0.0:
         raise ValueError("initial height must be positive")
     p = params.p
-    q = params.q
-    n_dim = params.n_dim
     pot = params.potential.at
     if r_max is None:
-        r_max = 50.0 / math.sqrt(params.epsilon) if params.epsilon > 0 else 50.0
-
-    def rhs(r, y):
-        u, du = y
-        f = -math.copysign(abs(u) ** p, u) + pot(r) * math.copysign(abs(u) ** q, u)
-        return du, -(n_dim - 1.0) / r * du + f
-
+        r_max = _default_r_max(params)
     r0 = min(1e-6, 1e-3 * u0 ** (-0.5 * (p - 1.0)))
-    curv = (u0 ** p - pot(0.0) * u0 ** q) / (2.0 * n_dim)
+    curv = (u0 ** p - pot(0.0) * u0 ** params.q) / (2.0 * params.n_dim)
     steps = []
     u_blow = 10.0 * u0
 
     def record(r, y):
-        u = float(y[0])
-        steps.append((r, u, float(y[1])))
+        u, du = y.tolist()
+        steps.append((r, u, du))
         return -1 if u < 0.0 or u > u_blow else 0
 
-    solver = ode(rhs).set_integrator("dop853", rtol=rtol, atol=1e-14 * u0,
-                                     nsteps=MAX_STEPS)
+    solver = ode(_radial_rhs(params)).set_integrator(
+        "dop853", rtol=rtol, atol=1e-14 * u0, nsteps=MAX_STEPS)
     solver.set_solout(record)
     solver.set_initial_value([u0 - curv * r0 * r0, -2.0 * curv * r0], r0)
     with warnings.catch_warnings():     # the failure is raised below instead
@@ -151,19 +150,54 @@ def shoot(u0: float, params: ModelParams, r_max: Optional[float] = None,
             f"radial integration failed at r = {steps[-1][0]:.6g} "
             f"(DOP853 return code {solver.get_return_code()})", state=steps[-1])
     r, u, du = (np.array(c) for c in zip(*steps))
-    interpolant = _septic_hermite(r, u, du, rhs, params) if dense_output else None
-    return ShotProfile(u0, r, u, du, _classify_endpoint(u, du),
-                       _ef_peaks(r, u, params), params, interpolant=interpolant)
+    shot = ShotProfile(u0, r, u, du, _classify_endpoint(u, du),
+                       _ef_peaks(r, u, params), params)
+    if dense_output:
+        shot.interpolant = _septic_hermite(shot)
+    return shot
 
 
-def _septic_hermite(r, u, du, rhs, params: ModelParams) -> BPoly:
+def _default_r_max(params: ModelParams) -> float:
+    return 50.0 / math.sqrt(params.epsilon) if params.epsilon > 0 else 50.0
+
+
+def _radial_rhs(params: ModelParams):
+    """Right-hand side (u, u')' of the outward radial equation.
+
+    It runs on Python floats (``y.tolist()``), whose arithmetic is cheaper
+    per stage than numpy scalars' and gives the same bits.  Python's ``**``
+    raises OverflowError where numpy returns inf; such a stage (far into a
+    blow-up) is recomputed on np.float64, so the integrator sees the same
+    inf or nan as from numpy scalars and rejects the step itself.
+    """
+    p, q, n1 = params.p, params.q, params.n_dim - 1.0
+    pot = params.potential.at
+
+    def rhs(r, y):
+        u, du = y.tolist()
+        try:
+            f = -math.copysign(abs(u) ** p, u) + pot(r) * math.copysign(abs(u) ** q, u)
+        except OverflowError:
+            u = np.float64(u)
+            with np.errstate(over="ignore", invalid="ignore"):
+                f = (-math.copysign(abs(u) ** p, u)
+                     + pot(r) * math.copysign(abs(u) ** q, u))
+        return du, -n1 / r * du + f
+
+    return rhs
+
+
+def _septic_hermite(shot: ShotProfile) -> BPoly:
     """Piecewise degree-7 interpolant of u matching u, u', u'', u''' at each r.
 
     u'' is the right-hand side of the equation; u''' is its r-derivative,
     (N-1)(u'/r - u'')/r + f_u(r, u) u' + V'(r) |u|^{q-1} u.
     """
+    params, r, u, du = shot.params, shot.r, shot.u, shot.du
     p, q, n1 = params.p, params.q, params.n_dim - 1.0
-    d2u = np.array([rhs(ri, (ui, dui))[1] for ri, ui, dui in zip(r, u, du)])
+    rhs = _radial_rhs(params)
+    d2u = np.array([rhs(ri, yi)[1]
+                    for ri, yi in zip(r.tolist(), np.column_stack((u, du)))])
     au = np.abs(u)
     f_u = -p * au ** (p - 1.0) + params.potential.evaluate(r) * q * au ** (q - 1.0)
     f_r = np.array([params.potential.slope(ri) for ri in r]) * np.sign(u) * au ** q
@@ -193,18 +227,35 @@ def find_tower(params: ModelParams, guess: TowerConfig,
                bracket: Tuple[float, float] = (0.5, 1.5)) -> ShotProfile:
     """Locate the k-peak decaying solution near a predicted tower.
 
-    Concentrating regime: bisection on the initial height u0 between the
-    crossing and non-crossing trajectories, seeded at the predicted peak of
-    the tower with a +-50% bracket.  Flat regime: backward bisection on the
-    far-field decay coefficient (see module docstring).  Both scan SCAN_POINTS
-    values across the bracket, then bisect until the bracket ends are adjacent
-    floats.  Every concentrating shot is a call to shoot(); the search shots
-    are made with dense_output=False, and only the returned shot carries the
-    interpolant that compare() reads.  The height found is the integrator's
-    numerical separatrix: another integrator at the same tolerance puts it
-    about 1e-10 relative away.  The flat shots stay dense, because
-    _flat_overshoot samples them.  Raises ConvergenceError with the scan
-    report when no behaviour change brackets a solution.
+    Both regimes scan SCAN_POINTS values across a +-50% bracket around the
+    prediction and search between the first pair whose behaviour differs.
+
+    Concentrating regime: the initial height u0 between a crossing and a
+    non-crossing shot, seeded at the predicted peak of the tower.  The
+    functional is the shot's end value u[-1]: negative exactly on crossing
+    shots, so its root is the classification boundary.  While either
+    bracket shot stopped before r_max (an early crossing or a blow-up) its
+    end value says nothing about the distance to that boundary and the
+    trial height is the midpoint; once both reach r_max it is an Illinois
+    step (Dowell & Jarratt, BIT 11, 1971: regula falsi that halves the end
+    value of an end kept twice in a row), or the midpoint if that step does
+    not land strictly inside the bracket.  The search stops once the
+    bracket is at most SEPARATRIX_RTOL * u0 wide: on 81 heights over
+    +-2e-12 relative around the found u0 the classification flips 1 to 7
+    times within at most 4.5e-13 relative (9 towers, k = 1, 2, 3), so a
+    narrower bracket only picks one of these flips.  Another integrator at
+    the same tolerance puts the separatrix about 1e-10 relative away.  The
+    scan takes 13 shots and the search 11 to 19 on the checked towers
+    (k = 1, 2, 3).  The returned shot is the non-crossing bracket end
+    itself, with the interpolant that compare() reads attached; every
+    search shot is a call to shoot() with dense_output=False, whose steps
+    do not depend on it.
+
+    Flat regime: backward bisection on the far-field decay coefficient (see
+    module docstring) until the bracket ends are adjacent floats, then one
+    more dense shot at the kept coefficient, which _flat_overshoot samples.
+    Raises ConvergenceError with the scan report when no behaviour change
+    brackets a solution.
     """
     gamma = params.gamma
     if params.regime is Regime.SUB_Q:
@@ -219,18 +270,41 @@ def find_tower(params: ModelParams, guess: TowerConfig,
                 "no crossing/non-crossing change in the bracket; scan: "
                 + ", ".join(f"{u:.4g}:{s.classification.value}"
                             for u, s in zip(heights, shots)))
-        a, b = heights[pair], heights[pair + 1]
-        a_crossing = labels[pair]
-        while (mid := 0.5 * (a + b)) not in (a, b):
-            crossed = (shoot(mid, params, dense_output=False).classification
-                       is Classification.CROSSING)
-            if crossed == a_crossing:
-                a = mid
-            else:
-                b = mid
-        boundary = b if a_crossing else a
-        return shoot(boundary, params)
+        crossing, staying = shots[pair], shots[pair + 1]
+        if not labels[pair]:
+            crossing, staying = staying, crossing
+        staying = _search_separatrix(params, crossing, staying)
+        staying.interpolant = _septic_hermite(staying)
+        return staying
     return _find_tower_flat(params, guess, bracket)
+
+
+def _search_separatrix(params: ModelParams, crossing: ShotProfile,
+                       staying: ShotProfile) -> ShotProfile:
+    """Narrow a crossing/non-crossing pair of shots to SEPARATRIX_RTOL on
+    their end values (see find_tower); returns the non-crossing end."""
+    r_end = _default_r_max(params)
+    g_c, g_s = crossing.u[-1], staying.u[-1]
+    last_crossed = None
+    while abs(staying.u0 - crossing.u0) > SEPARATRIX_RTOL * staying.u0:
+        a, b = crossing.u0, staying.u0
+        trial = 0.5 * (a + b)
+        if crossing.r[-1] == r_end and staying.r[-1] == r_end:
+            illinois = (a * g_s - b * g_c) / (g_s - g_c)
+            if min(a, b) < illinois < max(a, b):
+                trial = illinois
+        shot = shoot(trial, params, dense_output=False)
+        crossed = shot.classification is Classification.CROSSING
+        if crossed:
+            crossing, g_c = shot, shot.u[-1]
+            if last_crossed:                # the non-crossing end kept twice
+                g_s *= 0.5
+        else:
+            staying, g_s = shot, shot.u[-1]
+            if last_crossed is False:       # the crossing end kept twice
+                g_c *= 0.5
+        last_crossed = crossed
+    return staying
 
 
 def _first_change(labels) -> Optional[int]:

@@ -27,7 +27,8 @@ def test_shooting_reproduces_bubble_family(lam):
 
 @pytest.mark.parametrize("u0,expected", [
     (30.0, Classification.CROSSING),
-    (35.201864892277335, Classification.DECAYING),   # find_tower's height
+    # 4.6e-11 relative above find_tower's height 35.20186489065644
+    (35.201864892277335, Classification.DECAYING),
     (1e-2, Classification.BLOWING),
 ])
 def test_shot_without_dense_output_takes_the_same_steps(u0, expected):
@@ -128,8 +129,6 @@ def test_find_tower_single_spike(kept_const_shot):
 
 @pytest.mark.parametrize("q,shooter", [(4.0, "shoot"), (7.0, "_shoot_flat_backward")])
 def test_bisection_shoots_no_height_twice(q, shooter, c4, c7, monkeypatch):
-    # the bisection stops once the bracket ends are adjacent floats; only
-    # the final shot, which keeps the trajectory, repeats a height
     import bubbletower.verifier as verifier_module
     heights = []
     original = getattr(verifier_module, shooter)
@@ -142,8 +141,77 @@ def test_bisection_shoots_no_height_twice(q, shooter, c4, c7, monkeypatch):
     params = make_params(q=q, eps=5e-2, k=1)
     found = find_tower(params, predicted_tower(params, c4 if q == 4.0 else c7))
     assert found.classification is Classification.DECAYING
-    assert len(set(heights[:-1])) == len(heights) - 1
-    assert heights[-1] in heights[:-1]
+    if q == 4.0:
+        # the returned shot is the search's own non-crossing end, not a
+        # repeat; the scan and the Illinois steps take at most 40 shots
+        assert len(set(heights)) == len(heights) <= 40
+        assert found.u0 in heights
+    else:
+        # the flat bisection stops once the bracket ends are adjacent
+        # floats; only the final shot, which keeps the trajectory, repeats
+        assert len(set(heights[:-1])) == len(heights) - 1
+        assert heights[-1] in heights[:-1]
+
+
+def _bisected_separatrix(params, guess):
+    # the classification bisection down to adjacent floats, on shoot alone
+    u0_pred = params.gamma * float(np.sum(np.exp(guess.xi)))
+    heights = np.linspace(0.5 * u0_pred, 1.5 * u0_pred, 13)
+
+    def crossed(u):
+        return shoot(u, params, dense_output=False).classification \
+            is Classification.CROSSING
+
+    labels = [crossed(u) for u in heights]
+    i = next(i for i in range(len(labels) - 1) if labels[i] != labels[i + 1])
+    a, b, a_crossing = heights[i], heights[i + 1], labels[i]
+    while (mid := 0.5 * (a + b)) not in (a, b):
+        if crossed(mid) == a_crossing:
+            a = mid
+        else:
+            b = mid
+    return shoot(b if a_crossing else a, params)
+
+
+@pytest.mark.parametrize("potential,eps", [
+    (PotentialSpec.constant(-1.0), 5e-2),
+    (PotentialSpec.rational(-2.0, 1.0), 2e-2),
+])
+def test_search_stays_on_the_bisected_separatrix(potential, eps, c4):
+    params = ModelParams.make(3, 4.0, eps, k=1, potential=potential)
+    tower = predicted_tower(params, c4)
+    found = find_tower(params, tower)
+    ref = _bisected_separatrix(params, tower)
+    assert abs(found.u0 / ref.u0 - 1.0) <= 1e-12
+    assert found.classification is ref.classification is Classification.DECAYING
+    assert found.peak_count_ef == ref.peak_count_ef == 1
+
+
+@pytest.mark.parametrize("potential", [PotentialSpec.constant(-1.0),
+                                       PotentialSpec.rational(-2.0, 1.0)])
+def test_radial_rhs_matches_numpy_scalar_formula(potential):
+    from bubbletower.verifier import _radial_rhs
+    params = ModelParams.make(3, 4.0, 5e-2, potential=potential)
+    p, q, n_dim, pot = params.p, params.q, params.n_dim, potential.at
+
+    def reference(r, y):            # the same formula on numpy scalars
+        u, du = y
+        f = -math.copysign(abs(u) ** p, u) + pot(r) * math.copysign(abs(u) ** q, u)
+        return du, -(n_dim - 1.0) / r * du + f
+
+    rhs = _radial_rhs(params)
+    rng = np.random.default_rng(7)
+    rs = np.exp(rng.uniform(math.log(1e-7), math.log(1e4), 300))
+    us = rng.choice([-1.0, 1.0], 300) * np.exp(rng.uniform(-20.0, 7.0, 300))
+    us[:5] = 0.0
+    dus = rng.normal(0.0, 10.0, 300)
+    for r, u, du in zip(rs.tolist(), us, dus):
+        y = np.array([u, du])
+        assert np.array_equal(rhs(r, y), reference(r, y))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        du, d2u = rhs(1.0, np.array([1e300, 0.0]))   # Python ** would overflow
+    assert du == 0.0 and not math.isfinite(d2u)
 
 
 def test_find_tower_requires_behaviour_change(c4):
