@@ -99,6 +99,14 @@ def _write_csv(path: Path, header: List[str], rows) -> str:
     return path.name
 
 
+def _write_table(path: Path, header: List[str], table: np.ndarray) -> str:
+    """A float table as CSV, every value as _fmt writes it, one template per row."""
+    row = ",".join([_FMT] * table.shape[1])
+    lines = [",".join(header)] + [row % tuple(r) for r in table.tolist()]
+    path.write_text("\n".join(lines) + "\n")
+    return path.name
+
+
 def _check_finite(values) -> None:
     arr = np.asarray([v for v in values if not isinstance(v, str)], dtype=float)
     if arr.size and not np.all(np.isfinite(arr)):
@@ -167,12 +175,9 @@ def cmd_reduce(args) -> int:
     except BubbleTowerError as exc:
         raise SystemExit(f"reduction failed: {exc}")
     grid = state.phi.grid
-    ubar = state.field.ubar
-    v_vals = ubar.values + state.phi.values
-    rows = zip(grid.x, ubar.values, state.phi.values, v_vals)
-    csv_name = _write_csv(out / "profile.csv", ["x", "ubar", "phi", "v"], rows)
-    sol_name = _write_csv(out / "solution.csv", ["x", "value"],
-                          zip(grid.x, v_vals))
+    ubar, phi = state.field.ubar.values, state.phi.values
+    table = np.column_stack((grid.x, ubar, phi, ubar + phi))
+    csv_name = _write_table(out / "profile.csv", ["x", "ubar", "phi", "v"], table)
     summary = {
         "lambda_eps": list(lam_eps),
         "xi": list(state.xi),
@@ -187,7 +192,7 @@ def cmd_reduce(args) -> int:
     }
     _check_finite(list(lam_eps) + list(state.c) + [state.star_norm_phi])
     (out / "reduction.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
-    _write_manifest(out, args, [csv_name, sol_name, "reduction.json"])
+    _write_manifest(out, args, [csv_name, "reduction.json"])
     print(json.dumps({k: summary[k] for k in
                       ("lambda_eps", "multipliers", "star_norm_phi", "iterations")},
                      indent=2, sort_keys=True))
@@ -206,7 +211,8 @@ def cmd_verify(args) -> int:
         found = find_tower(params, tower)
     except BubbleTowerError as exc:
         raise SystemExit(f"verification failed: {exc}")
-    csv_name = _write_csv(out / "shot.csv", ["r", "u"], zip(found.r, found.u))
+    csv_name = _write_table(out / "shot.csv", ["r", "u"],
+                            np.column_stack((found.r, found.u)))
     xi1 = float(state.xi[0])
     metrics = compare(solution.ef, found.ef_image, (xi1 - 2.0, xi1 + 2.0))
     residual = solution.radial_residual(solution.residual_radii(100))

@@ -34,7 +34,7 @@ class QuadratureConvergenceError(BubbleTowerError):
 
 
 class ConvergenceError(BubbleTowerError):
-    """An iterative solve (fixed point, Newton, bisection) failed.
+    """An iterative solve (Newton, bisection, separatrix search) failed.
 
     ``state`` holds the last iterate when one is available.
     """

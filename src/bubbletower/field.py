@@ -10,9 +10,11 @@ difference (see energy).
 TowerField holds one spike set's tower Ubar = sum_i U(. - xi_i) with
 everything derived from it (weights, powers of Ubar, the linearized
 potential, the kernel directions, the discrete residual and the star-norm
-weight), so the fixed point of the reduction builds them once, not on every
-step.  nonlinear_remainder, linearized_apply and linearized_matrix are thin
-forms over it for one-off use.
+weight), so the reduction's Newton iteration for the correction builds them
+once, not on every step; each step asks it only for the Newton right-hand
+side and the Jacobian's diagonal at Ubar + phi (newton_system).
+nonlinear_remainder, linearized_apply and linearized_matrix are thin forms
+over it for one-off use.
 """
 
 from __future__ import annotations
@@ -299,12 +301,12 @@ def kernel_directions(xi, params: ModelParams, grid: Grid) -> np.ndarray:
 class TowerField:
     """The tower Ubar = sum_i U(. - xi_i) on one grid, and what derives from it.
 
-    Built once per spike set and reused by every step of the fixed point:
-    x, Ubar (from tower_ansatz), the weights w_nl and omega w_pot, the
-    powers Ubar^p, p Ubar^{p-1} and their q counterparts, the linearized
-    potential W = beta [ p w_nl Ubar^{p-1} - q omega w_pot Ubar^{q-1} ], the
-    kernel directions Z, the discrete residual full_operator(Ubar) and the
-    weight sum_i exp(-sigma |x - xi_i|) of the star norm (sigma defaults to
+    Built once per spike set and reused by every Newton step of the
+    correction: x, Ubar (from tower_ansatz), the weights w_nl and
+    omega w_pot, the linearized potential W = beta [ p w_nl Ubar^{p-1}
+    - q omega w_pot Ubar^{q-1} ], the kernel directions Z, the discrete
+    residual full_operator(Ubar), (-d^2 + 1) Ubar and the weight
+    sum_i exp(-sigma |x - xi_i|) of the star norm (sigma defaults to
     default_sigma(params)).
     """
 
@@ -321,26 +323,52 @@ class TowerField:
         self.star_weight = self.frame.weight(self.x)
         self.w_nl, self.w_pot = _weights(self.x, params)
         u, p, q = self.ubar.values, params.p, params.q
-        u_p1, u_q1 = u ** (p - 1.0), u ** (q - 1.0)
-        self.u_p, self.u_q = u ** p, u ** q
-        self.du_p, self.du_q = p * u_p1, q * u_q1
-        self.potential = params.beta * (p * self.w_nl * u_p1 - q * self.w_pot * u_q1)
+        self.potential = params.beta * (p * self.w_nl * u ** (p - 1.0)
+                                        - q * self.w_pot * u ** (q - 1.0))
         self.z = kernel_directions(self.xi, params, grid)
+        self.off_diagonal = np.full(grid.n - 1, -1.0 / (grid.h * grid.h))
+        self.lin_ubar = -second_difference(u, grid.h) + u
         self.residual = full_operator(self.ubar, params).values
 
     def remainder(self, phi: np.ndarray) -> np.ndarray:
         """N(phi) = beta w_nl [ (Ubar+phi)_+^p - Ubar^p - p Ubar^{p-1} phi ]
         - beta omega w_pot [ (Ubar+phi)_+^q - Ubar^q - q Ubar^{q-1} phi ]."""
-        bumped = np.maximum(self.ubar.values + phi, 0.0)
-        n1 = self.w_nl * (bumped ** self.params.p - self.u_p - self.du_p * phi)
-        n2 = self.w_pot * (bumped ** self.params.q - self.u_q - self.du_q * phi)
+        u, p, q = self.ubar.values, self.params.p, self.params.q
+        bumped = np.maximum(u + phi, 0.0)
+        n1 = self.w_nl * (bumped ** p - u ** p - p * u ** (p - 1.0) * phi)
+        n2 = self.w_pot * (bumped ** q - u ** q - q * u ** (q - 1.0) * phi)
         return self.params.beta * (n1 - n2)
 
-    def matrix(self) -> sp.csc_matrix:
-        """Tridiagonal -d^2 + 1 - W with zero end values."""
-        h2 = self.grid.h * self.grid.h
-        main = 2.0 / h2 + 1.0 - self.potential
-        off = np.full(self.grid.n - 1, -1.0 / h2)
+    def diagonal(self, potential: Optional[np.ndarray] = None) -> np.ndarray:
+        """Main diagonal 2/h^2 + 1 - W of -d^2 + 1 - W (W defaults to the
+        linearized potential at Ubar); off_diagonal holds the -1/h^2."""
+        w = self.potential if potential is None else potential
+        return (2.0 / (self.grid.h * self.grid.h) + 1.0) - w
+
+    def newton_system(self, phi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Newton right-hand side and Jacobian diagonal at Ubar + phi.
+
+        With F(phi) = full_operator(Ubar + phi) = A phi - N(phi) + R and its
+        Jacobian J(phi) = -d^2 + 1 - W(Ubar + phi), where
+        W(u) = beta [ p w_nl u_+^{p-1} - q omega w_pot u_+^{q-1} ], returns
+        (J(phi) phi - F(phi), diagonal of J(phi)).  The second differences of
+        phi cancel in J phi - F, which is
+        beta [ w_nl b^{p-1} (b - p phi) - omega w_pot b^{q-1} (b - q phi) ]
+        - (-d^2 + 1) Ubar with b = (Ubar + phi)_+; at phi = 0 it is -R.
+        """
+        p, q = self.params.p, self.params.q
+        b = np.maximum(self.ubar.values + phi, 0.0)
+        t_p = self.w_nl * b ** (p - 1.0)
+        t_q = self.w_pot * b ** (q - 1.0)
+        beta = self.params.beta
+        rhs = beta * (t_p * (b - p * phi) - t_q * (b - q * phi)) - self.lin_ubar
+        return rhs, self.diagonal(beta * (p * t_p - q * t_q))
+
+    def matrix(self, diagonal: Optional[np.ndarray] = None) -> sp.csc_matrix:
+        """Tridiagonal -d^2 + 1 - W with zero end values (the main diagonal
+        defaults to diagonal())."""
+        main = self.diagonal() if diagonal is None else diagonal
+        off = self.off_diagonal
         return sp.diags([off, main, off], offsets=(-1, 0, 1), format="csc")
 
     def star_norm(self, values: np.ndarray) -> float:

@@ -90,16 +90,18 @@ class PotentialSpec:
     @staticmethod
     def rational(a: float, b: float) -> "PotentialSpec":
         """V(r) = a + b r^2/(1+r^2); V(0) = a, V(inf) = a + b."""
+        # past r = 1 both evaluators use 1/(1 + 1/(r r)), which stays finite
+        # when r^2 overflows; only correctly rounded operations, so the
+        # array and the scalar form agree bit for bit
         def _eval(r):
             r = np.asarray(r, dtype=float)
-            # 1/(1+r^-2) form stays finite when r^2 overflows
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                frac = np.where(r > 1.0, 1.0 / (1.0 + r ** -2.0),
+                frac = np.where(r > 1.0, 1.0 / (1.0 + 1.0 / (r * r)),
                                 r * r / (1.0 + r * r))
             return a + b * frac
 
         def _at(r):
-            frac = 1.0 / (1.0 + r ** -2.0) if r > 1.0 else r * r / (1.0 + r * r)
+            frac = 1.0 / (1.0 + 1.0 / (r * r)) if r > 1.0 else r * r / (1.0 + r * r)
             return a + b * frac
 
         def _slope(r):

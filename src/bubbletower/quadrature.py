@@ -22,7 +22,7 @@ from scipy.integrate import quad
 from scipy.special import betaln, digamma
 
 from .errors import QuadratureConvergenceError, RegimeMismatchError
-from .profiles import critical_exponents, model_constants, profile_U, profile_dU
+from .profiles import critical_exponents, model_constants
 
 __all__ = [
     "integrate_line",
@@ -144,16 +144,23 @@ def energy_constants(n_dim: int, q: float, tol: float = 1e-12) -> EnergyConstant
         raise ValueError(f"need q > p^s = {p_s:g}, got q={q:g}")
     gamma, beta = model_constants(n_dim)
     err: Dict[str, float] = {}
+    m = (n_dim - 2) / 2.0
 
+    # profile_U and profile_dU on one Python float: quad calls the
+    # integrands one point at a time, and math skips numpy's scalar overhead
     def U(x):
-        return profile_U(x, n_dim)
+        t = abs(x / m)
+        return gamma * math.exp(-m * (t + math.log1p(math.exp(-2.0 * t))))
+
+    def dU(x):
+        return -U(x) * math.tanh(x / m)
 
     # int U^{p*+1}
     i_crit, e_crit = integrate_line(lambda x: U(x) ** (p_star + 1.0),
                                     p_star + 1.0, p_star + 1.0, tol)
     # int (U'^2 + U^2)
     i_quad, e_quad = integrate_line(
-        lambda x: profile_dU(x, n_dim) ** 2 + U(x) ** 2, 2.0, 2.0, tol)
+        lambda x: dU(x) ** 2 + U(x) ** 2, 2.0, 2.0, tol)
     # int U^{p*} e^{x}
     i_inter, e_inter = integrate_line(lambda x: U(x) ** p_star * math.exp(x),
                                       p_star + 1.0, p_star - 1.0, tol)

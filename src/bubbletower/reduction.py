@@ -1,12 +1,12 @@
 """Discretized Lyapunov-Schmidt reduction.
 
-The pipeline: (i) a projected linear solver for the linearized operator with
+The pipeline: (i) a projected linear solver for a tridiagonal operator with
 the translation directions Z_i = U'(. - xi_i) projected out (block
 elimination of the bordered system through its k x k Schur complement, so
-only the tridiagonal operator is factored), (ii) a damped fixed-point
-iteration for the correction phi(xi), (iii) the reduced energy as a function
-of the scale parameters Lambda, and (iv) an outer Newton solve driving its
-gradient to zero.  That gradient is a linear form in the multipliers c_i of
+only the tridiagonal operator is factored, by LAPACK), (ii) Newton's method
+for the correction phi(xi), one such solve per step on the Jacobian at
+Ubar + phi, (iii) the reduced energy as a function of the scale parameters
+Lambda, and (iv) an outer Newton solve driving its gradient to zero.  That gradient is a linear form in the multipliers c_i of
 one correction (reduced_energy_grad), so the solve drives the c_i to zero and
 yields a genuine discrete solution v = Ubar + phi; its Newton matrix is the
 diagonal Hessian of the reduced functional Psi.
@@ -14,11 +14,13 @@ diagonal Hessian of the reduced functional Psi.
 A run is set by h and the window constant M alone (ReductionConfig); sigma is
 default_sigma(params), and tolerances and limits are the constants below.
 
-Each correction builds one field.TowerField for its spike set, inside its
-ProjectedSolver (``solver.field``): the operator, Z, the discrete residual
-and every Picard step's remainder and increment norm come from it, and the
-ReductionState carries it, so the energy and the sweep metrics reuse its
-Ubar.  sweep_point gives the trend metrics of one epsilon for ``sweep``.
+Each correction builds one field.TowerField for its spike set and hands it
+to the ProjectedSolver of every Newton step (``solver.field``): the
+operator, Z, the discrete residual and every step's right-hand side,
+Jacobian diagonal and increment norm come from it, and the ReductionState
+carries it, so the energy and the sweep metrics reuse its Ubar.  Within
+solve_reduced each correction starts from the phi of the accepted outer
+iterate.  sweep_point gives the trend metrics of one epsilon for ``sweep``.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.sparse.linalg as spla
 from scipy.interpolate import CubicSpline
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import (AssemblyError, ConditioningError, ConvergenceError,
                      WindowViolationError)
@@ -59,11 +61,11 @@ __all__ = [
 
 
 PAD = 3.0            # extra domain beyond max(30, 10/sigma)
-TOL_FP = 1e-11       # fixed-point increment, star norm
+TOL_FP = 1e-11       # correction Newton increment, star norm
 TOL_ORTH = 1e-10     # max_i |Z_i^T phi| of a converged correction
 TOL_C = 1e-8         # max|c| at the Newton solution
 NEWTON_TOL = 1e-8    # |grad Phi|_2
-MAX_PICARD = 80
+MAX_CORRECTION_STEPS = 10
 MAX_NEWTON = 40
 
 
@@ -77,7 +79,11 @@ class ReductionConfig:
 
 @dataclass
 class ReductionState:
-    """Converged correction phi, its tower field, multipliers and diagnostics."""
+    """Converged correction phi, its tower field, multipliers and diagnostics.
+
+    ``iterations`` counts the correction's Newton steps and ``increments``
+    holds the star norm of each step.
+    """
 
     phi: GridFunction
     c: np.ndarray
@@ -126,41 +132,61 @@ class ProjectedSolver:
     """Block-elimination solver for the projected linear problem.
 
     Solves L phi = h + sum_i c_i Z_i with the discrete constraints
-    Z^T phi = 0, i.e. the bordered system [[A, Z], [Z^T, 0]] [phi; mu] =
+    Z^T phi = 0, i.e. the bordered system [[L, Z], [Z^T, 0]] [phi; mu] =
     [h; 0] with c = -mu, by Keller's bordering algorithm: only the
-    tridiagonal A is factored (no fill), A^{-1} Z and the k x k Schur
-    complement S = Z^T A^{-1} Z are formed once, and each right-hand side
-    costs one tridiagonal solve, y = A^{-1} h, mu = S^{-1} Z^T y,
-    phi = y - A^{-1} Z mu.  Solves refuse an S whose 2-norm condition number
-    exceeds 1e12 (nearly dependent Z columns).  The operator and Z come
-    from one TowerField, kept as ``field`` (its star-norm sigma is that of
-    ``frame``, default_sigma(params) when none is given).
+    tridiagonal L is factored (LAPACK dgttrf, partial pivoting, one band
+    of fill), L^{-1} Z and the k x k Schur complement S = Z^T L^{-1} Z
+    are formed once, and each right-hand side costs one tridiagonal solve
+    (dgttrs), y = L^{-1} h, mu = S^{-1} Z^T y, phi = y - L^{-1} Z mu.
+    Solves refuse an S whose 2-norm condition number exceeds 1e12 (nearly
+    dependent Z columns).
+
+    L = -d^2 + 1 - W has the field's off-diagonals -1/h^2 and the main
+    diagonal ``diagonal``: by default that of the linearized operator A of
+    one TowerField, and in the correction's Newton steps that of the Jacobian
+    at Ubar + phi (TowerField.newton_system).  The field, kept as ``field``,
+    is built here unless given (its star-norm sigma is that of ``frame``,
+    default_sigma(params) when none is given); ``matrix`` is L as a sparse
+    matrix, built on request.
     """
 
     def __init__(self, xi, params: ModelParams, grid: Grid,
-                 frame: Optional[SpikeFrame] = None):
-        self.field = TowerField(xi, params, grid,
-                                None if frame is None else frame.sigma)
+                 frame: Optional[SpikeFrame] = None, *,
+                 field: Optional[TowerField] = None,
+                 diagonal: Optional[np.ndarray] = None):
+        if field is None:
+            field = TowerField(xi, params, grid,
+                               None if frame is None else frame.sigma)
+        self.field = field
         self.grid = grid
-        self.matrix = self.field.matrix()
-        self.z = self.field.z
-        try:
-            self._lu = spla.splu(self.matrix, permc_spec="NATURAL")
-        except RuntimeError as exc:
+        self.z = field.z
+        self.diagonal = field.diagonal() if diagonal is None else diagonal
+        off = field.off_diagonal
+        *self._lu, info = dgttrf(off, self.diagonal, off)
+        if info != 0:
             raise ConditioningError(
                 f"operator factorization failed (n={grid.n}, "
-                f"k={self.z.shape[1]}, h={grid.h:g}): {exc}") from exc
-        self._az = self._lu.solve(self.z)
+                f"k={self.z.shape[1]}, h={grid.h:g}): dgttrf info {info}")
+        self._az = self._lu_solve(self.z)
         self._schur = self.z.T @ self._az
         sv = np.linalg.svd(self._schur, compute_uv=False)
         self._schur_cond = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else math.inf
+
+    @property
+    def matrix(self):
+        """L as a scipy.sparse matrix (TowerField.matrix)."""
+        return self.field.matrix(self.diagonal)
+
+    def _lu_solve(self, rhs: np.ndarray) -> np.ndarray:
+        x, _ = dgttrs(*self._lu, rhs)
+        return x
 
     def solve_values(self, rhs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         if self._schur_cond > 1e12:
             raise ConditioningError(
                 f"Schur complement Z^T A^-1 Z ill-conditioned (cond "
                 f"{self._schur_cond:.2e}); kernel directions nearly dependent")
-        y = self._lu.solve(rhs)
+        y = self._lu_solve(rhs)
         try:
             mu = np.linalg.solve(self._schur, self.z.T @ y)
         except np.linalg.LinAlgError as exc:
@@ -195,26 +221,38 @@ def solve_projected_linear(h_rhs: GridFunction, xi, params: ModelParams,
 def solve_correction(xi, params: ModelParams,
                      config: ReductionConfig = ReductionConfig(),
                      grid: Optional[Grid] = None,
-                     enforce_window: bool = True) -> ReductionState:
-    """Fixed point for the correction: phi <- T(N(phi) - R).
+                     enforce_window: bool = True,
+                     phi0: Optional[np.ndarray] = None) -> ReductionState:
+    """Newton for the correction: F(phi) = A phi - N(phi) + R = sum_i c_i Z_i
+    with Z^T phi = 0, where F(phi) = full_operator(Ubar + phi).
 
-    Damping starts at 1 and halves after any increase of the star-norm
-    increment; three consecutive increases abort with ConvergenceError.
+    Each step factors the tridiagonal Jacobian J(phi) = -d^2 + 1
+    - W(Ubar + phi) in a ProjectedSolver and takes the bordered solve
+    J phi_new = J phi - F(phi) + sum_i c_i Z_i, Z^T phi_new = 0, the full
+    Newton step for (phi, c), undamped.  It stops once the star-norm
+    increment, or once the increments contract by theta < 1 the error
+    bound theta/(1 - theta) times it (Deuflhard, Newton Methods for
+    Nonlinear Problems, 2004), falls below TOL_FP, and raises
+    ConvergenceError with the last state after MAX_CORRECTION_STEPS steps.
+    The start is phi0 projected onto Z^T phi = 0 (a correction of a nearby
+    spike set on the same grid), or zero, whose first step is the linear
+    solve A phi = -R + sum c_i Z_i.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if enforce_window and params.epsilon > 0.0:
         check_window(xi, params, config.window_m)
     if grid is None:
         grid = grid_for_spikes(xi, default_sigma(params), config.h, PAD)
-    solver = ProjectedSolver(xi, params, grid)
-    tower = solver.field
+    tower = TowerField(xi, params, grid)
     sigma = tower.frame.sigma
 
-    phi = np.zeros(grid.n)
+    if phi0 is None:
+        phi = np.zeros(grid.n)
+    else:
+        z = tower.z
+        phi = phi0 - z @ np.linalg.solve(z.T @ z, z.T @ phi0)
     c = np.zeros(xi.size)
     increments: list = []
-    damping = 1.0
-    grow_streak = 0
     iterations = 0
 
     def state(converged: bool) -> ReductionState:
@@ -222,31 +260,24 @@ def solve_correction(xi, params: ModelParams,
                               tower.star_norm(phi), iterations, converged, tower,
                               solver.orthogonality_defect(phi), increments)
 
-    for iterations in range(1, MAX_PICARD + 1):
-        # the residual is the discrete one (3-point curvature of the tower),
-        # so the fixed point lands on an exact discrete solution and the
-        # energy gradient tracks c_i
-        new_vals, c = solver.solve_values(tower.remainder(phi) - tower.residual)
-        if damping != 1.0:
-            new_vals = phi + damping * (new_vals - phi)
+    for iterations in range(1, MAX_CORRECTION_STEPS + 1):
+        # F is the discrete operator (3-point curvature of the tower), so
+        # the iteration lands on an exact discrete solution and the energy
+        # gradient tracks c_i
+        rhs, diagonal = tower.newton_system(phi)
+        solver = ProjectedSolver(xi, params, grid, field=tower, diagonal=diagonal)
+        new_vals, c = solver.solve_values(rhs)
         inc = tower.star_norm(new_vals - phi)
         phi = new_vals
-        if increments and inc > increments[-1]:
-            grow_streak += 1
-            damping = 0.5
-        else:
-            grow_streak = 0
+        theta = inc / increments[-1] if increments else 1.0
         increments.append(inc)
-        if inc < TOL_FP:
+        if inc < TOL_FP or theta * inc < (1.0 - theta) * TOL_FP:
             break
-        if grow_streak >= 3:
-            raise ConvergenceError(
-                f"fixed point diverging after {iterations} iterations "
-                f"(increments {increments[-3:]})", state=state(False))
     else:
         raise ConvergenceError(
-            f"fixed point did not reach {TOL_FP:g} in "
-            f"{MAX_PICARD} iterations", state=state(False))
+            f"correction Newton did not reach {TOL_FP:g} in "
+            f"{MAX_CORRECTION_STEPS} steps (increments {increments[-3:]})",
+            state=state(False))
 
     result = state(True)
     if result.orth_defect > TOL_ORTH:
@@ -277,16 +308,18 @@ def reduced_energy(lambdas, params: ModelParams,
 
 def reduced_energy_grad(lambdas, params: ModelParams,
                         config: ReductionConfig = ReductionConfig(),
-                        grid: Optional[Grid] = None):
+                        grid: Optional[Grid] = None,
+                        phi0: Optional[np.ndarray] = None):
     """Gradient in Lambda of reduced_energy from one correction: (grad, state).
 
     energy's gradient at v = Ubar + phi is h sum_i c_i Z_i (see energy), and
     the constraint Z^T phi = 0 gives dE/dxi_j = h [-sum_i c_i Z_i.Z_j
     + c_j U''(. - xi_j).phi]; xi_j moves with -log(Lambda_i) for i <= j.
+    phi0 starts the correction (see solve_correction).
     """
     lam = np.asarray(lambdas, dtype=float)
     xi = spike_locations(lam, params.epsilon, params)
-    state = solve_correction(xi, params, config, grid=grid)
+    state = solve_correction(xi, params, config, grid=grid, phi0=phi0)
     tower, phi, c = state.field, state.phi.values, state.c
     d2u = np.column_stack([profile_d2U(tower.x - s, params.n_dim) for s in xi])
     de_dxi = tower.grid.h * (c * (d2u.T @ phi) - tower.z.T @ (tower.z @ c))
@@ -310,11 +343,12 @@ def solve_reduced(params: ModelParams, constants: EnergyConstants,
     lam = critical_scales(constants, params)
     xi0 = spike_locations(lam, params.epsilon, params)
     # one fixed grid for the whole solve: the gradient formula differentiates
-    # in xi with the nodes held still
+    # in xi with the nodes held still, and each correction starts from the
+    # accepted iterate's phi on it
     grid = grid_for_spikes(xi0, default_sigma(params), config.h, PAD)
 
-    def gradient(lam):
-        g, state = reduced_energy_grad(lam, params, config, grid)
+    def gradient(lam, phi0=None):
+        g, state = reduced_energy_grad(lam, params, config, grid, phi0)
         return g / params.epsilon, state
 
     g, state = gradient(lam)
@@ -332,7 +366,7 @@ def solve_reduced(params: ModelParams, constants: EnergyConstants,
         for _ in range(12):
             trial = lam + t * delta
             if np.all(trial > 0.0):
-                g_trial, state_trial = gradient(trial)
+                g_trial, state_trial = gradient(trial, state.phi.values)
                 if np.linalg.norm(g_trial) < norm_g:
                     lam, g, state = trial, g_trial, state_trial
                     break

@@ -228,7 +228,8 @@ def find_tower(params: ModelParams, guess: TowerConfig,
     """Locate the k-peak decaying solution near a predicted tower.
 
     Both regimes scan SCAN_POINTS values across a +-50% bracket around the
-    prediction and search between the first pair whose behaviour differs.
+    prediction and search between the first pair whose behaviour differs;
+    the concentrating scan shoots in order and stops at that pair.
 
     Concentrating regime: the initial height u0 between a crossing and a
     non-crossing shot, seeded at the predicted peak of the tower.  The
@@ -245,7 +246,7 @@ def find_tower(params: ModelParams, guess: TowerConfig,
     times within at most 4.5e-13 relative (9 towers, k = 1, 2, 3), so a
     narrower bracket only picks one of these flips.  Another integrator at
     the same tolerance puts the separatrix about 1e-10 relative away.  The
-    scan takes 13 shots and the search 11 to 19 on the checked towers
+    scan takes at most 13 shots and the search 11 to 19 on the checked towers
     (k = 1, 2, 3).  The returned shot is the non-crossing bracket end
     itself, with the interpolant that compare() reads attached; every
     search shot is a call to shoot() with dense_output=False, whose steps
@@ -262,16 +263,19 @@ def find_tower(params: ModelParams, guess: TowerConfig,
         u0_pred = gamma * float(np.sum(np.exp(guess.xi)))
         lo, hi = bracket[0] * u0_pred, bracket[1] * u0_pred
         heights = np.linspace(lo, hi, SCAN_POINTS)
-        shots = [shoot(u, params, dense_output=False) for u in heights]
-        labels = [s.classification is Classification.CROSSING for s in shots]
-        pair = _first_change(labels)
-        if pair is None:
+        shots, labels = [], []
+        for u in heights:       # in order, up to the first change of label
+            shots.append(shoot(u, params, dense_output=False))
+            labels.append(shots[-1].classification is Classification.CROSSING)
+            if labels[-1] != labels[0]:
+                break
+        else:
             raise ConvergenceError(
                 "no crossing/non-crossing change in the bracket; scan: "
                 + ", ".join(f"{u:.4g}:{s.classification.value}"
                             for u, s in zip(heights, shots)))
-        crossing, staying = shots[pair], shots[pair + 1]
-        if not labels[pair]:
+        crossing, staying = shots[-2], shots[-1]
+        if labels[-1]:
             crossing, staying = staying, crossing
         staying = _search_separatrix(params, crossing, staying)
         staying.interpolant = _septic_hermite(staying)

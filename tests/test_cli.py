@@ -77,6 +77,26 @@ def test_reduce_outputs(tmp_path):
     assert header == "x,ubar,phi,v"
 
 
+def test_reduce_writes_no_solution_csv(tmp_path):
+    # profile.csv holds x and v already; the two-column copy is gone
+    run_cli(["reduce", "--q", "4", "--eps", "5e-2", "--k", "1",
+             "--V", "const:-1", "--h", "0.05", "--out", str(tmp_path)])
+    manifest = read_manifest(tmp_path / "reduce")
+    assert manifest["outputs"] == ["profile.csv", "reduction.json"]
+    assert not (tmp_path / "reduce" / "solution.csv").exists()
+
+
+def test_float_table_matches_per_value_format(tmp_path):
+    # the row-template writer gives the bytes of the per-value _fmt writer
+    from bubbletower.cli import _write_csv, _write_table
+    rng = np.random.default_rng(3)
+    table = rng.normal(size=(200, 4)) * 10.0 ** rng.integers(-300, 300, (200, 4))
+    table[0, :3] = (-0.0, 5e-324, 1.7976931348623157e308)
+    _write_csv(tmp_path / "a.csv", ["x", "a", "b", "c"], table)
+    _write_table(tmp_path / "b.csv", ["x", "a", "b", "c"], table)
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
 def test_sweep_requires_decreasing_eps(tmp_path):
     with pytest.raises(SystemExit):
         run_cli(["sweep", "--q", "4", "--eps-list", "1e-2",

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bubbletower import (ModelParams, PotentialSpec, Regime, bubble_w,
@@ -249,6 +249,19 @@ def test_scalar_potential_matches_array_form(pot, r):
     got = pot.at(r)
     assert type(got) is float
     assert got == float(pot.evaluate(r))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_rational_potential_forms_agree_bitwise_above_one(seed):
+    # 2,000 log-uniform radii in (1, 1e8), evaluated as one array, so that
+    # numpy takes its vectorized loops, and one float at a time as the
+    # shooter does; a power r ** -2 split the two on about 4 in 10^4 radii
+    r = 10.0 ** np.random.default_rng(seed).uniform(0.0, 8.0, 2000)
+    r = r[r > 1.0]
+    for pot in (PotentialSpec.rational(-2.0, 1.0), PotentialSpec.rational(-0.5, -0.5)):
+        got = pot.evaluate(r)
+        assert got.tobytes() == np.array([pot.at(float(x)) for x in r]).tobytes()
 
 
 @pytest.mark.parametrize("pot", [PotentialSpec.constant(-1.0),

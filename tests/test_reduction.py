@@ -447,3 +447,51 @@ def test_nonnegative_reduced_hessian_raises_with_state(c4, monkeypatch):
     with pytest.raises(ConvergenceError, match="not negative") as info:
         solve_reduced(make_params(eps=1e-2, k=1), c4, ReductionConfig(h=0.03))
     assert info.value.state is not None and info.value.state.converged
+
+
+@pytest.mark.parametrize("k,eps,h", [(1, 1e-2, 0.02), (2, 1e-2, 0.02), (3, 1e-2, 0.03)])
+def test_newton_correction_is_a_discrete_solution(k, eps, h, c4):
+    # F(phi) = full_operator(Ubar + phi) equals sum_i c_i Z_i to rounding,
+    # far below the size of the tower residual R that it started from
+    params, _, _, xi, grid, _ = _setup(eps=eps, k=k, h=h, c=c4)
+    state = solve_correction(xi, params, ReductionConfig(h=h), grid=grid)
+    tower = state.field
+    v = GridFunction(grid, tower.ubar.values + state.phi.values)
+    defect = full_operator(v, params).values - tower.z @ state.c
+    assert np.max(np.abs(defect)) < 1e-10 * np.max(np.abs(tower.residual))
+
+
+@pytest.mark.parametrize("k,h", [(2, 0.02), (3, 0.03)])
+def test_newton_correction_steps_on_benchmark_towers(k, h, c4):
+    # the reduce cases of the tower benchmark, from phi = 0
+    params, _, _, xi, _, _ = _setup(eps=1e-2, k=k, h=h, c=c4)
+    state = solve_correction(xi, params, ReductionConfig(h=h))
+    assert state.converged and state.iterations <= 6
+
+
+def test_warm_started_correction_matches_cold_start(c4):
+    # a correction of a nearby spike set, projected onto Z^T phi = 0 of the
+    # new one, starts the Newton steps closer than phi = 0 does
+    params, _, _, xi, grid, _ = _setup(eps=1e-2, k=2, c=c4)
+    config = ReductionConfig(h=0.02)
+    near = solve_correction(xi, params, config, grid=grid)
+    cold = solve_correction(xi * 1.001, params, config, grid=grid)
+    warm = solve_correction(xi * 1.001, params, config, grid=grid,
+                            phi0=near.phi.values)
+    assert warm.iterations < cold.iterations
+    assert warm.field.star_norm(warm.phi.values - cold.phi.values) < 1e-11
+    assert np.max(np.abs(warm.c - cold.c)) < 1e-12
+    assert warm.orth_defect < 1e-10
+
+
+def test_correction_step_cap_raises_with_state(c4, monkeypatch):
+    import bubbletower.reduction as reduction_module
+    from bubbletower.errors import ConvergenceError
+    monkeypatch.setattr(reduction_module, "MAX_CORRECTION_STEPS", 2)
+    params, _, _, xi, grid, _ = _setup(eps=1e-2, k=2, c=c4)
+    with pytest.raises(ConvergenceError, match="2 steps") as info:
+        solve_correction(xi, params, ReductionConfig(h=0.02), grid=grid)
+    state = info.value.state
+    assert state is not None and not state.converged
+    assert state.iterations == 2 and len(state.increments) == 2
+    assert state.phi.grid == grid

@@ -127,6 +127,35 @@ def test_find_tower_single_spike(kept_const_shot):
     assert abs(x_peak - tower.xi[0]) < 0.15 * tower.xi[0]
 
 
+def test_scan_stops_at_its_first_change(kept_const_shot, monkeypatch):
+    # the scan shoots in order and stops at its first crossing/non-crossing
+    # pair, which is the pair the full scan of SCAN_POINTS heights picks
+    import bubbletower.verifier as verifier_module
+    from bubbletower.verifier import SCAN_POINTS, _search_separatrix
+    params, tower, _ = kept_const_shot
+    u0_pred = params.gamma * float(np.sum(np.exp(tower.xi)))
+    heights = np.linspace(0.5 * u0_pred, 1.5 * u0_pred, SCAN_POINTS).tolist()
+    full = [shoot(u, params, dense_output=False) for u in heights]
+    labels = [s.classification is Classification.CROSSING for s in full]
+    i = next(i for i in range(SCAN_POINTS - 1) if labels[i] != labels[i + 1])
+    crossing, staying = (full[i], full[i + 1]) if labels[i] else (full[i + 1], full[i])
+
+    shot_heights = []
+    original = verifier_module.shoot
+
+    def recorded(height, *args, **kwargs):
+        shot_heights.append(float(height))
+        return original(height, *args, **kwargs)
+
+    monkeypatch.setattr(verifier_module, "shoot", recorded)
+    found = find_tower(params, tower)
+    scan = shot_heights[:i + 2]
+    assert scan == heights[:i + 2] and i + 2 < SCAN_POINTS
+    assert not set(heights[i + 2:]) & set(shot_heights)
+    # the same bracket, so the same search and the same kept height
+    assert found.u0 == _search_separatrix(params, crossing, staying).u0
+
+
 @pytest.mark.parametrize("q,shooter", [(4.0, "shoot"), (7.0, "_shoot_flat_backward")])
 def test_bisection_shoots_no_height_twice(q, shooter, c4, c7, monkeypatch):
     import bubbletower.verifier as verifier_module
