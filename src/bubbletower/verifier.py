@@ -3,10 +3,10 @@
 The concentrating regime shoots outward from the origin: below the tower
 height trajectories cross zero, above they relax to the slowly decaying
 supercritical orbit, and the tower is the boundary between crossing and
-non-crossing shots.  The search reads the shot's end value u[-1], whose
-sign is that classification (a crossing shot stops at its first step below
-0) and which is u(r_max), continuous in the height, once both ends of the
-bracket reach r_max; there it takes Illinois steps, elsewhere midpoints.
+non-crossing shots.  The search runs Brent's method on a functional every
+shot defines: the distance, in r^{-(N-2)}, from r_max to the zero of the
+linear far field through the shot's last step, signed by the
+classification, so that it vanishes where the crossing radius reaches r_max.
 The flat regime has no reachable forward dichotomy (deviations separate
 only at radii exp(1/eps)), so there the shooter integrates the transformed
 equation backward from the far field, bisecting on the decay coefficient
@@ -18,9 +18,10 @@ the compiled DOP853 behind ``scipy.integrate.ode``: the same 8(5,3) method
 as solve_ivp's, without Python code per step besides the right-hand side and
 a step callback that records the trajectory and stops a crossing or blowing
 shot.  Only the kept shot of a search builds a dense interpolant (septic
-Hermite on its steps).  Both right-hand sides are scalar code (``math`` and
-``PotentialSpec.at``), the outward one on Python floats.  The flat backward
-shots stay on solve_ivp, whose dense output _flat_overshoot samples.
+Hermite on its steps, with closed-form Bernstein coefficients).  Both
+right-hand sides are scalar code (``math`` and ``PotentialSpec.at``), the
+outward one on Python floats.  The flat backward shots stay on solve_ivp,
+whose dense output _flat_overshoot samples.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 from scipy.integrate import ode, solve_ivp
 from scipy.interpolate import BPoly
+from scipy.optimize import brentq
 
 from .errors import ConvergenceError
 from .profiles import ModelParams, Regime
@@ -54,6 +56,10 @@ SCAN_POINTS = 13
 # find_tower's outward search stops at this bracket width relative to u0;
 # the classification chatters within about 5e-13 relative of the separatrix
 SEPARATRIX_RTOL = 1e-12
+# brentq's iteration budget for that search; the checked ones take at most 12
+SEARCH_MAXITER = 100
+# brentq's relative tolerance, its smallest allowed value
+BRENT_RTOL = 4.0 * np.finfo(float).eps
 # step budget of one shot; the checked shots take a few hundred steps
 MAX_STEPS = 100_000
 
@@ -187,11 +193,25 @@ def _radial_rhs(params: ModelParams):
     return rhs
 
 
+# h^l/l! scaling of the l-th derivative, l = 0..3
+_ORDERS = np.arange(4)
+_FACTORIALS = np.array([1.0, 1.0, 2.0, 6.0])
+# Bernstein coefficients c_0..c_3 of a degree-7 interval from its scaled left
+# derivatives: C(j,l)/C(7,l) for l <= j; and c_7..c_4 from its right ones
+_HERMITE_LEFT = np.array([[math.comb(j, l) / math.comb(7, l) if l <= j else 0.0
+                           for l in range(4)] for j in range(4)])
+_HERMITE_RIGHT = _HERMITE_LEFT * (-1.0) ** _ORDERS
+
+
 def _septic_hermite(shot: ShotProfile) -> BPoly:
     """Piecewise degree-7 interpolant of u matching u, u', u'', u''' at each r.
 
     u'' is the right-hand side of the equation; u''' is its r-derivative,
-    (N-1)(u'/r - u'')/r + f_u(r, u) u' + V'(r) |u|^{q-1} u.
+    (N-1)(u'/r - u'')/r + f_u(r, u) u' + V'(r) |u|^{q-1} u.  On an interval
+    [r_i, r_i + h] with scaled derivatives d_l = h^l u^{(l)}/l! the Bernstein
+    coefficients are c_j = sum_{l<=j} C(j,l)/C(7,l) d_l(r_i) and
+    c_{7-j} = sum_{l<=j} (-1)^l C(j,l)/C(7,l) d_l(r_i + h), j = 0..3, computed
+    for all intervals at once.
     """
     params, r, u, du = shot.params, shot.r, shot.u, shot.du
     p, q, n1 = params.p, params.q, params.n_dim - 1.0
@@ -202,7 +222,12 @@ def _septic_hermite(shot: ShotProfile) -> BPoly:
     f_u = -p * au ** (p - 1.0) + params.potential.evaluate(r) * q * au ** (q - 1.0)
     f_r = np.array([params.potential.slope(ri) for ri in r]) * np.sign(u) * au ** q
     d3u = n1 * (du / r - d2u) / r + f_u * du + f_r
-    return BPoly.from_derivatives(r, np.column_stack([u, du, d2u, d3u]))
+    derivs = np.column_stack([u, du, d2u, d3u])
+    scale = np.diff(r)[:, None] ** _ORDERS / _FACTORIALS
+    c = np.empty((8, r.size - 1))
+    c[:4] = _HERMITE_LEFT @ (derivs[:-1] * scale).T
+    c[:3:-1] = _HERMITE_RIGHT @ (derivs[1:] * scale).T
+    return BPoly(c, r)
 
 
 def _classify_endpoint(u, du) -> Classification:
@@ -227,34 +252,43 @@ def find_tower(params: ModelParams, guess: TowerConfig,
                bracket: Tuple[float, float] = (0.5, 1.5)) -> ShotProfile:
     """Locate the k-peak decaying solution near a predicted tower.
 
-    Both regimes scan SCAN_POINTS values across a +-50% bracket around the
-    prediction and search between the first pair whose behaviour differs;
-    the concentrating scan shoots in order and stops at that pair.
+    Both regimes scan up to SCAN_POINTS values across a +-50% bracket
+    around the prediction, in order, stop at the first pair whose
+    behaviour differs and search between them.
 
     Concentrating regime: the initial height u0 between a crossing and a
-    non-crossing shot, seeded at the predicted peak of the tower.  The
-    functional is the shot's end value u[-1]: negative exactly on crossing
-    shots, so its root is the classification boundary.  While either
-    bracket shot stopped before r_max (an early crossing or a blow-up) its
-    end value says nothing about the distance to that boundary and the
-    trial height is the midpoint; once both reach r_max it is an Illinois
-    step (Dowell & Jarratt, BIT 11, 1971: regula falsi that halves the end
-    value of an end kept twice in a row), or the midpoint if that step does
-    not land strictly inside the bracket.  The search stops once the
+    non-crossing shot, seeded at the predicted peak of the tower; the
+    separatrix is the height whose shot first crosses zero exactly at
+    r_max.  The linear far field u = A + B r^{-m}, m = N - 2, through the
+    shot's last step (r_e, u_e, u'_e) has its zero at r_*, with
+    r_*^{-m} = r_e^{-m} + m u_e/(r_e^{m+1} u'_e).  The functional is
+    g = +-|r_*^{-m} - r_max^{-m}|, + on crossing shots and - on the others
+    (magnitude 1 where the denominator is zero or not finite): on a crossing
+    shot r_* is its crossing radius, so g -> 0 where that radius reaches
+    r_max, and the sign makes every bracket a crossing/non-crossing pair.
+    The search is Brent's method on g (Brent, Algorithms for Minimization
+    without Derivatives, 1973; scipy's brentq), which falls back to
+    bisection by itself where the linear far field fails (u' > 0 at r_max
+    on a non-crossing end).  It shoots each height once and stops once the
     bracket is at most SEPARATRIX_RTOL * u0 wide: on 81 heights over
     +-2e-12 relative around the found u0 the classification flips 1 to 7
-    times within at most 4.5e-13 relative (9 towers, k = 1, 2, 3), so a
-    narrower bracket only picks one of these flips.  Another integrator at
-    the same tolerance puts the separatrix about 1e-10 relative away.  The
-    scan takes at most 13 shots and the search 11 to 19 on the checked towers
-    (k = 1, 2, 3).  The returned shot is the non-crossing bracket end
-    itself, with the interpolant that compare() reads attached; every
-    search shot is a call to shoot() with dense_output=False, whose steps
-    do not depend on it.
+    times within at most 4.5e-13 relative (9 towers, k = 1, 2, 3,
+    eps >= 1e-2), so a narrower bracket only picks one of these flips; at
+    eps = 1e-3 the flips spread over 4e-12 (k = 1) and 1.3e-11 (k = 2)
+    relative.  Another integrator at the same tolerance puts the separatrix
+    about 1e-10 relative away.  The scan takes at most 13 shots and the
+    search 5 to 7 on the checked towers (k = 1, 2, 3, eps >= 1e-2).  The
+    returned shot is the non-crossing end of Brent's final bracket, with
+    the interpolant that compare() reads attached; every search shot is a
+    call to shoot() with dense_output=False, whose steps do not depend on
+    it.  A search that spends SEARCH_MAXITER steps raises ConvergenceError
+    with its last crossing and non-crossing shots as state.
 
     Flat regime: backward bisection on the far-field decay coefficient (see
-    module docstring) until the bracket ends are adjacent floats, then one
-    more dense shot at the kept coefficient, which _flat_overshoot samples.
+    module docstring) until the bracket ends are adjacent floats; the kept
+    solution is that of the end the final midpoint rounds to, whose dense
+    output _flat_overshoot samples.
+
     Raises ConvergenceError with the scan report when no behaviour change
     brackets a solution.
     """
@@ -263,13 +297,9 @@ def find_tower(params: ModelParams, guess: TowerConfig,
         u0_pred = gamma * float(np.sum(np.exp(guess.xi)))
         lo, hi = bracket[0] * u0_pred, bracket[1] * u0_pred
         heights = np.linspace(lo, hi, SCAN_POINTS)
-        shots, labels = [], []
-        for u in heights:       # in order, up to the first change of label
-            shots.append(shoot(u, params, dense_output=False))
-            labels.append(shots[-1].classification is Classification.CROSSING)
-            if labels[-1] != labels[0]:
-                break
-        else:
+        shots, labels = _scan(heights, lambda u: shoot(u, params, dense_output=False),
+                              _crossed)
+        if labels[-1] == labels[0]:
             raise ConvergenceError(
                 "no crossing/non-crossing change in the bracket; scan: "
                 + ", ".join(f"{u:.4g}:{s.classification.value}"
@@ -285,37 +315,75 @@ def find_tower(params: ModelParams, guess: TowerConfig,
 
 def _search_separatrix(params: ModelParams, crossing: ShotProfile,
                        staying: ShotProfile) -> ShotProfile:
-    """Narrow a crossing/non-crossing pair of shots to SEPARATRIX_RTOL on
-    their end values (see find_tower); returns the non-crossing end."""
-    r_end = _default_r_max(params)
-    g_c, g_s = crossing.u[-1], staying.u[-1]
-    last_crossed = None
-    while abs(staying.u0 - crossing.u0) > SEPARATRIX_RTOL * staying.u0:
-        a, b = crossing.u0, staying.u0
-        trial = 0.5 * (a + b)
-        if crossing.r[-1] == r_end and staying.r[-1] == r_end:
-            illinois = (a * g_s - b * g_c) / (g_s - g_c)
-            if min(a, b) < illinois < max(a, b):
-                trial = illinois
-        shot = shoot(trial, params, dense_output=False)
-        crossed = shot.classification is Classification.CROSSING
-        if crossed:
-            crossing, g_c = shot, shot.u[-1]
-            if last_crossed:                # the non-crossing end kept twice
-                g_s *= 0.5
-        else:
-            staying, g_s = shot, shot.u[-1]
-            if last_crossed is False:       # the crossing end kept twice
-                g_c *= 0.5
-        last_crossed = crossed
+    """Narrow a crossing/non-crossing pair of shots to SEPARATRIX_RTOL by
+    Brent's method on _crossing_gap (see find_tower); returns the
+    non-crossing end."""
+    r_max_m = _default_r_max(params) ** -(params.n_dim - 2.0)
+    shots = {crossing.u0: crossing, staying.u0: staying}
+
+    def gap(u0):
+        if u0 not in shots:
+            shots[u0] = shoot(u0, params, dense_output=False)
+        return _crossing_gap(shots[u0], r_max_m)
+
+    top = max(crossing.u0, staying.u0)
+    tol = SEPARATRIX_RTOL * top
+    try:
+        brentq(gap, crossing.u0, staying.u0, xtol=tol - BRENT_RTOL * top,
+               rtol=BRENT_RTOL, maxiter=SEARCH_MAXITER)
+    except RuntimeError as exc:
+        raise ConvergenceError(f"separatrix search failed: {exc}",
+                               state=_last_pair(shots)) from exc
+    crossing, staying = _last_pair(shots)
+    if abs(staying.u0 - crossing.u0) > tol:
+        raise ConvergenceError(
+            f"separatrix search stopped at a bracket of "
+            f"{abs(staying.u0 - crossing.u0) / top:.3g} relative width",
+            state=(crossing, staying))
     return staying
 
 
-def _first_change(labels) -> Optional[int]:
-    for i in range(len(labels) - 1):
-        if labels[i] != labels[i + 1]:
-            return i
-    return None
+def _crossed(shot: ShotProfile) -> bool:
+    return shot.classification is Classification.CROSSING
+
+
+def _last_pair(shots) -> Tuple[ShotProfile, ShotProfile]:
+    """The latest crossing and non-crossing shots of an insertion-ordered
+    dict: Brent's bracket is always its last trial and the latest trial of
+    the other sign."""
+    latest = list(shots.values())[::-1]
+    return (next(s for s in latest if _crossed(s)),
+            next(s for s in latest if not _crossed(s)))
+
+
+def _crossing_gap(shot: ShotProfile, r_max_m: float) -> float:
+    """Signed distance of the far-field zero r_* from r_max, in r^{-m}.
+
+    The linear far field u = A + B r^{-m} (m = N - 2) through the last
+    recorded step reaches zero at r_*^{-m} = r_e^{-m} + m u_e/(r_e^{m+1} u'_e).
+    The magnitude is |r_*^{-m} - r_max^{-m}|, or 1 where that formula has a
+    zero or non-finite denominator; the sign is + on crossing shots and - on
+    the others.
+    """
+    m = shot.params.n_dim - 2.0
+    r_e, u_e, du_e = float(shot.r[-1]), float(shot.u[-1]), float(shot.du[-1])
+    denom = r_e ** (m + 1.0) * du_e
+    gap = 1.0
+    if denom != 0.0 and math.isfinite(denom):
+        gap = abs(r_e ** -m + m * u_e / denom - r_max_m)
+    return gap if _crossed(shot) else -gap
+
+
+def _scan(values, shot_at: Callable, label: Callable):
+    """Shots at values, in order, up to the first whose label differs from
+    the first shot's; returns the shots and their labels."""
+    shots, labels = [], []
+    for v in values:
+        shots.append(shot_at(v))
+        labels.append(label(shots[-1]))
+        if labels[-1] != labels[0]:
+            break
+    return shots, labels
 
 
 def _flat_rhs(params: ModelParams):
@@ -370,22 +438,22 @@ def _find_tower_flat(params, guess, bracket):
     c_pred = gamma * math.exp(xik)      # v ~ c e^{-x} beyond the last spike
     x_hi, x_lo = xik + 10.0, xi1 - 25.0
     cs = np.geomspace(bracket[0] * c_pred, bracket[1] * c_pred, SCAN_POINTS)
-    sols = [_shoot_flat_backward(c, params, x_hi, x_lo) for c in cs]
-    labels = [_flat_overshoot(s) for s in sols]
-    pair = _first_change(labels)
-    if pair is None:
+    sols, labels = _scan(cs, lambda c: _shoot_flat_backward(c, params, x_hi, x_lo),
+                         _flat_overshoot)
+    if labels[-1] == labels[0]:
         raise ConvergenceError(
             "no overshoot/undershoot change in the far-field bracket; scan: "
             + ", ".join(f"{c:.4g}:{'over' if l else 'under'}"
                         for c, l in zip(cs, labels)))
-    a, b = cs[pair], cs[pair + 1]
-    a_label = labels[pair]
+    a, b = cs[len(sols) - 2], cs[len(sols) - 1]
+    (sol_a, sol_b), a_label = sols[-2:], labels[-2]
     while (mid := 0.5 * (a + b)) not in (a, b):
-        if _flat_overshoot(_shoot_flat_backward(mid, params, x_hi, x_lo)) == a_label:
-            a = mid
+        sol = _shoot_flat_backward(mid, params, x_hi, x_lo)
+        if _flat_overshoot(sol) == a_label:
+            a, sol_a = mid, sol
         else:
-            b = mid
-    sol = _shoot_flat_backward(0.5 * (a + b), params, x_hi, x_lo)
+            b, sol_b = mid, sol
+    sol = sol_a if mid == a else sol_b
     # trust the trajectory down to its deepest decayed point
     x_end = max(sol.t[-1], x_lo)
     xs = np.linspace(x_end, x_hi, 6000)

@@ -27,7 +27,7 @@ def test_shooting_reproduces_bubble_family(lam):
 
 @pytest.mark.parametrize("u0,expected", [
     (30.0, Classification.CROSSING),
-    # 4.6e-11 relative above find_tower's height 35.20186489065644
+    # 4.6e-11 relative above find_tower's height 35.201864890657696
     (35.201864892277335, Classification.DECAYING),
     (1e-2, Classification.BLOWING),
 ])
@@ -76,6 +76,20 @@ def test_kept_shot_interpolant_reproduces_the_steps(kept_const_shot):
     _, _, found = kept_const_shot
     np.testing.assert_allclose(found.interpolant(found.r), found.u,
                                rtol=1e-14, atol=0.0)
+
+
+def test_kept_shot_interpolant_matches_from_derivatives(kept_const_shot):
+    # the closed-form Bernstein coefficients against scipy's construction
+    # from the same derivative data
+    from scipy.interpolate import BPoly
+    params, _, found = kept_const_shot
+    p, q, n1 = params.p, params.q, params.n_dim - 1.0
+    r, u, du = found.r, found.u, found.du
+    d2u = -n1 / r * du - u ** p - u ** q                     # V = -1, u > 0
+    d3u = n1 * (du / r - d2u) / r + (-p * u ** (p - 1.0) - q * u ** (q - 1.0)) * du
+    ref = BPoly.from_derivatives(r, np.column_stack([u, du, d2u, d3u]))
+    x = np.geomspace(r[0], r[-1], 20_001)
+    np.testing.assert_allclose(found.interpolant(x), ref(x), rtol=1e-13, atol=0.0)
 
 
 def test_kept_shot_interpolant_matches_dense_reference(kept_const_shot):
@@ -170,16 +184,11 @@ def test_bisection_shoots_no_height_twice(q, shooter, c4, c7, monkeypatch):
     params = make_params(q=q, eps=5e-2, k=1)
     found = find_tower(params, predicted_tower(params, c4 if q == 4.0 else c7))
     assert found.classification is Classification.DECAYING
+    # the kept shot is one of the search's own, not a repeat
+    assert len(set(heights)) == len(heights)
     if q == 4.0:
-        # the returned shot is the search's own non-crossing end, not a
-        # repeat; the scan and the Illinois steps take at most 40 shots
-        assert len(set(heights)) == len(heights) <= 40
-        assert found.u0 in heights
-    else:
-        # the flat bisection stops once the bracket ends are adjacent
-        # floats; only the final shot, which keeps the trajectory, repeats
-        assert len(set(heights[:-1])) == len(heights) - 1
-        assert heights[-1] in heights[:-1]
+        # the scan and Brent's steps take 13 shots
+        assert len(heights) <= 20 and found.u0 in heights
 
 
 def _bisected_separatrix(params, guess):
@@ -202,18 +211,33 @@ def _bisected_separatrix(params, guess):
     return shoot(b if a_crossing else a, params)
 
 
-@pytest.mark.parametrize("potential,eps", [
-    (PotentialSpec.constant(-1.0), 5e-2),
-    (PotentialSpec.rational(-2.0, 1.0), 2e-2),
-])
-def test_search_stays_on_the_bisected_separatrix(potential, eps, c4):
-    params = ModelParams.make(3, 4.0, eps, k=1, potential=potential)
+@pytest.mark.parametrize("potential,eps,k", [
+    (PotentialSpec.constant(-1.0), 5e-2, 1),
+    (PotentialSpec.rational(-2.0, 1.0), 2e-2, 1),
+    (PotentialSpec.constant(-1.0), 3e-2, 2),
+    (PotentialSpec.constant(-1.0), 1e-2, 3),
+    # the non-crossing bracket end has u' > 0 at r_max
+    (PotentialSpec.rational(-1.0, 2.0), 5e-2, 1),
+], ids=["potential0-0.05", "potential1-0.02", "k2-0.03", "k3-0.01", "rational-1,2-0.05"])
+def test_search_stays_on_the_bisected_separatrix(potential, eps, k, c4):
+    params = ModelParams.make(3, 4.0, eps, k=k, potential=potential)
     tower = predicted_tower(params, c4)
     found = find_tower(params, tower)
     ref = _bisected_separatrix(params, tower)
     assert abs(found.u0 / ref.u0 - 1.0) <= 1e-12
     assert found.classification is ref.classification is Classification.DECAYING
-    assert found.peak_count_ef == ref.peak_count_ef == 1
+    assert found.peak_count_ef == ref.peak_count_ef == k
+
+
+def test_search_budget_raises_convergence_error(c4, monkeypatch):
+    import bubbletower.verifier as verifier_module
+    monkeypatch.setattr(verifier_module, "SEARCH_MAXITER", 2)
+    params = make_params(eps=5e-2, k=1)
+    with pytest.raises(ConvergenceError, match="separatrix search") as info:
+        find_tower(params, predicted_tower(params, c4))
+    crossing, staying = info.value.state
+    assert crossing.classification is Classification.CROSSING
+    assert staying.classification is Classification.DECAYING
 
 
 @pytest.mark.parametrize("potential", [PotentialSpec.constant(-1.0),
