@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""End-to-end run in the concentrating regime: reduction, assembly, shooting.
+"""End-to-end run: reduction, assembly, shooting.
 
 Solves the reduced problem at the requested epsilon, assembles the radial
 solution, locates the same solution independently by shooting, and prints
-the agreement metrics.
+the agreement metrics.  The regime follows from q: below p* = 5 (N = 3)
+the tower concentrates and the shots run outward, above it the tower is
+flat and the shots run backward from the far field (--q 7).
 """
 
 import argparse

@@ -9,19 +9,18 @@ linear far field through the shot's last step, signed by the
 classification, so that it vanishes where the crossing radius reaches r_max.
 The flat regime has no reachable forward dichotomy (deviations separate
 only at radii exp(1/eps)), so there the shooter integrates the transformed
-equation backward from the far field, bisecting on the decay coefficient
-between undershoot (monotone dive to zero) and overshoot (a second hump)
-behaviours.
+equation backward from the far field, and the same search bisects on the
+decay coefficient between undershoot (a dive through zero, CROSSING) and
+overshoot (a second hump or a blow-up, BLOWING).
 
-Shooting dominates the cost of a verification.  The outward shots run on
-the compiled DOP853 behind ``scipy.integrate.ode``: the same 8(5,3) method
-as solve_ivp's, without Python code per step besides the right-hand side and
-a step callback that records the trajectory and stops a crossing or blowing
-shot.  Only the kept shot of a search builds a dense interpolant (septic
-Hermite on its steps, with closed-form Bernstein coefficients).  Both
-right-hand sides are scalar code (``math`` and ``PotentialSpec.at``), the
-outward one on Python floats.  The flat backward shots stay on solve_ivp,
-whose dense output _flat_overshoot samples.
+Shooting dominates the cost of a verification.  Every shot runs on the
+compiled DOP853 behind ``scipy.integrate.ode``: the same 8(5,3) method as
+solve_ivp's, without Python code per step besides the right-hand side and a
+step callback that records the trajectory and stops a shot that crosses
+zero or blows up.  Only the kept shot of a search builds a dense
+interpolant (septic Hermite on its steps, with closed-form Bernstein
+coefficients).  Both right-hand sides are scalar code on Python floats
+(``math`` and ``PotentialSpec.at``).
 """
 
 from __future__ import annotations
@@ -33,6 +32,8 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
+# solve_ivp is not called here; perfbench/spans.py and its self-test wrap
+# verifier.solve_ivp
 from scipy.integrate import ode, solve_ivp
 from scipy.interpolate import BPoly
 from scipy.optimize import brentq
@@ -56,10 +57,13 @@ SCAN_POINTS = 13
 # find_tower's outward search stops at this bracket width relative to u0;
 # the classification chatters within about 5e-13 relative of the separatrix
 SEPARATRIX_RTOL = 1e-12
-# brentq's iteration budget for that search; the checked ones take at most 12
+# brentq's iteration budget; the concentrating searches take at most 12
+# steps, the flat bisection about 47
 SEARCH_MAXITER = 100
 # brentq's relative tolerance, its smallest allowed value
 BRENT_RTOL = 4.0 * np.finfo(float).eps
+# the flat search's bracket width relative to c: a few ulps
+FLAT_RTOL = 2.0 * BRENT_RTOL
 # step budget of one shot; the checked shots take a few hundred steps
 MAX_STEPS = 100_000
 
@@ -72,7 +76,12 @@ class Classification(enum.Enum):
 
 @dataclass
 class ShotProfile:
-    """One integrated trajectory of the radial equation."""
+    """One integrated trajectory of the radial equation.
+
+    u0 is the shot's search value: the initial height of an outward shot,
+    the decay coefficient c of a flat backward shot (find_tower replaces it
+    by the height of the flat shot it keeps).
+    """
 
     u0: float
     r: np.ndarray
@@ -85,15 +94,9 @@ class ShotProfile:
 
     def ef_image(self, x) -> np.ndarray:
         """v(x) = r^{(N-2)/2} u(r) evaluated through the dense interpolant."""
-        x = np.asarray(x, dtype=float)
         m = (self.params.n_dim - 2) / 2.0
-        s = self.params.ef_sign
-        r = np.exp(-s * x / m)
-        if self.interpolant is None:
-            u = np.interp(r, self.r, self.u)
-        else:
-            u = np.atleast_2d(self.interpolant(r))[0]
-        return r ** m * u
+        r = np.exp(-self.params.ef_sign * np.asarray(x, dtype=float) / m)
+        return r ** m * np.atleast_2d(self.interpolant(r))[0]
 
 
 def _count_peaks(values: np.ndarray, floor_frac: float = 0.05) -> int:
@@ -105,6 +108,32 @@ def _count_peaks(values: np.ndarray, floor_frac: float = 0.05) -> int:
     return int(np.count_nonzero(interior))
 
 
+def _integrate(rhs, t0: float, y0, t_end: float, ceiling: float,
+               rtol: float, atol: float):
+    """Run scipy's compiled DOP853 on (y, y')' = rhs from t0 toward t_end.
+
+    The step callback (SOLOUT in Hairer, Norsett & Wanner) records every
+    accepted step and stops the integration once y < 0 or y > ceiling.
+    Returns the steps' t, y, y' as arrays and DOP853's return code: 1 at
+    t_end, 2 at a stop, negative where the integration failed.
+    """
+    steps = []
+
+    def record(t, z):
+        y, dy = z.tolist()
+        steps.append((t, y, dy))
+        return -1 if y < 0.0 or y > ceiling else 0
+
+    solver = ode(rhs).set_integrator("dop853", rtol=rtol, atol=atol, nsteps=MAX_STEPS)
+    solver.set_solout(record)
+    solver.set_initial_value(y0, t0)
+    with warnings.catch_warnings():     # callers read the return code instead
+        warnings.simplefilter("ignore", UserWarning)
+        solver.integrate(t_end)
+    t, y, dy = (np.array(c) for c in zip(*steps))
+    return t, y, dy, solver.get_return_code()
+
+
 def shoot(u0: float, params: ModelParams, r_max: Optional[float] = None,
           rtol: float = 1e-10, dense_output: bool = True) -> ShotProfile:
     """Integrate the radial equation outward from a series start at r0.
@@ -112,50 +141,35 @@ def shoot(u0: float, params: ModelParams, r_max: Optional[float] = None,
     u(r) = u0 - [u0^p - V(0) u0^q] r^2/(2N) + O(r^4) with p = params.p
     seeds the integration through the regular singular point.  The start
     r0 = min(1e-6, 1e-3 u0^{-(p-1)/2}) lies well inside the spike core,
-    whose radius is u0^{-(p-1)/2}, however tall the tower.  The compiled
-    DOP853 of Hairer, Norsett & Wanner (scipy's ``ode``) runs to r_max
-    (default 50/sqrt(eps)); a callback records every accepted step and stops
-    the shot once u < 0 (CROSSING) or u > 10 u0 (BLOWING).  A shot that
-    reaches r_max is classified from its tail.  An integration that fails
-    (step budget spent, step size underflow) raises ConvergenceError with
-    the solver's return code and the last accepted step.
+    whose radius is u0^{-(p-1)/2}, however tall the tower.  _integrate runs
+    to r_max (default 50/sqrt(eps)) and stops the shot once u < 0
+    (CROSSING) or u > 10 u0 (BLOWING).  A shot that reaches r_max is
+    classified from its tail.  An integration that fails (step budget
+    spent, step size underflow) raises ConvergenceError with the solver's
+    return code and the last accepted step.
 
     With ``dense_output=True`` the profile's interpolant is the septic
     Hermite interpolant of u on the recorded steps: it matches u and u'
     there, and u'' and u''' taken from the equation (u''' needs V', the
-    potential's ``slope``).  With ``dense_output=False`` there is none
-    (ef_image then interpolates linearly between the steps); find_tower's
-    search shots, which read only the classification, skip it.  The steps,
-    and so r, u, du and the classification, do not depend on it.
+    potential's ``slope``).  With ``dense_output=False`` there is none, so
+    ef_image cannot be read; find_tower's search shots, which read only the
+    classification, skip it.  The steps, and so r, u, du and the
+    classification, do not depend on it.
     """
     if u0 <= 0.0:
         raise ValueError("initial height must be positive")
     p = params.p
-    pot = params.potential.at
     if r_max is None:
         r_max = _default_r_max(params)
     r0 = min(1e-6, 1e-3 * u0 ** (-0.5 * (p - 1.0)))
-    curv = (u0 ** p - pot(0.0) * u0 ** params.q) / (2.0 * params.n_dim)
-    steps = []
-    u_blow = 10.0 * u0
-
-    def record(r, y):
-        u, du = y.tolist()
-        steps.append((r, u, du))
-        return -1 if u < 0.0 or u > u_blow else 0
-
-    solver = ode(_radial_rhs(params)).set_integrator(
-        "dop853", rtol=rtol, atol=1e-14 * u0, nsteps=MAX_STEPS)
-    solver.set_solout(record)
-    solver.set_initial_value([u0 - curv * r0 * r0, -2.0 * curv * r0], r0)
-    with warnings.catch_warnings():     # the failure is raised below instead
-        warnings.simplefilter("ignore", UserWarning)
-        solver.integrate(r_max)
-    if not solver.successful():
+    curv = (u0 ** p - params.potential.at(0.0) * u0 ** params.q) / (2.0 * params.n_dim)
+    r, u, du, code = _integrate(_radial_rhs(params), r0,
+                                [u0 - curv * r0 * r0, -2.0 * curv * r0], r_max,
+                                10.0 * u0, rtol, 1e-14 * u0)
+    if code < 0:
         raise ConvergenceError(
-            f"radial integration failed at r = {steps[-1][0]:.6g} "
-            f"(DOP853 return code {solver.get_return_code()})", state=steps[-1])
-    r, u, du = (np.array(c) for c in zip(*steps))
+            f"radial integration failed at r = {r[-1]:.6g} "
+            f"(DOP853 return code {code})", state=(r[-1], u[-1], du[-1]))
     shot = ShotProfile(u0, r, u, du, _classify_endpoint(u, du),
                        _ef_peaks(r, u, params), params)
     if dense_output:
@@ -254,7 +268,13 @@ def find_tower(params: ModelParams, guess: TowerConfig,
 
     Both regimes scan up to SCAN_POINTS values across a +-50% bracket
     around the prediction, in order, stop at the first pair whose
-    behaviour differs and search between them.
+    behaviour differs, and search between them by Brent's method on a
+    functional g that is + on crossing shots and - on the others (Brent,
+    Algorithms for Minimization without Derivatives, 1973; scipy's brentq).
+    The search shoots each value once.  The kept shot gets the interpolant
+    that compare() reads; no search shot builds one.  A search that spends
+    SEARCH_MAXITER steps raises ConvergenceError with its last crossing and
+    non-crossing shots as state.
 
     Concentrating regime: the initial height u0 between a crossing and a
     non-crossing shot, seeded at the predicted peak of the tower; the
@@ -262,74 +282,81 @@ def find_tower(params: ModelParams, guess: TowerConfig,
     r_max.  The linear far field u = A + B r^{-m}, m = N - 2, through the
     shot's last step (r_e, u_e, u'_e) has its zero at r_*, with
     r_*^{-m} = r_e^{-m} + m u_e/(r_e^{m+1} u'_e).  The functional is
-    g = +-|r_*^{-m} - r_max^{-m}|, + on crossing shots and - on the others
-    (magnitude 1 where the denominator is zero or not finite): on a crossing
-    shot r_* is its crossing radius, so g -> 0 where that radius reaches
-    r_max, and the sign makes every bracket a crossing/non-crossing pair.
-    The search is Brent's method on g (Brent, Algorithms for Minimization
-    without Derivatives, 1973; scipy's brentq), which falls back to
-    bisection by itself where the linear far field fails (u' > 0 at r_max
-    on a non-crossing end).  It shoots each height once and stops once the
-    bracket is at most SEPARATRIX_RTOL * u0 wide: on 81 heights over
-    +-2e-12 relative around the found u0 the classification flips 1 to 7
-    times within at most 4.5e-13 relative (9 towers, k = 1, 2, 3,
-    eps >= 1e-2), so a narrower bracket only picks one of these flips; at
-    eps = 1e-3 the flips spread over 4e-12 (k = 1) and 1.3e-11 (k = 2)
-    relative.  Another integrator at the same tolerance puts the separatrix
-    about 1e-10 relative away.  The scan takes at most 13 shots and the
-    search 5 to 7 on the checked towers (k = 1, 2, 3, eps >= 1e-2).  The
-    returned shot is the non-crossing end of Brent's final bracket, with
-    the interpolant that compare() reads attached; every search shot is a
-    call to shoot() with dense_output=False, whose steps do not depend on
-    it.  A search that spends SEARCH_MAXITER steps raises ConvergenceError
-    with its last crossing and non-crossing shots as state.
+    g = +-|r_*^{-m} - r_max^{-m}| (magnitude 1 where the denominator is
+    zero or not finite): on a crossing shot r_* is its crossing radius, so
+    g -> 0 where that radius reaches r_max, and the sign makes every
+    bracket a crossing/non-crossing pair.  brentq falls back to bisection
+    by itself where the linear far field fails (u' > 0 at r_max on a
+    non-crossing end).  The search stops once the bracket is at most
+    SEPARATRIX_RTOL * u0 wide: on 81 heights over +-2e-12 relative around
+    the found u0 the classification flips 1 to 7 times within at most
+    4.5e-13 relative (9 towers, k = 1, 2, 3, eps >= 1e-2), so a narrower
+    bracket only picks one of these flips; at eps = 1e-3 the flips spread
+    over 4e-12 (k = 1) and 1.3e-11 (k = 2) relative.  Another integrator at
+    the same tolerance puts the separatrix about 1e-10 relative away.  The
+    scan takes at most 13 shots and the search 5 to 7 on the checked towers
+    (k = 1, 2, 3, eps >= 1e-2).  The returned shot is the non-crossing end
+    of the final bracket.
 
-    Flat regime: backward bisection on the far-field decay coefficient (see
-    module docstring) until the bracket ends are adjacent floats; the kept
-    solution is that of the end the final midpoint rounds to, whose dense
-    output _flat_overshoot samples.
+    Flat regime: the value is the decay coefficient c of v ~ c e^{-x}
+    beyond the last spike, scanned geometrically around gamma e^{xi_k};
+    each shot runs backward from xi_k + 10 to xi_1 - 25
+    (_shoot_flat_backward).  Its g is +-1, so brentq bisects, down to a
+    bracket of FLAT_RTOL * c (a few ulps, about 47 steps).  The returned
+    shot is the undershoot end of the final bracket, which follows the
+    decaying solution far below xi_1 before it dives through zero.  It is
+    DECAYING when it reaches xi_1 - 6, where u0 is read (u is flat there).
 
     Raises ConvergenceError with the scan report when no behaviour change
     brackets a solution.
     """
-    gamma = params.gamma
+    xi1, xik = float(guess.xi[0]), float(guess.xi[-1])
     if params.regime is Regime.SUB_Q:
-        u0_pred = gamma * float(np.sum(np.exp(guess.xi)))
-        lo, hi = bracket[0] * u0_pred, bracket[1] * u0_pred
-        heights = np.linspace(lo, hi, SCAN_POINTS)
-        shots, labels = _scan(heights, lambda u: shoot(u, params, dense_output=False),
-                              _crossed)
-        if labels[-1] == labels[0]:
-            raise ConvergenceError(
-                "no crossing/non-crossing change in the bracket; scan: "
-                + ", ".join(f"{u:.4g}:{s.classification.value}"
-                            for u, s in zip(heights, shots)))
-        crossing, staying = shots[-2], shots[-1]
-        if labels[-1]:
-            crossing, staying = staying, crossing
-        staying = _search_separatrix(params, crossing, staying)
+        u0_pred = params.gamma * float(np.sum(np.exp(guess.xi)))
+        values = np.linspace(bracket[0] * u0_pred, bracket[1] * u0_pred, SCAN_POINTS)
+        r_max_m = _default_r_max(params) ** -(params.n_dim - 2.0)
+        shoot_at = lambda u0: shoot(u0, params, dense_output=False)
+        gap, rtol = (lambda shot: _crossing_gap(shot, r_max_m)), SEPARATRIX_RTOL
+    else:
+        c_pred = params.gamma * math.exp(xik)
+        values = np.geomspace(bracket[0] * c_pred, bracket[1] * c_pred, SCAN_POINTS)
+        shoot_at = lambda c: _shoot_flat_backward(c, params, xik + 10.0, xi1 - 25.0)
+        gap, rtol = (lambda shot: 1.0 if _crossed(shot) else -1.0), FLAT_RTOL
+    shots, labels = _scan(values, shoot_at, _crossed)
+    if labels[-1] == labels[0]:
+        raise ConvergenceError(
+            "no crossing/non-crossing change in the bracket; scan: "
+            + ", ".join(f"{s.u0:.4g}:{s.classification.value}" for s in shots))
+    pair = shots[-2:] if labels[-2] else shots[:-3:-1]
+    crossing, staying = _search_separatrix(shoot_at, gap, *pair, rtol)
+    if params.regime is Regime.SUB_Q:
         staying.interpolant = _septic_hermite(staying)
         return staying
-    return _find_tower_flat(params, guess, bracket)
+    crossing.interpolant = _septic_hermite(crossing)
+    r_read = math.exp((xi1 - 6.0) / ((params.n_dim - 2) / 2.0))
+    if crossing.r[0] <= r_read:
+        crossing.classification = Classification.DECAYING
+    crossing.u0 = float(crossing.interpolant(max(r_read, crossing.r[0])))
+    return crossing
 
 
-def _search_separatrix(params: ModelParams, crossing: ShotProfile,
-                       staying: ShotProfile) -> ShotProfile:
-    """Narrow a crossing/non-crossing pair of shots to SEPARATRIX_RTOL by
-    Brent's method on _crossing_gap (see find_tower); returns the
-    non-crossing end."""
-    r_max_m = _default_r_max(params) ** -(params.n_dim - 2.0)
+def _search_separatrix(shoot_at: Callable, gap: Callable, crossing: ShotProfile,
+                       staying: ShotProfile, rtol: float):
+    """Narrow a crossing/non-crossing pair of shots by Brent's method on
+    gap(shot) (see find_tower) until the bracket is at most rtol times its
+    larger end wide; shoot_at(value) makes a search shot.  Returns the final
+    crossing and non-crossing shots."""
     shots = {crossing.u0: crossing, staying.u0: staying}
 
-    def gap(u0):
+    def g(u0):
         if u0 not in shots:
-            shots[u0] = shoot(u0, params, dense_output=False)
-        return _crossing_gap(shots[u0], r_max_m)
+            shots[u0] = shoot_at(u0)
+        return gap(shots[u0])
 
     top = max(crossing.u0, staying.u0)
-    tol = SEPARATRIX_RTOL * top
+    tol = rtol * top
     try:
-        brentq(gap, crossing.u0, staying.u0, xtol=tol - BRENT_RTOL * top,
+        brentq(g, crossing.u0, staying.u0, xtol=tol - BRENT_RTOL * top,
                rtol=BRENT_RTOL, maxiter=SEARCH_MAXITER)
     except RuntimeError as exc:
         raise ConvergenceError(f"separatrix search failed: {exc}",
@@ -340,7 +367,7 @@ def _search_separatrix(params: ModelParams, crossing: ShotProfile,
             f"separatrix search stopped at a bracket of "
             f"{abs(staying.u0 - crossing.u0) / top:.3g} relative width",
             state=(crossing, staying))
-    return staying
+    return crossing, staying
 
 
 def _crossed(shot: ShotProfile) -> bool:
@@ -387,86 +414,61 @@ def _scan(values, shot_at: Callable, label: Callable):
 
 
 def _flat_rhs(params: ModelParams):
-    """Right-hand side of the flat-regime transformed equation."""
-    beta = params.beta
-    p = params.p
-    q = params.q
-    eps = params.epsilon
+    """Right-hand side (v, v')' of the flat-regime transformed equation,
+    v'' = v - beta (e^{eps x} v^p - V(r) e^{-(q-p*) x} v^q), r = e^{x/m},
+    with v clipped at 0; on Python floats, with _radial_rhs's fallback to
+    np.float64 where ``**`` overflows."""
+    beta, p, q, eps = params.beta, params.p, params.q, params.epsilon
     gap = params.q - params.p_star
     m = (params.n_dim - 2) / 2.0
     pot = params.potential.at
 
     def rhs(x, y):
-        v, dv = y
+        v, dv = y.tolist()
         vv = max(v, 0.0)
-        r = math.exp(min(x / m, 700.0))
-        omega = pot(r)
-        return dv, v - beta * (math.exp(eps * x) * vv ** p
-                               - omega * math.exp(-gap * x) * vv ** q)
+        w_p = math.exp(eps * x)
+        w_q = pot(math.exp(min(x / m, 700.0))) * math.exp(-gap * x)
+        try:
+            f = w_p * vv ** p - w_q * vv ** q
+        except OverflowError:
+            vv = np.float64(vv)
+            with np.errstate(over="ignore", invalid="ignore"):
+                f = w_p * vv ** p - w_q * vv ** q
+        return dv, v - beta * f
 
     return rhs
 
 
-def _shoot_flat_backward(c: float, params: ModelParams, x_hi: float, x_lo: float):
-    rhs = _flat_rhs(params)
-    v0 = c * math.exp(-x_hi)
-    ev_cross = lambda x, y: y[0]
-    ev_cross.terminal = True
-    sol = solve_ivp(rhs, (x_hi, x_lo), [v0, -v0], method="DOP853",
-                    rtol=1e-12, atol=1e-20, events=[ev_cross],
-                    dense_output=True)
-    return sol
+def _shoot_flat_backward(c: float, params: ModelParams, x_hi: float,
+                         x_lo: float) -> ShotProfile:
+    """Integrate the transformed equation backward from v = c e^{-x} at x_hi.
 
-
-def _flat_overshoot(sol) -> bool:
-    """True when v rises again (second hump) after diving below half peak."""
-    xs = np.linspace(sol.t[0], sol.t[-1], 4000)
-    vs = sol.sol(xs)[0]
-    i_peak = int(np.argmax(vs))
-    running_min = vs[i_peak]
-    for j in range(i_peak, xs.size):
-        running_min = min(running_min, vs[j])
-        if vs[j] > 1.5 * running_min + 1e-12 and running_min < 0.5 * vs[i_peak]:
-            return True
-    return False
-
-
-def _find_tower_flat(params, guess, bracket):
-    gamma = params.gamma
+    The shot stops where v < 0 or v > 10 gamma, else at x_lo.  It is an
+    overshoot (BLOWING) when it stops above zero before x_lo (a blow-up, or
+    a DOP853 failure on the way to one) or shows a second hump; otherwise
+    an undershoot (CROSSING).  The profile holds the steps, in increasing
+    r = e^{x/m}, as u = e^{-x} v and u' = (m/r) e^{-x} (v' - v), with v
+    clipped at 0; its u0 is c.
+    """
     m = (params.n_dim - 2) / 2.0
-    xi1, xik = float(guess.xi[0]), float(guess.xi[-1])
-    c_pred = gamma * math.exp(xik)      # v ~ c e^{-x} beyond the last spike
-    x_hi, x_lo = xik + 10.0, xi1 - 25.0
-    cs = np.geomspace(bracket[0] * c_pred, bracket[1] * c_pred, SCAN_POINTS)
-    sols, labels = _scan(cs, lambda c: _shoot_flat_backward(c, params, x_hi, x_lo),
-                         _flat_overshoot)
-    if labels[-1] == labels[0]:
-        raise ConvergenceError(
-            "no overshoot/undershoot change in the far-field bracket; scan: "
-            + ", ".join(f"{c:.4g}:{'over' if l else 'under'}"
-                        for c, l in zip(cs, labels)))
-    a, b = cs[len(sols) - 2], cs[len(sols) - 1]
-    (sol_a, sol_b), a_label = sols[-2:], labels[-2]
-    while (mid := 0.5 * (a + b)) not in (a, b):
-        sol = _shoot_flat_backward(mid, params, x_hi, x_lo)
-        if _flat_overshoot(sol) == a_label:
-            a, sol_a = mid, sol
-        else:
-            b, sol_b = mid, sol
-    sol = sol_a if mid == a else sol_b
-    # trust the trajectory down to its deepest decayed point
-    x_end = max(sol.t[-1], x_lo)
-    xs = np.linspace(x_end, x_hi, 6000)
-    vs = np.maximum(sol.sol(xs)[0], 0.0)
-    rs = np.exp(xs / m)
-    u = rs ** (-m) * vs
-    du = np.gradient(u, rs)
-    i0 = int(np.argmin(np.abs(xs - (xi1 - 6.0)))) if x_end < xi1 - 6.0 else 0
-    u0 = float(vs[i0] * math.exp(-xs[i0]))     # v ~ u0 e^{x} toward the origin
-    cls = Classification.DECAYING if x_end <= xi1 - 6.0 else Classification.CROSSING
-    peaks = _count_peaks(vs)
-    profile = ShotProfile(u0, rs, u, du, cls, peaks, params)
-    return profile
+    v0 = c * math.exp(-x_hi)
+    x, v, dv, code = _integrate(_flat_rhs(params), x_hi, [v0, -v0], x_lo,
+                                10.0 * params.gamma, 1e-12, 1e-20)
+    v = np.maximum(v, 0.0)
+    over = (code != 1 and v[-1] > 0.0) or _second_hump(v)
+    x, v, dv = x[::-1], v[::-1], dv[::-1]
+    r, decay = np.exp(x / m), np.exp(-x)
+    return ShotProfile(c, r, decay * v, m / r * decay * (dv - v),
+                       Classification.BLOWING if over else Classification.CROSSING,
+                       _count_peaks(v), params)
+
+
+def _second_hump(v: np.ndarray) -> bool:
+    """True when v, after diving below half its peak, rises again above 1.5
+    times its running minimum."""
+    i_peak = int(np.argmax(v))
+    low = np.minimum.accumulate(v[i_peak:])
+    return bool(np.any((v[i_peak:] > 1.5 * low + 1e-12) & (low < 0.5 * v[i_peak])))
 
 
 @dataclass(frozen=True)

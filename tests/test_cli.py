@@ -181,9 +181,11 @@ def test_verify_pipeline_outputs(tmp_path):
 @pytest.mark.parametrize("k,eps,h,pot,max_sup", [
     # V(0) = V(inf) = -1 but a non-constant V in between
     (1, "5e-2", "0.02", "rational:-0.5,-0.5", 0.2),
-    # a two-spike flat tower; sup_rel measured 9.6e-5
+    # a two-spike flat tower; sup_rel measured 6.8e-5
     (2, "1e-2", "0.02", "const:-1", 1e-3),
-], ids=["k1-rational", "k2-const"])
+    # V(0) > 0 > V(inf): overshooting shots blow up; sup_rel measured 1.7e-5
+    (1, "5e-2", "0.01", "rational:1,-2", 1e-3),
+], ids=["k1-rational", "k2-const", "k1-v0-positive"])
 def test_verify_flat_regime(k, eps, h, pot, max_sup, tmp_path):
     run_cli(["verify", "--q", "7", "--k", str(k), "--V", pot,
              "--eps", eps, "--h", h, "--out", str(tmp_path)])

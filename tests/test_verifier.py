@@ -57,6 +57,52 @@ def test_failed_integration_raises_convergence_error():
     assert 1.0 < r_last <= 2.0 and math.isfinite(u_last)
 
 
+def test_failed_flat_shot_counts_as_overshoot(c7):
+    # V turns NaN below x = xi_1 - 2, where v is still well above zero: the
+    # backward shot fails there, and a flat shot that stops above zero
+    # before x_lo is an overshoot, not an undershoot
+    from bubbletower.verifier import _shoot_flat_backward
+    const = PotentialSpec.constant(-1.0)
+    params = make_params(q=7.0, eps=5e-2, k=1)
+    xi1 = float(predicted_tower(params, c7).xi[0])
+    r_nan = math.exp(2.0 * (xi1 - 2.0))                  # N = 3: r = e^{2x}
+    broken = PotentialSpec(const.evaluate,
+                           lambda r: math.nan if r < r_nan else -1.0,
+                           const.slope, v0=-1.0, v_inf=-1.0, bound=1.0)
+    params = ModelParams.make(3, 7.0, 5e-2, potential=broken)
+    shot = _shoot_flat_backward(params.gamma * math.exp(xi1), params,
+                                xi1 + 10.0, xi1 - 25.0)
+    assert shot.r[0] >= r_nan and shot.u[0] > 0.0
+    assert shot.classification is Classification.BLOWING
+
+
+def test_second_hump_matches_the_sample_loop():
+    # the flat overshoot rule, vectorized over a shot's steps, against the
+    # same rule as a plain loop
+    from bubbletower.verifier import _second_hump
+
+    def loop(vs):
+        i_peak = int(np.argmax(vs))
+        running_min = vs[i_peak]
+        for j in range(i_peak, vs.size):
+            running_min = min(running_min, vs[j])
+            if vs[j] > 1.5 * running_min + 1e-12 and running_min < 0.5 * vs[i_peak]:
+                return True
+        return False
+
+    # integer walks clipped at 0 hit the rule's ties; the small scales put
+    # the rises near its 1e-12 floor
+    rng = np.random.default_rng(3)
+    results = []
+    for scale in (1.0, 1e-12, 4e-13):
+        for _ in range(1000):
+            walk = np.cumsum(rng.integers(-3, 4, size=rng.integers(1, 30)))
+            v = scale * np.maximum(walk, 0).astype(float)
+            results.append(loop(v))
+            assert _second_hump(v) == results[-1]
+    assert 0 < sum(results) < len(results)
+
+
 def test_find_tower_emits_no_warning(c4):
     params = make_params(eps=5e-2, k=1)
     with warnings.catch_warnings():
@@ -72,24 +118,31 @@ def kept_const_shot(c4):
     return params, tower, find_tower(params, tower)
 
 
-def test_kept_shot_interpolant_reproduces_the_steps(kept_const_shot):
-    _, _, found = kept_const_shot
-    np.testing.assert_allclose(found.interpolant(found.r), found.u,
-                               rtol=1e-14, atol=0.0)
+@pytest.fixture(scope="module")
+def kept_flat_shot(c7):
+    params = make_params(q=7.0, eps=5e-2, k=1)
+    tower = predicted_tower(params, c7)
+    return params, tower, find_tower(params, tower)
 
 
-def test_kept_shot_interpolant_matches_from_derivatives(kept_const_shot):
+def test_kept_shot_interpolant_reproduces_the_steps(kept_const_shot, kept_flat_shot):
+    for _, _, found in (kept_const_shot, kept_flat_shot):
+        np.testing.assert_allclose(found.interpolant(found.r), found.u,
+                                   rtol=1e-14, atol=0.0)
+
+
+def test_kept_shot_interpolant_matches_from_derivatives(kept_const_shot, kept_flat_shot):
     # the closed-form Bernstein coefficients against scipy's construction
-    # from the same derivative data
+    # from the same derivative data, on both regimes' kept shots (V = -1)
     from scipy.interpolate import BPoly
-    params, _, found = kept_const_shot
-    p, q, n1 = params.p, params.q, params.n_dim - 1.0
-    r, u, du = found.r, found.u, found.du
-    d2u = -n1 / r * du - u ** p - u ** q                     # V = -1, u > 0
-    d3u = n1 * (du / r - d2u) / r + (-p * u ** (p - 1.0) - q * u ** (q - 1.0)) * du
-    ref = BPoly.from_derivatives(r, np.column_stack([u, du, d2u, d3u]))
-    x = np.geomspace(r[0], r[-1], 20_001)
-    np.testing.assert_allclose(found.interpolant(x), ref(x), rtol=1e-13, atol=0.0)
+    for params, _, found in (kept_const_shot, kept_flat_shot):
+        p, q, n1 = params.p, params.q, params.n_dim - 1.0
+        r, u, du = found.r, found.u, found.du
+        d2u = -n1 / r * du - u ** p - u ** q                 # V = -1, u >= 0
+        d3u = n1 * (du / r - d2u) / r + (-p * u ** (p - 1.0) - q * u ** (q - 1.0)) * du
+        ref = BPoly.from_derivatives(r, np.column_stack([u, du, d2u, d3u]))
+        x = np.geomspace(r[0], r[-1], 20_001)
+        np.testing.assert_allclose(found.interpolant(x), ref(x), rtol=1e-13, atol=0.0)
 
 
 def test_kept_shot_interpolant_matches_dense_reference(kept_const_shot):
@@ -145,7 +198,8 @@ def test_scan_stops_at_its_first_change(kept_const_shot, monkeypatch):
     # the scan shoots in order and stops at its first crossing/non-crossing
     # pair, which is the pair the full scan of SCAN_POINTS heights picks
     import bubbletower.verifier as verifier_module
-    from bubbletower.verifier import SCAN_POINTS, _search_separatrix
+    from bubbletower.verifier import (SCAN_POINTS, SEPARATRIX_RTOL, _crossing_gap,
+                                      _default_r_max, _search_separatrix)
     params, tower, _ = kept_const_shot
     u0_pred = params.gamma * float(np.sum(np.exp(tower.xi)))
     heights = np.linspace(0.5 * u0_pred, 1.5 * u0_pred, SCAN_POINTS).tolist()
@@ -167,7 +221,11 @@ def test_scan_stops_at_its_first_change(kept_const_shot, monkeypatch):
     assert scan == heights[:i + 2] and i + 2 < SCAN_POINTS
     assert not set(heights[i + 2:]) & set(shot_heights)
     # the same bracket, so the same search and the same kept height
-    assert found.u0 == _search_separatrix(params, crossing, staying).u0
+    r_max_m = _default_r_max(params) ** -(params.n_dim - 2.0)
+    _, kept = _search_separatrix(lambda u: original(u, params, dense_output=False),
+                                 lambda shot: _crossing_gap(shot, r_max_m),
+                                 crossing, staying, SEPARATRIX_RTOL)
+    assert found.u0 == kept.u0
 
 
 @pytest.mark.parametrize("q,shooter", [(4.0, "shoot"), (7.0, "_shoot_flat_backward")])
@@ -189,6 +247,9 @@ def test_bisection_shoots_no_height_twice(q, shooter, c4, c7, monkeypatch):
     if q == 4.0:
         # the scan and Brent's steps take 13 shots
         assert len(heights) <= 20 and found.u0 in heights
+    else:
+        # the scan and the bisection to a few ulps take 54-55 shots
+        assert len(heights) <= 60
 
 
 def _bisected_separatrix(params, guess):
