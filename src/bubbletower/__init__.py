@@ -29,12 +29,11 @@ from .reduced_model import (EnergyBreakdown, TowerConfig, critical_scales,
                             tower_amplitudes)
 from .field import (Grid, GridFunction, SpikeFrame, TowerField, ansatz_residual,
                     default_sigma, default_window, energy, full_operator,
-                    grid_for_spikes, kernel_directions, linearized_apply,
-                    linearized_matrix, nonlinear_remainder, star_norm,
-                    tower_ansatz)
+                    grid_for_spikes, kernel_directions, linearized_matrix,
+                    nonlinear_remainder, star_norm, tower_ansatz)
 from .reduction import (ProjectedSolver, RadialSolution, ReductionConfig,
                         ReductionState, assemble_solution, check_window,
                         reduced_energy, reduced_energy_grad, solve_correction,
-                        solve_projected_linear, solve_reduced, sweep_point)
+                        solve_reduced, sweep_point)
 from .verifier import (Classification, CompareMetrics, ShotProfile, compare,
                        find_tower, shoot)

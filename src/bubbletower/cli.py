@@ -254,9 +254,11 @@ def cmd_sweep(args) -> int:
             except Exception as exc:           # record and continue
                 errors[eps_list[i]] = f"{type(exc).__name__}: {exc}"
     ok = [r for r in results if r is not None]
-    for r in ok:    # per-point artifacts; the merged report follows
-        (out / f"point_{r['eps']:.6g}.json").write_text(
-            json.dumps(r, indent=2, sort_keys=True))
+    # per-point artifacts, one name per distinct epsilon (repr, as the
+    # errors keys); the merged report follows
+    point_names = [f"point_{r['eps']!r}.json" for r in ok]
+    for name, r in zip(point_names, ok):
+        (out / name).write_text(json.dumps(r, indent=2, sort_keys=True))
     slopes = {}
     if len(ok) >= 2:
         le = np.log([r["eps"] for r in ok])
@@ -269,8 +271,7 @@ def cmd_sweep(args) -> int:
     payload = {"points": ok, "slopes": slopes,
                "errors": {str(k): v for k, v in errors.items()}}
     (out / "sweep.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
-    _write_manifest(out, args, [csv_name, "sweep.json"]
-                    + [f"point_{r['eps']:.6g}.json" for r in ok])
+    _write_manifest(out, args, [csv_name, "sweep.json"] + point_names)
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0 if ok else 1     # the report is written either way
 

@@ -7,14 +7,13 @@ discretization error.  Second derivatives use the 3-point stencil with zero
 ghost values; the energy's kinetic term uses the matching staggered first
 difference (see energy).
 
-TowerField holds one spike set's tower Ubar = sum_i U(. - xi_i) with
-everything derived from it (weights, powers of Ubar, the linearized
-potential, the kernel directions, the discrete residual and the star-norm
-weight), so the reduction's Newton iteration for the correction builds them
+TowerField holds one spike set's tower Ubar = sum_i U(. - xi_i) with what
+the reduction's Newton iteration for the correction reads (weights,
+(-d^2 + 1) Ubar, the kernel directions and the star-norm weight), built
 once, not on every step; each step asks it only for the Newton right-hand
-side and the Jacobian's diagonal at Ubar + phi (newton_system).
-nonlinear_remainder, linearized_apply and linearized_matrix are thin forms
-over it for one-off use.
+side and the Jacobian's diagonal at Ubar + phi (newton_system).  That
+Jacobian is the one linearization: linearized_matrix is its matrix at
+phi = 0, and nonlinear_remainder the quadratic remainder around Ubar.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ __all__ = [
     "energy",
     "ansatz_residual",
     "nonlinear_remainder",
-    "linearized_apply",
     "linearized_matrix",
     "full_operator",
     "kernel_directions",
@@ -257,11 +255,6 @@ def ansatz_residual(xi, params: ModelParams, grid: Grid) -> GridFunction:
     return GridFunction(grid, params.beta * vals)
 
 
-def nonlinear_remainder(phi: GridFunction, xi, params: ModelParams) -> GridFunction:
-    """Quadratic remainder of the nonlinearity around the tower (TowerField.remainder)."""
-    return GridFunction(phi.grid, TowerField(xi, params, phi.grid).remainder(phi.values))
-
-
 def full_operator(psi: GridFunction, params: ModelParams) -> GridFunction:
     """Discrete nonlinear operator -psi'' + psi - beta (w_nl psi_+^p - omega w_pot psi_+^q).
 
@@ -276,16 +269,27 @@ def full_operator(psi: GridFunction, params: ModelParams) -> GridFunction:
     return GridFunction(psi.grid, vals)
 
 
-def linearized_apply(phi: GridFunction, xi, params: ModelParams) -> GridFunction:
-    """Apply the linearized operator -phi'' + phi - W phi (3-point stencil)."""
-    w = TowerField(xi, params, phi.grid).potential
-    vals = -second_difference(phi.values, phi.grid.h) + phi.values - w * phi.values
-    return GridFunction(phi.grid, vals)
+def nonlinear_remainder(phi: GridFunction, xi, params: ModelParams) -> GridFunction:
+    """Quadratic remainder of the nonlinearity around the tower Ubar:
+
+    N(phi) = beta w_nl [ (Ubar+phi)_+^p - Ubar^p - p Ubar^{p-1} phi ]
+    - beta omega w_pot [ (Ubar+phi)_+^q - Ubar^q - q Ubar^{q-1} phi ].
+    """
+    u, p, q = tower_ansatz(xi, phi.grid, params).values, params.p, params.q
+    w_nl, w_pot = _weights(phi.grid.x, params)
+    bumped = np.maximum(u + phi.values, 0.0)
+    n1 = w_nl * (bumped ** p - u ** p - p * u ** (p - 1.0) * phi.values)
+    n2 = w_pot * (bumped ** q - u ** q - q * u ** (q - 1.0) * phi.values)
+    return GridFunction(phi.grid, params.beta * (n1 - n2))
 
 
 def linearized_matrix(xi, params: ModelParams, grid: Grid) -> sp.csc_matrix:
-    """Sparse symmetric matrix of the linearized operator with zero end values."""
-    return TowerField(xi, params, grid).matrix()
+    """Sparse symmetric matrix of the operator linearized at the tower, with
+    zero end values: the Jacobian J(0) of TowerField.newton_system."""
+    tower = TowerField(xi, params, grid)
+    off = tower.off_diagonal
+    main = tower.newton_system(np.zeros(grid.n))[1]
+    return sp.diags([off, main, off], offsets=(-1, 0, 1), format="csc")
 
 
 def kernel_directions(xi, params: ModelParams, grid: Grid) -> np.ndarray:
@@ -303,11 +307,9 @@ class TowerField:
 
     Built once per spike set and reused by every Newton step of the
     correction: x, Ubar (from tower_ansatz), the weights w_nl and
-    omega w_pot, the linearized potential W = beta [ p w_nl Ubar^{p-1}
-    - q omega w_pot Ubar^{q-1} ], the kernel directions Z, the discrete
-    residual full_operator(Ubar), (-d^2 + 1) Ubar and the weight
-    sum_i exp(-sigma |x - xi_i|) of the star norm (sigma defaults to
-    default_sigma(params)).
+    omega w_pot, the kernel directions Z, the off-diagonal -1/h^2 of
+    -d^2, (-d^2 + 1) Ubar and the weight sum_i exp(-sigma |x - xi_i|) of
+    the star norm (sigma defaults to default_sigma(params)).
     """
 
     def __init__(self, xi, params: ModelParams, grid: Grid,
@@ -322,39 +324,22 @@ class TowerField:
         self.frame = SpikeFrame(self.xi, sigma)
         self.star_weight = self.frame.weight(self.x)
         self.w_nl, self.w_pot = _weights(self.x, params)
-        u, p, q = self.ubar.values, params.p, params.q
-        self.potential = params.beta * (p * self.w_nl * u ** (p - 1.0)
-                                        - q * self.w_pot * u ** (q - 1.0))
         self.z = kernel_directions(self.xi, params, grid)
         self.off_diagonal = np.full(grid.n - 1, -1.0 / (grid.h * grid.h))
+        u = self.ubar.values
         self.lin_ubar = -second_difference(u, grid.h) + u
-        self.residual = full_operator(self.ubar, params).values
-
-    def remainder(self, phi: np.ndarray) -> np.ndarray:
-        """N(phi) = beta w_nl [ (Ubar+phi)_+^p - Ubar^p - p Ubar^{p-1} phi ]
-        - beta omega w_pot [ (Ubar+phi)_+^q - Ubar^q - q Ubar^{q-1} phi ]."""
-        u, p, q = self.ubar.values, self.params.p, self.params.q
-        bumped = np.maximum(u + phi, 0.0)
-        n1 = self.w_nl * (bumped ** p - u ** p - p * u ** (p - 1.0) * phi)
-        n2 = self.w_pot * (bumped ** q - u ** q - q * u ** (q - 1.0) * phi)
-        return self.params.beta * (n1 - n2)
-
-    def diagonal(self, potential: Optional[np.ndarray] = None) -> np.ndarray:
-        """Main diagonal 2/h^2 + 1 - W of -d^2 + 1 - W (W defaults to the
-        linearized potential at Ubar); off_diagonal holds the -1/h^2."""
-        w = self.potential if potential is None else potential
-        return (2.0 / (self.grid.h * self.grid.h) + 1.0) - w
 
     def newton_system(self, phi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Newton right-hand side and Jacobian diagonal at Ubar + phi.
 
-        With F(phi) = full_operator(Ubar + phi) = A phi - N(phi) + R and its
-        Jacobian J(phi) = -d^2 + 1 - W(Ubar + phi), where
+        With F(phi) = full_operator(Ubar + phi) and its Jacobian
+        J(phi) = -d^2 + 1 - W(Ubar + phi), where
         W(u) = beta [ p w_nl u_+^{p-1} - q omega w_pot u_+^{q-1} ], returns
-        (J(phi) phi - F(phi), diagonal of J(phi)).  The second differences of
-        phi cancel in J phi - F, which is
-        beta [ w_nl b^{p-1} (b - p phi) - omega w_pot b^{q-1} (b - q phi) ]
-        - (-d^2 + 1) Ubar with b = (Ubar + phi)_+; at phi = 0 it is -R.
+        (J(phi) phi - F(phi), diagonal 2/h^2 + 1 - W of J(phi)); off_diagonal
+        holds the -1/h^2.  The second differences of phi cancel in J phi - F,
+        which is beta [ w_nl b^{p-1} (b - p phi) - omega w_pot b^{q-1}
+        (b - q phi) ] - (-d^2 + 1) Ubar with b = (Ubar + phi)_+; at phi = 0 it
+        is -full_operator(Ubar).
         """
         p, q = self.params.p, self.params.q
         b = np.maximum(self.ubar.values + phi, 0.0)
@@ -362,14 +347,8 @@ class TowerField:
         t_q = self.w_pot * b ** (q - 1.0)
         beta = self.params.beta
         rhs = beta * (t_p * (b - p * phi) - t_q * (b - q * phi)) - self.lin_ubar
-        return rhs, self.diagonal(beta * (p * t_p - q * t_q))
-
-    def matrix(self, diagonal: Optional[np.ndarray] = None) -> sp.csc_matrix:
-        """Tridiagonal -d^2 + 1 - W with zero end values (the main diagonal
-        defaults to diagonal())."""
-        main = self.diagonal() if diagonal is None else diagonal
-        off = self.off_diagonal
-        return sp.diags([off, main, off], offsets=(-1, 0, 1), format="csc")
+        h = self.grid.h
+        return rhs, (2.0 / (h * h) + 1.0) - beta * (p * t_p - q * t_q)
 
     def star_norm(self, values: np.ndarray) -> float:
         """Weighted sup norm of grid values (see star_norm)."""

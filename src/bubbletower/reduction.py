@@ -6,18 +6,19 @@ elimination of the bordered system through its k x k Schur complement, so
 only the tridiagonal operator is factored, by LAPACK), (ii) Newton's method
 for the correction phi(xi), one such solve per step on the Jacobian at
 Ubar + phi, (iii) the reduced energy as a function of the scale parameters
-Lambda, and (iv) an outer Newton solve driving its gradient to zero.  That gradient is a linear form in the multipliers c_i of
-one correction (reduced_energy_grad), so the solve drives the c_i to zero and
-yields a genuine discrete solution v = Ubar + phi; its Newton matrix is the
-diagonal Hessian of the reduced functional Psi.
+Lambda, and (iv) an outer Newton solve driving its gradient to zero.
+That gradient is a linear form in the multipliers c_i of one correction
+(reduced_energy_grad), so the solve drives the c_i to zero and yields a
+genuine discrete solution v = Ubar + phi; its Newton matrix is the diagonal
+Hessian of the reduced functional Psi.
 
 A run is set by h and the window constant M alone (ReductionConfig); sigma is
 default_sigma(params), and tolerances and limits are the constants below.
 
 Each correction builds one field.TowerField for its spike set and hands it
 to the ProjectedSolver of every Newton step (``solver.field``): the
-operator, Z, the discrete residual and every step's right-hand side,
-Jacobian diagonal and increment norm come from it, and the ReductionState
+operator's off-diagonal, Z and every step's right-hand side, Jacobian
+diagonal and increment norm come from it, and the ReductionState
 carries it, so the energy and the sweep metrics reuse its Ubar.  Within
 solve_reduced each correction starts from the phi of the accepted outer
 iterate.  sweep_point gives the trend metrics of one epsilon for ``sweep``.
@@ -49,7 +50,6 @@ __all__ = [
     "ReductionState",
     "check_window",
     "ProjectedSolver",
-    "solve_projected_linear",
     "solve_correction",
     "reduced_energy",
     "reduced_energy_grad",
@@ -142,12 +142,11 @@ class ProjectedSolver:
     dependent Z columns).
 
     L = -d^2 + 1 - W has the field's off-diagonals -1/h^2 and the main
-    diagonal ``diagonal``: by default that of the linearized operator A of
-    one TowerField, and in the correction's Newton steps that of the Jacobian
-    at Ubar + phi (TowerField.newton_system).  The field, kept as ``field``,
-    is built here unless given (its star-norm sigma is that of ``frame``,
-    default_sigma(params) when none is given); ``matrix`` is L as a sparse
-    matrix, built on request.
+    diagonal ``diagonal``: that of the Jacobian at Ubar + phi
+    (TowerField.newton_system), at phi = 0 by default, which is the
+    linearized operator A of field.linearized_matrix.  The field, kept as
+    ``field``, is built here unless given (its star-norm sigma is that of
+    ``frame``, default_sigma(params) when none is given).
     """
 
     def __init__(self, xi, params: ModelParams, grid: Grid,
@@ -160,9 +159,10 @@ class ProjectedSolver:
         self.field = field
         self.grid = grid
         self.z = field.z
-        self.diagonal = field.diagonal() if diagonal is None else diagonal
+        if diagonal is None:
+            diagonal = field.newton_system(np.zeros(grid.n))[1]
         off = field.off_diagonal
-        *self._lu, info = dgttrf(off, self.diagonal, off)
+        *self._lu, info = dgttrf(off, diagonal, off)
         if info != 0:
             raise ConditioningError(
                 f"operator factorization failed (n={grid.n}, "
@@ -171,11 +171,6 @@ class ProjectedSolver:
         self._schur = self.z.T @ self._az
         sv = np.linalg.svd(self._schur, compute_uv=False)
         self._schur_cond = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else math.inf
-
-    @property
-    def matrix(self):
-        """L as a scipy.sparse matrix (TowerField.matrix)."""
-        return self.field.matrix(self.diagonal)
 
     def _lu_solve(self, rhs: np.ndarray) -> np.ndarray:
         x, _ = dgttrs(*self._lu, rhs)
@@ -210,12 +205,6 @@ class ProjectedSolver:
     def orthogonality_defect(self, phi_values: np.ndarray) -> float:
         w = self.grid.trapezoid_weights()
         return float(np.max(np.abs(self.z.T @ (w * phi_values))))
-
-
-def solve_projected_linear(h_rhs: GridFunction, xi, params: ModelParams,
-                           frame: Optional[SpikeFrame] = None):
-    """One-off projected solve; returns (phi, multipliers)."""
-    return ProjectedSolver(xi, params, h_rhs.grid, frame).solve(h_rhs)
 
 
 def solve_correction(xi, params: ModelParams,

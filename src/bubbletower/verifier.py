@@ -26,6 +26,7 @@ coefficients).  Both right-hand sides are scalar code on Python floats
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -80,7 +81,9 @@ class ShotProfile:
 
     u0 is the shot's search value: the initial height of an outward shot,
     the decay coefficient c of a flat backward shot (find_tower replaces it
-    by the height of the flat shot it keeps).
+    by the height of the flat shot it keeps).  The dense interpolant is
+    built on first read, so find_tower's search shots, which read only the
+    classification, never build one.
     """
 
     u0: float
@@ -90,7 +93,13 @@ class ShotProfile:
     classification: Classification
     peak_count_ef: int
     params: ModelParams
-    interpolant: Optional[Callable] = None
+
+    @functools.cached_property
+    def interpolant(self) -> BPoly:
+        """Septic Hermite interpolant of u on the recorded steps: it matches
+        u and u' there, and u'' and u''' taken from the equation (u'''
+        needs V', the potential's ``slope``)."""
+        return _septic_hermite(self)
 
     def ef_image(self, x) -> np.ndarray:
         """v(x) = r^{(N-2)/2} u(r) evaluated through the dense interpolant."""
@@ -99,13 +108,19 @@ class ShotProfile:
         return r ** m * np.atleast_2d(self.interpolant(r))[0]
 
 
-def _count_peaks(values: np.ndarray, floor_frac: float = 0.05) -> int:
-    v = np.asarray(values)
+def _peak_indices(v: np.ndarray) -> np.ndarray:
+    """Indices of the samples that rise strictly from the left, do not rise
+    to the right, and exceed 5% of a positive maximum."""
+    v = np.asarray(v)
     if v.size < 3:
-        return 0
-    floor = floor_frac * float(np.max(v)) if np.max(v) > 0 else np.inf
+        return np.zeros(0, dtype=int)
+    floor = 0.05 * float(np.max(v)) if np.max(v) > 0 else np.inf
     interior = (v[1:-1] > v[:-2]) & (v[1:-1] >= v[2:]) & (v[1:-1] > floor)
-    return int(np.count_nonzero(interior))
+    return np.flatnonzero(interior) + 1
+
+
+def _count_peaks(values: np.ndarray) -> int:
+    return int(_peak_indices(values).size)
 
 
 def _integrate(rhs, t0: float, y0, t_end: float, ceiling: float,
@@ -135,7 +150,7 @@ def _integrate(rhs, t0: float, y0, t_end: float, ceiling: float,
 
 
 def shoot(u0: float, params: ModelParams, r_max: Optional[float] = None,
-          rtol: float = 1e-10, dense_output: bool = True) -> ShotProfile:
+          rtol: float = 1e-10) -> ShotProfile:
     """Integrate the radial equation outward from a series start at r0.
 
     u(r) = u0 - [u0^p - V(0) u0^q] r^2/(2N) + O(r^4) with p = params.p
@@ -147,14 +162,6 @@ def shoot(u0: float, params: ModelParams, r_max: Optional[float] = None,
     classified from its tail.  An integration that fails (step budget
     spent, step size underflow) raises ConvergenceError with the solver's
     return code and the last accepted step.
-
-    With ``dense_output=True`` the profile's interpolant is the septic
-    Hermite interpolant of u on the recorded steps: it matches u and u'
-    there, and u'' and u''' taken from the equation (u''' needs V', the
-    potential's ``slope``).  With ``dense_output=False`` there is none, so
-    ef_image cannot be read; find_tower's search shots, which read only the
-    classification, skip it.  The steps, and so r, u, du and the
-    classification, do not depend on it.
     """
     if u0 <= 0.0:
         raise ValueError("initial height must be positive")
@@ -170,11 +177,8 @@ def shoot(u0: float, params: ModelParams, r_max: Optional[float] = None,
         raise ConvergenceError(
             f"radial integration failed at r = {r[-1]:.6g} "
             f"(DOP853 return code {code})", state=(r[-1], u[-1], du[-1]))
-    shot = ShotProfile(u0, r, u, du, _classify_endpoint(u, du),
+    return ShotProfile(u0, r, u, du, _classify_endpoint(u, du),
                        _ef_peaks(r, u, params), params)
-    if dense_output:
-        shot.interpolant = _septic_hermite(shot)
-    return shot
 
 
 def _default_r_max(params: ModelParams) -> float:
@@ -271,8 +275,8 @@ def find_tower(params: ModelParams, guess: TowerConfig,
     behaviour differs, and search between them by Brent's method on a
     functional g that is + on crossing shots and - on the others (Brent,
     Algorithms for Minimization without Derivatives, 1973; scipy's brentq).
-    The search shoots each value once.  The kept shot gets the interpolant
-    that compare() reads; no search shot builds one.  A search that spends
+    The search shoots each value once.  Only the kept shot builds its
+    interpolant, when compare() or the flat height read first reads it.  A search that spends
     SEARCH_MAXITER steps raises ConvergenceError with its last crossing and
     non-crossing shots as state.
 
@@ -315,7 +319,7 @@ def find_tower(params: ModelParams, guess: TowerConfig,
         u0_pred = params.gamma * float(np.sum(np.exp(guess.xi)))
         values = np.linspace(bracket[0] * u0_pred, bracket[1] * u0_pred, SCAN_POINTS)
         r_max_m = _default_r_max(params) ** -(params.n_dim - 2.0)
-        shoot_at = lambda u0: shoot(u0, params, dense_output=False)
+        shoot_at = lambda u0: shoot(u0, params)
         gap, rtol = (lambda shot: _crossing_gap(shot, r_max_m)), SEPARATRIX_RTOL
     else:
         c_pred = params.gamma * math.exp(xik)
@@ -330,9 +334,7 @@ def find_tower(params: ModelParams, guess: TowerConfig,
     pair = shots[-2:] if labels[-2] else shots[:-3:-1]
     crossing, staying = _search_separatrix(shoot_at, gap, *pair, rtol)
     if params.regime is Regime.SUB_Q:
-        staying.interpolant = _septic_hermite(staying)
         return staying
-    crossing.interpolant = _septic_hermite(crossing)
     r_read = math.exp((xi1 - 6.0) / ((params.n_dim - 2) / 2.0))
     if crossing.r[0] <= r_read:
         crossing.classification = Classification.DECAYING
@@ -504,12 +506,7 @@ def compare(u_a: Callable, u_b: Callable, window: Tuple[float, float],
     l2_rel = float(np.sqrt(np.mean(diff * diff))) / (scale_l2 or 1.0)
 
     def peaks(vals):
-        out = []
-        for i in range(1, n - 1):
-            if vals[i] > vals[i - 1] and vals[i] >= vals[i + 1] \
-                    and vals[i] > 0.05 * np.max(vals):
-                out.append((float(t[i]), float(vals[i])))
-        return out
+        return [(float(t[i]), float(vals[i])) for i in _peak_indices(vals)]
 
     return CompareMetrics(sup_rel=sup_rel, l2_rel=l2_rel,
                           peaks_a=peaks(va), peaks_b=peaks(vb))

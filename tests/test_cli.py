@@ -146,6 +146,23 @@ def test_output_root_from_environment(tmp_path, monkeypatch):
     assert (tmp_path / "envroot" / "constants" / "constants.csv").exists()
 
 
+def test_sweep_point_files_are_distinct_for_close_eps(tmp_path):
+    # 1.0000001e-2 and 1e-2 agree to 6 significant digits; each point still
+    # gets its own file, and the manifest lists every output once
+    run_cli(["sweep", "--q", "4", "--k", "1", "--V", "const:-1",
+             "--eps-list", "1.0000001e-2,1e-2,5e-3", "--h", "0.05",
+             "--out", str(tmp_path)])
+    out = tmp_path / "sweep"
+    points = sorted(p.name for p in out.glob("point_*.json"))
+    assert points == ["point_0.005.json", "point_0.01.json",
+                      "point_0.010000001.json"]
+    close = json.loads((out / "point_0.010000001.json").read_text())
+    assert close["eps"] == 1.0000001e-2
+    outputs = read_manifest(out)["outputs"]
+    assert len(outputs) == len(set(outputs))
+    assert set(points) <= set(outputs)
+
+
 def test_sweep_records_per_point_failures(tmp_path):
     # second epsilon is fine, first one violates the spike window for k=2
     assert run_cli(["sweep", "--q", "4", "--k", "2", "--V", "const:-1",

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from bubbletower import (Grid, GridFunction, ModelParams, PotentialSpec,
                          SpikeFrame, TowerField, ansatz_residual,
                          default_sigma, energy, full_operator, grid_for_spikes,
-                         linearized_apply,
                          linearized_matrix, nonlinear_remainder, profile_U,
                          profile_d2U, profile_dU, spike_locations, star_norm,
                          tower_ansatz, critical_scales)
@@ -262,25 +261,10 @@ def test_linearized_kernel_direction():
     errs = []
     for h in (0.02, 0.01):
         g = Grid.from_span(-30.0, 30.0, h)
-        z = GridFunction(g, profile_dU(g.x, 3))
-        out = linearized_apply(z, [0.0], params)
-        errs.append(np.max(np.abs(out.values)))
+        out = linearized_matrix([0.0], params, g) @ profile_dU(g.x, 3)
+        errs.append(np.max(np.abs(out)))
     assert errs[0] < 2e-2
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.25)
-
-
-def test_linearized_apply_is_linear():
-    params = make_params(eps=1e-2, k=1)
-    xi = spike_locations([1.0], params.epsilon, params)
-    g = grid_for_spikes(xi, 0.5, h=0.1)
-    rng = np.random.default_rng(5)
-    phi = rng.normal(size=g.n)
-    psi = rng.normal(size=g.n)
-    a, b = 1.7, -0.3
-    lhs = linearized_apply(GridFunction(g, a * phi + b * psi), xi, params).values
-    rhs = a * linearized_apply(GridFunction(g, phi), xi, params).values \
-        + b * linearized_apply(GridFunction(g, psi), xi, params).values
-    assert np.max(np.abs(lhs - rhs)) < 1e-10 * max(1.0, np.max(np.abs(lhs)))
 
 
 def test_energy_first_variation_matches_operator():
@@ -334,8 +318,9 @@ def test_analytic_and_discrete_residuals_differ_by_h_squared(q, k, c4, c7):
 
 
 def test_tower_field_against_direct_formulas():
-    # rational V: the cached weights, powers and W of one spike set, against
-    # the formulas written out with an x-dependent omega
+    # rational V: the remainder N(phi) and the Newton system J(phi) phi - F(phi),
+    # diag J(phi) of one spike set, against the formulas written out with an
+    # x-dependent omega
     params = ModelParams.make(3, 4.0, 2e-2, k=2,
                               potential=PotentialSpec.rational(-2.0, 1.0))
     xi = spike_locations(np.array([0.8, 0.3]), params.epsilon, params)
@@ -349,8 +334,14 @@ def test_tower_field_against_direct_formulas():
     b = np.maximum(ubar + phi, 0.0)
     remainder = beta * (w_nl * (b ** p - ubar ** p - p * ubar ** (p - 1.0) * phi)
                         - w_pot * (b ** q - ubar ** q - q * ubar ** (q - 1.0) * phi))
-    potential = beta * (p * w_nl * ubar ** (p - 1.0) - q * w_pot * ubar ** (q - 1.0))
-    for cached, direct in ((tower.remainder(phi), remainder),
-                           (tower.potential, potential)):
+    w_b = beta * (p * w_nl * b ** (p - 1.0) - q * w_pot * b ** (q - 1.0))
+    lap = np.concatenate(([0.0], ubar, [0.0]))
+    lin_ubar = -(lap[2:] - 2.0 * ubar + lap[:-2]) / g.h ** 2 + ubar
+    newton_rhs = beta * (w_nl * b ** p - w_pot * b ** q) - w_b * phi - lin_ubar
+    rhs, diagonal = tower.newton_system(phi)
+    for cached, direct in (
+            (nonlinear_remainder(GridFunction(g, phi), xi, params).values, remainder),
+            (rhs, newton_rhs),
+            (diagonal, 2.0 / g.h ** 2 + 1.0 - w_b)):
         assert np.max(np.abs(cached - direct)) < 1e-12 * np.max(np.abs(direct))
     assert tower.star_norm(phi) == star_norm(GridFunction(g, phi), SpikeFrame(xi, 0.5))

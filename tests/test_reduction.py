@@ -8,10 +8,10 @@ from bubbletower import (GridFunction,
                          ProjectedSolver, ReductionConfig, SpikeFrame,
                          assemble_solution, check_window, critical_scales,
                          default_sigma, energy_constants, full_operator,
-                         grid_for_spikes, kernel_directions, reduced_energy,
-                         reduced_energy_grad, solve_correction,
-                         solve_projected_linear, solve_reduced,
-                         spike_locations, star_norm, tower_ansatz)
+                         grid_for_spikes, kernel_directions, linearized_matrix,
+                         reduced_energy, reduced_energy_grad, solve_correction,
+                         solve_reduced, spike_locations, star_norm,
+                         tower_ansatz)
 from bubbletower.errors import WindowViolationError
 from conftest import make_params, probe_functions
 
@@ -31,15 +31,15 @@ def _setup(eps=1e-2, k=1, q=4.0, h=0.02, c=None):
 def test_projected_solve_orthogonality(c4):
     params, _, _, xi, grid, frame = _setup(c=c4)
     z1 = GridFunction(grid, kernel_directions(xi, params, grid)[:, 0])
-    phi, c = solve_projected_linear(z1, xi, params, frame)
     solver = ProjectedSolver(xi, params, grid, frame)
+    phi, c = solver.solve(z1)
     assert solver.orthogonality_defect(phi.values) < 1e-10
 
 
 def test_projected_solve_zero_rhs(c4):
     params, _, _, xi, grid, frame = _setup(c=c4)
-    phi, c = solve_projected_linear(GridFunction(grid, np.zeros(grid.n)),
-                                    xi, params, frame)
+    phi, c = ProjectedSolver(xi, params, grid, frame).solve(
+        GridFunction(grid, np.zeros(grid.n)))
     assert np.max(np.abs(phi.values)) == 0.0
     assert np.max(np.abs(c)) == 0.0
 
@@ -51,7 +51,7 @@ def test_saddle_symmetry_and_multiplier_routes(c4):
     h_vals = rng.normal(size=grid.n) * frame.weight(grid.x)
     phi_vals, c_full = solver.solve_values(h_vals)
     # block elimination: c = -(Z^T A^{-1} Z)^{-1} Z^T A^{-1} h
-    lu = spla.splu(solver.matrix)
+    lu = spla.splu(linearized_matrix(xi, params, grid))
     z = solver.z
     ainv_h = lu.solve(h_vals)
     ainv_z = np.column_stack([lu.solve(z[:, i]) for i in range(z.shape[1])])
@@ -67,7 +67,7 @@ def test_bordered_solve_matches_saddle_lu(c4):
             params, _, _, xi, grid, frame = _setup(k=k, eps=eps, c=c4, h=0.05)
             solver = ProjectedSolver(xi, params, grid, frame)
             z = kernel_directions(xi, params, grid)
-            saddle = sp.bmat([[solver.matrix, sp.csc_matrix(z)],
+            saddle = sp.bmat([[linearized_matrix(xi, params, grid), sp.csc_matrix(z)],
                               [sp.csc_matrix(z.T), None]], format="csc")
             rng = np.random.default_rng(10 * k)
             h_vals = rng.normal(size=grid.n) * frame.weight(grid.x)
@@ -293,9 +293,9 @@ def test_assembled_agrees_with_predicted_solution(c4):
 
 
 def test_saddle_matrix_is_symmetric(c4):
-    params, _, _, xi, grid, frame = _setup(k=2, eps=1e-2, c=c4, h=0.05)
+    params, _, _, xi, grid, _ = _setup(k=2, eps=1e-2, c=c4, h=0.05)
     import scipy.sparse as sp
-    a = sp.bmat([[ProjectedSolver(xi, params, grid, frame).matrix,
+    a = sp.bmat([[linearized_matrix(xi, params, grid),
                   sp.csc_matrix(kernel_directions(xi, params, grid))],
                  [sp.csc_matrix(kernel_directions(xi, params, grid).T), None]],
                 format="csc")
@@ -458,7 +458,8 @@ def test_newton_correction_is_a_discrete_solution(k, eps, h, c4):
     tower = state.field
     v = GridFunction(grid, tower.ubar.values + state.phi.values)
     defect = full_operator(v, params).values - tower.z @ state.c
-    assert np.max(np.abs(defect)) < 1e-10 * np.max(np.abs(tower.residual))
+    residual = full_operator(tower.ubar, params).values
+    assert np.max(np.abs(defect)) < 1e-10 * np.max(np.abs(residual))
 
 
 @pytest.mark.parametrize("k,h", [(2, 0.02), (3, 0.03)])

@@ -25,22 +25,25 @@ def test_shooting_reproduces_bubble_family(lam):
     assert prof.classification is Classification.DECAYING
 
 
-@pytest.mark.parametrize("u0,expected", [
-    (30.0, Classification.CROSSING),
-    # 4.6e-11 relative above find_tower's height 35.201864890657696
-    (35.201864892277335, Classification.DECAYING),
-    (1e-2, Classification.BLOWING),
-])
-def test_shot_without_dense_output_takes_the_same_steps(u0, expected):
-    # find_tower's search shots skip the interpolant; the steps, and so the
-    # trajectory and its classification, must not depend on it
-    params = make_params(eps=5e-2, k=1)
-    dense = shoot(u0, params)
-    bare = shoot(u0, params, dense_output=False)
-    assert dense.classification is bare.classification is expected
-    for name in ("r", "u", "du"):
-        assert np.array_equal(getattr(dense, name), getattr(bare, name))
-    assert dense.interpolant is not None and bare.interpolant is None
+@pytest.mark.parametrize("q", [4.0, 7.0])
+def test_find_tower_builds_one_interpolant(q, c4, c7, monkeypatch):
+    # search shots read only their classification: the kept shot's
+    # interpolant, built on first read and cached, is the only one
+    import bubbletower.verifier as verifier_module
+    built = []
+    original = verifier_module._septic_hermite
+
+    def counted(shot):
+        built.append(shot.u0)
+        return original(shot)
+
+    monkeypatch.setattr(verifier_module, "_septic_hermite", counted)
+    params = make_params(q=q, eps=5e-2, k=1)
+    tower = predicted_tower(params, c4 if q == 4.0 else c7)
+    found = find_tower(params, tower)
+    found.ef_image(np.asarray(tower.xi))
+    found.ef_image(np.asarray(tower.xi))
+    assert len(built) == 1
 
 
 def test_failed_integration_raises_convergence_error():
@@ -203,7 +206,7 @@ def test_scan_stops_at_its_first_change(kept_const_shot, monkeypatch):
     params, tower, _ = kept_const_shot
     u0_pred = params.gamma * float(np.sum(np.exp(tower.xi)))
     heights = np.linspace(0.5 * u0_pred, 1.5 * u0_pred, SCAN_POINTS).tolist()
-    full = [shoot(u, params, dense_output=False) for u in heights]
+    full = [shoot(u, params) for u in heights]
     labels = [s.classification is Classification.CROSSING for s in full]
     i = next(i for i in range(SCAN_POINTS - 1) if labels[i] != labels[i + 1])
     crossing, staying = (full[i], full[i + 1]) if labels[i] else (full[i + 1], full[i])
@@ -222,7 +225,7 @@ def test_scan_stops_at_its_first_change(kept_const_shot, monkeypatch):
     assert not set(heights[i + 2:]) & set(shot_heights)
     # the same bracket, so the same search and the same kept height
     r_max_m = _default_r_max(params) ** -(params.n_dim - 2.0)
-    _, kept = _search_separatrix(lambda u: original(u, params, dense_output=False),
+    _, kept = _search_separatrix(lambda u: original(u, params),
                                  lambda shot: _crossing_gap(shot, r_max_m),
                                  crossing, staying, SEPARATRIX_RTOL)
     assert found.u0 == kept.u0
@@ -258,7 +261,7 @@ def _bisected_separatrix(params, guess):
     heights = np.linspace(0.5 * u0_pred, 1.5 * u0_pred, 13)
 
     def crossed(u):
-        return shoot(u, params, dense_output=False).classification \
+        return shoot(u, params).classification \
             is Classification.CROSSING
 
     labels = [crossed(u) for u in heights]
