@@ -1,8 +1,10 @@
 """Command-line front end: constants, predictions, reduction runs, verification, sweeps.
 
-Every run writes its artifacts (CSV/JSON) plus a manifest capturing the full
+Every command computes its JSON payloads and CSV tables, then hands them to
+one writer, _write_artifacts, which also writes a manifest capturing the full
 configuration into the output directory, so reruns with the same manifest
-reproduce the numbers bit for bit (timestamps aside).
+reproduce the numbers bit for bit (timestamps aside).  A non-finite number in
+any JSON output fails the run before a file is written.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -30,10 +32,6 @@ from .reduction import (ReductionConfig, assemble_solution, solve_reduced,
 from .verifier import compare, find_tower
 
 _FMT = "%.17g"
-
-
-def _fmt(x) -> str:
-    return _FMT % float(x)
 
 
 def parse_potential(spec: str) -> PotentialSpec:
@@ -72,74 +70,64 @@ def _energy_constants(args):
         raise SystemExit(f"energy constants failed: {exc}")
 
 
-def _out_dir(args) -> Path:
-    root = args.out or os.environ.get("BUBBLETOWER_OUT", "runs")
-    path = Path(root) / args.command
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def _json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
 
 
-def _write_manifest(path: Path, args, outputs: List[str]):
-    cfg = {k: v for k, v in vars(args).items() if k not in ("func",)}
+def _write_artifacts(args, payloads: Dict[str, object],
+                     tables: Dict[str, Tuple[List[str], list]], shown) -> None:
+    """Write a command's JSON payloads, CSV tables and manifest; print shown.
+
+    Every payload, shown (printed as JSON unless it is text) and the manifest
+    are serialized first, so a non-finite number fails the run before any
+    file is written.  Each table is (header, rows) and is written with one
+    row template: strings as %s, numbers as %.17g.
+    """
     manifest = {
         "tool": "bubbletower",
         "version": __version__,
-        "config": cfg,
-        "outputs": sorted(outputs),
+        "config": {k: v for k, v in vars(args).items() if k != "func"},
+        "outputs": sorted([*payloads, *tables]),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
-    (path / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
-
-
-def _write_csv(path: Path, header: List[str], rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(c if isinstance(c, str) else _fmt(c) for c in row))
-    path.write_text("\n".join(lines) + "\n")
-    return path.name
-
-
-def _write_table(path: Path, header: List[str], table: np.ndarray) -> str:
-    """A float table as CSV, every value as _fmt writes it, one template per row."""
-    row = ",".join([_FMT] * table.shape[1])
-    lines = [",".join(header)] + [row % tuple(r) for r in table.tolist()]
-    path.write_text("\n".join(lines) + "\n")
-    return path.name
-
-
-def _check_finite(values) -> None:
-    arr = np.asarray([v for v in values if not isinstance(v, str)], dtype=float)
-    if arr.size and not np.all(np.isfinite(arr)):
+    try:
+        texts = {name: _json(obj) for name, obj in payloads.items()}
+        texts["manifest.json"] = _json(manifest)
+        if not isinstance(shown, str):
+            shown = _json(shown)
+    except ValueError:
         raise SystemExit("non-finite value in output; run failed")
+    out = Path(args.out or os.environ.get("BUBBLETOWER_OUT", "runs")) / args.command
+    out.mkdir(parents=True, exist_ok=True)
+    for name, (header, rows) in tables.items():
+        lines = [",".join(header)]
+        if rows:
+            row = ",".join("%s" if isinstance(c, str) else _FMT for c in rows[0])
+            lines += [row % tuple(r) for r in rows]
+        (out / name).write_text("\n".join(lines) + "\n")
+    for name, text in texts.items():
+        (out / name).write_text(text)
+    print(shown)
 
 
 def cmd_constants(args) -> int:
     C = _energy_constants(args)
-    out = _out_dir(args)
-    names = ["a1", "a2", "a3", "a4", "a5", "a5_hat", "c_n"]
-    rows = []
-    record: Dict[str, Optional[float]] = {}
-    for name in names:
-        val = getattr(C, name)
-        record[name] = val
-        if val is None:
-            continue
-        rows.append([name, val, C.err.get(name, 0.0)])
-        _check_finite([val])
-    csv_name = _write_csv(out / "constants.csv", ["constant", "value", "err"], rows)
-    json_path = out / "constants.json"
-    json_path.write_text(json.dumps({"n_dim": args.N, "q": args.q, "values": record,
-                                     "err": C.err}, indent=2, sort_keys=True))
-    _write_manifest(out, args, [csv_name, json_path.name])
-    for row in rows:
-        print(f"{row[0]:7s} {_fmt(row[1])}  (err {row[2]:.2e})")
+    values = {name: getattr(C, name)
+              for name in ("a1", "a2", "a3", "a4", "a5", "a5_hat", "c_n")}
+    rows = [[name, val, C.err.get(name, 0.0)]
+            for name, val in values.items() if val is not None]
+    _write_artifacts(
+        args, {"constants.json": {"n_dim": args.N, "q": args.q, "values": values,
+                                  "err": C.err}},
+        {"constants.csv": (["constant", "value", "err"], rows)},
+        "\n".join(f"{name:7s} {_FMT % val}  (err {err:.2e})"
+                  for name, val, err in rows))
     return 0
 
 
 def cmd_predict(args) -> int:
     params = build_params(args)
     C = _energy_constants(args)
-    out = _out_dir(args)
     tower = predicted_tower(params, C)
     breakdown = energy_expansion(tower.lambdas, params.epsilon, C, params)
     payload = {
@@ -150,34 +138,23 @@ def cmd_predict(args) -> int:
         "alpha": list(tower.alpha),
         "energy": dataclasses.asdict(breakdown),
     }
-    _check_finite(list(tower.lambdas) + list(tower.xi) + list(tower.alpha)
-                  + [breakdown.total])
-    (out / "predict.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
     rows = [[i + 1, tower.lambdas[i], tower.xi[i], tower.alpha[i]]
             for i in range(params.k)]
-    csv_name = _write_csv(out / "tower.csv", ["j", "lambda", "xi", "alpha"], rows)
-    _write_manifest(out, args, ["predict.json", csv_name])
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    _write_artifacts(args, {"predict.json": payload},
+                     {"tower.csv": (["j", "lambda", "xi", "alpha"], rows)}, payload)
     return 0
-
-
-def _reduction_config(args) -> ReductionConfig:
-    return ReductionConfig(h=args.h, window_m=args.window_M)
 
 
 def cmd_reduce(args) -> int:
     params = build_params(args)
     C = _energy_constants(args)
-    out = _out_dir(args)
-    cfg = _reduction_config(args)
     try:
-        lam_eps, state = solve_reduced(params, C, cfg)
+        lam_eps, state = solve_reduced(params, C, ReductionConfig(h=args.h))
     except BubbleTowerError as exc:
         raise SystemExit(f"reduction failed: {exc}")
     grid = state.phi.grid
     ubar, phi = state.field.ubar.values, state.phi.values
     table = np.column_stack((grid.x, ubar, phi, ubar + phi))
-    csv_name = _write_table(out / "profile.csv", ["x", "ubar", "phi", "v"], table)
     summary = {
         "lambda_eps": list(lam_eps),
         "xi": list(state.xi),
@@ -190,29 +167,23 @@ def cmd_reduce(args) -> int:
         "sigma": state.frame.sigma,
         "eps": params.epsilon,
     }
-    _check_finite(list(lam_eps) + list(state.c) + [state.star_norm_phi])
-    (out / "reduction.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
-    _write_manifest(out, args, [csv_name, "reduction.json"])
-    print(json.dumps({k: summary[k] for k in
-                      ("lambda_eps", "multipliers", "star_norm_phi", "iterations")},
-                     indent=2, sort_keys=True))
+    _write_artifacts(args, {"reduction.json": summary},
+                     {"profile.csv": (["x", "ubar", "phi", "v"], table.tolist())},
+                     {k: summary[k] for k in ("lambda_eps", "multipliers",
+                                              "star_norm_phi", "iterations")})
     return 0
 
 
 def cmd_verify(args) -> int:
     params = build_params(args)
     C = _energy_constants(args)
-    out = _out_dir(args)
-    cfg = _reduction_config(args)
     try:
-        lam_eps, state = solve_reduced(params, C, cfg)
+        lam_eps, state = solve_reduced(params, C, ReductionConfig(h=args.h))
         solution = assemble_solution(state, params)
         tower = predicted_tower(params, C)
         found = find_tower(params, tower)
     except BubbleTowerError as exc:
         raise SystemExit(f"verification failed: {exc}")
-    csv_name = _write_table(out / "shot.csv", ["r", "u"],
-                            np.column_stack((found.r, found.u)))
     xi1 = float(state.xi[0])
     metrics = compare(solution.ef, found.ef_image, (xi1 - 2.0, xi1 + 2.0))
     residual = solution.radial_residual(solution.residual_radii(100))
@@ -225,10 +196,9 @@ def cmd_verify(args) -> int:
         "max_radial_residual": float(np.max(residual)),
         "multipliers": list(state.c),
     }
-    _check_finite([found.u0, metrics.sup_rel, float(np.max(residual))])
-    (out / "verify.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
-    _write_manifest(out, args, [csv_name, "verify.json"])
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    shot = np.column_stack((found.r, found.u)).tolist()
+    _write_artifacts(args, {"verify.json": payload},
+                     {"shot.csv": (["r", "u"], shot)}, payload)
     return 0
 
 
@@ -236,43 +206,34 @@ def cmd_sweep(args) -> int:
     eps_list = [float(t) for t in args.eps_list.split(",")]
     potential = parse_potential(args.V)
     C = _energy_constants(args)
-    out = _out_dir(args)
-    cfg = _reduction_config(args)
+    cfg = ReductionConfig(h=args.h)
 
-    def point(eps: float) -> Dict[str, float]:
-        params = ModelParams.make(args.N, args.q, eps, k=args.k, potential=potential)
-        return sweep_point(params, C, cfg)
+    def point(eps: float):
+        """The point's metrics, or the text of the error that stopped it."""
+        try:
+            params = ModelParams.make(args.N, args.q, eps, k=args.k,
+                                      potential=potential)
+            return sweep_point(params, C, cfg)
+        except Exception as exc:           # record and continue
+            return f"{type(exc).__name__}: {exc}"
 
-    results: List[Optional[Dict[str, float]]] = [None] * len(eps_list)
-    errors: Dict[float, str] = {}
     with concurrent.futures.ThreadPoolExecutor(max_workers=args.workers) as pool:
-        futures = {pool.submit(point, eps): i for i, eps in enumerate(eps_list)}
-        for fut in concurrent.futures.as_completed(futures):
-            i = futures[fut]
-            try:
-                results[i] = fut.result()
-            except Exception as exc:           # record and continue
-                errors[eps_list[i]] = f"{type(exc).__name__}: {exc}"
-    ok = [r for r in results if r is not None]
-    # per-point artifacts, one name per distinct epsilon (repr, as the
-    # errors keys); the merged report follows
-    point_names = [f"point_{r['eps']!r}.json" for r in ok]
-    for name, r in zip(point_names, ok):
-        (out / name).write_text(json.dumps(r, indent=2, sort_keys=True))
+        results = list(pool.map(point, eps_list))
+    ok = [r for r in results if not isinstance(r, str)]
+    errors = {str(eps): r for eps, r in zip(eps_list, results) if isinstance(r, str)}
     slopes = {}
     if len(ok) >= 2:
         le = np.log([r["eps"] for r in ok])
         for key in ("residual_star", "phi_star", "energy_gap_ratio"):
             slopes[key] = float(np.polyfit(le, np.log([r[key] for r in ok]), 1)[0])
-    rows = [[r["eps"], r["residual_star"], r["phi_star"], r["energy_gap_ratio"]]
-            for r in ok]
-    csv_name = _write_csv(out / "sweep.csv",
-                          ["eps", "residual_star", "phi_star", "energy_gap_ratio"], rows)
-    payload = {"points": ok, "slopes": slopes,
-               "errors": {str(k): v for k, v in errors.items()}}
-    (out / "sweep.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
-    _write_manifest(out, args, [csv_name, "sweep.json"] + point_names)
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    columns = ["eps", "residual_star", "phi_star", "energy_gap_ratio"]
+    payload = {"points": ok, "slopes": slopes, "errors": errors}
+    # one point file per distinct epsilon, named by its repr as the errors keys
+    payloads = {f"point_{r['eps']!r}.json": r for r in ok}
+    payloads["sweep.json"] = payload
+    _write_artifacts(args, payloads,
+                     {"sweep.csv": (columns, [[r[c] for c in columns] for r in ok])},
+                     payload)
     return 0 if ok else 1     # the report is written either way
 
 
@@ -315,8 +276,6 @@ def _add_model_args(sp, eps_required=True):
 
 def _add_grid_args(sp):
     sp.add_argument("--h", type=_POSITIVE, default=0.02, help="grid spacing")
-    sp.add_argument("--window-M", dest="window_M", type=_POSITIVE, default=10.0,
-                    help="window constant M")
 
 
 def _expand_config(argv):

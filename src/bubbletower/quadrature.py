@@ -62,9 +62,11 @@ def integrate_line(f: Callable, decay_left: float, decay_right: float,
 
     f must decay at least like exp(-decay_left * |x|) to the left and
     exp(-decay_right * x) to the right.  ``quad`` integrates the truncated
-    interval, split at 0 for |x|-type kinks, to absolute tolerance 0.8 tol
-    in at most max_evals 21-point Gauss-Kronrod subintervals (QUADPACK
-    allocates work arrays of that length on every call).  err bounds
+    interval, split at 0 for |x|-type kinks, to tolerance 0.8 tol, absolute
+    for integrals below 1 and relative above (QUADPACK stops once its error
+    estimate is below max(epsabs, epsrel |value|)), in at most max_evals
+    21-point Gauss-Kronrod subintervals (QUADPACK allocates work arrays of
+    that length on every call).  err bounds
     |value - integral|; any QUADPACK warning raises
     QuadratureConvergenceError carrying the best estimate and err.
     """
@@ -74,7 +76,7 @@ def integrate_line(f: Callable, decay_left: float, decay_right: float,
     x_left, tail_left = _tail_cutoff(f, decay_left, -1, tol_tail)
     x_right, tail_right = _tail_cutoff(f, decay_right, +1, tol_tail)
     value, err, _, *warning = quad(f, -x_left, x_right, points=[0.0],
-                                   epsabs=0.8 * tol, epsrel=0.0,
+                                   epsabs=0.8 * tol, epsrel=0.8 * tol,
                                    limit=max_evals, full_output=1)
     err += tail_left + tail_right
     if warning:
@@ -146,21 +148,16 @@ def energy_constants(n_dim: int, q: float, tol: float = 1e-12) -> EnergyConstant
     err: Dict[str, float] = {}
     m = (n_dim - 2) / 2.0
 
-    # profile_U and profile_dU on one Python float: quad calls the
-    # integrands one point at a time, and math skips numpy's scalar overhead
+    # profile_U on one Python float: quad calls the integrands one point
+    # at a time, and math skips numpy's scalar overhead
     def U(x):
         t = abs(x / m)
         return gamma * math.exp(-m * (t + math.log1p(math.exp(-2.0 * t))))
 
-    def dU(x):
-        return -U(x) * math.tanh(x / m)
-
-    # int U^{p*+1}
+    # int U^{p*+1}; testing -U'' + U = beta U^{p*} against U gives
+    # int (U'^2 + U^2) = beta int U^{p*+1}, so a1 needs no other integral
     i_crit, e_crit = integrate_line(lambda x: U(x) ** (p_star + 1.0),
                                     p_star + 1.0, p_star + 1.0, tol)
-    # int (U'^2 + U^2)
-    i_quad, e_quad = integrate_line(
-        lambda x: dU(x) ** 2 + U(x) ** 2, 2.0, 2.0, tol)
     # int U^{p*} e^{x}
     i_inter, e_inter = integrate_line(lambda x: U(x) ** p_star * math.exp(x),
                                       p_star + 1.0, p_star - 1.0, tol)
@@ -168,29 +165,24 @@ def energy_constants(n_dim: int, q: float, tol: float = 1e-12) -> EnergyConstant
     i_log, e_log = integrate_line(lambda x: U(x) ** (p_star + 1.0) * math.log(U(x)),
                                   p_star + 0.5, p_star + 0.5, tol)
 
-    a1 = 0.5 * i_quad - beta / (p_star + 1.0) * i_crit
+    a1 = beta * (0.5 - 1.0 / (p_star + 1.0)) * i_crit
     a2 = beta * gamma * i_inter
     a3 = beta / (p_star + 1.0) * i_crit
     a4 = i_crit / (p_star + 1.0) ** 2 - i_log / (p_star + 1.0)
-    err["a1"] = 0.5 * e_quad + beta / (p_star + 1.0) * e_crit
+    err["a1"] = beta * (0.5 - 1.0 / (p_star + 1.0)) * e_crit
     err["a2"] = beta * gamma * e_inter
     err["a3"] = beta / (p_star + 1.0) * e_crit
     err["a4"] = e_crit / (p_star + 1.0) ** 2 + e_log / (p_star + 1.0)
 
-    a5 = a5_hat = None
-    if q < p_star:
-        # weight e^{-(p*-q)x}; decay of U^{q+1} e^{-(p*-q)x}: right q+1+(p*-q), left 2q+1-p*
-        val, e5 = integrate_line(
-            lambda x: U(x) ** (q + 1.0) * math.exp(-(p_star - q) * x),
-            2.0 * q + 1.0 - p_star, p_star + 1.0, tol)
-        a5 = beta / (q + 1.0) * val
-        err["a5"] = beta / (q + 1.0) * e5
-    else:
-        val, e5 = integrate_line(
-            lambda x: U(x) ** (q + 1.0) * math.exp(-(q - p_star) * x),
-            p_star + 1.0, 2.0 * q + 1.0 - p_star, tol)
-        a5_hat = beta / (q + 1.0) * val
-        err["a5_hat"] = beta / (q + 1.0) * e5
+    # int U^{q+1} e^{-|p*-q| x}, a5 for q < p* and a5_hat above; it decays
+    # at rate q+1-|p*-q| to the left and q+1+|p*-q| to the right
+    c = abs(p_star - q)
+    val, e5 = integrate_line(lambda x: U(x) ** (q + 1.0) * math.exp(-c * x),
+                             q + 1.0 - c, q + 1.0 + c, tol)
+    fifth = {"a5": None, "a5_hat": None}
+    name = "a5" if q < p_star else "a5_hat"
+    fifth[name] = beta / (q + 1.0) * val
+    err[name] = beta / (q + 1.0) * e5
 
     return EnergyConstants(n_dim=n_dim, q=q, a1=a1, a2=a2, a3=a3, a4=a4,
-                           a5=a5, a5_hat=a5_hat, c_n=gamma, err=err)
+                           c_n=gamma, err=err, **fifth)

@@ -12,8 +12,9 @@ That gradient is a linear form in the multipliers c_i of one correction
 genuine discrete solution v = Ubar + phi; its Newton matrix is the diagonal
 Hessian of the reduced functional Psi.
 
-A run is set by h and the window constant M alone (ReductionConfig); sigma is
-default_sigma(params), and tolerances and limits are the constants below.
+A run is set by the grid spacing h alone (ReductionConfig); sigma is
+default_sigma(params), and the window constant, tolerances and limits are the
+constants below.
 
 Each correction builds one field.TowerField for its spike set and hands it
 to the ProjectedSolver of every Newton step (``solver.field``): the
@@ -40,7 +41,8 @@ from .errors import (AssemblyError, ConditioningError, ConvergenceError,
 # reduction.tower_ansatz, so the name stays importable
 from .field import (Grid, GridFunction, SpikeFrame, TowerField, ansatz_residual,
                     default_sigma, energy, grid_for_spikes, tower_ansatz)
-from .profiles import ModelParams, Regime, ef_x_of_r, profile_d2U
+from .profiles import (ModelParams, Regime, ef_inverse, ef_r_of_x, ef_x_of_r,
+                       profile_d2U)
 from .quadrature import EnergyConstants
 from .reduced_model import (critical_scales, energy_expansion,
                             reduced_functional_hess_diag, spike_locations)
@@ -60,6 +62,7 @@ __all__ = [
 ]
 
 
+WINDOW_M = 10.0      # window constant M of check_window
 PAD = 3.0            # extra domain beyond max(30, 10/sigma)
 TOL_FP = 1e-11       # correction Newton increment, star norm
 TOL_ORTH = 1e-10     # max_i |Z_i^T phi| of a converged correction
@@ -71,10 +74,9 @@ MAX_NEWTON = 40
 
 @dataclass(frozen=True)
 class ReductionConfig:
-    """Grid spacing h and window constant M of one reduction run."""
+    """Grid spacing h of one reduction run."""
 
     h: float = 0.02
-    window_m: float = 10.0
 
 
 @dataclass
@@ -103,8 +105,8 @@ class ReductionState:
         return self.field.frame
 
 
-def check_window(xi, params: ModelParams, m_window: float = 10.0):
-    """Admissible-configuration window for the spike set.
+def check_window(xi, params: ModelParams):
+    """Admissible-configuration window for the spike set, M = WINDOW_M.
 
     Gaps must exceed log(1/(M eps)) and the outermost spike must stay below
     (1/gap + k - 1) log(1/eps) + k log M, with gap the exponent gap: the
@@ -117,12 +119,12 @@ def check_window(xi, params: ModelParams, m_window: float = 10.0):
         raise WindowViolationError(f"first spike must be positive, got {xi[0]:g}")
     if k >= 2:
         min_gap = float(np.min(np.diff(xi)))
-        if min_gap <= math.log(1.0 / (m_window * eps)):
+        if min_gap <= math.log(1.0 / (WINDOW_M * eps)):
             raise WindowViolationError(
                 f"minimal gap {min_gap:g} below window bound "
-                f"{math.log(1.0 / (m_window * eps)):g}")
+                f"{math.log(1.0 / (WINDOW_M * eps)):g}")
     outer = ((1.0 / params.exponent_gap + k - 1) * math.log(1.0 / eps)
-             + k * math.log(m_window))
+             + k * math.log(WINDOW_M))
     if xi[-1] >= outer:
         raise WindowViolationError(
             f"outermost spike {xi[-1]:g} beyond window bound {outer:g}")
@@ -210,7 +212,6 @@ class ProjectedSolver:
 def solve_correction(xi, params: ModelParams,
                      config: ReductionConfig = ReductionConfig(),
                      grid: Optional[Grid] = None,
-                     enforce_window: bool = True,
                      phi0: Optional[np.ndarray] = None) -> ReductionState:
     """Newton for the correction: F(phi) = A phi - N(phi) + R = sum_i c_i Z_i
     with Z^T phi = 0, where F(phi) = full_operator(Ubar + phi).
@@ -228,8 +229,8 @@ def solve_correction(xi, params: ModelParams,
     solve A phi = -R + sum c_i Z_i.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if enforce_window and params.epsilon > 0.0:
-        check_window(xi, params, config.window_m)
+    if params.epsilon > 0.0:
+        check_window(xi, params)
     if grid is None:
         grid = grid_for_spikes(xi, default_sigma(params), config.h, PAD)
     tower = TowerField(xi, params, grid)
@@ -414,17 +415,11 @@ class RadialSolution:
         return out
 
     def r_range(self) -> Tuple[float, float]:
-        m = (self.params.n_dim - 2) / 2.0
-        s = self.params.ef_sign
-        r_a = math.exp(-s * self.x_range[1] / m)
-        r_b = math.exp(-s * self.x_range[0] / m)
-        return (min(r_a, r_b), max(r_a, r_b))
+        r = ef_r_of_x(self.x_range, self.params.n_dim, self.params.regime)
+        return (float(np.min(r)), float(np.max(r)))
 
     def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        m = (self.params.n_dim - 2) / 2.0
-        x = ef_x_of_r(r, self.params.n_dim, self.params.regime)
-        return r ** (-m) * self.ef(x)
+        return ef_inverse(self.ef, self.params.n_dim, self.params.regime)(r)
 
     def residual_radii(self, n: int = 100) -> np.ndarray:
         """Radii where the radial-equation check is meaningful.
@@ -435,15 +430,12 @@ class RadialSolution:
         and the equation degenerates to a 0 = 0 cancellation that no
         finite-h profile can certify.
         """
-        m = (self.params.n_dim - 2) / 2.0
-        s = self.params.ef_sign
         if self.params.regime is Regime.SUB_Q:
             x_lo, x_hi = float(self.xi[0]) - 10.0, float(self.xi[-1]) + 1.0
         else:
             x_lo, x_hi = float(self.xi[0]) - 1.0, float(self.xi[-1]) + 10.0
-        r_a = math.exp(-s * x_hi / m)
-        r_b = math.exp(-s * x_lo / m)
-        return np.geomspace(min(r_a, r_b), max(r_a, r_b), n)
+        r = ef_r_of_x((x_lo, x_hi), self.params.n_dim, self.params.regime)
+        return np.geomspace(np.min(r), np.max(r), n)
 
     def radial_residual(self, radii) -> np.ndarray:
         """Relative residual of the radial equation at the given radii.

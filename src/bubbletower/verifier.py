@@ -40,7 +40,7 @@ from scipy.interpolate import BPoly
 from scipy.optimize import brentq
 
 from .errors import ConvergenceError
-from .profiles import ModelParams, Regime
+from .profiles import ModelParams, Regime, ef_forward
 from .reduced_model import TowerConfig
 
 __all__ = [
@@ -103,9 +103,8 @@ class ShotProfile:
 
     def ef_image(self, x) -> np.ndarray:
         """v(x) = r^{(N-2)/2} u(r) evaluated through the dense interpolant."""
-        m = (self.params.n_dim - 2) / 2.0
-        r = np.exp(-self.params.ef_sign * np.asarray(x, dtype=float) / m)
-        return r ** m * np.atleast_2d(self.interpolant(r))[0]
+        return ef_forward(lambda r: np.atleast_2d(self.interpolant(r))[0],
+                          self.params.n_dim, self.params.regime)(x)
 
 
 def _peak_indices(v: np.ndarray) -> np.ndarray:

@@ -1,9 +1,11 @@
+import argparse
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bubbletower import cli
 from bubbletower.cli import main, parse_potential
 
 
@@ -87,14 +89,23 @@ def test_reduce_writes_no_solution_csv(tmp_path):
 
 
 def test_float_table_matches_per_value_format(tmp_path):
-    # the row-template writer gives the bytes of the per-value _fmt writer
-    from bubbletower.cli import _write_csv, _write_table
+    # the one row template per table gives the bytes of a per-value writer
+    def _fmt(x) -> str:
+        return "%.17g" % float(x)
+
     rng = np.random.default_rng(3)
     table = rng.normal(size=(200, 4)) * 10.0 ** rng.integers(-300, 300, (200, 4))
     table[0, :3] = (-0.0, 5e-324, 1.7976931348623157e308)
-    _write_csv(tmp_path / "a.csv", ["x", "a", "b", "c"], table)
-    _write_table(tmp_path / "b.csv", ["x", "a", "b", "c"], table)
-    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    header = ["x", "a", "b", "c"]
+    named = [["a1", 0.5, 1e-13], ["c_n", 3.0 ** 0.25, 0.0]]
+    args = argparse.Namespace(command="tables", out=str(tmp_path))
+    cli._write_artifacts(args, {}, {"a.csv": (header, table.tolist()),
+                                    "b.csv": (["name", "v", "e"], named)}, {})
+    expected = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in table]
+    assert (tmp_path / "tables" / "a.csv").read_bytes() \
+        == ("\n".join(expected) + "\n").encode()
+    assert (tmp_path / "tables" / "b.csv").read_text().splitlines() == [
+        "name,v,e", "a1,0.5,1e-13", f"c_n,{_fmt(3.0 ** 0.25)},0"]
 
 
 def test_sweep_requires_decreasing_eps(tmp_path):
@@ -184,6 +195,20 @@ def test_sweep_with_no_surviving_point_exits_nonzero(tmp_path):
     assert set(payload["errors"]) == {"0.9", "0.8"}
 
 
+def test_sweep_with_non_finite_metric_writes_no_report(tmp_path, monkeypatch):
+    # a NaN would reach sweep.json as a literal NaN, which is not JSON
+    def nan_point(params, constants, config):
+        return {"eps": params.epsilon, "residual_star": float("nan"),
+                "phi_star": 1.0, "energy_gap_ratio": 1.0}
+
+    monkeypatch.setattr(cli, "sweep_point", nan_point)
+    with pytest.raises(SystemExit, match="non-finite") as info:
+        run_cli(["sweep", "--q", "4", "--eps-list", "1e-2,5e-3",
+                 "--out", str(tmp_path)])
+    assert info.value.code not in (0, None)
+    assert not (tmp_path / "sweep" / "sweep.json").exists()
+
+
 def test_verify_pipeline_outputs(tmp_path):
     run_cli(["verify", "--q", "4", "--eps", "5e-2", "--k", "1",
              "--V", "const:-1", "--h", "0.02", "--out", str(tmp_path)])
@@ -234,7 +259,6 @@ def test_verify_concentrating(k, eps, h, pot, max_sup, tmp_path):
 @pytest.mark.parametrize("argv", [
     ["reduce", "--q", "4", "--eps", "5e-2", "--h", "0"],
     ["reduce", "--q", "4", "--eps", "5e-2", "--h", "-0.01"],
-    ["reduce", "--q", "4", "--eps", "5e-2", "--window-M", "0"],
     ["reduce", "--q", "4", "--eps", "1.5"],
     ["verify", "--q", "4", "--eps", "nan"],
     ["predict", "--q", "4", "--eps", "0"],

@@ -9,6 +9,7 @@ from bubbletower import (energy_constants, integrate_line, quadrature,
                          profile_log_moment_closed_form,
                          profile_moment_closed_form, profile_U)
 from bubbletower.errors import QuadratureConvergenceError, RegimeMismatchError
+from bubbletower.profiles import critical_exponents, model_constants
 
 # frozen closed forms for N=3 (Beta reduction of the profile moments)
 A1_N3 = math.sqrt(3.0) * math.pi / 8.0
@@ -94,6 +95,28 @@ def test_energy_constants_evaluation_budget(q, monkeypatch):
     monkeypatch.setattr(quadrature, "integrate_line", counting)
     energy_constants(3, q)
     assert 0 < evals[0] <= 5000
+
+
+@pytest.mark.parametrize("n_dim", [3, 4, 5, 6, 7, 8])
+def test_energy_constants_every_dimension_within_err_of_closed_forms(n_dim):
+    # the integrals grow with N (int U^{p*+1} is about 48 at N = 5), so an
+    # absolute quadrature target alone would sit below roundoff
+    p_s, p_star = critical_exponents(n_dim)
+    gamma, beta = model_constants(n_dim)
+    i_crit = profile_moment_closed_form(p_star + 1.0, 0.0, n_dim)
+    exact = {
+        "a1": beta * (0.5 - 1.0 / (p_star + 1.0)) * i_crit,
+        "a2": beta * gamma * profile_moment_closed_form(p_star, -1.0, n_dim),
+        "a3": beta / (p_star + 1.0) * i_crit,
+        "a4": i_crit / (p_star + 1.0) ** 2
+        - profile_log_moment_closed_form(n_dim) / (p_star + 1.0),
+    }
+    for q, name in (((p_s + p_star) / 2.0, "a5"), (p_star + 1.0, "a5_hat")):
+        C = energy_constants(n_dim, q)
+        c = abs(p_star - q)
+        fifth = beta / (q + 1.0) * profile_moment_closed_form(q + 1.0, c, n_dim)
+        for key, val in {**exact, name: fifth}.items():
+            assert abs(getattr(C, key) - val) <= C.err[key], (q, key)
 
 
 def test_energy_constants_positive(c4, c7):

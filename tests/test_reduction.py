@@ -107,8 +107,7 @@ def test_operator_norm_probe_uniform_in_eps(c4):
 def test_correction_trivial_at_unperturbed_single_bubble():
     params = make_params(eps=0.0, v=0.0, k=1)
     for h, bound in ((0.02, 2e-4), (0.01, 5e-5)):
-        state = solve_correction(np.array([0.0]), params,
-                                 ReductionConfig(h=h), enforce_window=False)
+        state = solve_correction(np.array([0.0]), params, ReductionConfig(h=h))
         assert state.converged
         # the discrete residual of U is O(h^2), so phi is too
         assert state.star_norm_phi < bound
@@ -168,13 +167,13 @@ def test_solver_sensitivity_in_spike_positions(c4):
 def test_window_constraint():
     # q = 4 has exponent gap 1, where the outer bound is k log(M/eps)
     p1, p2 = make_params(eps=1e-2, k=1), make_params(eps=1e-2, k=2)
-    check_window(np.array([4.0]), p1, 10.0)
+    check_window(np.array([4.0]), p1)
     with pytest.raises(WindowViolationError):
-        check_window(np.array([-1.0]), p1, 10.0)
+        check_window(np.array([-1.0]), p1)
     with pytest.raises(WindowViolationError):
-        check_window(np.array([4.0, 5.0]), p2, 10.0)   # gap too small
+        check_window(np.array([4.0, 5.0]), p2)   # gap too small
     with pytest.raises(WindowViolationError):
-        check_window(np.array([40.0]), p1, 10.0)       # beyond the window
+        check_window(np.array([40.0]), p1)       # beyond the window
 
 
 @pytest.mark.parametrize("q,k,eps", [
