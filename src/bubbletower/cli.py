@@ -184,14 +184,16 @@ def cmd_verify(args) -> int:
         found = find_tower(params, tower)
     except BubbleTowerError as exc:
         raise SystemExit(f"verification failed: {exc}")
-    xi1 = float(state.xi[0])
+    xi1, xik = float(state.xi[0]), float(state.xi[-1])
     metrics = compare(solution.ef, found.ef_image, (xi1 - 2.0, xi1 + 2.0))
+    tower_metrics = compare(solution.ef, found.ef_image, (xi1 - 2.0, xik + 2.0))
     residual = solution.radial_residual(solution.residual_radii(100))
     payload = {
         "shot_u0": found.u0,
         "classification": found.classification.value,
         "ef_peaks": found.peak_count_ef,
         "sup_rel_near_peak": metrics.sup_rel,
+        "sup_rel_tower": tower_metrics.sup_rel,
         "l2_rel_near_peak": metrics.l2_rel,
         "max_radial_residual": float(np.max(residual)),
         "multipliers": list(state.c),
@@ -252,6 +254,7 @@ _POSITIVE = _checked(float, lambda v: v > 0.0, "> 0")
 _DIMENSION = _checked(int, lambda v: v >= 3, ">= 3")
 _COUNT = _checked(int, lambda v: v >= 1, ">= 1")
 _UNIT = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
+_FINITE = _checked(float, np.isfinite, "finite")
 
 
 def _eps_list(text: str) -> str:
@@ -263,15 +266,19 @@ def _eps_list(text: str) -> str:
     return text
 
 
-def _add_model_args(sp, eps_required=True):
+def _add_constants_args(sp):
     sp.add_argument("--N", type=_DIMENSION, default=3, help="dimension (>= 3)")
-    sp.add_argument("--q", type=float, required=True, help="competing exponent")
+    sp.add_argument("--q", type=_FINITE, required=True, help="competing exponent")
+    sp.add_argument("--tol", type=_UNIT, default=1e-12, help="quadrature tolerance")
+
+
+def _add_model_args(sp, eps_required=True):
+    _add_constants_args(sp)
     if eps_required:
         sp.add_argument("--eps", type=_UNIT, required=True, help="supercritical shift")
     sp.add_argument("--k", type=_COUNT, default=1, help="tower height")
     sp.add_argument("--V", type=str, default="const:-1",
                     help="potential preset (const:c | rational:a,b)")
-    sp.add_argument("--tol", type=_UNIT, default=1e-12, help="quadrature tolerance")
 
 
 def _add_grid_args(sp):
@@ -314,9 +321,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("constants", help="energy constants table", parents=[common])
-    sp.add_argument("--N", type=_DIMENSION, default=3, help="dimension (>= 3)")
-    sp.add_argument("--q", type=float, required=True, help="competing exponent")
-    sp.add_argument("--tol", type=_UNIT, default=1e-12, help="quadrature tolerance")
+    _add_constants_args(sp)
     sp.set_defaults(func=cmd_constants)
 
     sp = sub.add_parser("predict", help="closed-form tower prediction", parents=[common])

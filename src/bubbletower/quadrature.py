@@ -61,17 +61,17 @@ def integrate_line(f: Callable, decay_left: float, decay_right: float,
     """Integrate f over the real line; returns (value, err).
 
     f must decay at least like exp(-decay_left * |x|) to the left and
-    exp(-decay_right * x) to the right.  ``quad`` integrates the truncated
-    interval, split at 0 for |x|-type kinks, to tolerance 0.8 tol, absolute
-    for integrals below 1 and relative above (QUADPACK stops once its error
+    exp(-decay_right * x) to the right, both rates positive and finite
+    (ValueError otherwise).  ``quad`` integrates the truncated interval,
+    split at 0 for |x|-type kinks, to tolerance 0.8 tol, absolute for
+    integrals below 1 and relative above (QUADPACK stops once its error
     estimate is below max(epsabs, epsrel |value|)), in at most max_evals
     21-point Gauss-Kronrod subintervals (QUADPACK allocates work arrays of
-    that length on every call).  err bounds
-    |value - integral|; any QUADPACK warning raises
-    QuadratureConvergenceError carrying the best estimate and err.
+    that length on every call).  err bounds |value - integral|; a QUADPACK
+    warning raises QuadratureConvergenceError with the estimate and err.
     """
-    if decay_left <= 0 or decay_right <= 0:
-        raise ValueError("decay rates must be positive")
+    if not (0 < decay_left < math.inf and 0 < decay_right < math.inf):
+        raise ValueError("decay rates must be positive and finite")
     tol_tail = tol / 10.0
     x_left, tail_left = _tail_cutoff(f, decay_left, -1, tol_tail)
     x_right, tail_right = _tail_cutoff(f, decay_right, +1, tol_tail)

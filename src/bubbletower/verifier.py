@@ -3,21 +3,18 @@
 The concentrating regime shoots outward from the origin: below the tower
 height trajectories cross zero, above they relax to the slowly decaying
 supercritical orbit, and the tower is the boundary between crossing and
-non-crossing shots.  The search runs Brent's method on a functional every
-shot defines: the distance, in r^{-(N-2)}, from r_max to the zero of the
-linear far field through the shot's last step, signed by the
-classification, so that it vanishes where the crossing radius reaches r_max.
-The flat regime has no reachable forward dichotomy (deviations separate
-only at radii exp(1/eps)), so there the shooter integrates the transformed
-equation backward from the far field, and the same search bisects on the
-decay coefficient between undershoot (a dive through zero, CROSSING) and
-overshoot (a second hump or a blow-up, BLOWING).
+non-crossing shots.  The flat regime has no reachable forward dichotomy
+(deviations separate only at radii exp(1/eps)), so there the shooter
+integrates the transformed equation backward from the far field and stops
+at the first zero (undershoot, CROSSING) or minimum (overshoot, BLOWING)
+of v after its k-th peak.  One search, find_tower, runs Brent's method
+between the two behaviours on a functional that each shot defines.
 
 Shooting dominates the cost of a verification.  Every shot runs on the
 compiled DOP853 behind ``scipy.integrate.ode``: the same 8(5,3) method as
 solve_ivp's, without Python code per step besides the right-hand side and a
-step callback that records the trajectory and stops a shot that crosses
-zero or blows up.  Only the kept shot of a search builds a dense
+step callback that records the trajectory and stops the shot at its first
+event.  Only the kept shot of a search builds a dense
 interpolant (septic Hermite on its steps, with closed-form Bernstein
 coefficients).  Both right-hand sides are scalar code on Python floats
 (``math`` and ``PotentialSpec.at``).
@@ -59,7 +56,7 @@ SCAN_POINTS = 13
 # the classification chatters within about 5e-13 relative of the separatrix
 SEPARATRIX_RTOL = 1e-12
 # brentq's iteration budget; the concentrating searches take at most 12
-# steps, the flat bisection about 47
+# steps, the flat ones 5 to 12 (N = 3, k = 1, 2, 3)
 SEARCH_MAXITER = 100
 # brentq's relative tolerance, its smallest allowed value
 BRENT_RTOL = 4.0 * np.finfo(float).eps
@@ -109,25 +106,18 @@ class ShotProfile:
 
 def _peak_indices(v: np.ndarray) -> np.ndarray:
     """Indices of the samples that rise strictly from the left, do not rise
-    to the right, and exceed 5% of a positive maximum."""
-    v = np.asarray(v)
-    if v.size < 3:
-        return np.zeros(0, dtype=int)
-    floor = 0.05 * float(np.max(v)) if np.max(v) > 0 else np.inf
+    to the right, and exceed 5% of a positive maximum (and zero)."""
+    floor = 0.05 * float(np.max(v, initial=0.0))
     interior = (v[1:-1] > v[:-2]) & (v[1:-1] >= v[2:]) & (v[1:-1] > floor)
     return np.flatnonzero(interior) + 1
 
 
-def _count_peaks(values: np.ndarray) -> int:
-    return int(_peak_indices(values).size)
-
-
-def _integrate(rhs, t0: float, y0, t_end: float, ceiling: float,
+def _integrate(rhs, t0: float, y0, t_end: float, stop: Callable[[float], bool],
                rtol: float, atol: float):
     """Run scipy's compiled DOP853 on (y, y')' = rhs from t0 toward t_end.
 
     The step callback (SOLOUT in Hairer, Norsett & Wanner) records every
-    accepted step and stops the integration once y < 0 or y > ceiling.
+    accepted step and stops the integration once stop(y) is true.
     Returns the steps' t, y, y' as arrays and DOP853's return code: 1 at
     t_end, 2 at a stop, negative where the integration failed.
     """
@@ -136,7 +126,7 @@ def _integrate(rhs, t0: float, y0, t_end: float, ceiling: float,
     def record(t, z):
         y, dy = z.tolist()
         steps.append((t, y, dy))
-        return -1 if y < 0.0 or y > ceiling else 0
+        return -1 if stop(y) else 0
 
     solver = ode(rhs).set_integrator("dop853", rtol=rtol, atol=atol, nsteps=MAX_STEPS)
     solver.set_solout(record)
@@ -171,7 +161,7 @@ def shoot(u0: float, params: ModelParams, r_max: Optional[float] = None,
     curv = (u0 ** p - params.potential.at(0.0) * u0 ** params.q) / (2.0 * params.n_dim)
     r, u, du, code = _integrate(_radial_rhs(params), r0,
                                 [u0 - curv * r0 * r0, -2.0 * curv * r0], r_max,
-                                10.0 * u0, rtol, 1e-14 * u0)
+                                lambda y: y < 0.0 or y > 10.0 * u0, rtol, 1e-14 * u0)
     if code < 0:
         raise ConvergenceError(
             f"radial integration failed at r = {r[-1]:.6g} "
@@ -258,26 +248,22 @@ def _classify_endpoint(u, du) -> Classification:
 
 
 def _ef_peaks(r, u, params: ModelParams) -> int:
-    m = (params.n_dim - 2) / 2.0
     mask = (r > 0) & (u > 0)
-    if np.count_nonzero(mask) < 3:
-        return 0
-    return _count_peaks(r[mask] ** m * u[mask])
+    return _peak_indices(r[mask] ** ((params.n_dim - 2) / 2.0) * u[mask]).size
 
 
-def find_tower(params: ModelParams, guess: TowerConfig,
-               bracket: Tuple[float, float] = (0.5, 1.5)) -> ShotProfile:
+def find_tower(params: ModelParams, guess: TowerConfig) -> ShotProfile:
     """Locate the k-peak decaying solution near a predicted tower.
 
     Both regimes scan up to SCAN_POINTS values across a +-50% bracket
     around the prediction, in order, stop at the first pair whose
     behaviour differs, and search between them by Brent's method on a
-    functional g that is + on crossing shots and - on the others (Brent,
-    Algorithms for Minimization without Derivatives, 1973; scipy's brentq).
-    The search shoots each value once.  Only the kept shot builds its
-    interpolant, when compare() or the flat height read first reads it.  A search that spends
-    SEARCH_MAXITER steps raises ConvergenceError with its last crossing and
-    non-crossing shots as state.
+    functional g of one sign on crossing shots and the other on the rest
+    (Brent, Algorithms for Minimization without Derivatives, 1973; scipy's
+    brentq).  The search shoots each value once.  Only the kept shot builds
+    its interpolant, when compare() or the flat height read first reads it.
+    A search that spends SEARCH_MAXITER steps raises ConvergenceError with
+    its last crossing and non-crossing shots as state.
 
     Concentrating regime: the initial height u0 between a crossing and a
     non-crossing shot, seeded at the predicted peak of the tower; the
@@ -303,12 +289,17 @@ def find_tower(params: ModelParams, guess: TowerConfig,
 
     Flat regime: the value is the decay coefficient c of v ~ c e^{-x}
     beyond the last spike, scanned geometrically around gamma e^{xi_k};
-    each shot runs backward from xi_k + 10 to xi_1 - 25
-    (_shoot_flat_backward).  Its g is +-1, so brentq bisects, down to a
-    bracket of FLAT_RTOL * c (a few ulps, about 47 steps).  The returned
-    shot is the undershoot end of the final bracket, which follows the
-    decaying solution far below xi_1 before it dives through zero.  It is
-    DECAYING when it reaches xi_1 - 6, where u0 is read (u is flat there).
+    each shot runs backward from xi_k + 10 and stops at its first event
+    after the k-th peak, at the latest at xi_1 - 25 (_shoot_flat_backward).
+    g is b = e^x (v - v') at the stop (_growing_mode).  On the linear far
+    field v = A e^x + B e^{-x} it is 2B, constant, with B the coefficient of
+    the mode that grows toward the origin: positive at a minimum, negative
+    at a zero.  So g is continuous through the separatrix and brentq
+    converges superlinearly, to a bracket of FLAT_RTOL * c (a few ulps; 13
+    to 21 shots on the checked towers, N = 3, k = 1, 2, 3).  The returned
+    shot is the undershoot end of the final bracket: it follows the decaying
+    solution far below xi_1 before it dives through zero, and is DECAYING
+    when it reaches xi_1 - 6, where u0 is read (u is flat there).
 
     Raises ConvergenceError with the scan report when no behaviour change
     brackets a solution.
@@ -316,21 +307,25 @@ def find_tower(params: ModelParams, guess: TowerConfig,
     xi1, xik = float(guess.xi[0]), float(guess.xi[-1])
     if params.regime is Regime.SUB_Q:
         u0_pred = params.gamma * float(np.sum(np.exp(guess.xi)))
-        values = np.linspace(bracket[0] * u0_pred, bracket[1] * u0_pred, SCAN_POINTS)
+        values = np.linspace(0.5 * u0_pred, 1.5 * u0_pred, SCAN_POINTS)
         r_max_m = _default_r_max(params) ** -(params.n_dim - 2.0)
         shoot_at = lambda u0: shoot(u0, params)
         gap, rtol = (lambda shot: _crossing_gap(shot, r_max_m)), SEPARATRIX_RTOL
     else:
         c_pred = params.gamma * math.exp(xik)
-        values = np.geomspace(bracket[0] * c_pred, bracket[1] * c_pred, SCAN_POINTS)
+        values = np.geomspace(0.5 * c_pred, 1.5 * c_pred, SCAN_POINTS)
         shoot_at = lambda c: _shoot_flat_backward(c, params, xik + 10.0, xi1 - 25.0)
-        gap, rtol = (lambda shot: 1.0 if _crossed(shot) else -1.0), FLAT_RTOL
-    shots, labels = _scan(values, shoot_at, _crossed)
-    if labels[-1] == labels[0]:
+        gap, rtol = _growing_mode, FLAT_RTOL
+    shots = []
+    for value in values:
+        shots.append(shoot_at(value))
+        if _crossed(shots[-1]) != _crossed(shots[0]):
+            break
+    else:
         raise ConvergenceError(
             "no crossing/non-crossing change in the bracket; scan: "
             + ", ".join(f"{s.u0:.4g}:{s.classification.value}" for s in shots))
-    pair = shots[-2:] if labels[-2] else shots[:-3:-1]
+    pair = shots[-2:] if _crossed(shots[-2]) else shots[:-3:-1]
     crossing, staying = _search_separatrix(shoot_at, gap, *pair, rtol)
     if params.regime is Regime.SUB_Q:
         return staying
@@ -402,18 +397,6 @@ def _crossing_gap(shot: ShotProfile, r_max_m: float) -> float:
     return gap if _crossed(shot) else -gap
 
 
-def _scan(values, shot_at: Callable, label: Callable):
-    """Shots at values, in order, up to the first whose label differs from
-    the first shot's; returns the shots and their labels."""
-    shots, labels = [], []
-    for v in values:
-        shots.append(shot_at(v))
-        labels.append(label(shots[-1]))
-        if labels[-1] != labels[0]:
-            break
-    return shots, labels
-
-
 def _flat_rhs(params: ModelParams):
     """Right-hand side (v, v')' of the flat-regime transformed equation,
     v'' = v - beta (e^{eps x} v^p - V(r) e^{-(q-p*) x} v^q), r = e^{x/m},
@@ -444,32 +427,52 @@ def _shoot_flat_backward(c: float, params: ModelParams, x_hi: float,
                          x_lo: float) -> ShotProfile:
     """Integrate the transformed equation backward from v = c e^{-x} at x_hi.
 
-    The shot stops where v < 0 or v > 10 gamma, else at x_lo.  It is an
-    overshoot (BLOWING) when it stops above zero before x_lo (a blow-up, or
-    a DOP853 failure on the way to one) or shows a second hump; otherwise
-    an undershoot (CROSSING).  The profile holds the steps, in increasing
-    r = e^{x/m}, as u = e^{-x} v and u' = (m/r) e^{-x} (v' - v), with v
-    clipped at 0; its u0 is c.
+    The shot stops at its first event (_flat_stop): v < 0, an undershoot
+    (CROSSING), or a minimum of v after its k-th peak, an overshoot
+    (BLOWING).  A stop at v > 10 gamma and a DOP853 failure above zero are
+    overshoots too; a shot that reaches x_lo is an undershoot.  The profile
+    holds the steps, in increasing r = e^{x/m}, as u = e^{-x} max(v, 0) and
+    u' = (m/r) e^{-x} (v' - v); its u0 is c.
     """
     m = (params.n_dim - 2) / 2.0
     v0 = c * math.exp(-x_hi)
     x, v, dv, code = _integrate(_flat_rhs(params), x_hi, [v0, -v0], x_lo,
-                                10.0 * params.gamma, 1e-12, 1e-20)
-    v = np.maximum(v, 0.0)
-    over = (code != 1 and v[-1] > 0.0) or _second_hump(v)
+                                _flat_stop(params.k, 10.0 * params.gamma), 1e-12, 1e-20)
+    over = code != 1 and v[-1] >= 0.0
     x, v, dv = x[::-1], v[::-1], dv[::-1]
     r, decay = np.exp(x / m), np.exp(-x)
-    return ShotProfile(c, r, decay * v, m / r * decay * (dv - v),
+    return ShotProfile(c, r, decay * np.maximum(v, 0.0), m / r * decay * (dv - v),
                        Classification.BLOWING if over else Classification.CROSSING,
-                       _count_peaks(v), params)
+                       _peak_indices(v).size, params)
 
 
-def _second_hump(v: np.ndarray) -> bool:
-    """True when v, after diving below half its peak, rises again above 1.5
-    times its running minimum."""
-    i_peak = int(np.argmax(v))
-    low = np.minimum.accumulate(v[i_peak:])
-    return bool(np.any((v[i_peak:] > 1.5 * low + 1e-12) & (low < 0.5 * v[i_peak])))
+def _flat_stop(k: int, ceiling: float) -> Callable[[float], bool]:
+    """Stop rule of a flat shot, fed v step by step in the order of travel:
+    true at v < 0, v > ceiling or a minimum after the k-th peak.  A peak
+    (minimum) is a strict fall (rise) after a strict rise (fall)."""
+    peaks, trend, last = 0, 0, math.nan
+
+    def stop(v: float) -> bool:
+        nonlocal peaks, trend, last
+        turn, last = (v > last) - (v < last), v
+        # a step to an equal value (turn 0) keeps the trend
+        if turn and turn != trend:
+            if trend < 0 and peaks >= k:
+                return True
+            peaks, trend = peaks + (trend > 0), turn
+        return v < 0.0 or v > ceiling
+
+    return stop
+
+
+def _growing_mode(shot: ShotProfile) -> float:
+    """b = e^x (v - v'), the coefficient of the mode e^{-x} of v'' = v that
+    grows toward the origin, at a flat shot's last step (-r^{N-1} u'/m at
+    r[0]): + at a minimum, - at a zero; signed by the label, so + at a
+    ceiling or failure stop."""
+    n_dim = shot.params.n_dim
+    b = abs(shot.r[0] ** (n_dim - 1.0) * shot.du[0] / ((n_dim - 2) / 2.0))
+    return -b if _crossed(shot) else b
 
 
 @dataclass(frozen=True)
@@ -481,21 +484,16 @@ class CompareMetrics:
 
 
 def compare(u_a: Callable, u_b: Callable, window: Tuple[float, float],
-            n: int = 512, spacing: str = "linear") -> CompareMetrics:
+            n: int = 512) -> CompareMetrics:
     """Sup and L2 relative discrepancies of two profiles on a window.
 
-    Both arguments are callables of one variable; the discrepancies are
-    normalized by the sup / L2 size of the first profile on the window.
+    Both are callables of one variable, sampled at n evenly spaced points;
+    each discrepancy is relative to the first profile's sup / L2 size there.
     """
     lo, hi = window
     if not (hi > lo):
         raise ValueError("empty comparison window")
-    if spacing == "log":
-        if lo <= 0:
-            raise ValueError("log spacing needs a positive window")
-        t = np.geomspace(lo, hi, n)
-    else:
-        t = np.linspace(lo, hi, n)
+    t = np.linspace(lo, hi, n)
     va = np.asarray(u_a(t), dtype=float)
     vb = np.asarray(u_b(t), dtype=float)
     scale_sup = float(np.max(np.abs(va)))

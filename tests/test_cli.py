@@ -220,21 +220,31 @@ def test_verify_pipeline_outputs(tmp_path):
     assert shot_header == "r,u"
 
 
-@pytest.mark.parametrize("k,eps,h,pot,max_sup", [
+@pytest.mark.parametrize("n_dim,q,k,eps,h,pot,max_sup", [
     # V(0) = V(inf) = -1 but a non-constant V in between
-    (1, "5e-2", "0.02", "rational:-0.5,-0.5", 0.2),
+    (3, 7, 1, "5e-2", "0.02", "rational:-0.5,-0.5", 0.2),
     # a two-spike flat tower; sup_rel measured 6.8e-5
-    (2, "1e-2", "0.02", "const:-1", 1e-3),
+    (3, 7, 2, "1e-2", "0.02", "const:-1", 1e-3),
     # V(0) > 0 > V(inf): overshooting shots blow up; sup_rel measured 1.7e-5
-    (1, "5e-2", "0.01", "rational:1,-2", 1e-3),
-], ids=["k1-rational", "k2-const", "k1-v0-positive"])
-def test_verify_flat_regime(k, eps, h, pot, max_sup, tmp_path):
-    run_cli(["verify", "--q", "7", "--k", str(k), "--V", pot,
+    (3, 7, 1, "5e-2", "0.01", "rational:1,-2", 1e-3),
+    # q above p* = (N+2)/(N-2) in N = 4, 5, 6; sup_rel measured 2.0-4.1e-5
+    (4, 5, 1, "5e-2", "0.02", "const:-1", 1e-3),
+    (4, 5, 2, "1e-2", "0.02", "const:-1", 1e-3),
+    (5, 4, 1, "5e-2", "0.02", "const:-1", 1e-3),
+    (5, 4, 2, "1e-2", "0.02", "const:-1", 1e-3),
+    (6, 3, 1, "5e-2", "0.02", "const:-1", 1e-3),
+    (6, 3, 2, "1e-2", "0.02", "const:-1", 1e-3),
+], ids=["k1-rational", "k2-const", "k1-v0-positive",
+        "N4-k1", "N4-k2", "N5-k1", "N5-k2", "N6-k1", "N6-k2"])
+def test_verify_flat_regime(n_dim, q, k, eps, h, pot, max_sup, tmp_path):
+    run_cli(["verify", "--N", str(n_dim), "--q", str(q), "--k", str(k), "--V", pot,
              "--eps", eps, "--h", h, "--out", str(tmp_path)])
     payload = json.loads((tmp_path / "verify" / "verify.json").read_text())
     assert payload["classification"] == "decaying"
     assert payload["ef_peaks"] == k
     assert payload["sup_rel_near_peak"] < max_sup
+    # on [xi_1 - 2, xi_k + 2]; the same window as near_peak at k = 1
+    assert payload["sup_rel_tower"] < max_sup
     assert max(abs(c) for c in payload["multipliers"]) < 1e-8
 
 
@@ -253,6 +263,7 @@ def test_verify_concentrating(k, eps, h, pot, max_sup, tmp_path):
     assert payload["classification"] == "decaying"
     assert payload["ef_peaks"] == k
     assert payload["sup_rel_near_peak"] < max_sup
+    assert payload["sup_rel_tower"] < max_sup
     assert max(abs(c) for c in payload["multipliers"]) < 1e-8
 
 
@@ -276,6 +287,10 @@ def test_verify_concentrating(k, eps, h, pot, max_sup, tmp_path):
     ["sweep", "--q", "1", "--eps-list", "1e-2,5e-3"],
     ["sweep", "--q", "4", "--k", "0", "--eps-list", "1e-2,5e-3"],
     ["sweep", "--q", "4", "--eps-list", "1e-2,5e-3", "--V", "gaussian:1"],
+    ["constants", "--q", "inf"],
+    ["constants", "--q", "nan"],
+    ["verify", "--q", "inf", "--eps", "5e-2"],
+    ["sweep", "--q", "-inf", "--eps-list", "1e-2,5e-3"],
 ])
 def test_bad_grid_and_run_arguments_exit_at_parse_time(argv, tmp_path):
     with pytest.raises(SystemExit):

@@ -53,6 +53,17 @@ def test_route_independence_of_moments(s, c_frac):
     assert abs(val - exact) <= max(1e-10 * abs(exact), err + 1e-13)
 
 
+@pytest.mark.parametrize("decay_left,decay_right", [
+    (math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan),
+    (0.0, 1.0), (1.0, -1.0),
+])
+def test_integrate_line_rejects_bad_decay_rates(decay_left, decay_right):
+    # rejected before QUADPACK, which crashes on the NaN (0 * inf) that an
+    # infinite rate puts into the a5_hat integrand at q = inf
+    with pytest.raises(ValueError, match="positive and finite"):
+        integrate_line(lambda x: math.exp(-abs(x)), decay_left, decay_right)
+
+
 def test_moment_closed_form_rejects_divergent():
     with pytest.raises(ValueError):
         profile_moment_closed_form(3.0, 3.5, 3)

@@ -283,9 +283,10 @@ def test_assembled_agrees_with_predicted_solution(c4):
         lam_eps, state = solve_reduced(params, c4, ReductionConfig(h=0.02))
         sol = assemble_solution(state, params)
         pred = predicted_solution(params, c4)
-        r_peak = float(np.exp(-2.0 * state.xi[0]))
-        metrics = compare(sol, pred, (r_peak / 5.0, 5.0 * r_peak),
-                          spacing="log")
+        # evenly spaced in log r
+        ln_peak = -2.0 * float(state.xi[0])
+        metrics = compare(lambda s: sol(np.exp(s)), lambda s: pred(np.exp(s)),
+                          (ln_peak - math.log(5.0), ln_peak + math.log(5.0)))
         sups.append(metrics.sup_rel)
     assert sups[0] < 0.2
     assert sups[1] < sups[0]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -79,31 +80,39 @@ def test_failed_flat_shot_counts_as_overshoot(c7):
     assert shot.classification is Classification.BLOWING
 
 
-def test_second_hump_matches_the_sample_loop():
-    # the flat overshoot rule, vectorized over a shot's steps, against the
-    # same rule as a plain loop
-    from bubbletower.verifier import _second_hump
+def test_flat_stop_matches_the_sample_loop():
+    # the flat shot's step rule, fed one value at a time, against a plain
+    # loop over each prefix with equal neighbours merged: the first index
+    # where v < 0, v > ceiling or a minimum follows the k-th peak
+    from bubbletower.verifier import _flat_stop
 
-    def loop(vs):
-        i_peak = int(np.argmax(vs))
-        running_min = vs[i_peak]
-        for j in range(i_peak, vs.size):
-            running_min = min(running_min, vs[j])
-            if vs[j] > 1.5 * running_min + 1e-12 and running_min < 0.5 * vs[i_peak]:
-                return True
-        return False
+    def loop(vs, k, ceiling):
+        for j in range(len(vs)):
+            if vs[j] < 0 or vs[j] > ceiling:
+                return j, "bound"
+            w = [a for i, a in enumerate(vs[:j + 1]) if i == 0 or a != vs[i - 1]]
+            if j == 0 or vs[j] == vs[j - 1] or len(w) < 3:
+                continue
+            peaks = sum(w[i - 1] < w[i] > w[i + 1] for i in range(1, len(w) - 2))
+            if w[-3] > w[-2] < w[-1] and peaks >= k:
+                return j, "minimum"
+        return None, None
 
-    # integer walks clipped at 0 hit the rule's ties; the small scales put
-    # the rises near its 1e-12 floor
+    def rule(vs, k, ceiling):
+        stop = _flat_stop(k, ceiling)
+        return next((j for j, v in enumerate(vs) if stop(float(v))), None)
+
+    # integer walks hit ties; each is read in both travel directions
     rng = np.random.default_rng(3)
-    results = []
-    for scale in (1.0, 1e-12, 4e-13):
-        for _ in range(1000):
-            walk = np.cumsum(rng.integers(-3, 4, size=rng.integers(1, 30)))
-            v = scale * np.maximum(walk, 0).astype(float)
-            results.append(loop(v))
-            assert _second_hump(v) == results[-1]
-    assert 0 < sum(results) < len(results)
+    kinds = []
+    for _ in range(1500):
+        walk = 4 + np.cumsum(rng.integers(-3, 4, size=rng.integers(1, 40)))
+        k = int(rng.integers(1, 4))
+        for vs in (walk.tolist(), walk[::-1].tolist()):
+            j, kind = loop(vs, k, 12)
+            assert rule(vs, k, 12) == j
+            kinds.append(kind)
+    assert all(kinds.count(kind) > 100 for kind in ("bound", "minimum", None))
 
 
 def test_find_tower_emits_no_warning(c4):
@@ -251,8 +260,9 @@ def test_bisection_shoots_no_height_twice(q, shooter, c4, c7, monkeypatch):
         # the scan and Brent's steps take 13 shots
         assert len(heights) <= 20 and found.u0 in heights
     else:
-        # the scan and the bisection to a few ulps take 54-55 shots
-        assert len(heights) <= 60
+        # the scan and Brent's steps on the growing-mode coefficient take
+        # 16 shots
+        assert len(heights) <= 25
 
 
 def _bisected_separatrix(params, guess):
@@ -332,10 +342,13 @@ def test_radial_rhs_matches_numpy_scalar_formula(potential):
 
 
 def test_find_tower_requires_behaviour_change(c4):
+    # spikes moved down by log 10 scan heights of 5-15% of the prediction,
+    # where every shot crosses
     params = make_params(eps=5e-2, k=1)
     tower = predicted_tower(params, c4)
-    with pytest.raises(ConvergenceError):
-        find_tower(params, tower, bracket=(0.05, 0.10))   # all-crossing bracket
+    low = dataclasses.replace(tower, xi=tower.xi - math.log(10.0))
+    with pytest.raises(ConvergenceError, match="no crossing/non-crossing change"):
+        find_tower(params, low)
 
 
 def test_found_height_increases_as_eps_shrinks(c4):
