@@ -6,11 +6,12 @@ elimination of the bordered system through its k x k Schur complement, so
 only the tridiagonal operator is factored, by LAPACK), (ii) Newton's method
 for the correction phi(xi), one such solve per step on the Jacobian at
 Ubar + phi, (iii) the reduced energy as a function of the scale parameters
-Lambda, and (iv) an outer Newton solve driving its gradient to zero.
-That gradient is a linear form in the multipliers c_i of one correction
-(reduced_energy_grad), so the solve drives the c_i to zero and yields a
-genuine discrete solution v = Ubar + phi; its Newton matrix is the diagonal
-Hessian of the reduced functional Psi.
+Lambda, and (iv) an outer quasi-Newton solve in log Lambda that stops once
+the multipliers c_i of the correction vanish, max|c| < TOL_C, so that
+v = Ubar + phi is a genuine discrete solution.  Its gradient is a linear
+form in the c_i of one correction (reduced_energy_grad); its step matrix
+starts at the log-Hessian of the reduced functional Psi at the closed-form
+critical scales and takes Broyden updates.
 
 A run is set by the grid spacing h alone (ReductionConfig); sigma is
 default_sigma(params), and the window constant, tolerances and limits are the
@@ -66,8 +67,7 @@ WINDOW_M = 10.0      # window constant M of check_window
 PAD = 3.0            # extra domain beyond max(30, 10/sigma)
 TOL_FP = 1e-11       # correction Newton increment, star norm
 TOL_ORTH = 1e-10     # max_i |Z_i^T phi| of a converged correction
-TOL_C = 1e-8         # max|c| at the Newton solution
-NEWTON_TOL = 1e-8    # |grad Phi|_2
+TOL_C = 1e-10        # max|c| that stops solve_reduced
 MAX_CORRECTION_STEPS = 10
 MAX_NEWTON = 40
 
@@ -318,17 +318,17 @@ def reduced_energy_grad(lambdas, params: ModelParams,
 
 def solve_reduced(params: ModelParams, constants: EnergyConstants,
                   config: ReductionConfig = ReductionConfig()):
-    """Outer Newton solve for the critical scales of the reduced energy.
+    """Critical scales Lambda_eps of Phi = energy/epsilon, where max|c| < TOL_C.
 
-    Starts from the closed-form critical point of the reduced functional Psi
-    (which checks the regime's hypothesis; epsilon must lie in (0, 1)).  The
-    gradient of Phi(Lambda) = energy/epsilon comes from the multipliers of
-    one correction (reduced_energy_grad); the Newton matrix is the diagonal
-    Hessian of Psi, the limit of that of Phi as epsilon -> 0.  A step is halved
-    until all Lambda_i > 0 and |grad Phi| falls; no other bound holds Lambda,
-    whose closed-form Lambda_1 exceeds 20 at exponent gaps below 1.  Returns
-    (Lambda_eps, state at Lambda_eps); failures raise ConvergenceError with
-    the last state.
+    Quasi-Newton in s = log Lambda (xi is linear in s) from the closed-form
+    maximizer Lambda* of Psi (critical_scales, which checks the regime's
+    hypothesis; epsilon must lie in (0, 1)).  The gradient Lambda * grad Phi
+    comes from the multipliers of one correction (reduced_energy_grad).  The
+    step matrix starts at diag(Lambda*^2 Psi''(Lambda*)), the log-Hessian of
+    Psi at its critical point, and takes Broyden's rank-one update after each
+    step.  A step is halved until |grad| falls.  The only stopping test is
+    max|c| < TOL_C.  Returns (Lambda_eps, state at Lambda_eps); failures raise
+    ConvergenceError with the last state.
     """
     lam = critical_scales(constants, params)
     xi0 = spike_locations(lam, params.epsilon, params)
@@ -336,46 +336,34 @@ def solve_reduced(params: ModelParams, constants: EnergyConstants,
     # in xi with the nodes held still, and each correction starts from the
     # accepted iterate's phi on it
     grid = grid_for_spikes(xi0, default_sigma(params), config.h, PAD)
+    jac = np.diag(lam * lam * reduced_functional_hess_diag(lam, constants, params))
 
-    def gradient(lam, phi0=None):
+    def gradient(s, phi0=None):
+        lam = np.exp(s)
         g, state = reduced_energy_grad(lam, params, config, grid, phi0)
-        return g / params.epsilon, state
+        return lam * g / params.epsilon, state
 
-    g, state = gradient(lam)
+    s = np.log(lam)
+    g, state = gradient(s)
     for _ in range(MAX_NEWTON):
+        if np.max(np.abs(state.c)) < TOL_C:
+            return np.exp(s), state
+        step = -np.linalg.solve(jac, g)
         norm_g = np.linalg.norm(g)
-        if norm_g < NEWTON_TOL:
-            break
-        hess = reduced_functional_hess_diag(lam, constants, params)
-        if not np.all(hess < 0.0):
-            raise ConvergenceError(
-                f"reduced Hessian diagonal {hess} not negative at Lambda = {lam}",
-                state=state)
-        delta = -g / hess
-        t = 1.0
-        for _ in range(12):
-            trial = lam + t * delta
-            if np.all(trial > 0.0):
-                g_trial, state_trial = gradient(trial, state.phi.values)
-                if np.linalg.norm(g_trial) < norm_g:
-                    lam, g, state = trial, g_trial, state_trial
-                    break
-            t *= 0.5
+        for halvings in range(12):
+            ds = 0.5 ** halvings * step
+            g_trial, state_trial = gradient(s + ds, state.phi.values)
+            if np.linalg.norm(g_trial) < norm_g:
+                break
         else:
             raise ConvergenceError(
-                f"line search found no |grad| below {norm_g:.3e} with Lambda > 0 "
-                f"along {delta} from Lambda = {lam}", state=state)
-    else:
-        raise ConvergenceError(
-            f"Newton did not reach {NEWTON_TOL:g} in "
-            f"{MAX_NEWTON} iterations; |grad| = {np.linalg.norm(g):.3e}",
-            state=state)
-
-    if float(np.max(np.abs(state.c))) > TOL_C:
-        raise ConvergenceError(
-            f"multipliers not driven to zero: max|c| = "
-            f"{np.max(np.abs(state.c)):.2e} > {TOL_C:g}", state=state)
-    return lam, state
+                f"line search found no |grad| below {norm_g:.3e} along {step} "
+                f"from log Lambda = {s}", state=state)
+        jac += np.outer(g_trial - g - jac @ ds, ds) / (ds @ ds)
+        s, g, state = s + ds, g_trial, state_trial
+    raise ConvergenceError(
+        f"max|c| = {np.max(np.abs(state.c)):.2e} not below {TOL_C:g} after "
+        f"{MAX_NEWTON} steps, at Lambda = {np.exp(s)}", state=state)
 
 
 def sweep_point(params: ModelParams, constants: EnergyConstants,

@@ -27,7 +27,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 # solve_ivp is not called here; perfbench/spans.py and its self-test wrap
@@ -138,30 +138,28 @@ def _integrate(rhs, t0: float, y0, t_end: float, stop: Callable[[float], bool],
     return t, y, dy, solver.get_return_code()
 
 
-def shoot(u0: float, params: ModelParams, r_max: Optional[float] = None,
-          rtol: float = 1e-10) -> ShotProfile:
+def shoot(u0: float, params: ModelParams) -> ShotProfile:
     """Integrate the radial equation outward from a series start at r0.
 
     u(r) = u0 - [u0^p - V(0) u0^q] r^2/(2N) + O(r^4) with p = params.p
     seeds the integration through the regular singular point.  The start
     r0 = min(1e-6, 1e-3 u0^{-(p-1)/2}) lies well inside the spike core,
     whose radius is u0^{-(p-1)/2}, however tall the tower.  _integrate runs
-    to r_max (default 50/sqrt(eps)) and stops the shot once u < 0
-    (CROSSING) or u > 10 u0 (BLOWING).  A shot that reaches r_max is
-    classified from its tail.  An integration that fails (step budget
+    at rtol 1e-10 to r_max = 50/sqrt(eps) (50 at eps = 0) and stops the
+    shot once u < 0 (CROSSING) or u > 10 u0 (BLOWING).  A shot that
+    reaches r_max is classified from its tail.  An integration that fails (step budget
     spent, step size underflow) raises ConvergenceError with the solver's
     return code and the last accepted step.
     """
     if u0 <= 0.0:
         raise ValueError("initial height must be positive")
     p = params.p
-    if r_max is None:
-        r_max = _default_r_max(params)
     r0 = min(1e-6, 1e-3 * u0 ** (-0.5 * (p - 1.0)))
     curv = (u0 ** p - params.potential.at(0.0) * u0 ** params.q) / (2.0 * params.n_dim)
     r, u, du, code = _integrate(_radial_rhs(params), r0,
-                                [u0 - curv * r0 * r0, -2.0 * curv * r0], r_max,
-                                lambda y: y < 0.0 or y > 10.0 * u0, rtol, 1e-14 * u0)
+                                [u0 - curv * r0 * r0, -2.0 * curv * r0],
+                                _default_r_max(params),
+                                lambda y: y < 0.0 or y > 10.0 * u0, 1e-10, 1e-14 * u0)
     if code < 0:
         raise ConvergenceError(
             f"radial integration failed at r = {r[-1]:.6g} "

@@ -204,7 +204,7 @@ def test_change_of_variables_maps_radial_to_line_equation(q):
     from bubbletower import shoot
     params = ModelParams.make(3, q, 5e-2, k=1,
                               potential=PotentialSpec.constant(-1.0))
-    prof = shoot(0.8, params, r_max=60.0, rtol=1e-12)
+    prof = shoot(0.8, params)
     m, s = 0.5, params.ef_sign
     # p = p* + eps in the sub-q regime, p* - eps in the super-q regime
     p = params.p_star + (params.epsilon if q < params.p_star else -params.epsilon)

@@ -176,17 +176,28 @@ def test_window_constraint():
         check_window(np.array([40.0]), p1)       # beyond the window
 
 
-@pytest.mark.parametrize("q,k,eps", [
-    (3.5, 1, 1e-2), (4.5, 1, 1e-2), (5.5, 1, 1e-2), (6.0, 1, 1e-2),
+def _gap_case(q, k, eps, n_dim=3, h=0.03):
+    # N = 3 cases keep the q-k-eps ids they had before N was a parameter
+    tag = f"{q}-{k}-{eps}" if n_dim == 3 else f"N{n_dim}-{q}-{k}-{eps}"
+    return pytest.param(n_dim, q, k, eps, h, id=tag)
+
+
+@pytest.mark.parametrize("n_dim,q,k,eps,h", [
+    _gap_case(3.5, 1, 1e-2), _gap_case(4.5, 1, 1e-2), _gap_case(5.5, 1, 1e-2),
+    _gap_case(6.0, 1, 1e-2),
     # gap 0.5: the closed-form Lambda_1 is 21.6-48.5, so the Newton search
     # must not confine Lambda to a fixed box
-    (5.5, 2, 1e-2), (4.5, 3, 1e-3), (5.5, 3, 1e-3),
+    _gap_case(5.5, 2, 1e-2), _gap_case(4.5, 3, 1e-3), _gap_case(5.5, 3, 1e-3),
+    # gaps 0.1-0.2: Lambda_1 reaches 3e12, where |grad Phi| ~ c/(eps Lambda)
+    # is tiny long before max|c| is
+    *(_gap_case(q, k, 1e-2) for q in (4.8, 4.9, 5.1) for k in (1, 2)),
+    *(_gap_case(1.8, k, 5e-2, n_dim=6, h=0.02) for k in (1, 2)),
 ])
-def test_towers_converge_across_exponent_gaps(q, k, eps):
-    # gap = |q - p*| runs from 0.5 to 1.5; below 1 the first spike sits
+def test_towers_converge_across_exponent_gaps(n_dim, q, k, eps, h):
+    # gap = |q - p*| runs from 0.1 to 1.5; below 1 the first spike sits
     # beyond k log(M/eps), so the window bound must follow the gap
-    params = make_params(q=q, eps=eps, k=k)
-    _, state = solve_reduced(params, energy_constants(3, q), ReductionConfig(h=0.03))
+    params = make_params(q=q, eps=eps, k=k, n_dim=n_dim)
+    _, state = solve_reduced(params, energy_constants(n_dim, q), ReductionConfig(h=h))
     assert np.max(np.abs(state.c)) < 1e-8
 
 
@@ -423,7 +434,7 @@ def test_multiplier_gradient_matches_central_differences(q, k, eps, c4, c7):
     assert gaps[0] > 5.0 * gaps[1]
 
 
-@pytest.mark.parametrize("k,h,bound", [(2, 0.02, 12), (3, 0.03, 16)])
+@pytest.mark.parametrize("k,h,bound", [(2, 0.02, 5), (3, 0.03, 6)])
 def test_solve_reduced_corrections_counted(k, h, bound, c4, monkeypatch):
     import bubbletower.reduction as reduction_module
     calls = []
@@ -439,12 +450,11 @@ def test_solve_reduced_corrections_counted(k, h, bound, c4, monkeypatch):
     assert len(calls) <= bound
 
 
-def test_nonnegative_reduced_hessian_raises_with_state(c4, monkeypatch):
+def test_unconverged_outer_solve_raises_with_state(c4, monkeypatch):
     import bubbletower.reduction as reduction_module
     from bubbletower.errors import ConvergenceError
-    monkeypatch.setattr(reduction_module, "reduced_functional_hess_diag",
-                        lambda lam, constants, params: np.zeros(lam.size))
-    with pytest.raises(ConvergenceError, match="not negative") as info:
+    monkeypatch.setattr(reduction_module, "MAX_NEWTON", 1)
+    with pytest.raises(ConvergenceError, match="not below") as info:
         solve_reduced(make_params(eps=1e-2, k=1), c4, ReductionConfig(h=0.03))
     assert info.value.state is not None and info.value.state.converged
 

@@ -18,7 +18,7 @@ GAMMA_3 = 3.0 ** 0.25
 def test_shooting_reproduces_bubble_family(lam):
     params = make_params(eps=0.0, v=0.0)
     u0 = GAMMA_3 * lam ** -0.5
-    prof = shoot(u0, params, r_max=10.0)
+    prof = shoot(u0, params)
     r = np.linspace(1e-3, 10.0, 400)
     exact = np.array([bubble_w(lam, 0.0, ri, 3) for ri in r])
     got = np.atleast_2d(prof.interpolant(r))[0]
