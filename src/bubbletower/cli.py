@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .errors import BubbleTowerError
@@ -86,6 +87,7 @@ def _write_artifacts(args, payloads: Dict[str, object],
     manifest = {
         "tool": "bubbletower",
         "version": __version__,
+        "numpy": np.__version__, "scipy": scipy.__version__,
         "config": {k: v for k, v in vars(args).items() if k != "func"},
         "outputs": sorted([*payloads, *tables]),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),

@@ -22,7 +22,7 @@ class TruncationError(BubbleTowerError):
 
 
 class QuadratureConvergenceError(BubbleTowerError):
-    """Line quadrature missed its tolerance (QUADPACK reported a warning).
+    """Line quadrature missed its tolerance (panels, roundoff, non-finite f).
 
     Carries the best available estimate so callers can degrade gracefully.
     """

@@ -21,13 +21,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import TruncationError
 from .profiles import ModelParams, profile_U, profile_dU
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "Grid",
@@ -286,6 +288,7 @@ def nonlinear_remainder(phi: GridFunction, xi, params: ModelParams) -> GridFunct
 def linearized_matrix(xi, params: ModelParams, grid: Grid) -> sp.csc_matrix:
     """Sparse symmetric matrix of the operator linearized at the tower, with
     zero end values: the Jacobian J(0) of TowerField.newton_system."""
+    import scipy.sparse as sp
     tower = TowerField(xi, params, grid)
     off = tower.off_diagonal
     main = tower.newton_system(np.zeros(grid.n))[1]

@@ -30,10 +30,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import (AssemblyError, ConditioningError, ConvergenceError,
@@ -47,6 +46,9 @@ from .profiles import (ModelParams, Regime, ef_inverse, ef_r_of_x, ef_x_of_r,
 from .quadrature import EnergyConstants
 from .reduced_model import (critical_scales, energy_expansion,
                             reduced_functional_hess_diag, spike_locations)
+
+if TYPE_CHECKING:
+    from scipy.interpolate import CubicSpline
 
 __all__ = [
     "ReductionConfig",
@@ -467,6 +469,7 @@ def assemble_solution(state: ReductionState, params: ModelParams) -> RadialSolut
     if float(np.min(v)) < floor:
         raise AssemblyError(
             f"corrected profile significantly negative (min {np.min(v):.3e})")
+    from scipy.interpolate import CubicSpline
     spline = CubicSpline(grid.x, np.maximum(v, 0.0))
     return RadialSolution(params=params, xi=np.asarray(state.xi, dtype=float),
                           spline=spline, x_range=(grid.x0, grid.x1))

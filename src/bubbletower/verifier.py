@@ -18,6 +18,9 @@ event.  Only the kept shot of a search builds a dense
 interpolant (septic Hermite on its steps, with closed-form Bernstein
 coefficients).  Both right-hand sides are scalar code on Python floats
 (``math`` and ``PotentialSpec.at``).
+
+scipy.integrate, scipy.optimize and scipy.interpolate are imported where
+the shooter first needs them, so importing this module loads none of them.
 """
 
 from __future__ import annotations
@@ -27,18 +30,16 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import TYPE_CHECKING, Callable, List, Tuple
 
 import numpy as np
-# solve_ivp is not called here; perfbench/spans.py and its self-test wrap
-# verifier.solve_ivp
-from scipy.integrate import ode, solve_ivp
-from scipy.interpolate import BPoly
-from scipy.optimize import brentq
 
 from .errors import ConvergenceError
 from .profiles import ModelParams, Regime, ef_forward
 from .reduced_model import TowerConfig
+
+if TYPE_CHECKING:
+    from scipy.interpolate import BPoly
 
 __all__ = [
     "Classification",
@@ -64,6 +65,16 @@ BRENT_RTOL = 4.0 * np.finfo(float).eps
 FLAT_RTOL = 2.0 * BRENT_RTOL
 # step budget of one shot; the checked shots take a few hundred steps
 MAX_STEPS = 100_000
+
+
+def __getattr__(name: str):
+    # solve_ivp is not called here, but perfbench/spans.py and its self-test
+    # read verifier.solve_ivp; it resolves on first read, so that importing
+    # this module loads no scipy.integrate
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class Classification(enum.Enum):
@@ -121,6 +132,7 @@ def _integrate(rhs, t0: float, y0, t_end: float, stop: Callable[[float], bool],
     Returns the steps' t, y, y' as arrays and DOP853's return code: 1 at
     t_end, 2 at a stop, negative where the integration failed.
     """
+    from scipy.integrate import ode
     steps = []
 
     def record(t, z):
@@ -218,6 +230,7 @@ def _septic_hermite(shot: ShotProfile) -> BPoly:
     c_{7-j} = sum_{l<=j} (-1)^l C(j,l)/C(7,l) d_l(r_i + h), j = 0..3, computed
     for all intervals at once.
     """
+    from scipy.interpolate import BPoly
     params, r, u, du = shot.params, shot.r, shot.u, shot.du
     p, q, n1 = params.p, params.q, params.n_dim - 1.0
     rhs = _radial_rhs(params)
@@ -340,6 +353,7 @@ def _search_separatrix(shoot_at: Callable, gap: Callable, crossing: ShotProfile,
     gap(shot) (see find_tower) until the bracket is at most rtol times its
     larger end wide; shoot_at(value) makes a search shot.  Returns the final
     crossing and non-crossing shots."""
+    from scipy.optimize import brentq
     shots = {crossing.u0: crossing, staying.u0: staying}
 
     def g(u0):

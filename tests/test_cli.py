@@ -1,9 +1,13 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from bubbletower import cli
 from bubbletower.cli import main, parse_potential
@@ -50,6 +54,8 @@ def test_manifest_captures_config(tmp_path):
     assert manifest["config"]["q"] == 7.0
     assert "constants.csv" in manifest["outputs"]
     assert manifest["tool"] == "bubbletower"
+    assert manifest["numpy"] == np.__version__
+    assert manifest["scipy"] == scipy.__version__
 
 
 def test_predict_writes_tower(tmp_path):
@@ -218,6 +224,39 @@ def test_verify_pipeline_outputs(tmp_path):
     assert payload["sup_rel_near_peak"] < 0.2
     shot_header = (tmp_path / "verify" / "shot.csv").read_text().splitlines()[0]
     assert shot_header == "r,u"
+
+
+_FOOTPRINT_SCRIPT = """
+import json, sys
+from bubbletower import cli
+out = sys.argv[1]
+for argv in (["constants", "--q", "4"],
+             ["predict", "--q", "4", "--eps", "1e-2", "--k", "2"],
+             ["reduce", "--q", "4", "--eps", "5e-2", "--k", "1", "--h", "0.05"],
+             ["sweep", "--q", "4", "--eps-list", "1e-2,5e-3", "--h", "0.05"]):
+    assert cli.main(argv + ["--out", out]) == 0
+heavy = ["scipy.integrate", "scipy.special", "scipy.optimize",
+         "scipy.interpolate", "scipy.sparse"]
+loaded = [name for name in heavy if name in sys.modules]
+assert cli.main(["verify", "--q", "4", "--eps", "5e-2", "--k", "1", "--out", out]) == 0
+print(json.dumps(loaded))
+"""
+
+
+def test_model_commands_import_only_scipy_linalg(tmp_path):
+    # a fresh interpreter: constants, predict, reduce and sweep need no
+    # scipy module beyond scipy.linalg; verify then imports the shooter's
+    # modules where it first uses them
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT_SCRIPT, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    payload = json.loads((tmp_path / "verify" / "verify.json").read_text())
+    assert payload["classification"] == "decaying"
+    assert payload["ef_peaks"] == 1
 
 
 @pytest.mark.parametrize("n_dim,q,k,eps,h,pot,max_sup", [

@@ -58,8 +58,8 @@ def test_route_independence_of_moments(s, c_frac):
     (0.0, 1.0), (1.0, -1.0),
 ])
 def test_integrate_line_rejects_bad_decay_rates(decay_left, decay_right):
-    # rejected before QUADPACK, which crashes on the NaN (0 * inf) that an
-    # infinite rate puts into the a5_hat integrand at q = inf
+    # an infinite rate puts a NaN (0 * inf) into the a5_hat integrand at
+    # q = inf; the rates are rejected before any panel is evaluated
     with pytest.raises(ValueError, match="positive and finite"):
         integrate_line(lambda x: math.exp(-abs(x)), decay_left, decay_right)
 
@@ -91,21 +91,66 @@ def test_energy_constants_within_reported_error_of_closed_forms(c4, c7):
     assert abs(c7.a5_hat - A5HAT_N3_Q7) <= c7.err["a5_hat"]
 
 
-@pytest.mark.parametrize("q", [4.0, 7.0])
-def test_energy_constants_evaluation_budget(q, monkeypatch):
+@pytest.fixture
+def evals(monkeypatch):
     # count integrand calls the way the benchmark's span wrapper does
-    evals = [0]
+    count = [0]
     inner = quadrature.integrate_line
 
     def counting(f, *args, **kwargs):
         def counted(x):
-            evals[0] += 1
+            count[0] += 1
             return f(x)
         return inner(counted, *args, **kwargs)
 
     monkeypatch.setattr(quadrature, "integrate_line", counting)
+    return count
+
+
+@pytest.mark.parametrize("q", [4.0, 7.0])
+def test_energy_constants_evaluation_budget(q, evals):
     energy_constants(3, q)
     assert 0 < evals[0] <= 5000
+
+
+def test_tolerance_below_roundoff_fails_within_budget(evals):
+    # 0.8e-15 is below 50 eps int U^{p*+1}, the sum of the panels' roundoff
+    # floors, so no subdivision can meet it
+    with pytest.raises(QuadratureConvergenceError, match="roundoff"):
+        energy_constants(3, 4.0, tol=1e-15)
+    assert 0 < evals[0] <= 5000
+    evals[0] = 0
+    C = energy_constants(3, 4.0, tol=1e-14)
+    assert C.a3 == pytest.approx(A3_N3, rel=1e-13)
+    assert 0 < evals[0] <= 5000
+
+
+def test_non_finite_integrand_fails_at_once():
+    calls = [0]
+
+    def f(x):
+        calls[0] += 1
+        return math.nan if 0.0 < x < 1.0 else math.exp(-abs(x))
+
+    with pytest.raises(QuadratureConvergenceError, match="non-finite"):
+        integrate_line(f, 1.0, 1.0)
+    # the tail probes and the first two panels, no bisection
+    assert calls[0] <= 14 + 2 * 21
+
+
+@pytest.mark.parametrize("n_dim", range(3, 11))
+def test_closed_form_special_functions_match_scipy(n_dim):
+    from scipy.special import betaln, digamma
+
+    p_s, p_star = critical_exponents(n_dim)
+    m = (n_dim - 2) / 2.0
+    q = (p_s + p_star) / 2.0
+    # the Beta arguments of the a1/a3, a2 and a5 moments
+    for s, c in ((p_star + 1.0, 0.0), (p_star, -1.0), (q + 1.0, p_star - q)):
+        a, b = 0.5 * m * (s + c), 0.5 * m * (s - c)
+        assert quadrature._betaln(a, b) == pytest.approx(betaln(a, b), rel=1e-14)
+    assert quadrature._digamma_gap(n_dim) == pytest.approx(
+        digamma(0.5 * n_dim) - digamma(float(n_dim)), rel=1e-14)
 
 
 @pytest.mark.parametrize("n_dim", [3, 4, 5, 6, 7, 8])
@@ -190,8 +235,8 @@ def test_panel_budget_exhaustion_carries_best_estimate():
 
 
 def test_subdivision_limit_carries_best_estimate():
-    # at tol 1e-14 the test above stops on QUADPACK's roundoff warning;
-    # this one runs out of subintervals
+    # at tol 1e-14 the test above stops because its target is below the
+    # panels' roundoff floor; this one runs out of subintervals
     with pytest.raises(QuadratureConvergenceError, match="subdivisions") as info:
         integrate_line(lambda x: 1.0 / math.cosh(x) ** 2, 2.0, 2.0,
                        tol=1e-12, max_evals=4)
