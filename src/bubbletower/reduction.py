@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
@@ -43,12 +43,10 @@ from .field import (Grid, GridFunction, SpikeFrame, TowerField, ansatz_residual,
                     default_sigma, energy, grid_for_spikes, tower_ansatz)
 from .profiles import (ModelParams, Regime, ef_inverse, ef_r_of_x, ef_x_of_r,
                        profile_d2U)
+from .numerics import PiecewisePolynomial, not_a_knot_spline
 from .quadrature import EnergyConstants
 from .reduced_model import (critical_scales, energy_expansion,
                             reduced_functional_hess_diag, spike_locations)
-
-if TYPE_CHECKING:
-    from scipy.interpolate import CubicSpline
 
 __all__ = [
     "ReductionConfig",
@@ -389,11 +387,12 @@ def sweep_point(params: ModelParams, constants: EnergyConstants,
 
 @dataclass(frozen=True)
 class RadialSolution:
-    """Cubic-spline wrapper of the corrected ansatz, read in the radial variable."""
+    """The corrected ansatz as a not-a-knot cubic spline in the line variable
+    (numerics.not_a_knot_spline), read in the radial variable."""
 
     params: ModelParams
     xi: np.ndarray
-    spline: CubicSpline
+    spline: PiecewisePolynomial
     x_range: Tuple[float, float]
 
     def ef(self, x):
@@ -462,14 +461,14 @@ class RadialSolution:
 
 
 def assemble_solution(state: ReductionState, params: ModelParams) -> RadialSolution:
-    """Back-transform the corrected ansatz to a radial profile."""
+    """The radial profile: the spline of max(Ubar + phi, 0) on the grid;
+    AssemblyError where Ubar + phi dips below -1e-6 times its maximum."""
     grid = state.phi.grid
     v = state.field.ubar.values + state.phi.values
     floor = -1e-6 * float(np.max(v))
     if float(np.min(v)) < floor:
         raise AssemblyError(
             f"corrected profile significantly negative (min {np.min(v):.3e})")
-    from scipy.interpolate import CubicSpline
-    spline = CubicSpline(grid.x, np.maximum(v, 0.0))
+    spline = not_a_knot_spline(grid.x, np.maximum(v, 0.0))
     return RadialSolution(params=params, xi=np.asarray(state.xi, dtype=float),
                           spline=spline, x_range=(grid.x0, grid.x1))

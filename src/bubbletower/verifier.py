@@ -10,17 +10,12 @@ at the first zero (undershoot, CROSSING) or minimum (overshoot, BLOWING)
 of v after its k-th peak.  One search, find_tower, runs Brent's method
 between the two behaviours on a functional that each shot defines.
 
-Shooting dominates the cost of a verification.  Every shot runs on the
-compiled DOP853 behind ``scipy.integrate.ode``: the same 8(5,3) method as
-solve_ivp's, without Python code per step besides the right-hand side and a
-step callback that records the trajectory and stops the shot at its first
-event.  Only the kept shot of a search builds a dense
-interpolant (septic Hermite on its steps, with closed-form Bernstein
-coefficients).  Both right-hand sides are scalar code on Python floats
-(``math`` and ``PotentialSpec.at``).
-
-scipy.integrate, scipy.optimize and scipy.interpolate are imported where
-the shooter first needs them, so importing this module loads none of them.
+Shooting dominates the cost of a verification.  Every shot runs on
+numerics.dop853, a Python port of scipy's DOP853, with right-hand sides on
+floats; it stops the shot at its first event.  Only the kept shot of a
+search builds a dense interpolant (septic Hermite on its steps, with
+closed-form Bernstein coefficients).  No scipy subpackage besides
+scipy.linalg is loaded.
 """
 
 from __future__ import annotations
@@ -28,18 +23,15 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
 from .errors import ConvergenceError
+from .numerics import PiecewisePolynomial, brentq, dop853
 from .profiles import ModelParams, Regime, ef_forward
 from .reduced_model import TowerConfig
-
-if TYPE_CHECKING:
-    from scipy.interpolate import BPoly
 
 __all__ = [
     "Classification",
@@ -103,7 +95,7 @@ class ShotProfile:
     params: ModelParams
 
     @functools.cached_property
-    def interpolant(self) -> BPoly:
+    def interpolant(self) -> PiecewisePolynomial:
         """Septic Hermite interpolant of u on the recorded steps: it matches
         u and u' there, and u'' and u''' taken from the equation (u'''
         needs V', the potential's ``slope``)."""
@@ -123,40 +115,13 @@ def _peak_indices(v: np.ndarray) -> np.ndarray:
     return np.flatnonzero(interior) + 1
 
 
-def _integrate(rhs, t0: float, y0, t_end: float, stop: Callable[[float], bool],
-               rtol: float, atol: float):
-    """Run scipy's compiled DOP853 on (y, y')' = rhs from t0 toward t_end.
-
-    The step callback (SOLOUT in Hairer, Norsett & Wanner) records every
-    accepted step and stops the integration once stop(y) is true.
-    Returns the steps' t, y, y' as arrays and DOP853's return code: 1 at
-    t_end, 2 at a stop, negative where the integration failed.
-    """
-    from scipy.integrate import ode
-    steps = []
-
-    def record(t, z):
-        y, dy = z.tolist()
-        steps.append((t, y, dy))
-        return -1 if stop(y) else 0
-
-    solver = ode(rhs).set_integrator("dop853", rtol=rtol, atol=atol, nsteps=MAX_STEPS)
-    solver.set_solout(record)
-    solver.set_initial_value(y0, t0)
-    with warnings.catch_warnings():     # callers read the return code instead
-        warnings.simplefilter("ignore", UserWarning)
-        solver.integrate(t_end)
-    t, y, dy = (np.array(c) for c in zip(*steps))
-    return t, y, dy, solver.get_return_code()
-
-
 def shoot(u0: float, params: ModelParams) -> ShotProfile:
     """Integrate the radial equation outward from a series start at r0.
 
     u(r) = u0 - [u0^p - V(0) u0^q] r^2/(2N) + O(r^4) with p = params.p
     seeds the integration through the regular singular point.  The start
     r0 = min(1e-6, 1e-3 u0^{-(p-1)/2}) lies well inside the spike core,
-    whose radius is u0^{-(p-1)/2}, however tall the tower.  _integrate runs
+    whose radius is u0^{-(p-1)/2}, however tall the tower.  dop853 runs
     at rtol 1e-10 to r_max = 50/sqrt(eps) (50 at eps = 0) and stops the
     shot once u < 0 (CROSSING) or u > 10 u0 (BLOWING).  A shot that
     reaches r_max is classified from its tail.  An integration that fails (step budget
@@ -168,10 +133,10 @@ def shoot(u0: float, params: ModelParams) -> ShotProfile:
     p = params.p
     r0 = min(1e-6, 1e-3 * u0 ** (-0.5 * (p - 1.0)))
     curv = (u0 ** p - params.potential.at(0.0) * u0 ** params.q) / (2.0 * params.n_dim)
-    r, u, du, code = _integrate(_radial_rhs(params), r0,
-                                [u0 - curv * r0 * r0, -2.0 * curv * r0],
-                                _default_r_max(params),
-                                lambda y: y < 0.0 or y > 10.0 * u0, 1e-10, 1e-14 * u0)
+    r, u, du, code = dop853(_radial_rhs(params), r0, u0 - curv * r0 * r0,
+                            -2.0 * curv * r0, _default_r_max(params),
+                            lambda y: y < 0.0 or y > 10.0 * u0, 1e-10, 1e-14 * u0,
+                            MAX_STEPS)
     if code < 0:
         raise ConvergenceError(
             f"radial integration failed at r = {r[-1]:.6g} "
@@ -185,26 +150,14 @@ def _default_r_max(params: ModelParams) -> float:
 
 
 def _radial_rhs(params: ModelParams):
-    """Right-hand side (u, u')' of the outward radial equation.
-
-    It runs on Python floats (``y.tolist()``), whose arithmetic is cheaper
-    per stage than numpy scalars' and gives the same bits.  Python's ``**``
-    raises OverflowError where numpy returns inf; such a stage (far into a
-    blow-up) is recomputed on np.float64, so the integrator sees the same
-    inf or nan as from numpy scalars and rejects the step itself.
-    """
+    """Right-hand side (u', u'') of the outward radial equation at (r, u, u'),
+    on Python floats.  Python's ``**`` raises OverflowError where numpy
+    returns inf (far into a blow-up); dop853 rejects such a step."""
     p, q, n1 = params.p, params.q, params.n_dim - 1.0
     pot = params.potential.at
 
-    def rhs(r, y):
-        u, du = y.tolist()
-        try:
-            f = -math.copysign(abs(u) ** p, u) + pot(r) * math.copysign(abs(u) ** q, u)
-        except OverflowError:
-            u = np.float64(u)
-            with np.errstate(over="ignore", invalid="ignore"):
-                f = (-math.copysign(abs(u) ** p, u)
-                     + pot(r) * math.copysign(abs(u) ** q, u))
+    def rhs(r, u, du):
+        f = -math.copysign(abs(u) ** p, u) + pot(r) * math.copysign(abs(u) ** q, u)
         return du, -n1 / r * du + f
 
     return rhs
@@ -220,7 +173,7 @@ _HERMITE_LEFT = np.array([[math.comb(j, l) / math.comb(7, l) if l <= j else 0.0
 _HERMITE_RIGHT = _HERMITE_LEFT * (-1.0) ** _ORDERS
 
 
-def _septic_hermite(shot: ShotProfile) -> BPoly:
+def _septic_hermite(shot: ShotProfile) -> PiecewisePolynomial:
     """Piecewise degree-7 interpolant of u matching u, u', u'', u''' at each r.
 
     u'' is the right-hand side of the equation; u''' is its r-derivative,
@@ -230,12 +183,10 @@ def _septic_hermite(shot: ShotProfile) -> BPoly:
     c_{7-j} = sum_{l<=j} (-1)^l C(j,l)/C(7,l) d_l(r_i + h), j = 0..3, computed
     for all intervals at once.
     """
-    from scipy.interpolate import BPoly
     params, r, u, du = shot.params, shot.r, shot.u, shot.du
     p, q, n1 = params.p, params.q, params.n_dim - 1.0
     rhs = _radial_rhs(params)
-    d2u = np.array([rhs(ri, yi)[1]
-                    for ri, yi in zip(r.tolist(), np.column_stack((u, du)))])
+    d2u = np.array([rhs(*step)[1] for step in zip(r.tolist(), u.tolist(), du.tolist())])
     au = np.abs(u)
     f_u = -p * au ** (p - 1.0) + params.potential.evaluate(r) * q * au ** (q - 1.0)
     f_r = np.array([params.potential.slope(ri) for ri in r]) * np.sign(u) * au ** q
@@ -245,7 +196,7 @@ def _septic_hermite(shot: ShotProfile) -> BPoly:
     c = np.empty((8, r.size - 1))
     c[:4] = _HERMITE_LEFT @ (derivs[:-1] * scale).T
     c[:3:-1] = _HERMITE_RIGHT @ (derivs[1:] * scale).T
-    return BPoly(c, r)
+    return PiecewisePolynomial(c, r, bernstein=True)
 
 
 def _classify_endpoint(u, du) -> Classification:
@@ -270,9 +221,9 @@ def find_tower(params: ModelParams, guess: TowerConfig) -> ShotProfile:
     around the prediction, in order, stop at the first pair whose
     behaviour differs, and search between them by Brent's method on a
     functional g of one sign on crossing shots and the other on the rest
-    (Brent, Algorithms for Minimization without Derivatives, 1973; scipy's
-    brentq).  The search shoots each value once.  Only the kept shot builds
-    its interpolant, when compare() or the flat height read first reads it.
+    (Brent, Algorithms for Minimization without Derivatives, 1973; a port
+    of scipy's brentq), shooting each value once.  Only the kept shot
+    builds its interpolant, when compare() or the flat height read reads it.
     A search that spends SEARCH_MAXITER steps raises ConvergenceError with
     its last crossing and non-crossing shots as state.
 
@@ -353,7 +304,6 @@ def _search_separatrix(shoot_at: Callable, gap: Callable, crossing: ShotProfile,
     gap(shot) (see find_tower) until the bracket is at most rtol times its
     larger end wide; shoot_at(value) makes a search shot.  Returns the final
     crossing and non-crossing shots."""
-    from scipy.optimize import brentq
     shots = {crossing.u0: crossing, staying.u0: staying}
 
     def g(u0):
@@ -412,25 +362,17 @@ def _crossing_gap(shot: ShotProfile, r_max_m: float) -> float:
 def _flat_rhs(params: ModelParams):
     """Right-hand side (v, v')' of the flat-regime transformed equation,
     v'' = v - beta (e^{eps x} v^p - V(r) e^{-(q-p*) x} v^q), r = e^{x/m},
-    with v clipped at 0; on Python floats, with _radial_rhs's fallback to
-    np.float64 where ``**`` overflows."""
+    with v clipped at 0; on Python floats, like _radial_rhs."""
     beta, p, q, eps = params.beta, params.p, params.q, params.epsilon
     gap = params.q - params.p_star
     m = (params.n_dim - 2) / 2.0
     pot = params.potential.at
 
-    def rhs(x, y):
-        v, dv = y.tolist()
+    def rhs(x, v, dv):
         vv = max(v, 0.0)
         w_p = math.exp(eps * x)
         w_q = pot(math.exp(min(x / m, 700.0))) * math.exp(-gap * x)
-        try:
-            f = w_p * vv ** p - w_q * vv ** q
-        except OverflowError:
-            vv = np.float64(vv)
-            with np.errstate(over="ignore", invalid="ignore"):
-                f = w_p * vv ** p - w_q * vv ** q
-        return dv, v - beta * f
+        return dv, v - beta * (w_p * vv ** p - w_q * vv ** q)
 
     return rhs
 
@@ -448,8 +390,9 @@ def _shoot_flat_backward(c: float, params: ModelParams, x_hi: float,
     """
     m = (params.n_dim - 2) / 2.0
     v0 = c * math.exp(-x_hi)
-    x, v, dv, code = _integrate(_flat_rhs(params), x_hi, [v0, -v0], x_lo,
-                                _flat_stop(params.k, 10.0 * params.gamma), 1e-12, 1e-20)
+    x, v, dv, code = dop853(_flat_rhs(params), x_hi, v0, -v0, x_lo,
+                            _flat_stop(params.k, 10.0 * params.gamma), 1e-12, 1e-20,
+                            MAX_STEPS)
     over = code != 1 and v[-1] >= 0.0
     x, v, dv = x[::-1], v[::-1], dv[::-1]
     r, decay = np.exp(x / m), np.exp(-x)

@@ -235,18 +235,16 @@ for argv in (["constants", "--q", "4"],
              ["reduce", "--q", "4", "--eps", "5e-2", "--k", "1", "--h", "0.05"],
              ["sweep", "--q", "4", "--eps-list", "1e-2,5e-3", "--h", "0.05"]):
     assert cli.main(argv + ["--out", out]) == 0
+assert cli.main(["verify", "--q", "4", "--eps", "5e-2", "--k", "1", "--out", out]) == 0
 heavy = ["scipy.integrate", "scipy.special", "scipy.optimize",
          "scipy.interpolate", "scipy.sparse"]
-loaded = [name for name in heavy if name in sys.modules]
-assert cli.main(["verify", "--q", "4", "--eps", "5e-2", "--k", "1", "--out", out]) == 0
-print(json.dumps(loaded))
+print(json.dumps([name for name in heavy if name in sys.modules]))
 """
 
 
 def test_model_commands_import_only_scipy_linalg(tmp_path):
-    # a fresh interpreter: constants, predict, reduce and sweep need no
-    # scipy module beyond scipy.linalg; verify then imports the shooter's
-    # modules where it first uses them
+    # a fresh interpreter: constants, predict, reduce, sweep and verify
+    # need no scipy module beyond scipy.linalg
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}

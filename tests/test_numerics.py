@@ -1,0 +1,147 @@
+"""The shooter's kernels against the scipy routines they replace."""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+from scipy.integrate import ode
+from scipy.interpolate import CubicSpline
+from scipy.optimize import brentq as scipy_brentq
+
+from bubbletower import (ModelParams, PotentialSpec, ReductionConfig, assemble_solution,
+                         solve_reduced)
+from bubbletower.numerics import brentq, dop853
+from bubbletower.verifier import MAX_STEPS, _default_r_max, _radial_rhs
+
+# the benchmark's verify cases (q = 4, k = 1): potential, eps and the
+# height of the shot find_tower keeps
+BENCHMARK_SHOTS = [(PotentialSpec.constant(-1.0), 5e-2, 35.20186489229378),
+                   (PotentialSpec.rational(-2.0, 1.0), 2e-2, 185.93955750608484)]
+
+
+def _oscillator(t, y, dy):
+    return dy, -y
+
+
+def _ode_dop853(rhs, t0, y0, dy0, t_end, stop, rtol, atol, nsteps=MAX_STEPS):
+    """The same integration on scipy's DOP853: the records and return code."""
+    steps = []
+
+    def record(t, z):
+        y, dy = z.tolist()
+        steps.append((t, y, dy))
+        return -1 if stop(y) else 0
+
+    solver = ode(lambda t, z: rhs(t, *z.tolist())).set_integrator(
+        "dop853", rtol=rtol, atol=atol, nsteps=nsteps)
+    solver.set_solout(record)
+    solver.set_initial_value([y0, dy0], t0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        solver.integrate(t_end)
+    return np.array(steps), solver.get_return_code()
+
+
+def _radial_shot(potential, eps, u0):
+    """dop853's arguments for verifier.shoot's outward shot at height u0."""
+    params = ModelParams.make(3, 4.0, eps, k=1, potential=potential)
+    p = params.p
+    r0 = min(1e-6, 1e-3 * u0 ** (-0.5 * (p - 1.0)))
+    curv = (u0 ** p - potential.at(0.0) * u0 ** params.q) / (2.0 * params.n_dim)
+    return (_radial_rhs(params), r0, u0 - curv * r0 * r0, -2.0 * curv * r0,
+            _default_r_max(params), lambda y: y < 0.0 or y > 10.0 * u0, 1e-10, 1e-14 * u0)
+
+
+@pytest.mark.parametrize("case", ["oscillator", "const", "rational"])
+def test_dop853_matches_scipy_ode(case):
+    if case == "oscillator":
+        args = (_oscillator, 0.0, 1.0, 0.0, 10.0, lambda y: False, 1e-10, 1e-14)
+    else:
+        args = _radial_shot(*BENCHMARK_SHOTS[case == "rational"])
+    t, y, dy, code = dop853(*args, MAX_STEPS)
+    ref, ref_code = _ode_dop853(*args)
+    assert code == ref_code == 1
+    assert abs(t.size / len(ref) - 1.0) <= 0.03
+    for got, want in zip((t[-1], y[-1], dy[-1]), ref[-1]):
+        assert abs(got - want) <= 1e-9 * abs(want)
+
+
+def test_dop853_return_codes():
+    # 1 at t_end; 2 at the first record with y < 0; -2 once a budget of 5
+    # steps is spent (6 attempts, as in dop853.f); -3 where y'' = y^3 blows
+    # up at t = sqrt(2)
+    stop_never = lambda y: False
+    t, y, _, code = dop853(_oscillator, 0.0, 1.0, 0.0, 10.0, stop_never, 1e-10, 1e-14, MAX_STEPS)
+    assert code == 1 and t[-1] == 10.0 and abs(y[-1] - math.cos(10.0)) < 1e-8
+    t, y, _, code = dop853(_oscillator, 0.0, 1.0, 0.0, 10.0, lambda v: v < 0.0, 1e-10, 1e-14,
+                           MAX_STEPS)
+    assert code == 2 and y[-1] < 0.0 <= y[-2] and t[-1] < 10.0
+    t, _, _, code = dop853(_oscillator, 0.0, 1.0, 0.0, 10.0, stop_never, 1e-10, 1e-14, 5)
+    ref, ref_code = _ode_dop853(_oscillator, 0.0, 1.0, 0.0, 10.0, stop_never, 1e-10, 1e-14, 5)
+    assert code == ref_code == -2 and t.size == len(ref) == 7
+    cubic = lambda t, y, dy: (dy, y ** 3)
+    t, _, _, code = dop853(cubic, 0.0, 1.0, 2.0 ** -0.5, 2.0, stop_never, 1e-10, 1e-14, MAX_STEPS)
+    assert code == -3 and abs(t[-1] - math.sqrt(2.0)) < 1e-9
+
+
+def test_dop853_rejects_a_step_that_overflows():
+    # a stage that raises OverflowError rejects its step, and the retry
+    # from the same point is 0.3 times as long
+    calls, raised, records = [], [], []
+
+    def flaky(t, y, dy):
+        calls.append(t)
+        if t > 1.0 and not raised:
+            raised.append(len(calls) - 1)
+            raise OverflowError
+        return dy, -y
+
+    def stop(y):                    # the index of the next call, at each record
+        records.append(len(calls))
+        return False
+
+    t, y, _, code = dop853(flaky, 0.0, 1.0, 0.0, 10.0, stop, 1e-10, 1e-14, MAX_STEPS)
+    assert code == 1 and abs(y[-1] - math.cos(10.0)) < 1e-8
+    # the attempt that raised began at the last record before the raise; an
+    # attempt's first call is its second stage, at start + C2 h
+    i = max(i for i, n in enumerate(records) if n <= raised[0])
+    start, first = float(t[i]), records[i]
+    assert (calls[raised[0] + 1] - start) / (calls[first] - start) == pytest.approx(0.3, rel=1e-9)
+    # the radial right-hand side raises where Python's ** overflows
+    params = ModelParams.make(3, 4.0, 5e-2, potential=PotentialSpec.constant(-1.0))
+    with pytest.raises(OverflowError):
+        _radial_rhs(params)(1.0, 1e300, 0.0)
+
+
+@pytest.mark.parametrize("f,a,b", [
+    (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
+    (lambda x: math.cos(x) - x, 0.0, 1.0),
+    (lambda x: math.exp(x) - 10.0, 5.0, 0.0),
+])
+@pytest.mark.parametrize("xtol", [1e-12, 1e-4])
+def test_brentq_matches_scipy(f, a, b, xtol):
+    ours, theirs = [], []
+    rtol = 4.0 * np.finfo(float).eps
+    root = brentq(lambda x: ours.append(x) or f(x), a, b, xtol, rtol, 100)
+    ref = scipy_brentq(lambda x: theirs.append(x) or f(x), a, b, xtol=xtol, rtol=rtol,
+                       maxiter=100)
+    assert root == ref and ours == theirs and len(ours) > 4
+    # the search turns this failure into ConvergenceError (test_verifier.py)
+    with pytest.raises(RuntimeError, match="Failed to converge after 2 iterations"):
+        brentq(f, a, b, xtol, rtol, 2)
+    with pytest.raises(ValueError):
+        brentq(f, a, a + 0.5 * (root - a), xtol, rtol, 100)
+
+
+def test_spline_matches_cubic_spline(c4):
+    # the assembled solution of the benchmark's first verify case, on and
+    # off the grid and past both ends
+    params = ModelParams.make(3, 4.0, 5e-2, k=1, potential=BENCHMARK_SHOTS[0][0])
+    _, state = solve_reduced(params, c4, ReductionConfig(h=0.01))
+    sol = assemble_solution(state, params)
+    grid = state.phi.grid
+    ref = CubicSpline(grid.x, np.maximum(state.field.ubar.values + state.phi.values, 0.0))
+    x = np.concatenate([grid.x, np.linspace(grid.x0 - 1.0, grid.x1 + 1.0, 20_001)])
+    for nu in (0, 1, 2):
+        np.testing.assert_allclose(sol.spline(x, nu), ref(x, nu), rtol=1e-13, atol=0.0)
