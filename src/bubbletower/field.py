@@ -7,13 +7,16 @@ discretization error.  Second derivatives use the 3-point stencil with zero
 ghost values; the energy's kinetic term uses the matching staggered first
 difference (see energy).
 
-TowerField holds one spike set's tower Ubar = sum_i U(. - xi_i) with what
-the reduction's Newton iteration for the correction reads (weights,
-(-d^2 + 1) Ubar, the kernel directions and the star-norm weight), built
-once, not on every step; each step asks it only for the Newton right-hand
-side and the Jacobian's diagonal at Ubar + phi (newton_system).  That
-Jacobian is the one linearization: linearized_matrix is its matrix at
-phi = 0, and nonlinear_remainder the quadratic remainder around Ubar.
+TowerField is the one evaluator of a spike set's profiles: Ubar =
+sum_i U(. - xi_i), the kernel directions, U''(. - xi_i) and the analytic
+residual, with what the reduction's Newton iteration for the correction
+reads (weights, (-d^2 + 1) Ubar and the star-norm weight), built once, not
+on every step; each step asks it only for the Newton right-hand side and
+the Jacobian's diagonal at Ubar + phi (newton_system).  tower_ansatz,
+kernel_directions, ansatz_residual and nonlinear_remainder read one built
+for the call.  That Jacobian is the one linearization: linearized_matrix
+is its matrix at phi = 0, and nonlinear_remainder the quadratic remainder
+around Ubar.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import TYPE_CHECKING, Optional, Tuple
 import numpy as np
 
 from .errors import TruncationError
-from .profiles import ModelParams, profile_U, profile_dU
+from .profiles import ModelParams, profile_U
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -161,15 +164,8 @@ def grid_for_spikes(xi, sigma: float, h: float = 0.02, pad: float = 0.0) -> Grid
 
 
 def tower_ansatz(xi, grid: Grid, params: ModelParams) -> GridFunction:
-    """Sum of translated line profiles U(x - xi_i)."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if np.any(np.diff(xi) <= 0.0):
-        raise ValueError("spike locations must be strictly increasing")
-    x = grid.x
-    vals = np.zeros(grid.n)
-    for s in xi:
-        vals += profile_U(x - s, params.n_dim)
-    return GridFunction(grid, vals, decay=(1.0, 1.0))
+    """Sum of translated line profiles U(x - xi_i) (TowerField.ubar)."""
+    return TowerField(xi, params, grid).ubar
 
 
 def star_norm(psi: GridFunction, frame: SpikeFrame) -> float:
@@ -242,19 +238,8 @@ def energy(psi: GridFunction, params: ModelParams) -> float:
 
 
 def ansatz_residual(xi, params: ModelParams, grid: Grid) -> GridFunction:
-    """Residual of the pure tower in the transformed equation (analytic form).
-
-    R = beta [ sum_i U_i^{p*} - w_nl Ubar^p + omega w_pot Ubar^q ] with
-    p = params.p; the derivative part is exact because each translate
-    solves the unperturbed profile equation.
-    """
-    x = grid.x
-    ubar = tower_ansatz(xi, grid, params).values
-    sum_crit = sum(profile_U(x - s, params.n_dim) ** params.p_star
-                   for s in np.atleast_1d(xi))
-    w_nl, w_pot = _weights(x, params)
-    vals = sum_crit - w_nl * ubar ** params.p + w_pot * ubar ** params.q
-    return GridFunction(grid, params.beta * vals)
+    """Analytic residual of the pure tower (TowerField.ansatz_residual)."""
+    return TowerField(xi, params, grid).ansatz_residual()
 
 
 def full_operator(psi: GridFunction, params: ModelParams) -> GridFunction:
@@ -277,8 +262,8 @@ def nonlinear_remainder(phi: GridFunction, xi, params: ModelParams) -> GridFunct
     N(phi) = beta w_nl [ (Ubar+phi)_+^p - Ubar^p - p Ubar^{p-1} phi ]
     - beta omega w_pot [ (Ubar+phi)_+^q - Ubar^q - q Ubar^{q-1} phi ].
     """
-    u, p, q = tower_ansatz(xi, phi.grid, params).values, params.p, params.q
-    w_nl, w_pot = _weights(phi.grid.x, params)
+    tower, p, q = TowerField(xi, params, phi.grid), params.p, params.q
+    u, w_nl, w_pot = tower.ubar.values, tower.w_nl, tower.w_pot
     bumped = np.maximum(u + phi.values, 0.0)
     n1 = w_nl * (bumped ** p - u ** p - p * u ** (p - 1.0) * phi.values)
     n2 = w_pot * (bumped ** q - u ** q - q * u ** (q - 1.0) * phi.values)
@@ -296,41 +281,56 @@ def linearized_matrix(xi, params: ModelParams, grid: Grid) -> sp.csc_matrix:
 
 
 def kernel_directions(xi, params: ModelParams, grid: Grid) -> np.ndarray:
-    """Columns Z_i(x) = U'(x - xi_i): the approximate kernel of the operator."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    x = grid.x
-    z = np.empty((grid.n, xi.size))
-    for i, s in enumerate(xi):
-        z[:, i] = profile_dU(x - s, params.n_dim)
-    return z
+    """Columns Z_i(x) = U'(x - xi_i), the operator's approximate kernel (TowerField.z)."""
+    return TowerField(xi, params, grid).z
 
 
 class TowerField:
-    """The tower Ubar = sum_i U(. - xi_i) on one grid, and what derives from it.
+    """One spike set's tower on one grid, and what derives from it.
 
-    Built once per spike set and reused by every Newton step of the
-    correction: x, Ubar (from tower_ansatz), the weights w_nl and
-    omega w_pot, the kernel directions Z, the off-diagonal -1/h^2 of
+    The only evaluator of the translated profiles: one profile_U and one
+    tanh call on the k x n array x - xi_i give the rows U_i = U(. - xi_i) and
+    th_i = tanh((. - xi_i)/m), m = (N-2)/2, and from them Ubar = sum_i U_i,
+    the kernel directions Z_i = U_i' = -U_i th_i and the second derivatives
+    U_i'' = U_i (th_i^2 - (1 - th_i^2)/m) as n x k columns.  Built once per
+    spike set and reused by every Newton step of the correction, it also
+    holds x, the weights w_nl and omega w_pot, the off-diagonal -1/h^2 of
     -d^2, (-d^2 + 1) Ubar and the weight sum_i exp(-sigma |x - xi_i|) of
     the star norm (sigma defaults to default_sigma(params)).
     """
 
     def __init__(self, xi, params: ModelParams, grid: Grid,
                  sigma: Optional[float] = None):
-        self.params = params
-        self.grid = grid
-        self.x = grid.x
-        self.ubar = tower_ansatz(xi, grid, params)
-        self.xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        if sigma is None:
-            sigma = default_sigma(params)
-        self.frame = SpikeFrame(self.xi, sigma)
+        xi = np.atleast_1d(np.asarray(xi, dtype=float))
+        if np.any(np.diff(xi) <= 0.0):
+            raise ValueError("spike locations must be strictly increasing")
+        self.params, self.grid, self.x, self.xi = params, grid, grid.x, xi
+        m = (params.n_dim - 2) / 2.0
+        shifted = self.x - xi[:, None]
+        u = self._rows = profile_U(shifted, params.n_dim)
+        th = np.tanh(shifted / m)
+        # the builtin sum adds the rows in order, as the per-spike sums
+        # did; np.sum(axis=0) pairs them and rounds differently
+        ubar = sum(u)
+        self.ubar = GridFunction(grid, ubar, decay=(1.0, 1.0))
+        # C-contiguous n x k: transposed views round differently in the
+        # BLAS products Z^T A^-1 Z and d2u^T phi
+        self.z = np.ascontiguousarray((-u * th).T)
+        self.d2u = np.ascontiguousarray((u * (th * th - (1.0 - th * th) / m)).T)
+        self.frame = SpikeFrame(xi, default_sigma(params) if sigma is None else sigma)
         self.star_weight = self.frame.weight(self.x)
         self.w_nl, self.w_pot = _weights(self.x, params)
-        self.z = kernel_directions(self.xi, params, grid)
         self.off_diagonal = np.full(grid.n - 1, -1.0 / (grid.h * grid.h))
-        u = self.ubar.values
-        self.lin_ubar = -second_difference(u, grid.h) + u
+        self.lin_ubar = -second_difference(ubar, grid.h) + ubar
+
+    def ansatz_residual(self) -> GridFunction:
+        """Analytic residual of the pure tower in the transformed equation,
+        R = beta [ sum_i U_i^{p*} - w_nl Ubar^p + omega w_pot Ubar^q ], p =
+        params.p: each translate solves the unperturbed profile equation."""
+        p, ubar = self.params, self.ubar.values
+        vals = sum(self._rows ** p.p_star) - self.w_nl * ubar ** p.p \
+            + self.w_pot * ubar ** p.q
+        return GridFunction(self.grid, p.beta * vals)
 
     def newton_system(self, phi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Newton right-hand side and Jacobian diagonal at Ubar + phi.

@@ -1,17 +1,18 @@
-"""The shooter's numerical kernels, ports of the scipy routines they
-replace, so that a verification loads no scipy subpackage besides
-scipy.linalg: DOP853 (``integrate.ode``), Brent's method
+"""Numerical kernels on numpy and scipy.linalg alone: ports of the scipy
+routines the shooter used, DOP853 (``integrate.ode``), Brent's method
 (``optimize.brentq``) and piecewise polynomials (``interpolate.BPoly``,
-``CubicSpline``).  The tests compare each with scipy."""
+``CubicSpline``), which the tests compare with scipy, and the one
+tridiagonal LU of the reduction's solver and the spline (LAPACK)."""
 
 from __future__ import annotations
 
 import math
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
-__all__ = ["dop853", "brentq", "PiecewisePolynomial", "not_a_knot_spline"]
+__all__ = ["dop853", "brentq", "PiecewisePolynomial", "not_a_knot_spline",
+           "tridiagonal_lu", "tridiagonal_solve"]
 
 
 # The DOP853 coefficients, named as in Hairer's dop853.f (scipy's
@@ -309,24 +310,34 @@ class PiecewisePolynomial:
         return res
 
 
+def tridiagonal_lu(lower, diagonal, upper):
+    """LU factors of the tridiagonal matrix with the given sub-, main and
+    super-diagonal (LAPACK dgttrf, partial pivoting, one band of fill), and
+    dgttrf's info, nonzero where the matrix is singular."""
+    *lu, info = dgttrf(lower, diagonal, upper)
+    return lu, info
+
+
+def tridiagonal_solve(lu, rhs) -> np.ndarray:
+    """Solve with tridiagonal_lu's factors (dgttrs), rhs of n or n x m."""
+    return dgttrs(*lu, rhs)[0]
+
+
 def not_a_knot_spline(x, y) -> PiecewisePolynomial:
     """The not-a-knot cubic spline through (x, y), at least 4 increasing x,
-    as scipy's CubicSpline builds it: the knot slopes by solve_banded."""
+    as scipy's CubicSpline builds it: the knot slopes by tridiagonal_lu."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     dx = np.diff(x)
     slope = np.diff(y) / dx
-    a = np.zeros((3, x.size))
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    diagonal = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]))
     b = np.empty(x.size)
-    a[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
-    a[0, 2:] = dx[:-1]
-    a[-1, :-2] = dx[1:]
     b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-    d = x[2] - x[0]
-    a[1, 0], a[0, 1] = dx[1], d
-    b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
-    d = x[-1] - x[-3]
-    a[1, -1], a[-1, -2] = dx[-2], d
-    b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
-    s = solve_banded((1, 1), a, b, overwrite_ab=True, overwrite_b=True, check_finite=False)
+    b[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
+    b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
+    lu, info = tridiagonal_lu(np.append(dx[1:], d1), diagonal, np.append(d0, dx[:-1]))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"singular spline system (dgttrf info {info})")
+    s = tridiagonal_solve(lu, b)
     t = (s[:-1] + s[1:] - 2 * slope) / dx
     return PiecewisePolynomial(np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1])), x)

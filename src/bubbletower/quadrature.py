@@ -218,11 +218,10 @@ class EnergyConstants:
 
 def energy_constants(n_dim: int, q: float, tol: float = 1e-12) -> EnergyConstants:
     """a1..a5 / a5_hat and c_n by integrate_line; err[name] bounds each error."""
-    p_s, p_star = critical_exponents(n_dim)
-    if n_dim < 3:
-        raise ValueError("dimension must be >= 3")
-    if q <= p_s:
-        raise ValueError(f"need q > p^s = {p_s:g}, got q={q:g}")
+    p_s, p_star = critical_exponents(n_dim)     # ValueError below N = 3
+    if q <= p_s or q == p_star:
+        # neither a5 (q < p*) nor a5_hat (q > p*) exists at q = p*
+        raise ValueError(f"need q > p^s = {p_s:g} and q != p* = {p_star:g}, got q={q:g}")
     gamma, beta = model_constants(n_dim)
     err: Dict[str, float] = {}
     m = (n_dim - 2) / 2.0

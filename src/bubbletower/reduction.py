@@ -3,15 +3,16 @@
 The pipeline: (i) a projected linear solver for a tridiagonal operator with
 the translation directions Z_i = U'(. - xi_i) projected out (block
 elimination of the bordered system through its k x k Schur complement, so
-only the tridiagonal operator is factored, by LAPACK), (ii) Newton's method
-for the correction phi(xi), one such solve per step on the Jacobian at
-Ubar + phi, (iii) the reduced energy as a function of the scale parameters
-Lambda, and (iv) an outer quasi-Newton solve in log Lambda that stops once
-the multipliers c_i of the correction vanish, max|c| < TOL_C, so that
-v = Ubar + phi is a genuine discrete solution.  Its gradient is a linear
-form in the c_i of one correction (reduced_energy_grad); its step matrix
-starts at the log-Hessian of the reduced functional Psi at the closed-form
-critical scales and takes Broyden updates.
+only the tridiagonal operator is factored, by numerics.tridiagonal_lu),
+(ii) Newton's method for the correction phi(xi), one such solve per step on
+the Jacobian at Ubar + phi, (iii) the reduced energy as a function of the
+scale parameters Lambda, and (iv) an outer quasi-Newton solve in log Lambda
+that stops once the multipliers c_i of the correction vanish,
+max|c| < TOL_C, so that v = Ubar + phi is a genuine discrete solution.  Its
+gradient is a linear form in the c_i of one correction
+(reduced_energy_grad); its step matrix starts at the log-Hessian of the
+reduced functional Psi at the closed-form critical scales and takes
+Broyden updates.
 
 A run is set by the grid spacing h alone (ReductionConfig); sigma is
 default_sigma(params), and the window constant, tolerances and limits are the
@@ -20,10 +21,12 @@ constants below.
 Each correction builds one field.TowerField for its spike set and hands it
 to the ProjectedSolver of every Newton step (``solver.field``): the
 operator's off-diagonal, Z and every step's right-hand side, Jacobian
-diagonal and increment norm come from it, and the ReductionState
-carries it, so the energy and the sweep metrics reuse its Ubar.  Within
-solve_reduced each correction starts from the phi of the accepted outer
-iterate.  sweep_point gives the trend metrics of one epsilon for ``sweep``.
+diagonal and increment norm come from it.  The ReductionState carries it,
+so the energy gradient reads its U'' columns and the energy and the sweep
+metrics its Ubar and analytic residual; no profile is evaluated twice.
+Within solve_reduced each correction starts from the phi of the accepted
+outer iterate.  sweep_point gives the trend metrics of one epsilon for
+``sweep``.
 """
 
 from __future__ import annotations
@@ -33,17 +36,16 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import (AssemblyError, ConditioningError, ConvergenceError,
                      WindowViolationError)
 # tower_ansatz is no longer called here; perfbench's span self-test reads
 # reduction.tower_ansatz, so the name stays importable
-from .field import (Grid, GridFunction, SpikeFrame, TowerField, ansatz_residual,
-                    default_sigma, energy, grid_for_spikes, tower_ansatz)
-from .profiles import (ModelParams, Regime, ef_inverse, ef_r_of_x, ef_x_of_r,
-                       profile_d2U)
-from .numerics import PiecewisePolynomial, not_a_knot_spline
+from .field import (Grid, GridFunction, SpikeFrame, TowerField, default_sigma,
+                    energy, grid_for_spikes, tower_ansatz)
+from .profiles import ModelParams, Regime, ef_inverse, ef_r_of_x, ef_x_of_r
+from .numerics import (PiecewisePolynomial, not_a_knot_spline, tridiagonal_lu,
+                       tridiagonal_solve)
 from .quadrature import EnergyConstants
 from .reduced_model import (critical_scales, energy_expansion,
                             reduced_functional_hess_diag, spike_locations)
@@ -164,26 +166,22 @@ class ProjectedSolver:
         if diagonal is None:
             diagonal = field.newton_system(np.zeros(grid.n))[1]
         off = field.off_diagonal
-        *self._lu, info = dgttrf(off, diagonal, off)
+        self._lu, info = tridiagonal_lu(off, diagonal, off)
         if info != 0:
             raise ConditioningError(
                 f"operator factorization failed (n={grid.n}, "
                 f"k={self.z.shape[1]}, h={grid.h:g}): dgttrf info {info}")
-        self._az = self._lu_solve(self.z)
+        self._az = tridiagonal_solve(self._lu, self.z)
         self._schur = self.z.T @ self._az
         sv = np.linalg.svd(self._schur, compute_uv=False)
         self._schur_cond = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else math.inf
-
-    def _lu_solve(self, rhs: np.ndarray) -> np.ndarray:
-        x, _ = dgttrs(*self._lu, rhs)
-        return x
 
     def solve_values(self, rhs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         if self._schur_cond > 1e12:
             raise ConditioningError(
                 f"Schur complement Z^T A^-1 Z ill-conditioned (cond "
                 f"{self._schur_cond:.2e}); kernel directions nearly dependent")
-        y = self._lu_solve(rhs)
+        y = tridiagonal_solve(self._lu, rhs)
         try:
             mu = np.linalg.solve(self._schur, self.z.T @ y)
         except np.linalg.LinAlgError as exc:
@@ -311,8 +309,7 @@ def reduced_energy_grad(lambdas, params: ModelParams,
     xi = spike_locations(lam, params.epsilon, params)
     state = solve_correction(xi, params, config, grid=grid, phi0=phi0)
     tower, phi, c = state.field, state.phi.values, state.c
-    d2u = np.column_stack([profile_d2U(tower.x - s, params.n_dim) for s in xi])
-    de_dxi = tower.grid.h * (c * (d2u.T @ phi) - tower.z.T @ (tower.z @ c))
+    de_dxi = tower.grid.h * (c * (tower.d2u.T @ phi) - tower.z.T @ (tower.z @ c))
     return -np.cumsum(de_dxi[::-1])[::-1] / lam, state
 
 
@@ -379,7 +376,7 @@ def sweep_point(params: ModelParams, constants: EnergyConstants,
     xi = spike_locations(lam, eps, params)
     state = solve_correction(xi, params, config)
     tower = state.field
-    res_star = tower.star_norm(ansatz_residual(xi, params, tower.grid).values)
+    res_star = tower.star_norm(tower.ansatz_residual().values)
     gap = energy(tower.ubar, params) - energy_expansion(lam, eps, constants, params).total
     return {"eps": eps, "residual_star": res_star, "phi_star": state.star_norm_phi,
             "energy_gap_ratio": abs(gap) / eps}

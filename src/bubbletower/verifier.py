@@ -141,7 +141,7 @@ def shoot(u0: float, params: ModelParams) -> ShotProfile:
         raise ConvergenceError(
             f"radial integration failed at r = {r[-1]:.6g} "
             f"(DOP853 return code {code})", state=(r[-1], u[-1], du[-1]))
-    return ShotProfile(u0, r, u, du, _classify_endpoint(u, du),
+    return ShotProfile(u0, r, u, du, _classify_endpoint(u),
                        _ef_peaks(r, u, params), params)
 
 
@@ -199,7 +199,7 @@ def _septic_hermite(shot: ShotProfile) -> PiecewisePolynomial:
     return PiecewisePolynomial(c, r, bernstein=True)
 
 
-def _classify_endpoint(u, du) -> Classification:
+def _classify_endpoint(u) -> Classification:
     if np.any(u < 0.0):
         return Classification.CROSSING
     i_pk = int(np.argmax(u))

@@ -317,6 +317,7 @@ def test_verify_concentrating(k, eps, h, pot, max_sup, tmp_path):
     ["constants", "--q", "4", "--tol", "0"],
     ["constants", "--N", "2", "--q", "4"],
     ["constants", "--q", "1"],
+    ["constants", "--q", "5"],
     ["verify", "--q", "4", "--eps", "5e-2", "--tol", "-1"],
     ["reduce", "--q", "4", "--eps", "5e-2", "--tol", "nan"],
     ["predict", "--N", "2", "--q", "4", "--eps", "1e-2"],

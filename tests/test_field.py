@@ -317,6 +317,32 @@ def test_analytic_and_discrete_residuals_differ_by_h_squared(q, k, c4, c7):
         assert 3.8 <= coarse / fine <= 4.2
 
 
+@pytest.mark.parametrize("n_dim", [3, 4, 5, 6])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_tower_field_matches_per_spike_profiles(n_dim, k):
+    # Ubar, Z and U'' from the one k x n evaluation equal, bit for bit, the
+    # ordered sum of profile_U and the per-spike profile_dU/profile_d2U columns
+    params = make_params(q=(n_dim + 2) / (n_dim - 2) + 1.0, k=k, n_dim=n_dim)
+    xi = 2.0 + 7.0 * np.arange(k)
+    g = grid_for_spikes(xi, default_sigma(params), h=0.05)
+    tower = TowerField(xi, params, g)
+    ubar = np.zeros(g.n)
+    for s in xi:
+        ubar += profile_U(g.x - s, n_dim)
+    assert np.array_equal(tower.ubar.values, ubar)
+    assert np.array_equal(tower.z, np.column_stack([profile_dU(g.x - s, n_dim) for s in xi]))
+    assert np.array_equal(tower.d2u,
+                          np.column_stack([profile_d2U(g.x - s, n_dim) for s in xi]))
+    assert tower.z.flags.c_contiguous and tower.d2u.flags.c_contiguous
+
+
+@pytest.mark.parametrize("xi", [[0.0, 0.0], [3.0, 1.0], [0.0, 5.0, 5.0]])
+def test_tower_field_rejects_non_increasing_spikes(xi):
+    params = make_params(k=len(xi))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        TowerField(xi, params, Grid.from_span(-40.0, 45.0, 0.1))
+
+
 def test_tower_field_against_direct_formulas():
     # rational V: the remainder N(phi) and the Newton system J(phi) phi - F(phi),
     # diag J(phi) of one spike set, against the formulas written out with an

@@ -207,6 +207,13 @@ def test_energy_constants_rejects_subserrin_exponent():
         energy_constants(3, 2.9)
 
 
+@pytest.mark.parametrize("n_dim", [3, 4, 5, 6])
+def test_energy_constants_rejects_critical_q(n_dim):
+    # neither a5 (q < p*) nor a5_hat (q > p*) exists at q = p*
+    with pytest.raises(ValueError, match="p\\*"):
+        energy_constants(n_dim, critical_exponents(n_dim)[1])
+
+
 @pytest.mark.parametrize("qs,name", [
     (np.linspace(3.6, 4.6, 6), "a5"),
     (np.linspace(6.0, 8.0, 6), "a5_hat"),

@@ -387,11 +387,12 @@ def test_flat_regime_reduced_energy_has_no_critical_point(c7):
 
 
 def test_solve_correction_builds_the_tower_once(c4, monkeypatch):
-    # wrap every reference to tower_ansatz that a bubbletower module holds,
-    # as perfbench's span wrappers do, and count the calls of one correction
+    # wrap every reference to profile_U that a bubbletower module holds and
+    # count the calls of one correction: its TowerField evaluates all spikes
+    # in one call, and no Newton step evaluates them again
     import sys
-    import bubbletower.field as field_module
-    original = field_module.tower_ansatz
+    import bubbletower.profiles as profiles_module
+    original = profiles_module.profile_U
     calls = []
 
     def counted(*args, **kwargs):
@@ -407,6 +408,7 @@ def test_solve_correction_builds_the_tower_once(c4, monkeypatch):
     state = solve_correction(xi, params, ReductionConfig(h=0.02), grid=grid)
     assert state.iterations > 1
     assert len(calls) == 1
+    assert calls[0][0].shape == (2, grid.n)
 
 
 @pytest.mark.parametrize("q,k,eps", [(4.0, 1, 1e-2), (4.0, 2, 1e-2),
