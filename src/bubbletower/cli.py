@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-import scipy
+import numpy.__config__
 
 from . import __version__
 from .errors import BubbleTowerError
@@ -75,6 +75,11 @@ def _json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
 
 
+# the LAPACK numpy was built with, which the tridiagonal solver calls
+_LAPACK = {key: numpy.__config__.CONFIG["Build Dependencies"]["lapack"][key]
+           for key in ("name", "version")}
+
+
 def _write_artifacts(args, payloads: Dict[str, object],
                      tables: Dict[str, Tuple[List[str], list]], shown) -> None:
     """Write a command's JSON payloads, CSV tables and manifest; print shown.
@@ -87,7 +92,7 @@ def _write_artifacts(args, payloads: Dict[str, object],
     manifest = {
         "tool": "bubbletower",
         "version": __version__,
-        "numpy": np.__version__, "scipy": scipy.__version__,
+        "numpy": np.__version__, "lapack": _LAPACK,
         "config": {k: v for k, v in vars(args).items() if k != "func"},
         "outputs": sorted([*payloads, *tables]),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),

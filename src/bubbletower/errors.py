@@ -50,3 +50,7 @@ class ConditioningError(BubbleTowerError):
 
 class AssemblyError(BubbleTowerError):
     """A converged state produced an invalid profile (e.g. negative values)."""
+
+
+class LapackUnavailableError(BubbleTowerError):
+    """numpy's own LAPACK, which the tridiagonal solver calls, was not found."""

@@ -1,15 +1,20 @@
-"""Numerical kernels on numpy and scipy.linalg alone: ports of the scipy
-routines the shooter used, DOP853 (``integrate.ode``), Brent's method
-(``optimize.brentq``) and piecewise polynomials (``interpolate.BPoly``,
-``CubicSpline``), which the tests compare with scipy, and the one
-tridiagonal LU of the reduction's solver and the spline (LAPACK)."""
+"""Numerical kernels on numpy alone: ports of the scipy routines the shooter
+used, DOP853 (``integrate.ode``), Brent's method (``optimize.brentq``) and
+piecewise polynomials (``interpolate.BPoly``, ``CubicSpline``), which the
+tests compare with scipy, and the one tridiagonal LU of the reduction's
+solver and the spline: LAPACK's dgttrf/dgttrs, called through ctypes in the
+OpenBLAS that numpy's wheel ships and loads."""
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import math
+import os
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+
+from .errors import LapackUnavailableError
 
 __all__ = ["dop853", "brentq", "PiecewisePolynomial", "not_a_knot_spline",
            "tridiagonal_lu", "tridiagonal_solve"]
@@ -310,17 +315,93 @@ class PiecewisePolynomial:
         return res
 
 
+# Where numpy's wheels keep their OpenBLAS (manylinux and Windows wheels in
+# numpy.libs beside the package, macOS wheels in numpy/.dylibs), its file
+# name, and its LAPACK routines, built with 64-bit integers and renamed
+LAPACK_DIRS = (os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs"),
+               os.path.join(os.path.dirname(np.__file__), ".dylibs"))
+LAPACK_GLOB = "libscipy_openblas64_*"
+LAPACK_SYMBOLS = ("scipy_dgttrf_64_", "scipy_dgttrs_64_")
+_lapack_routines = None
+
+
+def _lapack():
+    """(dgttrf, dgttrs) of numpy's OpenBLAS, loaded on first use and kept.
+
+    Raises LapackUnavailableError naming the directories and symbols it
+    searched when no library there exports both routines."""
+    global _lapack_routines
+    if _lapack_routines is not None:
+        return _lapack_routines
+    int_p, ptr = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+    for path in sorted(p for d in LAPACK_DIRS for p in glob.glob(os.path.join(d, LAPACK_GLOB))):
+        try:
+            lib = ctypes.CDLL(path)
+            dgttrf, dgttrs = (getattr(lib, name) for name in LAPACK_SYMBOLS)
+        except (OSError, AttributeError):
+            continue
+        # DGTTRF(N, DL, D, DU, DU2, IPIV, INFO)
+        dgttrf.argtypes = [int_p, ptr, ptr, ptr, ptr, ptr, int_p]
+        # DGTTRS(TRANS, N, NRHS, DL, D, DU, DU2, IPIV, B, LDB, INFO), then
+        # the length of TRANS, which gfortran passes by value
+        dgttrs.argtypes = [ctypes.c_char_p, int_p, int_p, ptr, ptr, ptr, ptr, ptr, ptr,
+                           int_p, int_p, ctypes.c_size_t]
+        dgttrf.restype = dgttrs.restype = None
+        _lapack_routines = dgttrf, dgttrs
+        return _lapack_routines
+    raise LapackUnavailableError(
+        f"no library {LAPACK_GLOB} exporting {' and '.join(LAPACK_SYMBOLS)} in "
+        f"{', '.join(LAPACK_DIRS)}; the tridiagonal solver needs the OpenBLAS of "
+        "numpy's wheel")
+
+
+class TridiagonalLU:
+    """dgttrf's factors of one tridiagonal matrix, ``factors`` = (dl, d, du,
+    du2, ipiv), with ipiv's 1-based row indices as 64-bit integers.
+
+    The addresses of the factors are taken once, here; each solve converts
+    only its right-hand side.  Solves write nothing shared, so threads may
+    solve with one factorization at the same time."""
+
+    __slots__ = ("n", "info", "factors", "_n", "_addresses", "_dgttrs")
+
+    def __init__(self, lower, diagonal, upper):
+        dgttrf, self._dgttrs = _lapack()
+        dl, d, du = (np.array(a, dtype=np.float64) for a in (lower, diagonal, upper))
+        n = d.size
+        if d.ndim != 1 or n < 1 or dl.shape != (n - 1,) or du.shape != (n - 1,):
+            raise ValueError(f"tridiagonal bands of shapes {dl.shape}, {d.shape}, "
+                             f"{du.shape}: need (n - 1,), (n,), (n - 1,) with n >= 1")
+        self.n = n
+        self.factors = (dl, d, du, np.empty(max(n - 2, 0)), np.empty(n, dtype=np.int64))
+        self._n = ctypes.c_int64(n)
+        self._addresses = tuple(a.ctypes.data for a in self.factors)
+        info = ctypes.c_int64()
+        dgttrf(self._n, *self._addresses, info)
+        self.info = info.value
+
+
 def tridiagonal_lu(lower, diagonal, upper):
     """LU factors of the tridiagonal matrix with the given sub-, main and
     super-diagonal (LAPACK dgttrf, partial pivoting, one band of fill), and
-    dgttrf's info, nonzero where the matrix is singular."""
-    *lu, info = dgttrf(lower, diagonal, upper)
-    return lu, info
+    dgttrf's info, nonzero where the matrix is singular.  The bands are
+    copied, not overwritten."""
+    lu = TridiagonalLU(lower, diagonal, upper)
+    return lu, lu.info
 
 
-def tridiagonal_solve(lu, rhs) -> np.ndarray:
-    """Solve with tridiagonal_lu's factors (dgttrs), rhs of n or n x m."""
-    return dgttrs(*lu, rhs)[0]
+def tridiagonal_solve(lu: TridiagonalLU, rhs) -> np.ndarray:
+    """Solve with tridiagonal_lu's factors (dgttrs), rhs of n or n x m; the
+    solution is a new array in Fortran order, as scipy's wrapper returns it."""
+    b = np.array(rhs, dtype=np.float64, order="F")
+    if b.ndim not in (1, 2) or b.shape[0] != lu.n:
+        raise ValueError(f"right-hand side of shape {b.shape} for n = {lu.n}")
+    nrhs = ctypes.c_int64(1 if b.ndim == 1 else b.shape[1])
+    info = ctypes.c_int64()
+    lu._dgttrs(b"N", lu._n, nrhs, *lu._addresses, b.ctypes.data, lu._n, info, 1)
+    if info.value:
+        raise ValueError(f"dgttrs rejected argument {-info.value}")
+    return b
 
 
 def not_a_knot_spline(x, y) -> PiecewisePolynomial:

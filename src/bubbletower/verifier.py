@@ -14,8 +14,8 @@ Shooting dominates the cost of a verification.  Every shot runs on
 numerics.dop853, a Python port of scipy's DOP853, with right-hand sides on
 floats; it stops the shot at its first event.  Only the kept shot of a
 search builds a dense interpolant (septic Hermite on its steps, with
-closed-form Bernstein coefficients).  No scipy subpackage besides
-scipy.linalg is loaded.
+closed-form Bernstein coefficients).  No scipy module is loaded, except
+by a read of verifier.solve_ivp (below).
 """
 
 from __future__ import annotations

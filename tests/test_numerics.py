@@ -1,17 +1,23 @@
-"""The shooter's kernels against the scipy routines they replace."""
+"""The numerical kernels against the scipy routines they replace."""
 
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import ode
 from scipy.interpolate import CubicSpline
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.optimize import brentq as scipy_brentq
 
-from bubbletower import (ModelParams, PotentialSpec, ReductionConfig, assemble_solution,
+from bubbletower import (ModelParams, PotentialSpec, ProjectedSolver, ReductionConfig,
+                         TowerField, assemble_solution, cli, grid_for_spikes, numerics,
                          solve_reduced)
-from bubbletower.numerics import brentq, dop853
+from bubbletower.errors import BubbleTowerError, ConditioningError, LapackUnavailableError
+from bubbletower.numerics import (brentq, dop853, not_a_knot_spline, tridiagonal_lu,
+                                  tridiagonal_solve)
 from bubbletower.verifier import MAX_STEPS, _default_r_max, _radial_rhs
 
 # the benchmark's verify cases (q = 4, k = 1): potential, eps and the
@@ -145,3 +151,113 @@ def test_spline_matches_cubic_spline(c4):
     x = np.concatenate([grid.x, np.linspace(grid.x0 - 1.0, grid.x1 + 1.0, 20_001)])
     for nu in (0, 1, 2):
         np.testing.assert_allclose(sol.spline(x, nu), ref(x, nu), rtol=1e-13, atol=0.0)
+
+
+def _bands(n, seed):
+    """A random tridiagonal matrix whose factorization pivots."""
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-1.0, 1.0, n - 1), rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n - 1)
+
+
+# n = 4, and the sizes of the benchmark's reduce grids
+@pytest.mark.parametrize("n", [4, 2640, 6601])
+def test_tridiagonal_binding_matches_scipy(n):
+    lower, diagonal, upper = _bands(n, n)
+    lu, info = tridiagonal_lu(lower, diagonal, upper)
+    *ref, ref_info = dgttrf(lower, diagonal, upper)
+    assert info == ref_info == 0
+    for ours, theirs in zip(lu.factors, ref):
+        assert np.array_equal(ours, theirs)
+    rng = np.random.default_rng(n + 1)
+    # a vector, one column, and C-ordered columns as ProjectedSolver passes Z
+    for rhs in (rng.normal(size=n), rng.normal(size=(n, 1)),
+                np.ascontiguousarray(rng.normal(size=(n, 3)))):
+        x = tridiagonal_solve(lu, rhs)
+        x_ref, solve_info = dgttrs(*ref, rhs)
+        assert solve_info == 0
+        assert x.shape == x_ref.shape and x.flags.f_contiguous
+        assert np.array_equal(x, x_ref)
+
+
+def test_tridiagonal_binding_keeps_its_inputs():
+    bands = _bands(50, 3)
+    rhs = np.random.default_rng(4).normal(size=(50, 2))
+    copies = [a.copy() for a in (*bands, rhs)]
+    lu, _ = tridiagonal_lu(*bands)
+    tridiagonal_solve(lu, rhs)
+    for before, after in zip(copies, (*bands, rhs)):
+        assert np.array_equal(before, after)
+    with pytest.raises(ValueError):
+        tridiagonal_lu(bands[0][:-1], bands[1], bands[2])
+    with pytest.raises(ValueError):
+        tridiagonal_solve(lu, rhs[:-1])
+
+
+def test_singular_tridiagonal_systems_raise():
+    # the Neumann Laplacian: rows sum to zero, and the last pivot of the
+    # elimination (no row swaps on ties) is exactly zero
+    grid = grid_for_spikes(np.array([5.0]), 0.5, h=0.05)
+    a = 1.0 / (grid.h * grid.h)
+    neumann = np.full(grid.n, 2.0 * a)
+    neumann[[0, -1]] = a
+    off = np.full(grid.n - 1, -a)
+    info = tridiagonal_lu(off, neumann, off)[1]
+    assert info == dgttrf(off, neumann, off)[-1] == grid.n
+    params = ModelParams.make(3, 4.0, 1e-2, k=1, potential=PotentialSpec.constant(-1.0))
+    with pytest.raises(ConditioningError, match="dgttrf info"):
+        ProjectedSolver(np.array([5.0]), params, grid, diagonal=neumann)
+    # a repeated knot leaves the spline system's first column zero
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(np.linalg.LinAlgError, match="dgttrf info 1"):
+            not_a_knot_spline([0.0, 1.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0])
+
+
+def test_threads_factor_and_solve_to_identical_bits():
+    # sweep factors and solves on two threads, and ctypes releases the GIL
+    field = TowerField(np.array([5.0, 9.0]), ModelParams.make(
+        3, 4.0, 1e-2, k=2, potential=PotentialSpec.constant(-1.0)),
+        grid_for_spikes(np.array([5.0, 9.0]), 0.5, h=0.01))
+    off, diagonal = field.off_diagonal, field.newton_system(np.zeros(field.z.shape[0]))[1]
+    cases = [diagonal, diagonal + 0.5]
+
+    def run(diag):
+        lu, _ = tridiagonal_lu(off, diag, off)
+        return tridiagonal_solve(lu, field.z), tridiagonal_solve(lu, field.ubar.values)
+
+    serial = [run(d) for d in cases]
+    results = [[] for _ in range(4)]
+
+    def worker(slot):
+        for _ in range(30):
+            results[slot].append(run(cases[slot % 2]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for slot, runs in enumerate(results):
+        assert len(runs) == 30
+        for z_sol, u_sol in runs:
+            assert np.array_equal(z_sol, serial[slot % 2][0])
+            assert np.array_equal(u_sol, serial[slot % 2][1])
+
+
+def test_missing_lapack_is_a_typed_error_and_only_the_solver_needs_it(tmp_path, monkeypatch):
+    # a file with the library's name that does not load is skipped
+    (tmp_path / "libscipy_openblas64_broken.so").write_bytes(b"")
+    monkeypatch.setattr(numerics, "LAPACK_DIRS", (str(tmp_path),))
+    monkeypatch.setattr(numerics, "_lapack_routines", None)
+    with pytest.raises(LapackUnavailableError) as exc:
+        tridiagonal_lu(np.ones(3), np.full(4, 3.0), np.ones(3))
+    assert isinstance(exc.value, BubbleTowerError)
+    for name in (str(tmp_path), "scipy_dgttrf_64_", "scipy_dgttrs_64_"):
+        assert name in str(exc.value)
+    # the library is looked up on the first factorization, not at import
+    assert cli.main(["constants", "--q", "4", "--out", str(tmp_path / "out")]) == 0
