@@ -116,26 +116,30 @@ _SAFE, _FACC1, _FACC2, _UROUND = 0.9, 1.0 / 0.3, 1.0 / 6.0, 2.3e-16
 
 def dop853(rhs, t: float, y: float, dy: float, t_end: float, stop, rtol: float,
            atol: float, max_steps: int):
-    """Integrate (y, y')' = rhs(t, y, y') from t toward t_end by DOP853.
+    """Integrate y'' = rhs(t, y, y') from t toward t_end by DOP853.
 
     Dormand and Prince's Runge-Kutta method of order 8(5,3) with Hairer's
     step control (Hairer, Norsett & Wanner, Solving Ordinary Differential
     Equations I, 2nd ed., 1993, Sec. II.10; licence notice above) as
-    scipy's ode("dop853") runs it: safety 0.9, 0.3 <= h_new/h <= 6, h_max =
-    |t_end - t|, HINIT's first step, h * 0.3 after a rejected step.  rhs
-    maps floats to (y', y''); a stage that raises OverflowError rejects the
-    step.  Records the start and every accepted step and stops once stop(y)
-    holds at one.  Returns the records' t, y, y' as arrays and DOP853's
-    code: 1 at t_end, 2 at a stop, -2 after max_steps + 1 step attempts, -3
-    once the step size underflows.  No stiffness test, no dense output.
+    scipy's ode("dop853") runs it on the first-order system (y, y')' =
+    (y', rhs): safety 0.9, 0.3 <= h_new/h <= 6, h_max = |t_end - t|, HINIT's
+    first step, h * 0.3 after a rejected step.  rhs maps floats to the float
+    y''.  A stage's slope of y is its y' argument, so each stage makes one
+    call of rhs and builds no tuple; the arithmetic is that of the
+    first-order system, operation for operation.  A stage that raises
+    OverflowError rejects the step.  Records the start and every accepted
+    step and stops once stop(y) holds at one.  Returns the records' t, y, y'
+    as arrays and DOP853's code: 1 at t_end, 2 at a stop, -2 after
+    max_steps + 1 step attempts, -3 once the step size underflows.  No
+    stiffness test, no dense output.
     """
     # numpy scalars would make every stage's arithmetic several times slower
     t, y, dy, t_end, rtol, atol = map(float, (t, y, dy, t_end, rtol, atol))
     steps = [(t, y, dy)]
     direction = math.copysign(1.0, t_end - t)
     h_max = abs(t_end - t)
-    k1y, k1d = rhs(t, y, dy)
-    h = _initial_step(rhs, t, y, dy, k1y, k1d, direction, h_max, rtol, atol)
+    k1d = rhs(t, y, dy)
+    h = _initial_step(rhs, t, y, dy, k1d, direction, h_max, rtol, atol)
     code, n_steps, reject, last = (2 if stop(y) else 0), 0, False, False
     while not code:
         if n_steps > max_steps or 0.1 * abs(h) <= abs(t) * _UROUND:
@@ -145,14 +149,14 @@ def dop853(rhs, t: float, y: float, dy: float, t_end: float, stop, rtol: float,
             h, last = t_end - t, True
         n_steps += 1
         try:
-            err, y_new, dy_new = _step(rhs, t, y, dy, k1y, k1d, h, rtol, atol)
+            err, y_new, dy_new = _step(rhs, t, y, dy, k1d, h, rtol, atol)
             if err <= 1.0:
                 k_new = rhs(t + h, y_new, dy_new)
         except OverflowError:
             err = math.inf
         if err <= 1.0:
             h_new = h / max(_FACC2, min(_FACC1, err ** 0.125 / _SAFE))
-            t, y, dy, (k1y, k1d) = t + h, y_new, dy_new, k_new
+            t, y, dy, k1d = t + h, y_new, dy_new, k_new
             steps.append((t, y, dy))
             code = 2 if stop(y) else 1 if last else 0
             if abs(h_new) > h_max:
@@ -170,40 +174,42 @@ def dop853(rhs, t: float, y: float, dy: float, t_end: float, stop, rtol: float,
     return t, y, dy, code
 
 
-def _step(rhs, t, y, dy, k1y, k1d, h, rtol, atol):
-    """One DOP853 step of size h: dop853.f's weighted error and (y, y')."""
-    k2y, k2d = rhs(t + C2 * h, y + h * A21 * k1y, dy + h * A21 * k1d)
-    k3y, k3d = rhs(t + C3 * h, y + h * (A31 * k1y + A32 * k2y),
-                   dy + h * (A31 * k1d + A32 * k2d))
-    k4y, k4d = rhs(t + C4 * h, y + h * (A41 * k1y + A43 * k3y),
-                   dy + h * (A41 * k1d + A43 * k3d))
-    k5y, k5d = rhs(t + C5 * h, y + h * (A51 * k1y + A53 * k3y + A54 * k4y),
-                   dy + h * (A51 * k1d + A53 * k3d + A54 * k4d))
-    k6y, k6d = rhs(t + C6 * h, y + h * (A61 * k1y + A64 * k4y + A65 * k5y),
-                   dy + h * (A61 * k1d + A64 * k4d + A65 * k5d))
-    k7y, k7d = rhs(t + C7 * h, y + h * (A71 * k1y + A74 * k4y + A75 * k5y + A76 * k6y),
-                   dy + h * (A71 * k1d + A74 * k4d + A75 * k5d + A76 * k6d))
-    k8y, k8d = rhs(t + C8 * h, y + h * (A81 * k1y + A84 * k4y + A85 * k5y + A86 * k6y
-                                        + A87 * k7y),
-                   dy + h * (A81 * k1d + A84 * k4d + A85 * k5d + A86 * k6d + A87 * k7d))
-    k9y, k9d = rhs(t + C9 * h, y + h * (A91 * k1y + A94 * k4y + A95 * k5y + A96 * k6y
-                                        + A97 * k7y + A98 * k8y),
-                   dy + h * (A91 * k1d + A94 * k4d + A95 * k5d + A96 * k6d + A97 * k7d
-                             + A98 * k8d))
-    k10y, k10d = rhs(t + C10 * h, y + h * (A101 * k1y + A104 * k4y + A105 * k5y + A106 * k6y
-                                           + A107 * k7y + A108 * k8y + A109 * k9y),
-                     dy + h * (A101 * k1d + A104 * k4d + A105 * k5d + A106 * k6d
-                               + A107 * k7d + A108 * k8d + A109 * k9d))
-    k11y, k11d = rhs(t + C11 * h, y + h * (A111 * k1y + A114 * k4y + A115 * k5y + A116 * k6y
-                                           + A117 * k7y + A118 * k8y + A119 * k9y
-                                           + A1110 * k10y),
-                     dy + h * (A111 * k1d + A114 * k4d + A115 * k5d + A116 * k6d
-                               + A117 * k7d + A118 * k8d + A119 * k9d + A1110 * k10d))
-    k12y, k12d = rhs(t + h, y + h * (A121 * k1y + A124 * k4y + A125 * k5y + A126 * k6y
-                                     + A127 * k7y + A128 * k8y + A129 * k9y + A1210 * k10y
-                                     + A1211 * k11y),
-                     dy + h * (A121 * k1d + A124 * k4d + A125 * k5d + A126 * k6d + A127 * k7d
-                               + A128 * k8d + A129 * k9d + A1210 * k10d + A1211 * k11d))
+def _step(rhs, t, y, dy, k1d, h, rtol, atol):
+    """One DOP853 step of size h: dop853.f's weighted error and (y, y').
+    Stage i's slope of y, kiy, is the y' it passes to rhs; k1y is y'."""
+    k1y = dy
+    k2y = dy + h * A21 * k1d
+    k2d = rhs(t + C2 * h, y + h * A21 * k1y, k2y)
+    k3y = dy + h * (A31 * k1d + A32 * k2d)
+    k3d = rhs(t + C3 * h, y + h * (A31 * k1y + A32 * k2y), k3y)
+    k4y = dy + h * (A41 * k1d + A43 * k3d)
+    k4d = rhs(t + C4 * h, y + h * (A41 * k1y + A43 * k3y), k4y)
+    k5y = dy + h * (A51 * k1d + A53 * k3d + A54 * k4d)
+    k5d = rhs(t + C5 * h, y + h * (A51 * k1y + A53 * k3y + A54 * k4y), k5y)
+    k6y = dy + h * (A61 * k1d + A64 * k4d + A65 * k5d)
+    k6d = rhs(t + C6 * h, y + h * (A61 * k1y + A64 * k4y + A65 * k5y), k6y)
+    k7y = dy + h * (A71 * k1d + A74 * k4d + A75 * k5d + A76 * k6d)
+    k7d = rhs(t + C7 * h, y + h * (A71 * k1y + A74 * k4y + A75 * k5y + A76 * k6y), k7y)
+    k8y = dy + h * (A81 * k1d + A84 * k4d + A85 * k5d + A86 * k6d + A87 * k7d)
+    k8d = rhs(t + C8 * h, y + h * (A81 * k1y + A84 * k4y + A85 * k5y + A86 * k6y
+                                   + A87 * k7y), k8y)
+    k9y = dy + h * (A91 * k1d + A94 * k4d + A95 * k5d + A96 * k6d + A97 * k7d + A98 * k8d)
+    k9d = rhs(t + C9 * h, y + h * (A91 * k1y + A94 * k4y + A95 * k5y + A96 * k6y
+                                   + A97 * k7y + A98 * k8y), k9y)
+    k10y = dy + h * (A101 * k1d + A104 * k4d + A105 * k5d + A106 * k6d + A107 * k7d
+                     + A108 * k8d + A109 * k9d)
+    k10d = rhs(t + C10 * h, y + h * (A101 * k1y + A104 * k4y + A105 * k5y + A106 * k6y
+                                     + A107 * k7y + A108 * k8y + A109 * k9y), k10y)
+    k11y = dy + h * (A111 * k1d + A114 * k4d + A115 * k5d + A116 * k6d + A117 * k7d
+                     + A118 * k8d + A119 * k9d + A1110 * k10d)
+    k11d = rhs(t + C11 * h, y + h * (A111 * k1y + A114 * k4y + A115 * k5y + A116 * k6y
+                                     + A117 * k7y + A118 * k8y + A119 * k9y
+                                     + A1110 * k10y), k11y)
+    k12y = dy + h * (A121 * k1d + A124 * k4d + A125 * k5d + A126 * k6d + A127 * k7d
+                     + A128 * k8d + A129 * k9d + A1210 * k10d + A1211 * k11d)
+    k12d = rhs(t + h, y + h * (A121 * k1y + A124 * k4y + A125 * k5y + A126 * k6y
+                               + A127 * k7y + A128 * k8y + A129 * k9y + A1210 * k10y
+                               + A1211 * k11y), k12y)
     sum_y = (B1 * k1y + B6 * k6y + B7 * k7y + B8 * k8y + B9 * k9y + B10 * k10y + B11 * k11y
              + B12 * k12y)
     sum_d = (B1 * k1d + B6 * k6d + B7 * k7d + B8 * k8d + B9 * k9d + B10 * k10d + B11 * k11d
@@ -222,16 +228,18 @@ def _step(rhs, t, y, dy, k1y, k1d, h, rtol, atol):
     return abs(h) * err * math.sqrt(1.0 / (2.0 * (deno if deno > 0.0 else 1.0))), y_new, dy_new
 
 
-def _initial_step(rhs, t, y, dy, ky, kd, direction, h_max, rtol, atol) -> float:
+def _initial_step(rhs, t, y, dy, kd, direction, h_max, rtol, atol) -> float:
     """dop853.f's HINIT: h^8 max(|f|, |f'|) = 0.01 in the weighted norm,
-    at most 100 times an Euler step of relative size 0.01, and h_max."""
+    at most 100 times an Euler step of relative size 0.01, and h_max.  The
+    slope of y is y' itself, ky = dy."""
     sk_y, sk_d = atol + rtol * abs(y), atol + rtol * abs(dy)
-    dnf = (ky / sk_y) ** 2 + (kd / sk_d) ** 2
+    dnf = (dy / sk_y) ** 2 + (kd / sk_d) ** 2
     dny = (y / sk_y) ** 2 + (dy / sk_d) ** 2
     h = 1e-6 if dnf <= 1e-10 or dny <= 1e-10 else math.sqrt(dny / dnf) * 0.01
     h = math.copysign(min(h, h_max), direction)
-    gy, gd = rhs(t + h, y + h * ky, dy + h * kd)
-    der2 = math.sqrt(((gy - ky) / sk_y) ** 2 + ((gd - kd) / sk_d) ** 2) / h
+    gy = dy + h * kd
+    gd = rhs(t + h, y + h * dy, gy)
+    der2 = math.sqrt(((gy - dy) / sk_y) ** 2 + ((gd - kd) / sk_d) ** 2) / h
     der12 = max(abs(der2), math.sqrt(dnf))
     h1 = max(1e-6, abs(h) * 1e-3) if der12 <= 1e-15 else (0.01 / der12) ** 0.125
     return math.copysign(min(100.0 * abs(h), h1, h_max), direction)

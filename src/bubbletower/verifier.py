@@ -7,15 +7,17 @@ non-crossing shots.  The flat regime has no reachable forward dichotomy
 (deviations separate only at radii exp(1/eps)), so there the shooter
 integrates the transformed equation backward from the far field and stops
 at the first zero (undershoot, CROSSING) or minimum (overshoot, BLOWING)
-of v after its k-th peak.  One search, find_tower, runs Brent's method
+of v after its k-th peak.  One search, find_tower, scans outward from the
+predicted tower to a change of behaviour and then runs Brent's method
 between the two behaviours on a functional that each shot defines.
 
 Shooting dominates the cost of a verification.  Every shot runs on
-numerics.dop853, a Python port of scipy's DOP853, with right-hand sides on
-floats; it stops the shot at its first event.  Only the kept shot of a
-search builds a dense interpolant (septic Hermite on its steps, with
-closed-form Bernstein coefficients).  No scipy module is loaded, except
-by a read of verifier.solve_ivp (below).
+numerics.dop853, a Python port of scipy's DOP853 in the second-order form
+y'' = F(t, y, y'), with right-hand sides on floats (plain powers where
+u > 0, the same bits as the signed ones); it stops the shot at its first
+event.  Only the kept shot of a search builds a dense interpolant (septic
+Hermite on its steps, with closed-form Bernstein coefficients).  No scipy
+module is loaded, except by a read of verifier.solve_ivp (below).
 """
 
 from __future__ import annotations
@@ -150,15 +152,19 @@ def _default_r_max(params: ModelParams) -> float:
 
 
 def _radial_rhs(params: ModelParams):
-    """Right-hand side (u', u'') of the outward radial equation at (r, u, u'),
-    on Python floats.  Python's ``**`` raises OverflowError where numpy
-    returns inf (far into a blow-up); dop853 rejects such a step."""
+    """Right-hand side u'' of the outward radial equation at (r, u, u'), on
+    Python floats.  Python's ``**`` raises OverflowError where numpy
+    returns inf (far into a blow-up); dop853 rejects such a step.  For
+    u > 0 the signed powers are plain powers; the short form has the same
+    bits, since abs and copysign are exact and x - y = x + (-y)."""
     p, q, n1 = params.p, params.q, params.n_dim - 1.0
     pot = params.potential.at
 
     def rhs(r, u, du):
+        if u > 0.0:
+            return -n1 / r * du + (pot(r) * u ** q - u ** p)
         f = -math.copysign(abs(u) ** p, u) + pot(r) * math.copysign(abs(u) ** q, u)
-        return du, -n1 / r * du + f
+        return -n1 / r * du + f
 
     return rhs
 
@@ -186,7 +192,7 @@ def _septic_hermite(shot: ShotProfile) -> PiecewisePolynomial:
     params, r, u, du = shot.params, shot.r, shot.u, shot.du
     p, q, n1 = params.p, params.q, params.n_dim - 1.0
     rhs = _radial_rhs(params)
-    d2u = np.array([rhs(*step)[1] for step in zip(r.tolist(), u.tolist(), du.tolist())])
+    d2u = np.array([rhs(*step) for step in zip(r.tolist(), u.tolist(), du.tolist())])
     au = np.abs(u)
     f_u = -p * au ** (p - 1.0) + params.potential.evaluate(r) * q * au ** (q - 1.0)
     f_r = np.array([params.potential.slope(ri) for ri in r]) * np.sign(u) * au ** q
@@ -218,8 +224,14 @@ def find_tower(params: ModelParams, guess: TowerConfig) -> ShotProfile:
     """Locate the k-peak decaying solution near a predicted tower.
 
     Both regimes scan up to SCAN_POINTS values across a +-50% bracket
-    around the prediction, in order, stop at the first pair whose
-    behaviour differs, and search between them by Brent's method on a
+    around the prediction, starting from its middle (_scan): up after a
+    crossing shot, down after a non-crossing one, and along the other leg
+    if the first has no change.  The scan stops at the first pair whose
+    behaviour differs.  Where the grid holds one change, as on every
+    checked tower, that is the pair a scan in increasing order finds;
+    where it holds several, the pair nearest the prediction on the side
+    the middle shot points to wins (the other side only if that one has
+    none).  The search runs between the pair by Brent's method on a
     functional g of one sign on crossing shots and the other on the rest
     (Brent, Algorithms for Minimization without Derivatives, 1973; a port
     of scipy's brentq), shooting each value once.  Only the kept shot
@@ -245,9 +257,9 @@ def find_tower(params: ModelParams, guess: TowerConfig) -> ShotProfile:
     bracket only picks one of these flips; at eps = 1e-3 the flips spread
     over 4e-12 (k = 1) and 1.3e-11 (k = 2) relative.  Another integrator at
     the same tolerance puts the separatrix about 1e-10 relative away.  The
-    scan takes at most 13 shots and the search 5 to 7 on the checked towers
-    (k = 1, 2, 3, eps >= 1e-2).  The returned shot is the non-crossing end
-    of the final bracket.
+    scan takes 2 or 3 shots and the search 5 to 8 on the checked towers
+    (k = 1, 2, 3, eps >= 1e-2; 8 to 10 shots in all).  The returned shot is
+    the non-crossing end of the final bracket.
 
     Flat regime: the value is the decay coefficient c of v ~ c e^{-x}
     beyond the last spike, scanned geometrically around gamma e^{xi_k};
@@ -257,14 +269,14 @@ def find_tower(params: ModelParams, guess: TowerConfig) -> ShotProfile:
     field v = A e^x + B e^{-x} it is 2B, constant, with B the coefficient of
     the mode that grows toward the origin: positive at a minimum, negative
     at a zero.  So g is continuous through the separatrix and brentq
-    converges superlinearly, to a bracket of FLAT_RTOL * c (a few ulps; 13
-    to 21 shots on the checked towers, N = 3, k = 1, 2, 3).  The returned
+    converges superlinearly, to a bracket of FLAT_RTOL * c (a few ulps; 11
+    to 13 shots on the checked towers, N = 3, k = 1, 2, 3).  The returned
     shot is the undershoot end of the final bracket: it follows the decaying
     solution far below xi_1 before it dives through zero, and is DECAYING
     when it reaches xi_1 - 6, where u0 is read (u is flat there).
 
-    Raises ConvergenceError with the scan report when no behaviour change
-    brackets a solution.
+    Raises ConvergenceError with the scan report, every shot by increasing
+    value, when no behaviour change brackets a solution.
     """
     xi1, xik = float(guess.xi[0]), float(guess.xi[-1])
     if params.regime is Regime.SUB_Q:
@@ -278,17 +290,7 @@ def find_tower(params: ModelParams, guess: TowerConfig) -> ShotProfile:
         values = np.geomspace(0.5 * c_pred, 1.5 * c_pred, SCAN_POINTS)
         shoot_at = lambda c: _shoot_flat_backward(c, params, xik + 10.0, xi1 - 25.0)
         gap, rtol = _growing_mode, FLAT_RTOL
-    shots = []
-    for value in values:
-        shots.append(shoot_at(value))
-        if _crossed(shots[-1]) != _crossed(shots[0]):
-            break
-    else:
-        raise ConvergenceError(
-            "no crossing/non-crossing change in the bracket; scan: "
-            + ", ".join(f"{s.u0:.4g}:{s.classification.value}" for s in shots))
-    pair = shots[-2:] if _crossed(shots[-2]) else shots[:-3:-1]
-    crossing, staying = _search_separatrix(shoot_at, gap, *pair, rtol)
+    crossing, staying = _search_separatrix(shoot_at, gap, *_scan(shoot_at, values), rtol)
     if params.regime is Regime.SUB_Q:
         return staying
     r_read = math.exp((xi1 - 6.0) / ((params.n_dim - 2) / 2.0))
@@ -296,6 +298,32 @@ def find_tower(params: ModelParams, guess: TowerConfig) -> ShotProfile:
         crossing.classification = Classification.DECAYING
     crossing.u0 = float(crossing.interpolant(max(r_read, crossing.r[0])))
     return crossing
+
+
+def _scan(shoot_at: Callable, values) -> Tuple[ShotProfile, ShotProfile]:
+    """The crossing and non-crossing shots of the scan's change pair.
+
+    Shoots the middle value first, then walks away from it one value at a
+    time: toward larger values after a crossing shot (the separatrix lies
+    above it), toward smaller ones otherwise, and along the other leg if
+    the first has no change.  Stops at the first shot whose behaviour
+    differs from the middle's; that shot and its neighbour toward the
+    middle are the pair.  Raises ConvergenceError, listing every shot by
+    increasing value, when all of them behave alike.
+    """
+    middle = len(values) // 2
+    shots = {middle: shoot_at(values[middle])}
+    crossed = _crossed(shots[middle])
+    above, below = range(middle + 1, len(values)), range(middle - 1, -1, -1)
+    for i in [*above, *below] if crossed else [*below, *above]:
+        shots[i] = shoot_at(values[i])
+        if _crossed(shots[i]) != crossed:
+            near = shots[i - 1 if i > middle else i + 1]
+            return (near, shots[i]) if crossed else (shots[i], near)
+    raise ConvergenceError(
+        "no crossing/non-crossing change in the bracket; scan: "
+        + ", ".join(f"{shots[i].u0:.4g}:{shots[i].classification.value}"
+                    for i in sorted(shots)))
 
 
 def _search_separatrix(shoot_at: Callable, gap: Callable, crossing: ShotProfile,
@@ -360,19 +388,21 @@ def _crossing_gap(shot: ShotProfile, r_max_m: float) -> float:
 
 
 def _flat_rhs(params: ModelParams):
-    """Right-hand side (v, v')' of the flat-regime transformed equation,
+    """Right-hand side v'' of the flat-regime transformed equation,
     v'' = v - beta (e^{eps x} v^p - V(r) e^{-(q-p*) x} v^q), r = e^{x/m},
-    with v clipped at 0; on Python floats, like _radial_rhs."""
+    with v clipped at 0; on Python floats, like _radial_rhs.  The clip
+    gives the bits of max(v, 0.0) for every v: at v = -0.0 and NaN, where
+    the two clips differ, the bracket is +0.0 or NaN either way."""
     beta, p, q, eps = params.beta, params.p, params.q, params.epsilon
     gap = params.q - params.p_star
     m = (params.n_dim - 2) / 2.0
     pot = params.potential.at
 
     def rhs(x, v, dv):
-        vv = max(v, 0.0)
+        vv = v if v > 0.0 else 0.0
         w_p = math.exp(eps * x)
         w_q = pot(math.exp(min(x / m, 700.0))) * math.exp(-gap * x)
-        return dv, v - beta * (w_p * vv ** p - w_q * vv ** q)
+        return v - beta * (w_p * vv ** p - w_q * vv ** q)
 
     return rhs
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -206,19 +207,28 @@ def test_find_tower_single_spike(kept_const_shot):
     assert abs(x_peak - tower.xi[0]) < 0.15 * tower.xi[0]
 
 
-def test_scan_stops_at_its_first_change(kept_const_shot, monkeypatch):
-    # the scan shoots in order and stops at its first crossing/non-crossing
-    # pair, which is the pair the full scan of SCAN_POINTS heights picks
+@pytest.mark.parametrize("eps,k,direction", [(5e-2, 1, -1), (1e-2, 3, 1)],
+                         ids=["down", "up"])
+def test_scan_walks_away_from_the_middle(eps, k, direction, c4, monkeypatch):
+    # the scan shoots the middle height first and walks away from it, down
+    # after a non-crossing shot and up after a crossing one, to its first
+    # change; the pair is the full scan's only change, so the search and
+    # the kept height are those of that pair
     import bubbletower.verifier as verifier_module
     from bubbletower.verifier import (SCAN_POINTS, SEPARATRIX_RTOL, _crossing_gap,
                                       _default_r_max, _search_separatrix)
-    params, tower, _ = kept_const_shot
+    params = make_params(eps=eps, k=k)
+    tower = predicted_tower(params, c4)
     u0_pred = params.gamma * float(np.sum(np.exp(tower.xi)))
     heights = np.linspace(0.5 * u0_pred, 1.5 * u0_pred, SCAN_POINTS).tolist()
     full = [shoot(u, params) for u in heights]
     labels = [s.classification is Classification.CROSSING for s in full]
-    i = next(i for i in range(SCAN_POINTS - 1) if labels[i] != labels[i + 1])
+    changes = [i for i in range(SCAN_POINTS - 1) if labels[i] != labels[i + 1]]
+    assert len(changes) == 1
+    i = changes[0]
     crossing, staying = (full[i], full[i + 1]) if labels[i] else (full[i + 1], full[i])
+    middle = SCAN_POINTS // 2
+    assert labels[middle] == (direction > 0)
 
     shot_heights = []
     original = verifier_module.shoot
@@ -229,10 +239,10 @@ def test_scan_stops_at_its_first_change(kept_const_shot, monkeypatch):
 
     monkeypatch.setattr(verifier_module, "shoot", recorded)
     found = find_tower(params, tower)
-    scan = shot_heights[:i + 2]
-    assert scan == heights[:i + 2] and i + 2 < SCAN_POINTS
-    assert not set(heights[i + 2:]) & set(shot_heights)
-    # the same bracket, so the same search and the same kept height
+    last = i + 1 if direction > 0 else i
+    walk = list(range(middle, last + direction, direction))
+    assert shot_heights[:len(walk)] == [heights[j] for j in walk]
+    assert not set(heights) & set(shot_heights[len(walk):])
     r_max_m = _default_r_max(params) ** -(params.n_dim - 2.0)
     _, kept = _search_separatrix(lambda u: original(u, params),
                                  lambda shot: _crossing_gap(shot, r_max_m),
@@ -240,8 +250,16 @@ def test_scan_stops_at_its_first_change(kept_const_shot, monkeypatch):
     assert found.u0 == kept.u0
 
 
-@pytest.mark.parametrize("q,shooter", [(4.0, "shoot"), (7.0, "_shoot_flat_backward")])
-def test_bisection_shoots_no_height_twice(q, shooter, c4, c7, monkeypatch):
+# the scan from the middle and Brent's steps take 10 shots on the first
+# benchmark verify case (4 scan shots), 8 on the second (3) and 13 on the
+# flat tower (Brent's steps on the growing-mode coefficient)
+@pytest.mark.parametrize("q,potential,eps,shooter,budget", [
+    (4.0, PotentialSpec.constant(-1.0), 5e-2, "shoot", 10),
+    (7.0, PotentialSpec.constant(-1.0), 5e-2, "_shoot_flat_backward", 13),
+    (4.0, PotentialSpec.rational(-2.0, 1.0), 2e-2, "shoot", 8),
+], ids=["4.0-shoot", "7.0-_shoot_flat_backward", "4.0-rational-shoot"])
+def test_bisection_shoots_no_height_twice(q, potential, eps, shooter, budget, c4, c7,
+                                          monkeypatch):
     import bubbletower.verifier as verifier_module
     heights = []
     original = getattr(verifier_module, shooter)
@@ -251,18 +269,13 @@ def test_bisection_shoots_no_height_twice(q, shooter, c4, c7, monkeypatch):
         return original(height, *args, **kwargs)
 
     monkeypatch.setattr(verifier_module, shooter, recorded)
-    params = make_params(q=q, eps=5e-2, k=1)
+    params = ModelParams.make(3, q, eps, k=1, potential=potential)
     found = find_tower(params, predicted_tower(params, c4 if q == 4.0 else c7))
     assert found.classification is Classification.DECAYING
     # the kept shot is one of the search's own, not a repeat
-    assert len(set(heights)) == len(heights)
+    assert len(set(heights)) == len(heights) <= budget
     if q == 4.0:
-        # the scan and Brent's steps take 13 shots
-        assert len(heights) <= 20 and found.u0 in heights
-    else:
-        # the scan and Brent's steps on the growing-mode coefficient take
-        # 16 shots
-        assert len(heights) <= 25
+        assert found.u0 in heights
 
 
 def _bisected_separatrix(params, guess):
@@ -314,26 +327,63 @@ def test_search_budget_raises_convergence_error(c4, monkeypatch):
     assert staying.classification is Classification.DECAYING
 
 
+def _sample_heights(rng, size):
+    """Heights of both signs over 27 decades, with +-0.0, subnormals,
+    +-inf and NaN."""
+    us = rng.choice([-1.0, 1.0], size) * np.exp(rng.uniform(-20.0, 7.0, size))
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1060, -(2.0 ** -1060), 1e-310, -1e-310,
+               math.inf, -math.inf, math.nan]
+    us[:len(special)] = special
+    return us.tolist()
+
+
+def _same_bits(a: float, b: float) -> bool:
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
 @pytest.mark.parametrize("potential", [PotentialSpec.constant(-1.0),
                                        PotentialSpec.rational(-2.0, 1.0)])
 def test_radial_rhs_matches_numpy_scalar_formula(potential):
+    # u > 0 takes the plain powers, u <= 0 (and -0.0) the signed ones; both
+    # give the bits of the signed formula, written out
     from bubbletower.verifier import _radial_rhs
     params = ModelParams.make(3, 4.0, 5e-2, potential=potential)
     p, q, n_dim, pot = params.p, params.q, params.n_dim, potential.at
 
-    def reference(r, y):            # the same formula on numpy scalars
-        u, du = y
+    def reference(r, u, du):
         f = -math.copysign(abs(u) ** p, u) + pot(r) * math.copysign(abs(u) ** q, u)
-        return du, -(n_dim - 1.0) / r * du + f
+        return -(n_dim - 1.0) / r * du + f
 
     rhs = _radial_rhs(params)
     rng = np.random.default_rng(7)
-    rs = np.exp(rng.uniform(math.log(1e-7), math.log(1e4), 300))
-    us = rng.choice([-1.0, 1.0], 300) * np.exp(rng.uniform(-20.0, 7.0, 300))
-    us[:5] = 0.0
-    dus = rng.normal(0.0, 10.0, 300)
-    for r, u, du in zip(rs.tolist(), us, dus):
-        assert np.array_equal(rhs(r, float(u), float(du)), reference(r, np.array([u, du])))
+    rs = np.exp(rng.uniform(math.log(1e-7), math.log(1e4), 300)).tolist()
+    dus = rng.normal(0.0, 10.0, 300).tolist()
+    us = _sample_heights(rng, 300)
+    assert sum(u > 0.0 for u in us) > 100 and sum(u < 0.0 for u in us) > 100
+    for r, u, du in zip(rs, us, dus):
+        assert _same_bits(rhs(r, u, du), reference(r, u, du))
+
+
+def test_flat_rhs_matches_the_clipped_formula(c7):
+    # the clip at 0 gives the bits of the formula with max(v, 0.0), written
+    # out, for every v
+    from bubbletower.verifier import _flat_rhs
+    params = ModelParams.make(3, 7.0, 5e-2, potential=PotentialSpec.rational(1.0, -2.0))
+    beta, p, q, eps = params.beta, params.p, params.q, params.epsilon
+    gap, m, pot = params.q - params.p_star, (params.n_dim - 2) / 2.0, params.potential.at
+
+    def reference(x, v, dv):
+        clipped = max(v, 0.0)
+        w_q = pot(math.exp(min(x / m, 700.0))) * math.exp(-gap * x)
+        return v - beta * (math.exp(eps * x) * clipped ** p - w_q * clipped ** q)
+
+    rhs = _flat_rhs(params)
+    rng = np.random.default_rng(11)
+    xs = rng.uniform(-5.0, 40.0, 300).tolist()
+    dvs = rng.normal(0.0, 1.0, 300).tolist()
+    vs = _sample_heights(rng, 300)
+    for x, v, dv in zip(xs, vs, dvs):
+        assert _same_bits(rhs(x, v, dv), reference(x, v, dv))
 
 
 def test_find_tower_requires_behaviour_change(c4):
@@ -342,8 +392,13 @@ def test_find_tower_requires_behaviour_change(c4):
     params = make_params(eps=5e-2, k=1)
     tower = predicted_tower(params, c4)
     low = dataclasses.replace(tower, xi=tower.xi - math.log(10.0))
-    with pytest.raises(ConvergenceError, match="no crossing/non-crossing change"):
+    with pytest.raises(ConvergenceError, match="no crossing/non-crossing change") as info:
         find_tower(params, low)
+    # every shot of the scan, from both legs, listed by increasing height
+    scan = str(info.value).split("scan: ")[1].split(", ")
+    heights = [float(entry.split(":")[0]) for entry in scan]
+    assert len(heights) == 13 and heights == sorted(heights)
+    assert all(entry.endswith(":crossing") for entry in scan)
 
 
 def test_found_height_increases_as_eps_shrinks(c4):
