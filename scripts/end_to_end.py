@@ -14,9 +14,9 @@ import time
 import numpy as np
 
 from bubbletower import (Classification, ModelParams, PotentialSpec,
-                         ReductionConfig, assemble_solution, compare,
+                         ReductionConfig, TowerConfig, assemble_solution, compare,
                          energy_constants, find_tower, predicted_tower,
-                         solve_reduced)
+                         solve_reduced, tower_amplitudes)
 
 
 def main():
@@ -44,14 +44,17 @@ def main():
           f"max radial residual = {np.max(residual):.2e}")
 
     t0 = time.time()
-    tower = predicted_tower(params, constants)
-    found = find_tower(params, tower)
+    # the shooting finds its own height; the solved tower only seeds the scan
+    solved = TowerConfig(lam_eps, state.xi, tower_amplitudes(lam_eps, constants, params),
+                         params.regime)
+    found = find_tower(params, solved)
     if found.classification is not Classification.DECAYING:
         raise SystemExit(f"shot is {found.classification.value}, not decaying")
     xi1 = float(state.xi[0])
     metrics = compare(solution.ef, found.ef_image, (xi1 - 2.0, xi1 + 2.0))
     print(f"shooting:  u0 = {found.u0:.4f} ({found.peak_count_ef} peak(s)), "
           f"sup rel err near peak = {metrics.sup_rel:.4f}  [{time.time()-t0:.1f}s]")
+    tower = predicted_tower(params, constants)
     print(f"predicted peak (tower formula): "
           f"{params.gamma * np.sum(np.exp(tower.xi)):.4f}")
 

@@ -27,7 +27,8 @@ from .errors import BubbleTowerError
 from .field import tower_ansatz  # noqa: F401  read by perfbench's span self-test
 from .profiles import ModelParams, PotentialSpec
 from .quadrature import energy_constants
-from .reduced_model import energy_expansion, predicted_tower
+from .reduced_model import (TowerConfig, energy_expansion, predicted_tower,
+                            tower_amplitudes)
 from .reduction import (ReductionConfig, assemble_solution, solve_reduced,
                         sweep_point)
 from .verifier import compare, find_tower
@@ -187,8 +188,10 @@ def cmd_verify(args) -> int:
     try:
         lam_eps, state = solve_reduced(params, C, ReductionConfig(h=args.h))
         solution = assemble_solution(state, params)
-        tower = predicted_tower(params, C)
-        found = find_tower(params, tower)
+        # the shooting finds its own height; the solved tower only seeds the scan
+        solved = TowerConfig(lam_eps, state.xi, tower_amplitudes(lam_eps, C, params),
+                             params.regime)
+        found = find_tower(params, solved)
     except BubbleTowerError as exc:
         raise SystemExit(f"verification failed: {exc}")
     xi1, xik = float(state.xi[0]), float(state.xi[-1])
@@ -223,7 +226,7 @@ def cmd_sweep(args) -> int:
             params = ModelParams.make(args.N, args.q, eps, k=args.k,
                                       potential=potential)
             return sweep_point(params, C, cfg)
-        except Exception as exc:           # record and continue
+        except (BubbleTowerError, ValueError) as exc:    # record and continue
             return f"{type(exc).__name__}: {exc}"
 
     with concurrent.futures.ThreadPoolExecutor(max_workers=args.workers) as pool:

@@ -128,7 +128,7 @@ def dop853(rhs, t: float, y: float, dy: float, t_end: float, stop, rtol: float,
     call of rhs and builds no tuple; the arithmetic is that of the
     first-order system, operation for operation.  A stage that raises
     OverflowError rejects the step.  Records the start and every accepted
-    step and stops once stop(y) holds at one.  Returns the records' t, y, y'
+    step and stops once stop(t, y) holds at one.  Returns the records' t, y, y'
     as arrays and DOP853's code: 1 at t_end, 2 at a stop, -2 after
     max_steps + 1 step attempts, -3 once the step size underflows.  No
     stiffness test, no dense output.
@@ -140,7 +140,7 @@ def dop853(rhs, t: float, y: float, dy: float, t_end: float, stop, rtol: float,
     h_max = abs(t_end - t)
     k1d = rhs(t, y, dy)
     h = _initial_step(rhs, t, y, dy, k1d, direction, h_max, rtol, atol)
-    code, n_steps, reject, last = (2 if stop(y) else 0), 0, False, False
+    code, n_steps, reject, last = (2 if stop(t, y) else 0), 0, False, False
     while not code:
         if n_steps > max_steps or 0.1 * abs(h) <= abs(t) * _UROUND:
             code = -2 if n_steps > max_steps else -3
@@ -158,7 +158,7 @@ def dop853(rhs, t: float, y: float, dy: float, t_end: float, stop, rtol: float,
             h_new = h / max(_FACC2, min(_FACC1, err ** 0.125 / _SAFE))
             t, y, dy, k1d = t + h, y_new, dy_new, k_new
             steps.append((t, y, dy))
-            code = 2 if stop(y) else 1 if last else 0
+            code = 2 if stop(t, y) else 1 if last else 0
             if abs(h_new) > h_max:
                 h_new = direction * h_max
             if reject:

@@ -1,15 +1,15 @@
 """Independent verification by direct shooting on the radial equation.
 
-The concentrating regime shoots outward from the origin: below the tower
-height trajectories cross zero, above they relax to the slowly decaying
-supercritical orbit, and the tower is the boundary between crossing and
-non-crossing shots.  The flat regime has no reachable forward dichotomy
-(deviations separate only at radii exp(1/eps)), so there the shooter
-integrates the transformed equation backward from the far field and stops
-at the first zero (undershoot, CROSSING) or minimum (overshoot, BLOWING)
-of v after its k-th peak.  One search, find_tower, scans outward from the
-predicted tower to a change of behaviour and then runs Brent's method
-between the two behaviours on a functional that each shot defines.
+Both shooters stop a shot at its first event after the k-th peak of
+v = r^{(N-2)/2} u (_first_event), a zero (CROSSING) or a minimum
+(BLOWING), as the radial phase plane sorts them (Berestycki, Lions &
+Peletier, Indiana Univ. Math. J. 30, 1981).  The concentrating regime
+shoots outward from the origin.  The flat regime has no reachable forward
+dichotomy (deviations separate only at radii exp(1/eps)), so there the
+shooter integrates the transformed equation backward from the far field.
+One search, find_tower, scans from a seed tower to a change of behaviour
+and then runs Brent's method between the two behaviours on a functional
+that each shot defines.
 
 Shooting dominates the cost of a verification.  Every shot runs on
 numerics.dop853, a Python port of scipy's DOP853 in the second-order form
@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .numerics import PiecewisePolynomial, brentq, dop853
-from .profiles import ModelParams, Regime, ef_forward
+from .profiles import ModelParams, Regime, ef_forward, ef_r_of_x
 from .reduced_model import TowerConfig
 
 __all__ = [
@@ -124,30 +124,38 @@ def shoot(u0: float, params: ModelParams) -> ShotProfile:
     seeds the integration through the regular singular point.  The start
     r0 = min(1e-6, 1e-3 u0^{-(p-1)/2}) lies well inside the spike core,
     whose radius is u0^{-(p-1)/2}, however tall the tower.  dop853 runs
-    at rtol 1e-10 to r_max = 50/sqrt(eps) (50 at eps = 0) and stops the
-    shot once u < 0 (CROSSING) or u > 10 u0 (BLOWING).  A shot that
-    reaches r_max is classified from its tail.  An integration that fails (step budget
-    spent, step size underflow) raises ConvergenceError with the solver's
-    return code and the last accepted step.
+    at rtol 1e-10 toward r_max (_default_r_max) and stops the shot at its
+    first event after the params.k-th peak of v = r^{(N-2)/2} u: a zero
+    (CROSSING) or a minimum of v (BLOWING).  It also stops once u > 10 u0
+    (BLOWING).  A shot that reaches r_max is DECAYING.  An integration that
+    fails (step budget spent, step size underflow) raises ConvergenceError
+    with the solver's return code and the last accepted step.
     """
     if u0 <= 0.0:
         raise ValueError("initial height must be positive")
-    p = params.p
+    p, m = params.p, 0.5 * (params.n_dim - 2.0)
     r0 = min(1e-6, 1e-3 * u0 ** (-0.5 * (p - 1.0)))
     curv = (u0 ** p - params.potential.at(0.0) * u0 ** params.q) / (2.0 * params.n_dim)
+    event = _first_event(params.k)
     r, u, du, code = dop853(_radial_rhs(params), r0, u0 - curv * r0 * r0,
                             -2.0 * curv * r0, _default_r_max(params),
-                            lambda y: y < 0.0 or y > 10.0 * u0, 1e-10, 1e-14 * u0,
-                            MAX_STEPS)
+                            lambda r, u: event(r ** m * u) or u > 10.0 * u0, 1e-10,
+                            1e-14 * u0, MAX_STEPS)
     if code < 0:
         raise ConvergenceError(
             f"radial integration failed at r = {r[-1]:.6g} "
             f"(DOP853 return code {code})", state=(r[-1], u[-1], du[-1]))
-    return ShotProfile(u0, r, u, du, _classify_endpoint(u),
-                       _ef_peaks(r, u, params), params)
+    label = (Classification.DECAYING if code == 1 else
+             Classification.CROSSING if u[-1] < 0.0 else Classification.BLOWING)
+    return ShotProfile(u0, r, u, du, label, _ef_peaks(r, u, params), params)
 
 
 def _default_r_max(params: ModelParams) -> float:
+    """End of an outward shot: 50/sqrt(eps), or 50 at eps = 0.  The
+    concentrating search keeps the height whose shot first crosses zero
+    here (_crossing_gap), just below the true separatrix.  Criterion 09's
+    eps-trend reads that offset: on the true separatrix sup_rel is the
+    grid's O(h^2) error, which eps moves by about 1%.  So r_max stays."""
     return 50.0 / math.sqrt(params.epsilon) if params.epsilon > 0 else 50.0
 
 
@@ -205,61 +213,38 @@ def _septic_hermite(shot: ShotProfile) -> PiecewisePolynomial:
     return PiecewisePolynomial(c, r, bernstein=True)
 
 
-def _classify_endpoint(u) -> Classification:
-    if np.any(u < 0.0):
-        return Classification.CROSSING
-    i_pk = int(np.argmax(u))
-    tail = u[i_pk:]
-    if u[-1] <= 0.5 * u.max() and np.all(np.diff(tail) <= 1e-9 * u.max()):
-        return Classification.DECAYING
-    return Classification.BLOWING
-
-
 def _ef_peaks(r, u, params: ModelParams) -> int:
     mask = (r > 0) & (u > 0)
     return _peak_indices(r[mask] ** ((params.n_dim - 2) / 2.0) * u[mask]).size
 
 
 def find_tower(params: ModelParams, guess: TowerConfig) -> ShotProfile:
-    """Locate the k-peak decaying solution near a predicted tower.
+    """Locate the k-peak decaying solution near a seed tower.
 
-    Both regimes scan up to SCAN_POINTS values across a +-50% bracket
-    around the prediction, starting from its middle (_scan): up after a
-    crossing shot, down after a non-crossing one, and along the other leg
-    if the first has no change.  The scan stops at the first pair whose
-    behaviour differs.  Where the grid holds one change, as on every
-    checked tower, that is the pair a scan in increasing order finds;
-    where it holds several, the pair nearest the prediction on the side
-    the middle shot points to wins (the other side only if that one has
-    none).  The search runs between the pair by Brent's method on a
-    functional g of one sign on crossing shots and the other on the rest
-    (Brent, Algorithms for Minimization without Derivatives, 1973; a port
-    of scipy's brentq), shooting each value once.  Only the kept shot
-    builds its interpolant, when compare() or the flat height read reads it.
+    The seed is the tower a reduction has just solved, where one exists,
+    else the closed-form prediction.  Both regimes scan up to SCAN_POINTS
+    values across a +-50% bracket around the seed, from its middle (_scan),
+    to the first pair whose behaviour differs; where the grid holds several
+    changes (none on the checked towers), the pair nearest the seed on the
+    side the middle shot points to wins.  The search runs between the pair
+    by Brent's method on a functional g of one sign on crossing shots and
+    the other on the rest (Brent, Algorithms for Minimization without
+    Derivatives, 1973; a port of scipy's brentq), shooting each value once.
     A search that spends SEARCH_MAXITER steps raises ConvergenceError with
     its last crossing and non-crossing shots as state.
 
-    Concentrating regime: the initial height u0 between a crossing and a
-    non-crossing shot, seeded at the predicted peak of the tower; the
-    separatrix is the height whose shot first crosses zero exactly at
-    r_max.  The linear far field u = A + B r^{-m}, m = N - 2, through the
-    shot's last step (r_e, u_e, u'_e) has its zero at r_*, with
-    r_*^{-m} = r_e^{-m} + m u_e/(r_e^{m+1} u'_e).  The functional is
-    g = +-|r_*^{-m} - r_max^{-m}| (magnitude 1 where the denominator is
-    zero or not finite): on a crossing shot r_* is its crossing radius, so
-    g -> 0 where that radius reaches r_max, and the sign makes every
-    bracket a crossing/non-crossing pair.  brentq falls back to bisection
-    by itself where the linear far field fails (u' > 0 at r_max on a
-    non-crossing end).  The search stops once the bracket is at most
-    SEPARATRIX_RTOL * u0 wide: on 81 heights over +-2e-12 relative around
-    the found u0 the classification flips 1 to 7 times within at most
-    4.5e-13 relative (9 towers, k = 1, 2, 3, eps >= 1e-2), so a narrower
-    bracket only picks one of these flips; at eps = 1e-3 the flips spread
-    over 4e-12 (k = 1) and 1.3e-11 (k = 2) relative.  Another integrator at
-    the same tolerance puts the separatrix about 1e-10 relative away.  The
-    scan takes 2 or 3 shots and the search 5 to 8 on the checked towers
-    (k = 1, 2, 3, eps >= 1e-2; 8 to 10 shots in all).  The returned shot is
-    the non-crossing end of the final bracket.
+    Concentrating regime: the value is the initial height u0, seeded at
+    gamma sum e^{xi_j}.  Above the tower a shot stops at its first minimum
+    of v after the k-th peak, below it at its zero, and one whose zero lies
+    past r_max reaches r_max (shoot).  g is _crossing_gap, so the root is
+    the height whose shot first crosses zero at r_max (_default_r_max says
+    why r_max stays).  The search stops once the bracket is at most
+    SEPARATRIX_RTOL * u0 wide: the classification chatters within 4.5e-13
+    relative of the root at eps >= 1e-2 (81 heights over +-2e-12 on 9
+    towers, k = 1, 2, 3) and within 4e-12 to 1.3e-11 at eps = 1e-3, and
+    another integrator at the same tolerance puts the root about 1e-10
+    relative away.  The kept shot is the non-crossing end of the final
+    bracket.
 
     Flat regime: the value is the decay coefficient c of v ~ c e^{-x}
     beyond the last spike, scanned geometrically around gamma e^{xi_k};
@@ -270,13 +255,18 @@ def find_tower(params: ModelParams, guess: TowerConfig) -> ShotProfile:
     the mode that grows toward the origin: positive at a minimum, negative
     at a zero.  So g is continuous through the separatrix and brentq
     converges superlinearly, to a bracket of FLAT_RTOL * c (a few ulps; 11
-    to 13 shots on the checked towers, N = 3, k = 1, 2, 3).  The returned
-    shot is the undershoot end of the final bracket: it follows the decaying
-    solution far below xi_1 before it dives through zero, and is DECAYING
-    when it reaches xi_1 - 6, where u0 is read (u is flat there).
+    to 13 shots on the checked towers, N = 3, k = 1, 2, 3).  The kept shot
+    is the crossing end of the final bracket: it follows the decaying
+    solution far below xi_1 before it dives through zero.  Its u0 is read
+    at r(xi_1 - 6), where u is flat.
 
-    Raises ConvergenceError with the scan report, every shot by increasing
-    value, when no behaviour change brackets a solution.
+    In both regimes the kept shot is DECAYING once it reaches r(xi_1 - 6),
+    past the tower on its side; an outward one that reaches r_max is too.
+    Only the kept shot builds its interpolant, when compare() or the flat
+    height read reads it.  Raises ConvergenceError with the scan report,
+    every shot by increasing value, when no behaviour change brackets a
+    solution, and with the kept shot as state unless it is DECAYING with k
+    peaks.
     """
     xi1, xik = float(guess.xi[0]), float(guess.xi[-1])
     if params.regime is Regime.SUB_Q:
@@ -291,13 +281,17 @@ def find_tower(params: ModelParams, guess: TowerConfig) -> ShotProfile:
         shoot_at = lambda c: _shoot_flat_backward(c, params, xik + 10.0, xi1 - 25.0)
         gap, rtol = _growing_mode, FLAT_RTOL
     crossing, staying = _search_separatrix(shoot_at, gap, *_scan(shoot_at, values), rtol)
-    if params.regime is Regime.SUB_Q:
-        return staying
-    r_read = math.exp((xi1 - 6.0) / ((params.n_dim - 2) / 2.0))
-    if crossing.r[0] <= r_read:
-        crossing.classification = Classification.DECAYING
-    crossing.u0 = float(crossing.interpolant(max(r_read, crossing.r[0])))
-    return crossing
+    kept = staying if params.regime is Regime.SUB_Q else crossing
+    r_read = float(ef_r_of_x(xi1 - 6.0, params.n_dim, params.regime))
+    if kept.r[0] <= r_read <= kept.r[-1]:
+        kept.classification = Classification.DECAYING
+    if params.regime is not Regime.SUB_Q:
+        kept.u0 = float(kept.interpolant(max(r_read, kept.r[0])))
+    if kept.classification is not Classification.DECAYING or kept.peak_count_ef != params.k:
+        raise ConvergenceError(
+            f"kept shot is {kept.classification.value} with {kept.peak_count_ef} "
+            f"peaks, not decaying with {params.k}", state=kept)
+    return kept
 
 
 def _scan(shoot_at: Callable, values) -> Tuple[ShotProfile, ShotProfile]:
@@ -376,7 +370,8 @@ def _crossing_gap(shot: ShotProfile, r_max_m: float) -> float:
     recorded step reaches zero at r_*^{-m} = r_e^{-m} + m u_e/(r_e^{m+1} u'_e).
     The magnitude is |r_*^{-m} - r_max^{-m}|, or 1 where that formula has a
     zero or non-finite denominator; the sign is + on crossing shots and - on
-    the others.
+    the others.  At a crossing stop r_* is the crossing radius; at a minimum
+    of v, r_*^{-m} = -r_e^{-m}, so g = -(r_e^{-m} + r_max^{-m}) there.
     """
     m = shot.params.n_dim - 2.0
     r_e, u_e, du_e = float(shot.r[-1]), float(shot.u[-1]), float(shot.du[-1])
@@ -411,7 +406,7 @@ def _shoot_flat_backward(c: float, params: ModelParams, x_hi: float,
                          x_lo: float) -> ShotProfile:
     """Integrate the transformed equation backward from v = c e^{-x} at x_hi.
 
-    The shot stops at its first event (_flat_stop): v < 0, an undershoot
+    The shot stops at its first event (_first_event): v < 0, an undershoot
     (CROSSING), or a minimum of v after its k-th peak, an overshoot
     (BLOWING).  A stop at v > 10 gamma and a DOP853 failure above zero are
     overshoots too; a shot that reaches x_lo is an undershoot.  The profile
@@ -419,10 +414,9 @@ def _shoot_flat_backward(c: float, params: ModelParams, x_hi: float,
     u' = (m/r) e^{-x} (v' - v); its u0 is c.
     """
     m = (params.n_dim - 2) / 2.0
-    v0 = c * math.exp(-x_hi)
+    v0, ceiling, event = c * math.exp(-x_hi), 10.0 * params.gamma, _first_event(params.k)
     x, v, dv, code = dop853(_flat_rhs(params), x_hi, v0, -v0, x_lo,
-                            _flat_stop(params.k, 10.0 * params.gamma), 1e-12, 1e-20,
-                            MAX_STEPS)
+                            lambda x, v: event(v) or v > ceiling, 1e-12, 1e-20, MAX_STEPS)
     over = code != 1 and v[-1] >= 0.0
     x, v, dv = x[::-1], v[::-1], dv[::-1]
     r, decay = np.exp(x / m), np.exp(-x)
@@ -431,9 +425,9 @@ def _shoot_flat_backward(c: float, params: ModelParams, x_hi: float,
                        _peak_indices(v).size, params)
 
 
-def _flat_stop(k: int, ceiling: float) -> Callable[[float], bool]:
-    """Stop rule of a flat shot, fed v step by step in the order of travel:
-    true at v < 0, v > ceiling or a minimum after the k-th peak.  A peak
+def _first_event(k: int) -> Callable[[float], bool]:
+    """Stop rule of both shooters, fed v step by step in the order of
+    travel: true at v < 0 or at a minimum after the k-th peak.  A peak
     (minimum) is a strict fall (rise) after a strict rise (fall)."""
     peaks, trend, last = 0, 0, math.nan
 
@@ -445,7 +439,7 @@ def _flat_stop(k: int, ceiling: float) -> Callable[[float], bool]:
             if trend < 0 and peaks >= k:
                 return True
             peaks, trend = peaks + (trend > 0), turn
-        return v < 0.0 or v > ceiling
+        return v < 0.0
 
     return stop
 

@@ -202,6 +202,18 @@ def test_sweep_with_no_surviving_point_exits_nonzero(tmp_path):
     assert set(payload["errors"]) == {"0.9", "0.8"}
 
 
+def test_sweep_lets_programming_errors_through(tmp_path, monkeypatch):
+    # a point records model and solver failures, not a bug in the code
+    def broken_point(params, constants, config):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(cli, "sweep_point", broken_point)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        run_cli(["sweep", "--q", "4", "--eps-list", "1e-2,5e-3",
+                 "--out", str(tmp_path)])
+    assert not (tmp_path / "sweep").exists()
+
+
 def test_sweep_with_non_finite_metric_writes_no_report(tmp_path, monkeypatch):
     # a NaN would reach sweep.json as a literal NaN, which is not JSON
     def nan_point(params, constants, config):
@@ -285,16 +297,29 @@ def test_verify_flat_regime(n_dim, q, k, eps, h, pot, max_sup, tmp_path):
     assert max(abs(c) for c in payload["multipliers"]) < 1e-8
 
 
-@pytest.mark.parametrize("k,eps,h,pot,max_sup", [
+_CONCENTRATING_GRID = [(n_dim, q, k, eps, "0.02", "const:-1", 1e-2 if n_dim == 3 else 1e-3)
+                       for n_dim, q in ((3, "4"), (4, "2.5"), (5, "2"), (6, "1.8"))
+                       for k in (1, 2) for eps in ("5e-2", "1e-2")]
+
+
+@pytest.mark.parametrize("n_dim,q,k,eps,h,pot,max_sup", [
     # tower heights where a fixed series start r0 = 1e-6 lay far outside
     # the spike core
-    (2, "3e-2", "0.01", "const:-1", 1e-2),
-    (3, "1e-2", "0.02", "const:-1", 1e-2),
+    (3, "4", 2, "3e-2", "0.01", "const:-1", 1e-2),
+    (3, "4", 3, "1e-2", "0.02", "const:-1", 1e-2),
     # V(0) = -1 < 0 < V(inf) = 1: only the concentrating hypothesis holds
-    (1, "5e-2", "0.01", "rational:-1,2", 0.2),
-])
-def test_verify_concentrating(k, eps, h, pot, max_sup, tmp_path):
-    run_cli(["verify", "--q", "4", "--k", str(k), "--V", pot,
+    (3, "4", 1, "5e-2", "0.01", "rational:-1,2", 0.2),
+    # N = 3-6 inside N/(N-2) < q < p*, seeded from the solved tower
+    *_CONCENTRATING_GRID,
+    # exponent gap p* - q = 0.2 (the other gap case, N = 6, q = 1.8, k = 1,
+    # eps = 5e-2, is in the grid)
+    (3, "4.8", 1, "1e-2", "0.03", "const:-1", 1e-3),
+], ids=["2-3e-2-0.01-const:-1-0.01", "3-1e-2-0.02-const:-1-0.01",
+        "1-5e-2-0.01-rational:-1,2-0.2",
+        *(f"N{n}-q{q}-k{k}-{eps}" for n, q, k, eps, *_ in _CONCENTRATING_GRID),
+        "gap-N3-q4.8-k1-1e-2"])
+def test_verify_concentrating(n_dim, q, k, eps, h, pot, max_sup, tmp_path):
+    run_cli(["verify", "--N", str(n_dim), "--q", q, "--k", str(k), "--V", pot,
              "--eps", eps, "--h", h, "--out", str(tmp_path)])
     payload = json.loads((tmp_path / "verify" / "verify.json").read_text())
     assert payload["classification"] == "decaying"

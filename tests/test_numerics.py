@@ -42,7 +42,7 @@ def _ode_dop853(rhs, t0, y0, dy0, t_end, stop, rtol, atol, nsteps=MAX_STEPS):
     def record(t, z):
         y, dy = z.tolist()
         steps.append((t, y, dy))
-        return -1 if stop(y) else 0
+        return -1 if stop(t, y) else 0
 
     solver = ode(system).set_integrator("dop853", rtol=rtol, atol=atol, nsteps=nsteps)
     solver.set_solout(record)
@@ -60,13 +60,13 @@ def _radial_shot(potential, eps, u0):
     r0 = min(1e-6, 1e-3 * u0 ** (-0.5 * (p - 1.0)))
     curv = (u0 ** p - potential.at(0.0) * u0 ** params.q) / (2.0 * params.n_dim)
     return (_radial_rhs(params), r0, u0 - curv * r0 * r0, -2.0 * curv * r0,
-            _default_r_max(params), lambda y: y < 0.0 or y > 10.0 * u0, 1e-10, 1e-14 * u0)
+            _default_r_max(params), lambda t, y: y < 0.0 or y > 10.0 * u0, 1e-10, 1e-14 * u0)
 
 
 @pytest.mark.parametrize("case", ["oscillator", "const", "rational"])
 def test_dop853_matches_scipy_ode(case):
     if case == "oscillator":
-        args = (_oscillator, 0.0, 1.0, 0.0, 10.0, lambda y: False, 1e-10, 1e-14)
+        args = (_oscillator, 0.0, 1.0, 0.0, 10.0, lambda t, y: False, 1e-10, 1e-14)
     else:
         args = _radial_shot(*BENCHMARK_SHOTS[case == "rational"])
     # every record, bit for bit: the second-order form does the first-order
@@ -81,10 +81,10 @@ def test_dop853_return_codes():
     # 1 at t_end; 2 at the first record with y < 0; -2 once a budget of 5
     # steps is spent (6 attempts, as in dop853.f); -3 where y'' = y^3 blows
     # up at t = sqrt(2)
-    stop_never = lambda y: False
+    stop_never = lambda t, y: False
     t, y, _, code = dop853(_oscillator, 0.0, 1.0, 0.0, 10.0, stop_never, 1e-10, 1e-14, MAX_STEPS)
     assert code == 1 and t[-1] == 10.0 and abs(y[-1] - math.cos(10.0)) < 1e-8
-    t, y, _, code = dop853(_oscillator, 0.0, 1.0, 0.0, 10.0, lambda v: v < 0.0, 1e-10, 1e-14,
+    t, y, _, code = dop853(_oscillator, 0.0, 1.0, 0.0, 10.0, lambda t, v: v < 0.0, 1e-10, 1e-14,
                            MAX_STEPS)
     assert code == 2 and y[-1] < 0.0 <= y[-2] and t[-1] < 10.0
     t, _, _, code = dop853(_oscillator, 0.0, 1.0, 0.0, 10.0, stop_never, 1e-10, 1e-14, 5)
@@ -107,7 +107,7 @@ def test_dop853_rejects_a_step_that_overflows():
             raise OverflowError
         return -y
 
-    def stop(y):                    # the index of the next call, at each record
+    def stop(t, y):                 # the index of the next call, at each record
         records.append(len(calls))
         return False
 

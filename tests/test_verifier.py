@@ -82,10 +82,11 @@ def test_failed_flat_shot_counts_as_overshoot(c7):
 
 
 def test_flat_stop_matches_the_sample_loop():
-    # the flat shot's step rule, fed one value at a time, against a plain
-    # loop over each prefix with equal neighbours merged: the first index
-    # where v < 0, v > ceiling or a minimum follows the k-th peak
-    from bubbletower.verifier import _flat_stop
+    # the shooters' first-event rule with the flat shot's ceiling, fed one
+    # value at a time, against a plain loop over each prefix with equal
+    # neighbours merged: the first index where v < 0, v > ceiling or a
+    # minimum follows the k-th peak
+    from bubbletower.verifier import _first_event
 
     def loop(vs, k, ceiling):
         for j in range(len(vs)):
@@ -100,8 +101,8 @@ def test_flat_stop_matches_the_sample_loop():
         return None, None
 
     def rule(vs, k, ceiling):
-        stop = _flat_stop(k, ceiling)
-        return next((j for j, v in enumerate(vs) if stop(float(v))), None)
+        event = _first_event(k)
+        return next((j for j, v in enumerate(vs) if event(float(v)) or v > ceiling), None)
 
     # integer walks hit ties; each is read in both travel directions
     rng = np.random.default_rng(3)
@@ -250,11 +251,12 @@ def test_scan_walks_away_from_the_middle(eps, k, direction, c4, monkeypatch):
     assert found.u0 == kept.u0
 
 
-# the scan from the middle and Brent's steps take 10 shots on the first
-# benchmark verify case (4 scan shots), 8 on the second (3) and 13 on the
-# flat tower (Brent's steps on the growing-mode coefficient)
+# seeded at the prediction, the scan from the middle and Brent's steps take
+# 8 shots on both benchmark verify cases (outward shots stop at their first
+# event) and 13 on the flat tower (Brent's steps on the growing-mode
+# coefficient)
 @pytest.mark.parametrize("q,potential,eps,shooter,budget", [
-    (4.0, PotentialSpec.constant(-1.0), 5e-2, "shoot", 10),
+    (4.0, PotentialSpec.constant(-1.0), 5e-2, "shoot", 8),
     (7.0, PotentialSpec.constant(-1.0), 5e-2, "_shoot_flat_backward", 13),
     (4.0, PotentialSpec.rational(-2.0, 1.0), 2e-2, "shoot", 8),
 ], ids=["4.0-shoot", "7.0-_shoot_flat_backward", "4.0-rational-shoot"])
@@ -314,6 +316,56 @@ def test_search_stays_on_the_bisected_separatrix(potential, eps, k, c4):
     assert abs(found.u0 / ref.u0 - 1.0) <= 1e-12
     assert found.classification is ref.classification is Classification.DECAYING
     assert found.peak_count_ef == ref.peak_count_ef == k
+
+
+def test_outward_shots_stop_at_their_first_event(kept_const_shot):
+    # above the tower the shot stops at the first minimum of v = r^{1/2} u
+    # after its peak, below it at its zero; neither reaches r_max
+    from bubbletower.verifier import _default_r_max
+    params, _, found = kept_const_shot
+    above = shoot(1.1 * found.u0, params)
+    v = np.sqrt(above.r) * above.u
+    top = int(np.argmax(v))
+    assert above.classification is Classification.BLOWING
+    assert np.all(np.diff(v[top:-1]) < 0.0) and v[-1] > v[-2] > 0.0
+    assert above.u[-1] < 10.0 * above.u0 and above.peak_count_ef == 1
+    below = shoot(0.9 * found.u0, params)
+    assert below.classification is Classification.CROSSING
+    assert below.u[-1] < 0.0 < below.u[-2] and below.peak_count_ef == 1
+    assert max(above.r[-1], below.r[-1]) < _default_r_max(params)
+
+
+def test_kept_shot_past_the_tower_is_decaying():
+    # N = 6, q = 1.8: the kept shot, seeded from the solved tower, stops at a
+    # minimum of v = r^2 u far past the tower, beyond r(xi_1 - 6) and short
+    # of r_max, and is the decaying one-spike tower
+    from bubbletower import (ReductionConfig, TowerConfig, ef_r_of_x, energy_constants,
+                             solve_reduced, tower_amplitudes)
+    from bubbletower.verifier import _default_r_max
+    params = make_params(q=1.8, eps=1e-2, k=1, n_dim=6)
+    constants = energy_constants(6, 1.8)
+    lam, state = solve_reduced(params, constants, ReductionConfig(h=0.02))
+    found = find_tower(params, TowerConfig(lam, state.xi,
+                                           tower_amplitudes(lam, constants, params),
+                                           params.regime))
+    r_read = float(ef_r_of_x(state.xi[0] - 6.0, 6, params.regime))
+    v = found.r ** 2 * found.u
+    assert r_read < found.r[-1] < _default_r_max(params) and v[-1] > v[-2]
+    assert found.classification is Classification.DECAYING
+    assert found.peak_count_ef == 1
+
+
+def test_kept_shot_must_decay_with_k_peaks(c4, monkeypatch):
+    # a kept shot with another peak count than the tower's is not the tower:
+    # find_tower raises with that shot as state instead of returning it
+    import bubbletower.verifier as verifier_module
+    original = verifier_module._ef_peaks
+    monkeypatch.setattr(verifier_module, "_ef_peaks", lambda *args: original(*args) + 1)
+    params = make_params(eps=5e-2, k=1)
+    with pytest.raises(ConvergenceError, match="not decaying with 1") as info:
+        find_tower(params, predicted_tower(params, c4))
+    kept = info.value.state
+    assert kept.classification is Classification.DECAYING and kept.peak_count_ef == 2
 
 
 def test_search_budget_raises_convergence_error(c4, monkeypatch):
