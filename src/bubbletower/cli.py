@@ -37,17 +37,19 @@ _FMT = "%.17g"
 
 
 def parse_potential(spec: str) -> PotentialSpec:
-    """Presets: const:c and rational:a,b (V = a + b r^2/(1+r^2))."""
+    """Presets: const:c and rational:a,b (V = a + b r^2/(1+r^2)), with finite values."""
     kind, _, rest = spec.partition(":")
+    make, arity = {"const": (PotentialSpec.constant, 1),
+                   "rational": (PotentialSpec.rational, 2)}.get(kind, (None, 0))
+    if make is None:
+        raise SystemExit(f"unknown potential preset {kind!r} (use const:c or rational:a,b)")
     try:
-        if kind == "const":
-            return PotentialSpec.constant(float(rest))
-        if kind == "rational":
-            a, b = (float(t) for t in rest.split(","))
-            return PotentialSpec.rational(a, b)
+        values = [float(t) for t in rest.split(",")]
     except ValueError as exc:
         raise SystemExit(f"bad potential spec {spec!r}: {exc}")
-    raise SystemExit(f"unknown potential preset {kind!r} (use const:c or rational:a,b)")
+    if len(values) != arity or not np.all(np.isfinite(values)):
+        raise SystemExit(f"bad potential spec {spec!r}: needs {arity} finite value(s)")
+    return make(*values)
 
 
 def build_params(args) -> ModelParams:
@@ -70,6 +72,15 @@ def _energy_constants(args):
         return energy_constants(args.N, args.q, tol=args.tol)
     except (BubbleTowerError, ValueError) as exc:
         raise SystemExit(f"energy constants failed: {exc}")
+
+
+def _solve_reduced(args):
+    """(params, constants, Lambda_eps, state) for the flags; exits if the reduction fails."""
+    params, C = build_params(args), _energy_constants(args)
+    try:
+        return (params, C, *solve_reduced(params, C, ReductionConfig(h=args.h)))
+    except BubbleTowerError as exc:
+        raise SystemExit(f"reduction failed: {exc}")
 
 
 def _json(obj) -> str:
@@ -154,12 +165,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    params = build_params(args)
-    C = _energy_constants(args)
-    try:
-        lam_eps, state = solve_reduced(params, C, ReductionConfig(h=args.h))
-    except BubbleTowerError as exc:
-        raise SystemExit(f"reduction failed: {exc}")
+    params, _, lam_eps, state = _solve_reduced(args)
     grid = state.phi.grid
     ubar, phi = state.field.ubar.values, state.phi.values
     table = np.column_stack((grid.x, ubar, phi, ubar + phi))
@@ -183,10 +189,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    params = build_params(args)
-    C = _energy_constants(args)
+    params, C, lam_eps, state = _solve_reduced(args)
     try:
-        lam_eps, state = solve_reduced(params, C, ReductionConfig(h=args.h))
         solution = assemble_solution(state, params)
         # the shooting finds its own height; the solved tower only seeds the scan
         solved = TowerConfig(lam_eps, state.xi, tower_amplitudes(lam_eps, C, params),
@@ -296,14 +300,15 @@ def _add_grid_args(sp):
 
 
 def _expand_config(argv):
-    """Replace --config FILE by its key = value lines as flags right after the
-    subcommand, so explicit flags, which follow, win by argparse's last-wins rule."""
-    if "--config" not in argv:
+    """Replace --config FILE or --config=FILE by its key = value lines as flags right after
+    the subcommand, so explicit flags, which follow, win by argparse's last-wins rule."""
+    i = next((i for i, a in enumerate(argv) if a.partition("=")[0] == "--config"), None)
+    if i is None:
         return argv
-    i = argv.index("--config")
-    try:
-        path = argv[i + 1]
-    except IndexError:
+    _, joined, path = argv[i].partition("=")
+    if not joined:
+        path = argv[i + 1] if i + 1 < len(argv) else ""
+    if not path:
         raise SystemExit("--config needs a file path")
     flags = []
     for line in Path(path).read_text().splitlines():
@@ -314,7 +319,7 @@ def _expand_config(argv):
         key = key.strip().replace("_", "-")
         if key != "command":
             flags += ["--" + key, val.strip()]
-    argv = argv[:i] + argv[i + 2:]
+    argv = argv[:i] + argv[i + (1 if joined else 2):]
     return argv[:1] + flags + argv[1:]
 
 
@@ -338,15 +343,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_model_args(sp)
     sp.set_defaults(func=cmd_predict)
 
-    sp = sub.add_parser("reduce", help="run the discretized reduction", parents=[common])
-    _add_model_args(sp)
-    _add_grid_args(sp)
-    sp.set_defaults(func=cmd_reduce)
-
-    sp = sub.add_parser("verify", help="reduction + independent shooting", parents=[common])
-    _add_model_args(sp)
-    _add_grid_args(sp)
-    sp.set_defaults(func=cmd_verify)
+    # reduce and verify take the same flags and share one reduction step
+    for name, what, func in (("reduce", "run the discretized reduction", cmd_reduce),
+                             ("verify", "reduction + independent shooting", cmd_verify)):
+        sp = sub.add_parser(name, help=what, parents=[common])
+        _add_model_args(sp)
+        _add_grid_args(sp)
+        sp.set_defaults(func=func)
 
     sp = sub.add_parser("sweep", help="trend metrics over decreasing epsilon", parents=[common])
     _add_model_args(sp, eps_required=False)

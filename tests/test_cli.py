@@ -10,6 +10,7 @@ import pytest
 
 from bubbletower import cli
 from bubbletower.cli import main, parse_potential
+from bubbletower.errors import ConvergenceError
 
 
 def run_cli(args):
@@ -27,6 +28,16 @@ def test_parse_potential_presets():
     assert r.v0 == -2.0 and r.v_inf == -1.0
     with pytest.raises(SystemExit):
         parse_potential("gaussian:1")
+
+
+@pytest.mark.parametrize("spec", ["const:nan", "rational:nan,-1", "const:-inf",
+                                  "rational:-1,inf"])
+def test_non_finite_potential_is_a_bad_spec(spec, tmp_path):
+    # refused with the other bad specs, before any model or solver sees it
+    with pytest.raises(SystemExit, match="bad potential spec"):
+        run_cli(["reduce", "--q", "4", "--eps", "5e-2", "--V", spec,
+                 "--out", str(tmp_path)])
+    assert not (tmp_path / "reduce").exists()
 
 
 def test_constants_outputs_and_determinism(tmp_path):
@@ -124,8 +135,11 @@ def test_sweep_requires_decreasing_eps(tmp_path):
                  "--out", str(tmp_path)])
 
 
-def test_sweep_reports_slopes(tmp_path):
-    run_cli(["sweep", "--q", "4", "--k", "1", "--V", "const:-1",
+@pytest.mark.parametrize("q,k", [(4, 1), (4, 2), (7, 1), (7, 2)],
+                         ids=["q4-k1", "q4-k2", "q7-k1", "q7-k2"])
+def test_sweep_reports_slopes(q, k, tmp_path):
+    # both regimes, one and two spikes; slopes measured 0.83-0.87
+    run_cli(["sweep", "--q", str(q), "--k", str(k), "--V", "const:-1",
              "--eps-list", "1e-2,3e-3", "--h", "0.02", "--workers", "2",
              "--out", str(tmp_path)])
     payload = json.loads((tmp_path / "sweep" / "sweep.json").read_text())
@@ -133,6 +147,9 @@ def test_sweep_reports_slopes(tmp_path):
                                       "energy_gap_ratio"}
     assert len(payload["points"]) == 2
     assert payload["errors"] == {}
+    # acceptance criterion 08: both decay at least like sqrt(eps)
+    assert payload["slopes"]["residual_star"] >= 0.5
+    assert payload["slopes"]["phi_star"] >= 0.5
 
 
 def test_sweep_determinism(tmp_path):
@@ -146,13 +163,16 @@ def test_sweep_determinism(tmp_path):
         == (tmp_path / "b" / "sweep" / "sweep.json").read_text()
 
 
-@pytest.mark.parametrize("flag", [["--h", "0.04"], ["--h=0.04"]],
-                         ids=["separate", "joined"])
-def test_config_file_defaults_and_flag_override(flag, tmp_path):
+@pytest.mark.parametrize("config,flag", [
+    (["--config", "{}"], ["--h", "0.04"]),
+    (["--config", "{}"], ["--h=0.04"]),
+    (["--config={}"], ["--h", "0.04"]),
+], ids=["separate", "joined", "joined-config"])
+def test_config_file_defaults_and_flag_override(config, flag, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("q = 4\neps = 5e-2\nV = const:-1\nh = 0.05\n")
     out = tmp_path / "from_config"
-    run_cli(["reduce", "--config", str(cfg)] + flag + ["--out", str(out)])
+    run_cli(["reduce"] + [t.format(cfg) for t in config] + flag + ["--out", str(out)])
     payload = json.loads((out / "reduce" / "reduction.json").read_text())
     assert payload["grid"]["h"] == pytest.approx(0.04)   # flag wins over file
     assert payload["eps"] == pytest.approx(5e-2)         # file supplied
@@ -239,6 +259,18 @@ def test_verify_pipeline_outputs(tmp_path):
     assert shot_header == "r,u"
 
 
+@pytest.mark.parametrize("command", ["reduce", "verify"])
+def test_reduction_failure_exits_the_same_way(command, tmp_path, monkeypatch):
+    # reduce and verify share one reduction step and its failure message
+    def failing(params, constants, config):
+        raise ConvergenceError("outer solve stalled")
+
+    monkeypatch.setattr(cli, "solve_reduced", failing)
+    with pytest.raises(SystemExit, match="^reduction failed: outer solve stalled"):
+        run_cli([command, "--q", "4", "--eps", "5e-2", "--out", str(tmp_path)])
+    assert not (tmp_path / command).exists()
+
+
 _FOOTPRINT_SCRIPT = """
 import json, sys
 from bubbletower import cli
@@ -283,8 +315,10 @@ def test_model_commands_import_no_scipy(tmp_path):
     (5, 4, 2, "1e-2", "0.02", "const:-1", 1e-3),
     (6, 3, 1, "5e-2", "0.02", "const:-1", 1e-3),
     (6, 3, 2, "1e-2", "0.02", "const:-1", 1e-3),
+    # the N = 3 flat tower of the README's example; sup_rel measured 1.7e-5
+    (3, 7, 1, "5e-2", "0.01", "const:-1", 1e-3),
 ], ids=["k1-rational", "k2-const", "k1-v0-positive",
-        "N4-k1", "N4-k2", "N5-k1", "N5-k2", "N6-k1", "N6-k2"])
+        "N4-k1", "N4-k2", "N5-k1", "N5-k2", "N6-k1", "N6-k2", "k1-const"])
 def test_verify_flat_regime(n_dim, q, k, eps, h, pot, max_sup, tmp_path):
     run_cli(["verify", "--N", str(n_dim), "--q", str(q), "--k", str(k), "--V", pot,
              "--eps", eps, "--h", h, "--out", str(tmp_path)])
