@@ -33,7 +33,7 @@ from .field import (Grid, GridFunction, SpikeFrame, TowerField, ansatz_residual,
                     nonlinear_remainder, star_norm, tower_ansatz)
 from .reduction import (ProjectedSolver, RadialSolution, ReductionConfig,
                         ReductionState, assemble_solution, check_window,
-                        reduced_energy, reduced_energy_grad, solve_correction,
-                        solve_reduced, sweep_point)
+                        reduced_energy, solve_correction, solve_reduced,
+                        sweep_point)
 from .verifier import (Classification, CompareMetrics, ShotProfile, compare,
                        find_tower, shoot)

@@ -45,11 +45,11 @@ def parse_potential(spec: str) -> PotentialSpec:
         raise SystemExit(f"unknown potential preset {kind!r} (use const:c or rational:a,b)")
     try:
         values = [float(t) for t in rest.split(",")]
+        if len(values) != arity:
+            raise ValueError(f"needs {arity} value(s)")
+        return make(*values)
     except ValueError as exc:
         raise SystemExit(f"bad potential spec {spec!r}: {exc}")
-    if len(values) != arity or not np.all(np.isfinite(values)):
-        raise SystemExit(f"bad potential spec {spec!r}: needs {arity} finite value(s)")
-    return make(*values)
 
 
 def build_params(args) -> ModelParams:
@@ -310,8 +310,12 @@ def _expand_config(argv):
         path = argv[i + 1] if i + 1 < len(argv) else ""
     if not path:
         raise SystemExit("--config needs a file path")
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SystemExit(f"--config: cannot read {path!r}: {exc}")
     flags = []
-    for line in Path(path).read_text().splitlines():
+    for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

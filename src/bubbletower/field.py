@@ -217,9 +217,9 @@ def energy(psi: GridFunction, params: ModelParams) -> float:
     The kinetic term uses the staggered (midpoint) difference and the other
     terms plain h-weighted sums, so this discrete energy is the exact
     Lyapunov function of the 3-point discrete operator: its gradient at a
-    grid function equals the discrete equation residual, which is what lets
-    the outer reduced solve drive the multipliers to zero.  Both choices
-    are second-order accurate like centered differences.
+    grid function equals the discrete equation residual, so towers whose
+    multipliers vanish are critical points of the reduced energy.  Both
+    choices are second-order accurate like centered differences.
     """
     _check_potential_truncation(psi, params)
     h = psi.grid.h

@@ -81,6 +81,10 @@ class PotentialSpec:
     bound: float
     label: str = "custom"
 
+    def __post_init__(self):
+        if not np.all(np.isfinite([self.v0, self.v_inf, self.bound])):
+            raise ValueError(f"potential values must be finite, got {self.label}")
+
     @staticmethod
     def constant(c: float) -> "PotentialSpec":
         return PotentialSpec(lambda r: np.full_like(np.asarray(r, dtype=float), c),

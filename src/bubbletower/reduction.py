@@ -6,13 +6,10 @@ elimination of the bordered system through its k x k Schur complement, so
 only the tridiagonal operator is factored, by numerics.tridiagonal_lu),
 (ii) Newton's method for the correction phi(xi), one such solve per step on
 the Jacobian at Ubar + phi, (iii) the reduced energy as a function of the
-scale parameters Lambda, and (iv) an outer quasi-Newton solve in log Lambda
-that stops once the multipliers c_i of the correction vanish,
-max|c| < TOL_C, so that v = Ubar + phi is a genuine discrete solution.  Its
-gradient is a linear form in the c_i of one correction
-(reduced_energy_grad); its step matrix starts at the log-Hessian of the
-reduced functional Psi at the closed-form critical scales and takes
-Broyden updates.
+scale parameters Lambda, and (iv) Newton's method in log Lambda on the
+multipliers c_i of the correction until max|c| < TOL_C, so that
+v = Ubar + phi is a genuine discrete solution; dc/d log Lambda comes from
+the factors of the correction's last step (multiplier_jacobian).
 
 A run is set by the grid spacing h alone (ReductionConfig); sigma is
 default_sigma(params), and the window constant, tolerances and limits are the
@@ -21,9 +18,10 @@ constants below.
 Each correction builds one field.TowerField for its spike set and hands it
 to the ProjectedSolver of every Newton step (``solver.field``): the
 operator's off-diagonal, Z and every step's right-hand side, Jacobian
-diagonal and increment norm come from it.  The ReductionState carries it,
-so the energy gradient reads its U'' columns and the energy and the sweep
-metrics its Ubar and analytic residual; no profile is evaluated twice.
+diagonal and increment norm come from it.  The ReductionState carries the
+last step's solver, so the multiplier Jacobian reads its factors and U''
+columns and the energy and the sweep metrics its Ubar and analytic
+residual; no profile is evaluated twice.
 Within solve_reduced each correction starts from the phi of the accepted
 outer iterate.  sweep_point gives the trend metrics of one epsilon for
 ``sweep``.
@@ -47,8 +45,7 @@ from .profiles import ModelParams, Regime, ef_inverse, ef_r_of_x, ef_x_of_r
 from .numerics import (PiecewisePolynomial, not_a_knot_spline, tridiagonal_lu,
                        tridiagonal_solve)
 from .quadrature import EnergyConstants
-from .reduced_model import (critical_scales, energy_expansion,
-                            reduced_functional_hess_diag, spike_locations)
+from .reduced_model import critical_scales, energy_expansion, spike_locations
 
 __all__ = [
     "ReductionConfig",
@@ -57,7 +54,6 @@ __all__ = [
     "ProjectedSolver",
     "solve_correction",
     "reduced_energy",
-    "reduced_energy_grad",
     "solve_reduced",
     "sweep_point",
     "assemble_solution",
@@ -83,10 +79,10 @@ class ReductionConfig:
 
 @dataclass
 class ReductionState:
-    """Converged correction phi, its tower field, multipliers and diagnostics.
+    """Converged correction phi, multipliers, last step's solver and diagnostics.
 
-    ``iterations`` counts the correction's Newton steps and ``increments``
-    holds the star norm of each step.
+    ``field`` is that ProjectedSolver's tower field, ``iterations`` counts the
+    correction's Newton steps and ``increments`` holds each step's star norm.
     """
 
     phi: GridFunction
@@ -94,9 +90,13 @@ class ReductionState:
     star_norm_phi: float
     iterations: int
     converged: bool
-    field: TowerField
+    solver: ProjectedSolver
     orth_defect: float
     increments: list = dataclass_field(default_factory=list)
+
+    @property
+    def field(self) -> TowerField:
+        return self.solver.field
 
     @property
     def xi(self) -> np.ndarray:
@@ -105,6 +105,22 @@ class ReductionState:
     @property
     def frame(self) -> SpikeFrame:
         return self.field.frame
+
+    def multiplier_jacobian(self) -> np.ndarray:
+        """dc/ds of the multipliers in s = log Lambda, on the correction's grid.
+
+        xi_j moves with -s_i for i <= j (spike_locations), so Ubar moves by
+        T_i = sum_{j>=i} Z_j and Z_j by U_j'' for j >= i.  Differentiating
+        F(Ubar + phi) = Z c and Z^T phi = 0 gives S dc/ds = Z^T (T - J^-1 W)
+        - D, with W_i = sum_{j>=i} c_j U_j'' and D_ji = U_j''.phi for j >= i;
+        J and S = Z^T J^-1 Z are the last Newton step's (solver), so this
+        costs k tridiagonal solves.
+        """
+        tower, solver, c = self.field, self.solver, self.c
+        lower = np.tril(np.ones((c.size, c.size)))
+        j_inv_w = tridiagonal_solve(solver._lu, tower.d2u @ (c[:, None] * lower))
+        d = (tower.d2u.T @ self.phi.values)[:, None] * lower
+        return np.linalg.solve(solver._schur, tower.z.T @ (tower.z @ lower - j_inv_w) - d)
 
 
 def check_window(xi, params: ModelParams):
@@ -245,13 +261,13 @@ def solve_correction(xi, params: ModelParams,
 
     def state(converged: bool) -> ReductionState:
         return ReductionState(GridFunction(grid, phi, decay=(sigma, sigma)), c,
-                              tower.star_norm(phi), iterations, converged, tower,
+                              tower.star_norm(phi), iterations, converged, solver,
                               solver.orthogonality_defect(phi), increments)
 
     for iterations in range(1, MAX_CORRECTION_STEPS + 1):
         # F is the discrete operator (3-point curvature of the tower), so
-        # the iteration lands on an exact discrete solution and the energy
-        # gradient tracks c_i
+        # the iteration lands on an exact discrete solution and c_i are the
+        # multipliers that the outer Newton drives to zero
         rhs, diagonal = tower.newton_system(phi)
         solver = ProjectedSolver(xi, params, grid, field=tower, diagonal=diagonal)
         new_vals, c = solver.solve_values(rhs)
@@ -294,70 +310,46 @@ def reduced_energy(lambdas, params: ModelParams,
     return energy(v, params)
 
 
-def reduced_energy_grad(lambdas, params: ModelParams,
-                        config: ReductionConfig = ReductionConfig(),
-                        grid: Optional[Grid] = None,
-                        phi0: Optional[np.ndarray] = None):
-    """Gradient in Lambda of reduced_energy from one correction: (grad, state).
-
-    energy's gradient at v = Ubar + phi is h sum_i c_i Z_i (see energy), and
-    the constraint Z^T phi = 0 gives dE/dxi_j = h [-sum_i c_i Z_i.Z_j
-    + c_j U''(. - xi_j).phi]; xi_j moves with -log(Lambda_i) for i <= j.
-    phi0 starts the correction (see solve_correction).
-    """
-    lam = np.asarray(lambdas, dtype=float)
-    xi = spike_locations(lam, params.epsilon, params)
-    state = solve_correction(xi, params, config, grid=grid, phi0=phi0)
-    tower, phi, c = state.field, state.phi.values, state.c
-    de_dxi = tower.grid.h * (c * (tower.d2u.T @ phi) - tower.z.T @ (tower.z @ c))
-    return -np.cumsum(de_dxi[::-1])[::-1] / lam, state
-
-
 def solve_reduced(params: ModelParams, constants: EnergyConstants,
                   config: ReductionConfig = ReductionConfig()):
-    """Critical scales Lambda_eps of Phi = energy/epsilon, where max|c| < TOL_C.
+    """Critical scales Lambda_eps, where the multipliers vanish: max|c| < TOL_C.
 
-    Quasi-Newton in s = log Lambda (xi is linear in s) from the closed-form
-    maximizer Lambda* of Psi (critical_scales, which checks the regime's
-    hypothesis; epsilon must lie in (0, 1)).  The gradient Lambda * grad Phi
-    comes from the multipliers of one correction (reduced_energy_grad).  The
-    step matrix starts at diag(Lambda*^2 Psi''(Lambda*)), the log-Hessian of
-    Psi at its critical point, and takes Broyden's rank-one update after each
-    step.  A step is halved until |grad| falls.  The only stopping test is
-    max|c| < TOL_C.  Returns (Lambda_eps, state at Lambda_eps); failures raise
-    ConvergenceError with the last state.
+    Newton's method on c(s) = 0 in s = log Lambda (xi is linear in s) from
+    the closed-form maximizer Lambda* of Psi (critical_scales, which checks
+    the regime's hypothesis; epsilon must lie in (0, 1)).  Each step is
+    ds = -(dc/ds)^-1 c with dc/ds from the correction at s
+    (ReductionState.multiplier_jacobian), halved until |c| falls.  Returns
+    (Lambda_eps, state at Lambda_eps); failures raise ConvergenceError with
+    the last state.
     """
     lam = critical_scales(constants, params)
-    xi0 = spike_locations(lam, params.epsilon, params)
-    # one fixed grid for the whole solve: the gradient formula differentiates
-    # in xi with the nodes held still, and each correction starts from the
+    # one fixed grid for the whole solve: the Jacobian differentiates in xi
+    # with the nodes held still, and each correction starts from the
     # accepted iterate's phi on it
-    grid = grid_for_spikes(xi0, default_sigma(params), config.h, PAD)
-    jac = np.diag(lam * lam * reduced_functional_hess_diag(lam, constants, params))
+    grid = grid_for_spikes(spike_locations(lam, params.epsilon, params),
+                           default_sigma(params), config.h, PAD)
 
-    def gradient(s, phi0=None):
-        lam = np.exp(s)
-        g, state = reduced_energy_grad(lam, params, config, grid, phi0)
-        return lam * g / params.epsilon, state
+    def correction(s, phi0=None):
+        xi = spike_locations(np.exp(s), params.epsilon, params)
+        return solve_correction(xi, params, config, grid, phi0)
 
     s = np.log(lam)
-    g, state = gradient(s)
+    state = correction(s)
     for _ in range(MAX_NEWTON):
         if np.max(np.abs(state.c)) < TOL_C:
             return np.exp(s), state
-        step = -np.linalg.solve(jac, g)
-        norm_g = np.linalg.norm(g)
+        step = -np.linalg.solve(state.multiplier_jacobian(), state.c)
+        norm_c = np.linalg.norm(state.c)
         for halvings in range(12):
             ds = 0.5 ** halvings * step
-            g_trial, state_trial = gradient(s + ds, state.phi.values)
-            if np.linalg.norm(g_trial) < norm_g:
+            trial = correction(s + ds, state.phi.values)
+            if np.linalg.norm(trial.c) < norm_c:
                 break
         else:
             raise ConvergenceError(
-                f"line search found no |grad| below {norm_g:.3e} along {step} "
+                f"line search found no |c| below {norm_c:.3e} along {step} "
                 f"from log Lambda = {s}", state=state)
-        jac += np.outer(g_trial - g - jac @ ds, ds) / (ds @ ds)
-        s, g, state = s + ds, g_trial, state_trial
+        s, state = s + ds, trial
     raise ConvergenceError(
         f"max|c| = {np.max(np.abs(state.c)):.2e} not below {TOL_C:g} after "
         f"{MAX_NEWTON} steps, at Lambda = {np.exp(s)}", state=state)

@@ -388,6 +388,7 @@ def test_verify_concentrating(n_dim, q, k, eps, h, pot, max_sup, tmp_path):
     ["constants", "--q", "nan"],
     ["verify", "--q", "inf", "--eps", "5e-2"],
     ["sweep", "--q", "-inf", "--eps-list", "1e-2,5e-3"],
+    ["reduce", "--config", "nofile.cfg", "--eps", "5e-2"],
 ])
 def test_bad_grid_and_run_arguments_exit_at_parse_time(argv, tmp_path):
     with pytest.raises(SystemExit):

@@ -239,6 +239,16 @@ def test_rational_potential_extreme_radii():
     assert vals[-1] == pytest.approx(-1.0)
 
 
+@pytest.mark.parametrize("make,values", [
+    (PotentialSpec.constant, (math.nan,)), (PotentialSpec.rational, (math.nan, -1.0)),
+    (PotentialSpec.constant, (-math.inf,)), (PotentialSpec.rational, (-1.0, math.inf)),
+], ids=["const:nan", "rational:nan,-1", "const:-inf", "rational:-1,inf"])
+def test_non_finite_potential_values_are_refused(make, values):
+    # refused where the potential is made, not later by the model or solver
+    with pytest.raises(ValueError, match="must be finite"):
+        make(*values)
+
+
 @pytest.mark.parametrize("pot", [PotentialSpec.constant(-1.0),
                                  PotentialSpec.rational(-2.0, 1.0),
                                  PotentialSpec.rational(1.0, -2.0)],

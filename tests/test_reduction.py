@@ -9,9 +9,8 @@ from bubbletower import (GridFunction,
                          assemble_solution, check_window, critical_scales,
                          default_sigma, energy_constants, full_operator,
                          grid_for_spikes, kernel_directions, linearized_matrix,
-                         reduced_energy, reduced_energy_grad, solve_correction,
-                         solve_reduced, spike_locations, star_norm,
-                         tower_ansatz)
+                         reduced_energy, solve_correction, solve_reduced,
+                         spike_locations, star_norm, tower_ansatz)
 from bubbletower.errors import WindowViolationError
 from conftest import make_params, probe_functions
 
@@ -188,10 +187,13 @@ def _gap_case(q, k, eps, n_dim=3, h=0.03):
     # gap 0.5: the closed-form Lambda_1 is 21.6-48.5, so the Newton search
     # must not confine Lambda to a fixed box
     _gap_case(5.5, 2, 1e-2), _gap_case(4.5, 3, 1e-3), _gap_case(5.5, 3, 1e-3),
-    # gaps 0.1-0.2: Lambda_1 reaches 3e12, where |grad Phi| ~ c/(eps Lambda)
-    # is tiny long before max|c| is
+    # gaps 0.1-0.2: Lambda_1 reaches 3e12, so the Newton step must follow
+    # c, not the energy, whose Lambda-gradient ~ c/Lambda is tiny there
     *(_gap_case(q, k, 1e-2) for q in (4.8, 4.9, 5.1) for k in (1, 2)),
     *(_gap_case(1.8, k, 5e-2, n_dim=6, h=0.02) for k in (1, 2)),
+    # N = 7 and 8: the paper's towers exist for every N >= 3
+    _gap_case(1.6, 2, 5e-2, n_dim=7, h=0.02), _gap_case(1.75, 3, 1e-2, n_dim=7),
+    _gap_case(1.9, 3, 5e-2, n_dim=8),
 ])
 def test_towers_converge_across_exponent_gaps(n_dim, q, k, eps, h):
     # gap = |q - p*| runs from 0.1 to 1.5; below 1 the first spike sits
@@ -413,30 +415,31 @@ def test_solve_correction_builds_the_tower_once(c4, monkeypatch):
 
 @pytest.mark.parametrize("q,k,eps", [(4.0, 1, 1e-2), (4.0, 2, 1e-2),
                                      (4.0, 3, 1e-2), (7.0, 1, 5e-2)])
-def test_multiplier_gradient_matches_central_differences(q, k, eps, c4, c7):
-    # the gradient from one correction's multipliers against central
-    # differences of reduced_energy on the same grid: the gap must fall like
-    # step^2, so it is the differences that carry it
+def test_multiplier_jacobian_matches_central_differences(q, k, eps, c4, c7):
+    # dc/ds in s = log Lambda from one correction's last factorization
+    # against central differences of the multipliers on the same grid; J and
+    # S belong to the last Newton step, one increment before the converged
+    # phi, which leaves a gap flat in the step (measured 9e-10 to 7.1e-6)
     params, _, lam_star, _, grid, _ = _setup(eps=eps, k=k, q=q, h=0.03,
                                              c=c4 if q == 4.0 else c7)
     config = ReductionConfig(h=0.03)
-    lam = 1.05 * lam_star
-    grad, state = reduced_energy_grad(lam, params, config, grid)
-    assert state.phi.grid == grid
-    gaps = []
-    for step in (3e-4, 1e-4):
-        fd = np.empty(k)
-        for j in range(k):
-            e_j = np.zeros(k)
-            e_j[j] = step * lam[j]
-            fd[j] = (reduced_energy(lam + e_j, params, config, grid)
-                     - reduced_energy(lam - e_j, params, config, grid)) / (2.0 * e_j[j])
-        gaps.append(np.linalg.norm(grad - fd) / np.linalg.norm(grad))
-    assert gaps[1] < 1e-4
-    assert gaps[0] > 5.0 * gaps[1]
+    s = np.log(1.05 * lam_star)
+
+    def correction(s):
+        xi = spike_locations(np.exp(s), eps, params)
+        return solve_correction(xi, params, config, grid=grid)
+
+    jac = correction(s).multiplier_jacobian()
+    step = 1e-4
+    fd = np.empty((k, k))
+    for j in range(k):
+        e_j = np.zeros(k)
+        e_j[j] = step
+        fd[:, j] = (correction(s + e_j).c - correction(s - e_j).c) / (2.0 * step)
+    assert np.linalg.norm(jac - fd) / np.linalg.norm(jac) < 1e-4
 
 
-@pytest.mark.parametrize("k,h,bound", [(2, 0.02, 5), (3, 0.03, 6)])
+@pytest.mark.parametrize("k,h,bound", [(2, 0.02, 4), (3, 0.03, 4)])
 def test_solve_reduced_corrections_counted(k, h, bound, c4, monkeypatch):
     import bubbletower.reduction as reduction_module
     calls = []
