@@ -79,7 +79,7 @@ def _solve_reduced(args):
     params, C = build_params(args), _energy_constants(args)
     try:
         return (params, C, *solve_reduced(params, C, ReductionConfig(h=args.h)))
-    except BubbleTowerError as exc:
+    except (BubbleTowerError, ValueError) as exc:    # ValueError: too few grid nodes
         raise SystemExit(f"reduction failed: {exc}")
 
 
@@ -147,7 +147,10 @@ def cmd_constants(args) -> int:
 def cmd_predict(args) -> int:
     params = build_params(args)
     C = _energy_constants(args)
-    tower = predicted_tower(params, C)
+    try:
+        tower = predicted_tower(params, C)
+    except BubbleTowerError as exc:
+        raise SystemExit(f"prediction failed: {exc}")
     breakdown = energy_expansion(tower.lambdas, params.epsilon, C, params)
     payload = {
         "params": {"N": args.N, "q": args.q, "eps": args.eps, "k": args.k,
@@ -264,7 +267,7 @@ def _checked(cast, ok, what: str):
     return parse
 
 
-_POSITIVE = _checked(float, lambda v: v > 0.0, "> 0")
+_POSITIVE = _checked(float, lambda v: 0.0 < v < np.inf, "finite and > 0")
 _DIMENSION = _checked(int, lambda v: v >= 3, ">= 3")
 _COUNT = _checked(int, lambda v: v >= 1, ">= 1")
 _UNIT = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")

@@ -7,9 +7,9 @@ Peletier, Indiana Univ. Math. J. 30, 1981).  The concentrating regime
 shoots outward from the origin.  The flat regime has no reachable forward
 dichotomy (deviations separate only at radii exp(1/eps)), so there the
 shooter integrates the transformed equation backward from the far field.
-One search, find_tower, scans from a seed tower to a change of behaviour
-and then runs Brent's method between the two behaviours on a functional
-that each shot defines.
+One search, find_tower, reads one signed functional g per shot, positive
+on the crossing side of the separatrix: it scans from a seed tower to a
+change of sign of g and runs Brent's method on g there.
 
 Shooting dominates the cost of a verification.  Every shot runs on
 numerics.dop853, a Python port of scipy's DOP853 in the second-order form
@@ -131,8 +131,8 @@ def shoot(u0: float, params: ModelParams) -> ShotProfile:
     fails (step budget spent, step size underflow) raises ConvergenceError
     with the solver's return code and the last accepted step.
     """
-    if u0 <= 0.0:
-        raise ValueError("initial height must be positive")
+    if not 0.0 < u0 < math.inf:
+        raise ValueError("initial height must be positive and finite")
     p, m = params.p, 0.5 * (params.n_dim - 2.0)
     r0 = min(1e-6, 1e-3 * u0 ** (-0.5 * (p - 1.0)))
     curv = (u0 ** p - params.potential.at(0.0) * u0 ** params.q) / (2.0 * params.n_dim)
@@ -222,65 +222,50 @@ def find_tower(params: ModelParams, guess: TowerConfig) -> ShotProfile:
     """Locate the k-peak decaying solution near a seed tower.
 
     The seed is the tower a reduction has just solved, where one exists,
-    else the closed-form prediction.  Both regimes scan up to SCAN_POINTS
-    values across a +-50% bracket around the seed, from its middle (_scan),
-    to the first pair whose behaviour differs; where the grid holds several
-    changes (none on the checked towers), the pair nearest the seed on the
-    side the middle shot points to wins.  The search runs between the pair
-    by Brent's method on a functional g of one sign on crossing shots and
-    the other on the rest (Brent, Algorithms for Minimization without
-    Derivatives, 1973; a port of scipy's brentq), shooting each value once.
-    A search that spends SEARCH_MAXITER steps raises ConvergenceError with
-    its last crossing and non-crossing shots as state.
+    else the closed-form prediction.  Each shot defines a functional g,
+    positive below the separatrix (the crossing side) and negative above
+    it.  _search scans SCAN_POINTS values across a +-50% bracket around the
+    seed, from its middle, to the first change of sign of g, and then runs
+    Brent's method on g between that pair (Brent, Algorithms for
+    Minimization without Derivatives, 1973; a port of scipy's brentq),
+    shooting each value once.  Labels do not steer the search.
 
     Concentrating regime: the value is the initial height u0, seeded at
-    gamma sum e^{xi_j}.  Above the tower a shot stops at its first minimum
-    of v after the k-th peak, below it at its zero, and one whose zero lies
-    past r_max reaches r_max (shoot).  g is _crossing_gap, so the root is
-    the height whose shot first crosses zero at r_max (_default_r_max says
-    why r_max stays).  The search stops once the bracket is at most
-    SEPARATRIX_RTOL * u0 wide: the classification chatters within 4.5e-13
-    relative of the root at eps >= 1e-2 (81 heights over +-2e-12 on 9
-    towers, k = 1, 2, 3) and within 4e-12 to 1.3e-11 at eps = 1e-3, and
-    another integrator at the same tolerance puts the root about 1e-10
-    relative away.  The kept shot is the non-crossing end of the final
-    bracket.
+    gamma sum e^{xi_j}; a shot stops at its first zero or minimum of v
+    after the k-th peak, or at r_max (shoot).  g is _crossing_gap, whose
+    root is the height whose far-field zero sits at r_max (_default_r_max
+    says why r_max stays).  The search stops at a bracket of SEPARATRIX_RTOL
+    * u0: g is noise within about 5e-13 relative of the root at eps >= 1e-2,
+    and another integrator at the same tolerance puts the root about 1e-10
+    relative away.  The kept shot is the g <= 0 end of the final bracket.
 
     Flat regime: the value is the decay coefficient c of v ~ c e^{-x}
     beyond the last spike, scanned geometrically around gamma e^{xi_k};
-    each shot runs backward from xi_k + 10 and stops at its first event
-    after the k-th peak, at the latest at xi_1 - 25 (_shoot_flat_backward).
-    g is b = e^x (v - v') at the stop (_growing_mode).  On the linear far
-    field v = A e^x + B e^{-x} it is 2B, constant, with B the coefficient of
-    the mode that grows toward the origin: positive at a minimum, negative
-    at a zero.  So g is continuous through the separatrix and brentq
-    converges superlinearly, to a bracket of FLAT_RTOL * c (a few ulps; 11
-    to 13 shots on the checked towers, N = 3, k = 1, 2, 3).  The kept shot
-    is the crossing end of the final bracket: it follows the decaying
-    solution far below xi_1 before it dives through zero.  Its u0 is read
-    at r(xi_1 - 6), where u is flat.
+    each shot runs backward from xi_k + 10 to its first event, at the
+    latest xi_1 - 25 (_shoot_flat_backward).  g is _growing_mode, constant
+    on the linear far field, so Brent's method converges superlinearly, to
+    a bracket of FLAT_RTOL * c.  The kept shot is the g > 0 end: it follows
+    the decaying solution far below xi_1 before it dives through zero.  Its
+    u0 is read at r(xi_1 - 6), where u is flat.
 
     In both regimes the kept shot is DECAYING once it reaches r(xi_1 - 6),
-    past the tower on its side; an outward one that reaches r_max is too.
-    Only the kept shot builds its interpolant, when compare() or the flat
-    height read reads it.  Raises ConvergenceError with the scan report,
-    every shot by increasing value, when no behaviour change brackets a
-    solution, and with the kept shot as state unless it is DECAYING with k
-    peaks.
+    past the tower on its side; only it builds its interpolant.  Raises
+    ConvergenceError from _search, and with the kept shot as state unless
+    it is DECAYING with k peaks.
     """
     xi1, xik = float(guess.xi[0]), float(guess.xi[-1])
     if params.regime is Regime.SUB_Q:
         u0_pred = params.gamma * float(np.sum(np.exp(guess.xi)))
         values = np.linspace(0.5 * u0_pred, 1.5 * u0_pred, SCAN_POINTS)
-        r_max_m = _default_r_max(params) ** -(params.n_dim - 2.0)
+        r_max = _default_r_max(params)
         shoot_at = lambda u0: shoot(u0, params)
-        gap, rtol = (lambda shot: _crossing_gap(shot, r_max_m)), SEPARATRIX_RTOL
+        gap, rtol = (lambda shot: _crossing_gap(shot, r_max)), SEPARATRIX_RTOL
     else:
         c_pred = params.gamma * math.exp(xik)
         values = np.geomspace(0.5 * c_pred, 1.5 * c_pred, SCAN_POINTS)
         shoot_at = lambda c: _shoot_flat_backward(c, params, xik + 10.0, xi1 - 25.0)
         gap, rtol = _growing_mode, FLAT_RTOL
-    crossing, staying = _search_separatrix(shoot_at, gap, *_scan(shoot_at, values), rtol)
+    crossing, staying = _search(shoot_at, gap, values, rtol)
     kept = staying if params.regime is Regime.SUB_Q else crossing
     r_read = float(ef_r_of_x(xi1 - 6.0, params.n_dim, params.regime))
     if kept.r[0] <= r_read <= kept.r[-1]:
@@ -294,54 +279,51 @@ def find_tower(params: ModelParams, guess: TowerConfig) -> ShotProfile:
     return kept
 
 
-def _scan(shoot_at: Callable, values) -> Tuple[ShotProfile, ShotProfile]:
-    """The crossing and non-crossing shots of the scan's change pair.
+def _search(shoot_at: Callable, gap: Callable, values, rtol: float
+            ) -> Tuple[ShotProfile, ShotProfile]:
+    """The final g > 0 and g <= 0 shots of find_tower's search.
 
-    Shoots the middle value first, then walks away from it one value at a
-    time: toward larger values after a crossing shot (the separatrix lies
-    above it), toward smaller ones otherwise, and along the other leg if
-    the first has no change.  Stops at the first shot whose behaviour
-    differs from the middle's; that shot and its neighbour toward the
-    middle are the pair.  Raises ConvergenceError, listing every shot by
-    increasing value, when all of them behave alike.
+    shoot_at(value) makes a shot, shot once per value, and gap(shot) is its
+    g.  The scan shoots the middle value first and walks away from it: up
+    after g > 0 (the separatrix lies above), down otherwise, then along the
+    other leg.  The first shot whose sign differs from the middle's and its
+    neighbour toward the middle bracket Brent's method, which runs to a
+    bracket of rtol times its larger end.  Brent's bracket is always the
+    latest trial with g > 0 and the latest with g <= 0, the state of a
+    ConvergenceError from the search.  Raises ConvergenceError, listing
+    every shot by increasing value, when the scan finds no change of sign.
     """
+    cache, ends = {}, {}
+
+    def g(value):
+        if value not in cache:
+            shot = shoot_at(value)
+            cache[value] = shot, gap(shot)
+        shot, g_value = cache[value]
+        ends[g_value > 0.0] = shot
+        return g_value
+
     middle = len(values) // 2
-    shots = {middle: shoot_at(values[middle])}
-    crossed = _crossed(shots[middle])
+    up = g(values[middle]) > 0.0
     above, below = range(middle + 1, len(values)), range(middle - 1, -1, -1)
-    for i in [*above, *below] if crossed else [*below, *above]:
-        shots[i] = shoot_at(values[i])
-        if _crossed(shots[i]) != crossed:
-            near = shots[i - 1 if i > middle else i + 1]
-            return (near, shots[i]) if crossed else (shots[i], near)
-    raise ConvergenceError(
-        "no crossing/non-crossing change in the bracket; scan: "
-        + ", ".join(f"{shots[i].u0:.4g}:{shots[i].classification.value}"
-                    for i in sorted(shots)))
-
-
-def _search_separatrix(shoot_at: Callable, gap: Callable, crossing: ShotProfile,
-                       staying: ShotProfile, rtol: float):
-    """Narrow a crossing/non-crossing pair of shots by Brent's method on
-    gap(shot) (see find_tower) until the bracket is at most rtol times its
-    larger end wide; shoot_at(value) makes a search shot.  Returns the final
-    crossing and non-crossing shots."""
-    shots = {crossing.u0: crossing, staying.u0: staying}
-
-    def g(u0):
-        if u0 not in shots:
-            shots[u0] = shoot_at(u0)
-        return gap(shots[u0])
-
-    top = max(crossing.u0, staying.u0)
+    change = next((i for i in ([*above, *below] if up else [*below, *above])
+                   if (g(values[i]) > 0.0) != up), None)
+    if change is None:
+        raise ConvergenceError(
+            "no crossing/non-crossing change in the bracket; scan: "
+            + ", ".join(f"{value:.4g}:{cache[value][0].classification.value}"
+                        for value in sorted(cache)))
+    near = values[change - 1 if change > middle else change + 1]
+    pair = (near, values[change]) if up else (values[change], near)
+    top = max(pair)
     tol = rtol * top
     try:
-        brentq(g, crossing.u0, staying.u0, xtol=tol - BRENT_RTOL * top,
-               rtol=BRENT_RTOL, maxiter=SEARCH_MAXITER)
+        brentq(g, *pair, xtol=tol - BRENT_RTOL * top, rtol=BRENT_RTOL,
+               maxiter=SEARCH_MAXITER)
     except RuntimeError as exc:
         raise ConvergenceError(f"separatrix search failed: {exc}",
-                               state=_last_pair(shots)) from exc
-    crossing, staying = _last_pair(shots)
+                               state=(ends[True], ends[False])) from exc
+    crossing, staying = ends[True], ends[False]
     if abs(staying.u0 - crossing.u0) > tol:
         raise ConvergenceError(
             f"separatrix search stopped at a bracket of "
@@ -350,36 +332,17 @@ def _search_separatrix(shoot_at: Callable, gap: Callable, crossing: ShotProfile,
     return crossing, staying
 
 
-def _crossed(shot: ShotProfile) -> bool:
-    return shot.classification is Classification.CROSSING
-
-
-def _last_pair(shots) -> Tuple[ShotProfile, ShotProfile]:
-    """The latest crossing and non-crossing shots of an insertion-ordered
-    dict: Brent's bracket is always its last trial and the latest trial of
-    the other sign."""
-    latest = list(shots.values())[::-1]
-    return (next(s for s in latest if _crossed(s)),
-            next(s for s in latest if not _crossed(s)))
-
-
-def _crossing_gap(shot: ShotProfile, r_max_m: float) -> float:
-    """Signed distance of the far-field zero r_* from r_max, in r^{-m}.
-
-    The linear far field u = A + B r^{-m} (m = N - 2) through the last
-    recorded step reaches zero at r_*^{-m} = r_e^{-m} + m u_e/(r_e^{m+1} u'_e).
-    The magnitude is |r_*^{-m} - r_max^{-m}|, or 1 where that formula has a
-    zero or non-finite denominator; the sign is + on crossing shots and - on
-    the others.  At a crossing stop r_* is the crossing radius; at a minimum
-    of v, r_*^{-m} = -r_e^{-m}, so g = -(r_e^{-m} + r_max^{-m}) there.
+def _crossing_gap(shot: ShotProfile, r_max: float) -> float:
+    """g = -(A + B r_max^{-m})/u0 for the linear far field u = A + B r^{-m}
+    (m = N - 2) through an outward shot's last step, that is
+    -(u_e + (r_e u'_e/m)(1 - (r_e/r_max)^m))/u0.  Its root is the height
+    whose far-field zero sits at r_max.  It is positive at a zero before
+    r_max and negative on a shot that reaches r_max above zero, at a
+    minimum of v (A = u_e/2 > 0 there) and at a stop at u > 10 u0 (u' > 0).
     """
     m = shot.params.n_dim - 2.0
     r_e, u_e, du_e = float(shot.r[-1]), float(shot.u[-1]), float(shot.du[-1])
-    denom = r_e ** (m + 1.0) * du_e
-    gap = 1.0
-    if denom != 0.0 and math.isfinite(denom):
-        gap = abs(r_e ** -m + m * u_e / denom - r_max_m)
-    return gap if _crossed(shot) else -gap
+    return -(u_e + r_e * du_e / m * (1.0 - (r_e / r_max) ** m)) / shot.u0
 
 
 def _flat_rhs(params: ModelParams):
@@ -445,13 +408,12 @@ def _first_event(k: int) -> Callable[[float], bool]:
 
 
 def _growing_mode(shot: ShotProfile) -> float:
-    """b = e^x (v - v'), the coefficient of the mode e^{-x} of v'' = v that
-    grows toward the origin, at a flat shot's last step (-r^{N-1} u'/m at
-    r[0]): + at a minimum, - at a zero; signed by the label, so + at a
-    ceiling or failure stop."""
+    """g = r^{N-1} u'/m at a flat shot's last step r[0] (m = (N-2)/2), which
+    is -b for b = e^x (v - v'), the coefficient of the mode e^{-x} of
+    v'' = v that grows toward the origin: positive at a zero, negative at a
+    minimum or at the ceiling."""
     n_dim = shot.params.n_dim
-    b = abs(shot.r[0] ** (n_dim - 1.0) * shot.du[0] / ((n_dim - 2) / 2.0))
-    return -b if _crossed(shot) else b
+    return shot.r[0] ** (n_dim - 1.0) * shot.du[0] / ((n_dim - 2) / 2.0)
 
 
 @dataclass(frozen=True)

@@ -87,6 +87,14 @@ def test_predict_rejects_wrong_sign_potential(tmp_path):
                  "--out", str(tmp_path)])
 
 
+def test_predict_exits_when_eps_is_too_large_for_k(tmp_path):
+    # at eps = 0.9 the three spike locations are not increasing from 0
+    with pytest.raises(SystemExit, match="prediction failed: .*not increasing"):
+        run_cli(["predict", "--q", "4", "--eps", "0.9", "--k", "3",
+                 "--out", str(tmp_path)])
+    assert not (tmp_path / "predict").exists()
+
+
 def test_reduce_outputs(tmp_path):
     run_cli(["reduce", "--q", "4", "--eps", "5e-2", "--k", "1",
              "--V", "const:-1", "--h", "0.02", "--out", str(tmp_path)])
@@ -363,6 +371,26 @@ def test_verify_concentrating(n_dim, q, k, eps, h, pot, max_sup, tmp_path):
     assert max(abs(c) for c in payload["multipliers"]) < 1e-8
 
 
+def test_verify_n8_searches_on_the_search_value(tmp_path, monkeypatch):
+    # N = 8, q = 1.5, k = 2: Brent's bracket read from g alone closes in at
+    # most 16 shots (25 when it was rebuilt from the shots' labels)
+    import bubbletower.verifier as verifier_module
+    heights = []
+    original = verifier_module.shoot
+
+    def recorded(height, params):
+        heights.append(height)
+        return original(height, params)
+
+    monkeypatch.setattr(verifier_module, "shoot", recorded)
+    run_cli(["verify", "--N", "8", "--q", "1.5", "--k", "2", "--eps", "1e-2",
+             "--h", "0.02", "--out", str(tmp_path)])
+    payload = json.loads((tmp_path / "verify" / "verify.json").read_text())
+    assert payload["classification"] == "decaying"
+    assert payload["ef_peaks"] == 2
+    assert len(heights) <= 16
+
+
 @pytest.mark.parametrize("argv", [
     ["reduce", "--q", "4", "--eps", "5e-2", "--h", "0"],
     ["reduce", "--q", "4", "--eps", "5e-2", "--h", "-0.01"],
@@ -389,6 +417,10 @@ def test_verify_concentrating(n_dim, q, k, eps, h, pot, max_sup, tmp_path):
     ["verify", "--q", "inf", "--eps", "5e-2"],
     ["sweep", "--q", "-inf", "--eps-list", "1e-2,5e-3"],
     ["reduce", "--config", "nofile.cfg", "--eps", "5e-2"],
+    ["reduce", "--q", "4", "--eps", "5e-2", "--h", "inf"],
+    ["sweep", "--q", "4", "--eps-list", "1e-2,5e-3", "--h", "inf"],
+    ["reduce", "--q", "4", "--eps", "5e-2", "--h", "1e3"],
+    ["verify", "--q", "4", "--eps", "5e-2", "--h", "1e3"],
 ])
 def test_bad_grid_and_run_arguments_exit_at_parse_time(argv, tmp_path):
     with pytest.raises(SystemExit):

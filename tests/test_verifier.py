@@ -183,8 +183,10 @@ def test_kept_shot_interpolant_matches_dense_reference(kept_const_shot):
 
 
 def test_shoot_rejects_nonpositive_height():
-    with pytest.raises(ValueError):
-        shoot(-1.0, make_params(eps=1e-2))
+    # NaN would spend the step budget at r0, and inf divide by zero there
+    for u0 in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            shoot(u0, make_params(eps=1e-2))
 
 
 def test_low_height_exploration_recorded():
@@ -212,24 +214,24 @@ def test_find_tower_single_spike(kept_const_shot):
                          ids=["down", "up"])
 def test_scan_walks_away_from_the_middle(eps, k, direction, c4, monkeypatch):
     # the scan shoots the middle height first and walks away from it, down
-    # after a non-crossing shot and up after a crossing one, to its first
-    # change; the pair is the full scan's only change, so the search and
-    # the kept height are those of that pair
+    # after g <= 0 and up after g > 0, to its first change of sign; the pair
+    # is the full scan's only change, so the search and the kept height are
+    # those of a search run from that pair
     import bubbletower.verifier as verifier_module
     from bubbletower.verifier import (SCAN_POINTS, SEPARATRIX_RTOL, _crossing_gap,
-                                      _default_r_max, _search_separatrix)
+                                      _default_r_max, _search)
     params = make_params(eps=eps, k=k)
     tower = predicted_tower(params, c4)
     u0_pred = params.gamma * float(np.sum(np.exp(tower.xi)))
     heights = np.linspace(0.5 * u0_pred, 1.5 * u0_pred, SCAN_POINTS).tolist()
-    full = [shoot(u, params) for u in heights]
-    labels = [s.classification is Classification.CROSSING for s in full]
-    changes = [i for i in range(SCAN_POINTS - 1) if labels[i] != labels[i + 1]]
+    r_max = _default_r_max(params)
+    gap = lambda shot: _crossing_gap(shot, r_max)
+    signs = [gap(shoot(u, params)) > 0.0 for u in heights]
+    changes = [i for i in range(SCAN_POINTS - 1) if signs[i] != signs[i + 1]]
     assert len(changes) == 1
     i = changes[0]
-    crossing, staying = (full[i], full[i + 1]) if labels[i] else (full[i + 1], full[i])
     middle = SCAN_POINTS // 2
-    assert labels[middle] == (direction > 0)
+    assert signs[middle] == (direction > 0)
 
     shot_heights = []
     original = verifier_module.shoot
@@ -244,11 +246,38 @@ def test_scan_walks_away_from_the_middle(eps, k, direction, c4, monkeypatch):
     walk = list(range(middle, last + direction, direction))
     assert shot_heights[:len(walk)] == [heights[j] for j in walk]
     assert not set(heights) & set(shot_heights[len(walk):])
-    r_max_m = _default_r_max(params) ** -(params.n_dim - 2.0)
-    _, kept = _search_separatrix(lambda u: original(u, params),
-                                 lambda shot: _crossing_gap(shot, r_max_m),
-                                 crossing, staying, SEPARATRIX_RTOL)
+    _, kept = _search(lambda u: original(u, params), gap, heights[i:i + 2],
+                      SEPARATRIX_RTOL)
     assert found.u0 == kept.u0
+
+
+@pytest.mark.parametrize("q,potential,eps,h", [
+    (4.0, PotentialSpec.constant(-1.0), 5e-2, 0.01),
+    (4.0, PotentialSpec.rational(-2.0, 1.0), 2e-2, 0.02),
+    (7.0, PotentialSpec.constant(-1.0), 5e-2, 0.01),
+], ids=["const", "rational", "flat"])
+def test_search_value_is_positive_exactly_on_crossing_shots(q, potential, eps, h, c4, c7):
+    # the search reads only g; on the scan grids that find_tower shoots for
+    # the benchmark verify towers and the flat tower, seeded from the solved
+    # tower, g > 0 on the crossing shots and nowhere else
+    from bubbletower import ReductionConfig, solve_reduced
+    from bubbletower.verifier import (SCAN_POINTS, _crossing_gap, _default_r_max,
+                                      _growing_mode, _shoot_flat_backward)
+    params = ModelParams.make(3, q, eps, k=1, potential=potential)
+    _, state = solve_reduced(params, c4 if q == 4.0 else c7, ReductionConfig(h=h))
+    xi1, xik = float(state.xi[0]), float(state.xi[-1])
+    if q == 4.0:
+        u0 = params.gamma * float(np.sum(np.exp(state.xi)))
+        shots = [shoot(u, params) for u in np.linspace(0.5 * u0, 1.5 * u0, SCAN_POINTS)]
+        values = [_crossing_gap(shot, _default_r_max(params)) for shot in shots]
+    else:
+        c = params.gamma * math.exp(xik)
+        shots = [_shoot_flat_backward(v, params, xik + 10.0, xi1 - 25.0)
+                 for v in np.geomspace(0.5 * c, 1.5 * c, SCAN_POINTS)]
+        values = [_growing_mode(shot) for shot in shots]
+    crossing = [shot.classification is Classification.CROSSING for shot in shots]
+    assert [value > 0.0 for value in values] == crossing
+    assert 0 < sum(crossing) < SCAN_POINTS
 
 
 # seeded at the prediction, the scan from the middle and Brent's steps take
