@@ -1,23 +1,23 @@
 """Independent verification by direct shooting on the radial equation.
 
-Both shooters stop a shot at its first event after the k-th peak of
-v = r^{(N-2)/2} u (_first_event), a zero (CROSSING) or a minimum
-(BLOWING), as the radial phase plane sorts them (Berestycki, Lions &
-Peletier, Indiana Univ. Math. J. 30, 1981).  The concentrating regime
-shoots outward from the origin.  The flat regime has no reachable forward
-dichotomy (deviations separate only at radii exp(1/eps)), so there the
-shooter integrates the transformed equation backward from the far field.
-One search, find_tower, reads one signed functional g per shot, positive
-on the crossing side of the separatrix: it scans from a seed tower to a
-change of sign of g and runs Brent's method on g there.
+Every shot integrates v = r^{(N-2)/2} u in the Emden-Fowler variable x,
+r = e^{-s x/m} (s = +1 concentrating, -1 flat), where each spike of a
+tower is a translate of one O(1) profile, on one right-hand side
+(_ef_rhs).  A shot stops at its first event after the k-th peak of v
+(_first_event), a zero (CROSSING) or a minimum (BLOWING), as the radial
+phase plane sorts them (Berestycki, Lions & Peletier, Indiana Univ. Math.
+J. 30, 1981).  The concentrating regime shoots outward from the origin;
+the flat regime, with no reachable forward dichotomy (deviations separate
+only at radii exp(1/eps)), backward from the far field.  One search,
+find_tower, scans from a seed tower to a change of sign of a functional g,
+positive on the crossing side of the separatrix, and runs Brent's method
+on g there.
 
-Shooting dominates the cost of a verification.  Every shot runs on
-numerics.dop853, a Python port of scipy's DOP853 in the second-order form
-y'' = F(t, y, y'), with right-hand sides on floats (plain powers where
-u > 0, the same bits as the signed ones); it stops the shot at its first
-event.  Only the kept shot of a search builds a dense interpolant (septic
-Hermite on its steps, with closed-form Bernstein coefficients).  No scipy
-module is loaded, except by a read of verifier.solve_ivp (below).
+Every shot runs on numerics.dop853, a Python port of scipy's DOP853 in the
+second-order form y'' = F(t, y, y'), on floats.  Only the kept shot of a
+search builds a dense interpolant (septic Hermite in x, with closed-form
+Bernstein coefficients).  No scipy module is loaded, except by a read of
+verifier.solve_ivp (below).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .numerics import PiecewisePolynomial, brentq, dop853
-from .profiles import ModelParams, Regime, ef_forward, ef_r_of_x
+from .profiles import ModelParams, Regime, ef_inverse, ef_r_of_x
 from .reduced_model import TowerConfig
 
 __all__ = [
@@ -79,34 +79,41 @@ class Classification(enum.Enum):
 
 @dataclass
 class ShotProfile:
-    """One integrated trajectory of the radial equation.
+    """One integrated trajectory of the transformed equation.
 
-    u0 is the shot's search value: the initial height of an outward shot,
-    the decay coefficient c of a flat backward shot (find_tower replaces it
-    by the height of the flat shot it keeps).  The dense interpolant is
-    built on first read, so find_tower's search shots, which read only the
-    classification, never build one.
+    x, v, dv are its steps of v(x) = r^{(N-2)/2} u(r) and v'(x), in
+    increasing r; r, u and u' are read from them.  u0 is the search value:
+    the initial height of an outward shot, the decay coefficient c of a flat
+    backward shot (find_tower replaces it by the kept flat shot's height).
+    ef_image is built on first read, so find_tower's search shots, which
+    read only their g, never build one.
     """
 
     u0: float
-    r: np.ndarray
-    u: np.ndarray
-    du: np.ndarray
+    x: np.ndarray
+    v: np.ndarray
+    dv: np.ndarray
     classification: Classification
     peak_count_ef: int
     params: ModelParams
 
+    def __post_init__(self):
+        # r = e^{x/(-s m)}, u = e^{s x} v and u' = -s (m/r) e^{s x} (v' + s v)
+        s = self.params.ef_sign
+        ms, decay = -s * (self.params.n_dim - 2) / 2.0, np.exp(s * self.x)
+        self.r, self.u = np.exp(self.x / ms), decay * self.v
+        self.du = ms / self.r * decay * (self.dv + s * self.v)
+
     @functools.cached_property
-    def interpolant(self) -> PiecewisePolynomial:
-        """Septic Hermite interpolant of u on the recorded steps: it matches
-        u and u' there, and u'' and u''' taken from the equation (u'''
-        needs V', the potential's ``slope``)."""
+    def ef_image(self) -> PiecewisePolynomial:
+        """v(x): the septic Hermite interpolant of the steps in x, which
+        matches v and v' there, and v'' and v''' taken from the equation
+        (v''' needs V', the potential's ``slope``)."""
         return _septic_hermite(self)
 
-    def ef_image(self, x) -> np.ndarray:
-        """v(x) = r^{(N-2)/2} u(r) evaluated through the dense interpolant."""
-        return ef_forward(lambda r: np.atleast_2d(self.interpolant(r))[0],
-                          self.params.n_dim, self.params.regime)(x)
+    def interpolant(self, r) -> np.ndarray:
+        """u(r) = r^{-(N-2)/2} v(x(r)), read through ef_image."""
+        return ef_inverse(self.ef_image, self.params.n_dim, self.params.regime)(r)
 
 
 def _peak_indices(v: np.ndarray) -> np.ndarray:
@@ -123,31 +130,35 @@ def shoot(u0: float, params: ModelParams) -> ShotProfile:
     u(r) = u0 - [u0^p - V(0) u0^q] r^2/(2N) + O(r^4) with p = params.p
     seeds the integration through the regular singular point.  The start
     r0 = min(1e-6, 1e-3 u0^{-(p-1)/2}) lies well inside the spike core,
-    whose radius is u0^{-(p-1)/2}, however tall the tower.  dop853 runs
-    at rtol 1e-10 toward r_max (_default_r_max) and stops the shot at its
-    first event after the params.k-th peak of v = r^{(N-2)/2} u: a zero
-    (CROSSING) or a minimum of v (BLOWING).  It also stops once u > 10 u0
-    (BLOWING).  A shot that reaches r_max is DECAYING.  An integration that
-    fails (step budget spent, step size underflow) raises ConvergenceError
-    with the solver's return code and the last accepted step.
+    whose radius is u0^{-(p-1)/2}, however tall the tower.  dop853 runs on
+    v in x (_ef_rhs) at rtol 1e-10 and atol 1e-20 on v toward x(r_max)
+    (_default_r_max), and stops the shot at its first event after the
+    params.k-th peak of v: a zero (CROSSING) or a minimum (BLOWING).  It
+    also stops once u > 10 u0 (BLOWING).  A shot that reaches r_max is
+    DECAYING.  An integration that fails (step budget spent, step size
+    underflow) raises ConvergenceError with the solver's return code and
+    the last accepted step (r, u, u').
     """
     if not 0.0 < u0 < math.inf:
         raise ValueError("initial height must be positive and finite")
-    p, m = params.p, 0.5 * (params.n_dim - 2.0)
+    p, m, s = params.p, 0.5 * (params.n_dim - 2.0), params.ef_sign
     r0 = min(1e-6, 1e-3 * u0 ** (-0.5 * (p - 1.0)))
     curv = (u0 ** p - params.potential.at(0.0) * u0 ** params.q) / (2.0 * params.n_dim)
+    u_start, du_start, w0 = u0 - curv * r0 * r0, -2.0 * curv * r0, r0 ** m
     event = _first_event(params.k)
-    r, u, du, code = dop853(_radial_rhs(params), r0, u0 - curv * r0 * r0,
-                            -2.0 * curv * r0, _default_r_max(params),
-                            lambda r, u: event(r ** m * u) or u > 10.0 * u0, 1e-10,
-                            1e-14 * u0, MAX_STEPS)
+    x, v, dv, code = dop853(_ef_rhs(params), -s * m * math.log(r0), w0 * u_start,
+                            -s * w0 * (u_start + r0 * du_start / m),
+                            -s * m * math.log(_default_r_max(params)),
+                            lambda x, v: event(v) or v * math.exp(s * x) > 10.0 * u0,
+                            1e-10, 1e-20, MAX_STEPS)
+    label = (Classification.DECAYING if code == 1 else
+             Classification.CROSSING if v[-1] < 0.0 else Classification.BLOWING)
+    shot = ShotProfile(u0, x, v, dv, label, _ef_peaks(v), params)
     if code < 0:
         raise ConvergenceError(
-            f"radial integration failed at r = {r[-1]:.6g} "
-            f"(DOP853 return code {code})", state=(r[-1], u[-1], du[-1]))
-    label = (Classification.DECAYING if code == 1 else
-             Classification.CROSSING if u[-1] < 0.0 else Classification.BLOWING)
-    return ShotProfile(u0, r, u, du, label, _ef_peaks(r, u, params), params)
+            f"radial integration failed at r = {shot.r[-1]:.6g} "
+            f"(DOP853 return code {code})", state=(shot.r[-1], shot.u[-1], shot.du[-1]))
+    return shot
 
 
 def _default_r_max(params: ModelParams) -> float:
@@ -159,20 +170,23 @@ def _default_r_max(params: ModelParams) -> float:
     return 50.0 / math.sqrt(params.epsilon) if params.epsilon > 0 else 50.0
 
 
-def _radial_rhs(params: ModelParams):
-    """Right-hand side u'' of the outward radial equation at (r, u, u'), on
-    Python floats.  Python's ``**`` raises OverflowError where numpy
-    returns inf (far into a blow-up); dop853 rejects such a step.  For
-    u > 0 the signed powers are plain powers; the short form has the same
-    bits, since abs and copysign are exact and x - y = x + (-y)."""
-    p, q, n1 = params.p, params.q, params.n_dim - 1.0
-    pot = params.potential.at
+def _ef_rhs(params: ModelParams):
+    """Right-hand side v'' of the transformed equation at (x, v, v'),
+    v'' = v - beta (e^{eps x} v^p - V(r) e^{-a x} v^q), r = e^{-s x/m},
+    with a = |q - p*| and v clipped at 0; on Python floats.
+    Python's ``**`` and math.exp raise OverflowError where numpy returns
+    inf (far into a blow-up); dop853 rejects such a step.  The clip gives
+    the bits of max(v, 0.0) for every v: at v = -0.0 and NaN, where the two
+    clips differ, the bracket is +0.0 or NaN either way."""
+    beta, p, q, eps = params.beta, params.p, params.q, params.epsilon
+    neg_gap, ms = -params.exponent_gap, -params.ef_sign * (params.n_dim - 2) / 2.0
+    pot, exp = params.potential.at, math.exp
 
-    def rhs(r, u, du):
-        if u > 0.0:
-            return -n1 / r * du + (pot(r) * u ** q - u ** p)
-        f = -math.copysign(abs(u) ** p, u) + pot(r) * math.copysign(abs(u) ** q, u)
-        return -n1 / r * du + f
+    def rhs(x, v, dv):
+        vv = v if v > 0.0 else 0.0
+        t = x / ms
+        w_q = pot(exp(700.0 if t > 700.0 else t)) * exp(neg_gap * x)
+        return v - beta * (exp(eps * x) * vv ** p - w_q * vv ** q)
 
     return rhs
 
@@ -188,34 +202,40 @@ _HERMITE_RIGHT = _HERMITE_LEFT * (-1.0) ** _ORDERS
 
 
 def _septic_hermite(shot: ShotProfile) -> PiecewisePolynomial:
-    """Piecewise degree-7 interpolant of u matching u, u', u'', u''' at each r.
+    """Piecewise degree-7 interpolant of v(x) matching v, v', v'', v''' at
+    each step, on increasing x.
 
-    u'' is the right-hand side of the equation; u''' is its r-derivative,
-    (N-1)(u'/r - u'')/r + f_u(r, u) u' + V'(r) |u|^{q-1} u.  On an interval
-    [r_i, r_i + h] with scaled derivatives d_l = h^l u^{(l)}/l! the Bernstein
-    coefficients are c_j = sum_{l<=j} C(j,l)/C(7,l) d_l(r_i) and
-    c_{7-j} = sum_{l<=j} (-1)^l C(j,l)/C(7,l) d_l(r_i + h), j = 0..3, computed
-    for all intervals at once.
+    v'' is the right-hand side of _ef_rhs; v''' is its x-derivative,
+    v' - beta ((eps v^p + p v^{p-1} v') e^{eps x} - W' v^q - q W v^{q-1} v')
+    with W = V(r) e^{-a x} and W' = (V'(r) r'(x) - a V(r)) e^{-a x}, v
+    clipped at 0.  On an interval [x_i, x_i + h] with scaled derivatives
+    d_l = h^l v^{(l)}/l! the Bernstein coefficients are c_j = sum_{l<=j}
+    C(j,l)/C(7,l) d_l(x_i) and c_{7-j} = sum_{l<=j} (-1)^l C(j,l)/C(7,l)
+    d_l(x_i + h), j = 0..3, computed for all intervals at once.
     """
-    params, r, u, du = shot.params, shot.r, shot.u, shot.du
-    p, q, n1 = params.p, params.q, params.n_dim - 1.0
-    rhs = _radial_rhs(params)
-    d2u = np.array([rhs(*step) for step in zip(r.tolist(), u.tolist(), du.tolist())])
-    au = np.abs(u)
-    f_u = -p * au ** (p - 1.0) + params.potential.evaluate(r) * q * au ** (q - 1.0)
-    f_r = np.array([params.potential.slope(ri) for ri in r]) * np.sign(u) * au ** q
-    d3u = n1 * (du / r - d2u) / r + f_u * du + f_r
-    derivs = np.column_stack([u, du, d2u, d3u])
-    scale = np.diff(r)[:, None] ** _ORDERS / _FACTORIALS
-    c = np.empty((8, r.size - 1))
+    params, x, v, dv, r = shot.params, shot.x, shot.v, shot.dv, shot.r
+    if x[0] > x[-1]:
+        x, v, dv, r = x[::-1], v[::-1], dv[::-1], r[::-1]
+    beta, p, q, eps = params.beta, params.p, params.q, params.epsilon
+    gap, ms = params.exponent_gap, -params.ef_sign * (params.n_dim - 2) / 2.0
+    vv, w_p, decay = np.maximum(v, 0.0), np.exp(eps * x), np.exp(-gap * x)
+    pot = params.potential.evaluate(r)
+    w_q = pot * decay
+    dw_q = (np.array([params.potential.slope(ri) for ri in r.tolist()]) * r / ms
+            - gap * pot) * decay
+    d2v = v - beta * (w_p * vv ** p - w_q * vv ** q)
+    d3v = dv - beta * ((eps * vv ** p + p * vv ** (p - 1.0) * dv) * w_p
+                       - dw_q * vv ** q - q * w_q * vv ** (q - 1.0) * dv)
+    derivs = np.column_stack([v, dv, d2v, d3v])
+    scale = np.diff(x)[:, None] ** _ORDERS / _FACTORIALS
+    c = np.empty((8, x.size - 1))
     c[:4] = _HERMITE_LEFT @ (derivs[:-1] * scale).T
     c[:3:-1] = _HERMITE_RIGHT @ (derivs[1:] * scale).T
-    return PiecewisePolynomial(c, r, bernstein=True)
+    return PiecewisePolynomial(c, x, bernstein=True)
 
 
-def _ef_peaks(r, u, params: ModelParams) -> int:
-    mask = (r > 0) & (u > 0)
-    return _peak_indices(r[mask] ** ((params.n_dim - 2) / 2.0) * u[mask]).size
+def _ef_peaks(v: np.ndarray) -> int:
+    return _peak_indices(v).size
 
 
 def find_tower(params: ModelParams, guess: TowerConfig) -> ShotProfile:
@@ -345,47 +365,24 @@ def _crossing_gap(shot: ShotProfile, r_max: float) -> float:
     return -(u_e + r_e * du_e / m * (1.0 - (r_e / r_max) ** m)) / shot.u0
 
 
-def _flat_rhs(params: ModelParams):
-    """Right-hand side v'' of the flat-regime transformed equation,
-    v'' = v - beta (e^{eps x} v^p - V(r) e^{-(q-p*) x} v^q), r = e^{x/m},
-    with v clipped at 0; on Python floats, like _radial_rhs.  The clip
-    gives the bits of max(v, 0.0) for every v: at v = -0.0 and NaN, where
-    the two clips differ, the bracket is +0.0 or NaN either way."""
-    beta, p, q, eps = params.beta, params.p, params.q, params.epsilon
-    gap = params.q - params.p_star
-    m = (params.n_dim - 2) / 2.0
-    pot = params.potential.at
-
-    def rhs(x, v, dv):
-        vv = v if v > 0.0 else 0.0
-        w_p = math.exp(eps * x)
-        w_q = pot(math.exp(min(x / m, 700.0))) * math.exp(-gap * x)
-        return v - beta * (w_p * vv ** p - w_q * vv ** q)
-
-    return rhs
-
-
 def _shoot_flat_backward(c: float, params: ModelParams, x_hi: float,
                          x_lo: float) -> ShotProfile:
     """Integrate the transformed equation backward from v = c e^{-x} at x_hi.
 
-    The shot stops at its first event (_first_event): v < 0, an undershoot
-    (CROSSING), or a minimum of v after its k-th peak, an overshoot
-    (BLOWING).  A stop at v > 10 gamma and a DOP853 failure above zero are
-    overshoots too; a shot that reaches x_lo is an undershoot.  The profile
-    holds the steps, in increasing r = e^{x/m}, as u = e^{-x} max(v, 0) and
-    u' = (m/r) e^{-x} (v' - v); its u0 is c.
+    The shot runs on _ef_rhs at rtol 1e-12 and atol 1e-20, and stops at
+    its first event (_first_event): v < 0, an undershoot (CROSSING), or a
+    minimum of v after its k-th peak, an overshoot (BLOWING).  A stop at
+    v > 10 gamma and a DOP853 failure above zero are overshoots too; a shot
+    that reaches x_lo is an undershoot.  The profile holds the steps in
+    increasing r = e^{x/m}; its u0 is c.
     """
-    m = (params.n_dim - 2) / 2.0
     v0, ceiling, event = c * math.exp(-x_hi), 10.0 * params.gamma, _first_event(params.k)
-    x, v, dv, code = dop853(_flat_rhs(params), x_hi, v0, -v0, x_lo,
+    x, v, dv, code = dop853(_ef_rhs(params), x_hi, v0, -v0, x_lo,
                             lambda x, v: event(v) or v > ceiling, 1e-12, 1e-20, MAX_STEPS)
     over = code != 1 and v[-1] >= 0.0
     x, v, dv = x[::-1], v[::-1], dv[::-1]
-    r, decay = np.exp(x / m), np.exp(-x)
-    return ShotProfile(c, r, decay * np.maximum(v, 0.0), m / r * decay * (dv - v),
-                       Classification.BLOWING if over else Classification.CROSSING,
-                       _peak_indices(v).size, params)
+    return ShotProfile(c, x, v, dv, Classification.BLOWING if over else Classification.CROSSING,
+                       _ef_peaks(v), params)
 
 
 def _first_event(k: int) -> Callable[[float], bool]:

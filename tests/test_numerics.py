@@ -18,10 +18,10 @@ from bubbletower import (ModelParams, PotentialSpec, ProjectedSolver, ReductionC
 from bubbletower.errors import BubbleTowerError, ConditioningError, LapackUnavailableError
 from bubbletower.numerics import (brentq, dop853, not_a_knot_spline, tridiagonal_lu,
                                   tridiagonal_solve)
-from bubbletower.verifier import MAX_STEPS, _default_r_max, _radial_rhs
+from bubbletower.verifier import MAX_STEPS, _default_r_max
 
-# the benchmark's verify cases (q = 4, k = 1): potential, eps and the
-# height of the shot find_tower keeps
+# the benchmark's verify cases (q = 4, k = 1): potential, eps and a height
+# within 1e-9 relative of the shot find_tower keeps
 BENCHMARK_SHOTS = [(PotentialSpec.constant(-1.0), 5e-2, 35.20186489229378),
                    (PotentialSpec.rational(-2.0, 1.0), 2e-2, 185.93955750608484)]
 
@@ -53,8 +53,24 @@ def _ode_dop853(rhs, t0, y0, dy0, t_end, stop, rtol, atol, nsteps=MAX_STEPS):
     return np.array(steps), solver.get_return_code()
 
 
+def _radial_rhs(params):
+    """u'' of the radial equation at (r, u, u'), on Python floats, a test
+    problem for dop853: plain powers for u > 0, the signed ones otherwise.
+    Python's ``**`` raises OverflowError where numpy returns inf."""
+    p, q, n1, pot = params.p, params.q, params.n_dim - 1.0, params.potential.at
+
+    def rhs(r, u, du):
+        if u > 0.0:
+            return -n1 / r * du + (pot(r) * u ** q - u ** p)
+        f = -math.copysign(abs(u) ** p, u) + pot(r) * math.copysign(abs(u) ** q, u)
+        return -n1 / r * du + f
+
+    return rhs
+
+
 def _radial_shot(potential, eps, u0):
-    """dop853's arguments for verifier.shoot's outward shot at height u0."""
+    """dop853's arguments for an outward shot of the radial equation in r at
+    height u0, started as verifier.shoot starts it."""
     params = ModelParams.make(3, 4.0, eps, k=1, potential=potential)
     p = params.p
     r0 = min(1e-6, 1e-3 * u0 ** (-0.5 * (p - 1.0)))

@@ -29,7 +29,7 @@ def test_shooting_reproduces_bubble_family(lam):
 
 @pytest.mark.parametrize("q", [4.0, 7.0])
 def test_find_tower_builds_one_interpolant(q, c4, c7, monkeypatch):
-    # search shots read only their classification: the kept shot's
+    # search shots read only their search value g: the kept shot's
     # interpolant, built on first read and cached, is the only one
     import bubbletower.verifier as verifier_module
     built = []
@@ -147,16 +147,20 @@ def test_kept_shot_interpolant_reproduces_the_steps(kept_const_shot, kept_flat_s
 
 def test_kept_shot_interpolant_matches_from_derivatives(kept_const_shot, kept_flat_shot):
     # the closed-form Bernstein coefficients against scipy's construction
-    # from the same derivative data, on both regimes' kept shots (V = -1)
+    # from the same derivative data in x, on both regimes' kept shots (V = -1)
     from scipy.interpolate import BPoly
     for params, _, found in (kept_const_shot, kept_flat_shot):
-        p, q, n1 = params.p, params.q, params.n_dim - 1.0
-        r, u, du = found.r, found.u, found.du
-        d2u = -n1 / r * du - u ** p - u ** q                 # V = -1, u >= 0
-        d3u = n1 * (du / r - d2u) / r + (-p * u ** (p - 1.0) - q * u ** (q - 1.0)) * du
-        ref = BPoly.from_derivatives(r, np.column_stack([u, du, d2u, d3u]))
-        x = np.geomspace(r[0], r[-1], 20_001)
-        np.testing.assert_allclose(found.interpolant(x), ref(x), rtol=1e-13, atol=0.0)
+        beta, p, q, eps, gap = (params.beta, params.p, params.q, params.epsilon,
+                                params.exponent_gap)
+        order = np.argsort(found.x)
+        x, v, dv = found.x[order], found.v[order], found.dv[order]
+        vv, w_p, w_q = np.maximum(v, 0.0), np.exp(eps * x), np.exp(-gap * x)
+        d2v = v - beta * (w_p * vv ** p + w_q * vv ** q)
+        d3v = dv - beta * (w_p * (eps * vv ** p + p * vv ** (p - 1.0) * dv)
+                           + w_q * (-gap * vv ** q + q * vv ** (q - 1.0) * dv))
+        ref = BPoly.from_derivatives(x, np.column_stack([v, dv, d2v, d3v]))
+        xs = np.linspace(x[0], x[-1], 20_001)
+        np.testing.assert_allclose(found.ef_image(xs), ref(xs), rtol=1e-13, atol=0.0)
 
 
 def test_kept_shot_interpolant_matches_dense_reference(kept_const_shot):
@@ -180,6 +184,41 @@ def test_kept_shot_interpolant_matches_dense_reference(kept_const_shot):
     v_ref = np.sqrt(r) * ref.sol(r)[0]
     v_got = found.ef_image(x)
     assert np.max(np.abs(v_got - v_ref)) < 1e-8 * np.max(np.abs(v_ref))
+
+
+def test_tall_tower_ef_image_matches_a_tight_reference():
+    # N = 3, q = 4, k = 5, eps = 1e-3, seeded from the solved tower: the
+    # spikes' heights in u span 15 decades, in v they are all O(1).  The
+    # kept shot's v against scipy's DOP853 on the transformed equation at
+    # rtol 1e-13 from the same height, across the whole tower
+    from bubbletower import ReductionConfig, TowerConfig, energy_constants, solve_reduced, \
+        tower_amplitudes
+    params = make_params(q=4.0, eps=1e-3, k=5)
+    constants = energy_constants(3, 4.0)
+    lam, state = solve_reduced(params, constants, ReductionConfig(h=0.03))
+    found = find_tower(params, TowerConfig(lam, state.xi,
+                                           tower_amplitudes(lam, constants, params),
+                                           params.regime))
+    u0, p, q, beta, eps = float(found.u0), params.p, params.q, params.beta, params.epsilon
+    gap = params.exponent_gap
+    r0 = min(1e-6, 1e-3 * u0 ** (-0.5 * (p - 1.0)))
+    curv = (u0 ** p + u0 ** q) / 6.0                     # V = -1, N = 3
+    u_start, du_start = u0 - curv * r0 * r0, -2.0 * curv * r0
+
+    def rhs(x, y):                                       # sub-q, m = 1/2, r = e^{-2x}
+        v, dv = y
+        vv = max(v, 0.0)
+        return [dv, v - beta * (math.exp(eps * x) * vv ** p + math.exp(-gap * x) * vv ** q)]
+
+    xi = np.asarray(state.xi)
+    lo, hi = xi[0] - 2.0, xi[-1] + 2.0
+    ref = solve_ivp(rhs, (-0.5 * math.log(r0), lo - 0.5),
+                    [math.sqrt(r0) * u_start, -math.sqrt(r0) * (u_start + 2.0 * r0 * du_start)],
+                    method="DOP853", rtol=1e-13, atol=1e-20, dense_output=True)
+    x = np.linspace(lo, hi, 4001)
+    v_ref = ref.sol(x)[0]
+    assert found.peak_count_ef == 5
+    assert np.max(np.abs(found.ef_image(x) - v_ref)) < 1e-7 * np.max(np.abs(v_ref))
 
 
 def test_shoot_rejects_nonpositive_height():
@@ -422,47 +461,34 @@ def _same_bits(a: float, b: float) -> bool:
     return struct.pack("<d", a) == struct.pack("<d", b)
 
 
+@pytest.mark.parametrize("q", [4.0, 7.0])
 @pytest.mark.parametrize("potential", [PotentialSpec.constant(-1.0),
-                                       PotentialSpec.rational(-2.0, 1.0)])
-def test_radial_rhs_matches_numpy_scalar_formula(potential):
-    # u > 0 takes the plain powers, u <= 0 (and -0.0) the signed ones; both
-    # give the bits of the signed formula, written out
-    from bubbletower.verifier import _radial_rhs
-    params = ModelParams.make(3, 4.0, 5e-2, potential=potential)
-    p, q, n_dim, pot = params.p, params.q, params.n_dim, potential.at
-
-    def reference(r, u, du):
-        f = -math.copysign(abs(u) ** p, u) + pot(r) * math.copysign(abs(u) ** q, u)
-        return -(n_dim - 1.0) / r * du + f
-
-    rhs = _radial_rhs(params)
-    rng = np.random.default_rng(7)
-    rs = np.exp(rng.uniform(math.log(1e-7), math.log(1e4), 300)).tolist()
-    dus = rng.normal(0.0, 10.0, 300).tolist()
-    us = _sample_heights(rng, 300)
-    assert sum(u > 0.0 for u in us) > 100 and sum(u < 0.0 for u in us) > 100
-    for r, u, du in zip(rs, us, dus):
-        assert _same_bits(rhs(r, u, du), reference(r, u, du))
-
-
-def test_flat_rhs_matches_the_clipped_formula(c7):
-    # the clip at 0 gives the bits of the formula with max(v, 0.0), written
-    # out, for every v
-    from bubbletower.verifier import _flat_rhs
-    params = ModelParams.make(3, 7.0, 5e-2, potential=PotentialSpec.rational(1.0, -2.0))
-    beta, p, q, eps = params.beta, params.p, params.q, params.epsilon
-    gap, m, pot = params.q - params.p_star, (params.n_dim - 2) / 2.0, params.potential.at
+                                       PotentialSpec.rational(-2.0, 1.0)],
+                         ids=["const", "rational"])
+def test_ef_rhs_matches_the_clipped_formula(q, potential):
+    # both regimes' right-hand side, r = e^{-s x/m} and the gap's sign
+    # taken from the regime; the clip at 0 gives the bits of the formula
+    # with max(v, 0.0), written out, for every v
+    from bubbletower.verifier import _ef_rhs
+    params = ModelParams.make(3, q, 5e-2, potential=potential)
+    beta, p, eps, pot = params.beta, params.p, params.epsilon, potential.at
+    m = (params.n_dim - 2) / 2.0
+    if q < params.p_star:
+        gap, ms = params.p_star - q, -m
+    else:
+        gap, ms = q - params.p_star, m
 
     def reference(x, v, dv):
         clipped = max(v, 0.0)
-        w_q = pot(math.exp(min(x / m, 700.0))) * math.exp(-gap * x)
+        w_q = pot(math.exp(min(x / ms, 700.0))) * math.exp(-gap * x)
         return v - beta * (math.exp(eps * x) * clipped ** p - w_q * clipped ** q)
 
-    rhs = _flat_rhs(params)
+    rhs = _ef_rhs(params)
     rng = np.random.default_rng(11)
     xs = rng.uniform(-5.0, 40.0, 300).tolist()
     dvs = rng.normal(0.0, 1.0, 300).tolist()
     vs = _sample_heights(rng, 300)
+    assert sum(v > 0.0 for v in vs) > 100 and sum(v < 0.0 for v in vs) > 100
     for x, v, dv in zip(xs, vs, dvs):
         assert _same_bits(rhs(x, v, dv), reference(x, v, dv))
 
