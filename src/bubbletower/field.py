@@ -1,8 +1,9 @@
 """Discretized line functions, the energy, residuals and the linearized operator.
 
-Functions live on a uniform grid over a truncated interval with homogeneous
-(zero) values outside; all profiles here decay exponentially, so truncation
-at max(30, 10/sigma) beyond the outer spikes keeps boundary effects far below
+Functions live on a uniform grid over a truncated interval with zero values
+outside.  Spikes are translates of U ~ exp(-|x|) and phi decays at the same
+rate (sigma weighs the star norm; it is no decay rate), so truncation at
+max(30, 10/sigma) beyond the outer spikes keeps boundary effects far below
 discretization error.  Second derivatives use the 3-point stencil with zero
 ghost values; the energy's kinetic term uses the matching staggered first
 difference (see energy).
@@ -22,7 +23,6 @@ around Ubar.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Tuple
 
@@ -53,9 +53,12 @@ __all__ = [
 ]
 
 
+MAX_GRID_NODES = 10_000_000     # 80 MB per float array on the grid
+
+
 @dataclass(frozen=True)
 class Grid:
-    """Uniform grid x_i = x0 + i h, i = 0..n-1."""
+    """Uniform grid x_i = x0 + i h, i = 0..n-1, with 3 to MAX_GRID_NODES nodes."""
 
     x0: float
     h: float
@@ -66,6 +69,8 @@ class Grid:
             raise ValueError("grid spacing must be positive")
         if self.n < 3:
             raise ValueError("grid needs at least 3 nodes")
+        if self.n > MAX_GRID_NODES:
+            raise ValueError(f"grid of {self.n:.3g} nodes above the ceiling {MAX_GRID_NODES:.0e}")
 
     @property
     def x1(self) -> float:
@@ -88,11 +93,12 @@ class Grid:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Samples on a Grid, optionally tagged with end decay rates.
+    """Samples on a Grid, optionally declaring end decay rates.
 
-    The tag declares exponential decay toward each truncation end; it feeds
-    the integrability check of the energy and a soft boundary-consistency
-    warning.  Derived quantities (residuals, increments) carry no tag.
+    A caller may declare the rates of exponential decay toward the two
+    truncation ends; only the energy's integrability check reads them, and
+    it takes the profile's (1, 1) when none is declared.  The library's own
+    grid functions (Ubar, phi, Ubar + phi) declare none.
     """
 
     grid: Grid
@@ -107,24 +113,6 @@ class GridFunction:
             raise ValueError("grid function values must be finite")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        if self.decay is not None:
-            self._soft_check_decay()
-
-    def _soft_check_decay(self):
-        # soft consistency: end values should be below what the decay tag
-        # implies from the interior maximum; warn, never fail
-        v = np.abs(self.values)
-        peak = v.max()
-        if peak == 0.0:
-            return
-        i_peak = int(v.argmax())
-        for end, rate, dist in ((0, self.decay[0], i_peak * self.grid.h),
-                                (-1, self.decay[1], (self.grid.n - 1 - i_peak) * self.grid.h)):
-            implied = peak * math.exp(-min(rate * dist, 700.0))
-            if v[end] > 50.0 * implied + 1e-12 * peak:
-                warnings.warn(
-                    f"end value {v[end]:.3e} exceeds decay-tag bound {implied:.3e}; "
-                    "domain may be too short", stacklevel=3)
 
 
 @dataclass(frozen=True)
@@ -312,7 +300,7 @@ class TowerField:
         # the builtin sum adds the rows in order, as the per-spike sums
         # did; np.sum(axis=0) pairs them and rounds differently
         ubar = sum(u)
-        self.ubar = GridFunction(grid, ubar, decay=(1.0, 1.0))
+        self.ubar = GridFunction(grid, ubar)
         # C-contiguous n x k: transposed views round differently in the
         # BLAS products Z^T A^-1 Z and d2u^T phi
         self.z = np.ascontiguousarray((-u * th).T)

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import LapackUnavailableError
 
 __all__ = ["dop853", "brentq", "PiecewisePolynomial", "not_a_knot_spline",
-           "tridiagonal_lu", "tridiagonal_solve"]
+           "TridiagonalLU"]
 
 
 # The DOP853 coefficients, named as in Hairer's dop853.f (scipy's
@@ -364,8 +364,9 @@ def _lapack():
 
 
 class TridiagonalLU:
-    """dgttrf's factors of one tridiagonal matrix, ``factors`` = (dl, d, du,
-    du2, ipiv), with ipiv's 1-based row indices as 64-bit integers.
+    """dgttrf's factors of the tridiagonal matrix with the given sub-, main and
+    super-diagonal (copied), ``factors`` = (dl, d, du, du2, ipiv) with 1-based
+    64-bit ipiv, and dgttrf's ``info``, nonzero where the matrix is singular.
 
     The addresses of the factors are taken once, here; each solve converts
     only its right-hand side.  Solves write nothing shared, so threads may
@@ -388,33 +389,23 @@ class TridiagonalLU:
         dgttrf(self._n, *self._addresses, info)
         self.info = info.value
 
-
-def tridiagonal_lu(lower, diagonal, upper):
-    """LU factors of the tridiagonal matrix with the given sub-, main and
-    super-diagonal (LAPACK dgttrf, partial pivoting, one band of fill), and
-    dgttrf's info, nonzero where the matrix is singular.  The bands are
-    copied, not overwritten."""
-    lu = TridiagonalLU(lower, diagonal, upper)
-    return lu, lu.info
-
-
-def tridiagonal_solve(lu: TridiagonalLU, rhs) -> np.ndarray:
-    """Solve with tridiagonal_lu's factors (dgttrs), rhs of n or n x m; the
-    solution is a new array in Fortran order, as scipy's wrapper returns it."""
-    b = np.array(rhs, dtype=np.float64, order="F")
-    if b.ndim not in (1, 2) or b.shape[0] != lu.n:
-        raise ValueError(f"right-hand side of shape {b.shape} for n = {lu.n}")
-    nrhs = ctypes.c_int64(1 if b.ndim == 1 else b.shape[1])
-    info = ctypes.c_int64()
-    lu._dgttrs(b"N", lu._n, nrhs, *lu._addresses, b.ctypes.data, lu._n, info, 1)
-    if info.value:
-        raise ValueError(f"dgttrs rejected argument {-info.value}")
-    return b
+    def solve(self, rhs) -> np.ndarray:
+        """Solve with these factors (dgttrs), rhs of n or n x m; the solution
+        is a new array in Fortran order, as scipy's wrapper returns it."""
+        b = np.array(rhs, dtype=np.float64, order="F")
+        if b.ndim not in (1, 2) or b.shape[0] != self.n:
+            raise ValueError(f"right-hand side of shape {b.shape} for n = {self.n}")
+        nrhs = ctypes.c_int64(1 if b.ndim == 1 else b.shape[1])
+        info = ctypes.c_int64()
+        self._dgttrs(b"N", self._n, nrhs, *self._addresses, b.ctypes.data, self._n, info, 1)
+        if info.value:
+            raise ValueError(f"dgttrs rejected argument {-info.value}")
+        return b
 
 
 def not_a_knot_spline(x, y) -> PiecewisePolynomial:
     """The not-a-knot cubic spline through (x, y), at least 4 increasing x,
-    as scipy's CubicSpline builds it: the knot slopes by tridiagonal_lu."""
+    as scipy's CubicSpline builds it: the knot slopes by TridiagonalLU."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     dx = np.diff(x)
     slope = np.diff(y) / dx
@@ -424,9 +415,9 @@ def not_a_knot_spline(x, y) -> PiecewisePolynomial:
     b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
     b[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
     b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
-    lu, info = tridiagonal_lu(np.append(dx[1:], d1), diagonal, np.append(d0, dx[:-1]))
-    if info != 0:
-        raise np.linalg.LinAlgError(f"singular spline system (dgttrf info {info})")
-    s = tridiagonal_solve(lu, b)
+    lu = TridiagonalLU(np.append(dx[1:], d1), diagonal, np.append(d0, dx[:-1]))
+    if lu.info != 0:
+        raise np.linalg.LinAlgError(f"singular spline system (dgttrf info {lu.info})")
+    s = lu.solve(b)
     t = (s[:-1] + s[1:] - 2 * slope) / dx
     return PiecewisePolynomial(np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1])), x)

@@ -116,39 +116,43 @@ def integrate_line(f: Callable, decay_left: float, decay_right: float,
     until the estimates sum to at most 0.8 tol, absolute for integrals
     below 1 and relative above.  err bounds |value - integral|.  Needing
     more than max_evals panels, a target below the panels' roundoff floor
-    or a non-finite value of f raises QuadratureConvergenceError with both.
+    or a non-finite or overflowing f raises QuadratureConvergenceError.
     """
     if not (0 < decay_left < math.inf and 0 < decay_right < math.inf):
         raise ValueError("decay rates must be positive and finite")
-    tol_tail = tol / 10.0
-    x_left, tail_left = _tail_cutoff(f, decay_left, -1, tol_tail)
-    x_right, tail_right = _tail_cutoff(f, decay_right, +1, tol_tail)
-    tails = tail_left + tail_right
-    target = 0.8 * tol
-    # a heap of panels (-err, a, b, value, int |f|), the largest error first
-    panels = [_kronrod21(f, -x_left, 0.0), _kronrod21(f, 0.0, x_right)]
-    heapq.heapify(panels)
-    neg_err, _, _, area, absolute = map(add, *panels)
+    try:
+        tol_tail = tol / 10.0
+        x_left, tail_left = _tail_cutoff(f, decay_left, -1, tol_tail)
+        x_right, tail_right = _tail_cutoff(f, decay_right, +1, tol_tail)
+        tails = tail_left + tail_right
+        target = 0.8 * tol
+        # a heap of panels (-err, a, b, value, int |f|), the largest error first
+        panels = [_kronrod21(f, -x_left, 0.0), _kronrod21(f, 0.0, x_right)]
+        heapq.heapify(panels)
+        neg_err, _, _, area, absolute = map(add, *panels)
 
-    def failure(problem):
-        return QuadratureConvergenceError(problem, value=math.fsum(p[3] for p in panels),
-                                          err=tails - neg_err)
+        def failure(problem):
+            return QuadratureConvergenceError(problem, value=math.fsum(p[3] for p in panels),
+                                              err=tails - neg_err)
 
-    while -neg_err > (bound := target * max(1.0, abs(area))):
-        if _ROUNDOFF * absolute > bound:
-            raise failure(f"tolerance {tol:g} is below the roundoff floor of the panels")
-        if len(panels) >= max_evals:
-            raise failure(f"maximum number of subdivisions ({max_evals}) reached")
-        worst, a, b, old, old_abs = heapq.heappop(panels)
-        mid = 0.5 * (a + b)
-        left, right = _kronrod21(f, a, mid), _kronrod21(f, mid, b)
-        heapq.heappush(panels, left)
-        heapq.heappush(panels, right)
-        # running sums, updated in QUADPACK's order
-        neg_err = neg_err + (left[0] + right[0]) - worst
-        area = area + (left[3] + right[3]) - old
-        absolute = absolute + (left[4] + right[4]) - old_abs
-    return math.fsum(p[3] for p in panels), tails - neg_err
+        while -neg_err > (bound := target * max(1.0, abs(area))):
+            if _ROUNDOFF * absolute > bound:
+                raise failure(f"tolerance {tol:g} is below the roundoff floor of the panels")
+            if len(panels) >= max_evals:
+                raise failure(f"maximum number of subdivisions ({max_evals}) reached")
+            worst, a, b, old, old_abs = heapq.heappop(panels)
+            mid = 0.5 * (a + b)
+            left, right = _kronrod21(f, a, mid), _kronrod21(f, mid, b)
+            heapq.heappush(panels, left)
+            heapq.heappush(panels, right)
+            # running sums, updated in QUADPACK's order
+            neg_err = neg_err + (left[0] + right[0]) - worst
+            area = area + (left[3] + right[3]) - old
+            absolute = absolute + (left[4] + right[4]) - old_abs
+        return math.fsum(p[3] for p in panels), tails - neg_err
+    except OverflowError as exc:     # math.exp past x = 709 in f
+        raise QuadratureConvergenceError(
+            f"integrand overflowed: {exc}", math.nan, math.inf) from exc
 
 
 def _betaln(a: float, b: float) -> float:

@@ -3,7 +3,7 @@
 The pipeline: (i) a projected linear solver for a tridiagonal operator with
 the translation directions Z_i = U'(. - xi_i) projected out (block
 elimination of the bordered system through its k x k Schur complement, so
-only the tridiagonal operator is factored, by numerics.tridiagonal_lu),
+only the tridiagonal operator is factored, by numerics.TridiagonalLU),
 (ii) Newton's method for the correction phi(xi), one such solve per step on
 the Jacobian at Ubar + phi, (iii) the reduced energy as a function of the
 scale parameters Lambda, and (iv) Newton's method in log Lambda on the
@@ -30,6 +30,7 @@ outer iterate.  sweep_point gives the trend metrics of one epsilon for
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field as dataclass_field
 from typing import Optional, Tuple
 
@@ -40,10 +41,9 @@ from .errors import (AssemblyError, ConditioningError, ConvergenceError,
 # tower_ansatz is no longer called here; perfbench's span self-test reads
 # reduction.tower_ansatz, so the name stays importable
 from .field import (Grid, GridFunction, SpikeFrame, TowerField, default_sigma,
-                    energy, grid_for_spikes, tower_ansatz)
+                    default_window, energy, grid_for_spikes, tower_ansatz)
 from .profiles import ModelParams, Regime, ef_inverse, ef_r_of_x, ef_x_of_r
-from .numerics import (PiecewisePolynomial, not_a_knot_spline, tridiagonal_lu,
-                       tridiagonal_solve)
+from .numerics import PiecewisePolynomial, TridiagonalLU, not_a_knot_spline
 from .quadrature import EnergyConstants
 from .reduced_model import critical_scales, energy_expansion, spike_locations
 
@@ -118,7 +118,7 @@ class ReductionState:
         """
         tower, solver, c = self.field, self.solver, self.c
         lower = np.tril(np.ones((c.size, c.size)))
-        j_inv_w = tridiagonal_solve(solver._lu, tower.d2u @ (c[:, None] * lower))
+        j_inv_w = solver._lu.solve(tower.d2u @ (c[:, None] * lower))
         d = (tower.d2u.T @ self.phi.values)[:, None] * lower
         return np.linalg.solve(solver._schur, tower.z.T @ (tower.z @ lower - j_inv_w) - d)
 
@@ -182,12 +182,12 @@ class ProjectedSolver:
         if diagonal is None:
             diagonal = field.newton_system(np.zeros(grid.n))[1]
         off = field.off_diagonal
-        self._lu, info = tridiagonal_lu(off, diagonal, off)
-        if info != 0:
+        self._lu = TridiagonalLU(off, diagonal, off)
+        if self._lu.info != 0:
             raise ConditioningError(
                 f"operator factorization failed (n={grid.n}, "
-                f"k={self.z.shape[1]}, h={grid.h:g}): dgttrf info {info}")
-        self._az = tridiagonal_solve(self._lu, self.z)
+                f"k={self.z.shape[1]}, h={grid.h:g}): dgttrf info {self._lu.info}")
+        self._az = self._lu.solve(self.z)
         self._schur = self.z.T @ self._az
         sv = np.linalg.svd(self._schur, compute_uv=False)
         self._schur_cond = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else math.inf
@@ -197,7 +197,7 @@ class ProjectedSolver:
             raise ConditioningError(
                 f"Schur complement Z^T A^-1 Z ill-conditioned (cond "
                 f"{self._schur_cond:.2e}); kernel directions nearly dependent")
-        y = tridiagonal_solve(self._lu, rhs)
+        y = self._lu.solve(rhs)
         try:
             mu = np.linalg.solve(self._schur, self.z.T @ y)
         except np.linalg.LinAlgError as exc:
@@ -215,8 +215,7 @@ class ProjectedSolver:
 
     def solve(self, h_rhs: GridFunction) -> Tuple[GridFunction, np.ndarray]:
         vals, c = self.solve_values(h_rhs.values)
-        sigma = self.field.frame.sigma
-        return GridFunction(self.grid, vals, decay=(sigma, sigma)), c
+        return GridFunction(self.grid, vals), c
 
     def orthogonality_defect(self, phi_values: np.ndarray) -> float:
         w = self.grid.trapezoid_weights()
@@ -248,7 +247,6 @@ def solve_correction(xi, params: ModelParams,
     if grid is None:
         grid = grid_for_spikes(xi, default_sigma(params), config.h, PAD)
     tower = TowerField(xi, params, grid)
-    sigma = tower.frame.sigma
 
     if phi0 is None:
         phi = np.zeros(grid.n)
@@ -260,7 +258,7 @@ def solve_correction(xi, params: ModelParams,
     iterations = 0
 
     def state(converged: bool) -> ReductionState:
-        return ReductionState(GridFunction(grid, phi, decay=(sigma, sigma)), c,
+        return ReductionState(GridFunction(grid, phi), c,
                               tower.star_norm(phi), iterations, converged, solver,
                               solver.orthogonality_defect(phi), increments)
 
@@ -304,10 +302,8 @@ def reduced_energy(lambdas, params: ModelParams,
     else:
         xi = spike_locations(lambdas, params.epsilon, params)
     state = solve_correction(xi, params, config, grid=grid)
-    decay = min(1.0, state.frame.sigma)
-    v = GridFunction(state.phi.grid, state.field.ubar.values + state.phi.values,
-                     decay=(decay, decay))
-    return energy(v, params)
+    return energy(GridFunction(state.phi.grid, state.field.ubar.values + state.phi.values),
+                  params)
 
 
 def solve_reduced(params: ModelParams, constants: EnergyConstants,
@@ -320,14 +316,16 @@ def solve_reduced(params: ModelParams, constants: EnergyConstants,
     ds = -(dc/ds)^-1 c with dc/ds from the correction at s
     (ReductionState.multiplier_jacobian), halved until |c| falls.  Returns
     (Lambda_eps, state at Lambda_eps); failures raise ConvergenceError with
-    the last state.
+    the last state.  A UserWarning says when a solved spike ends nearer than
+    default_window(sigma) to an end of the grid, which stays at Lambda*.
     """
     lam = critical_scales(constants, params)
     # one fixed grid for the whole solve: the Jacobian differentiates in xi
     # with the nodes held still, and each correction starts from the
     # accepted iterate's phi on it
+    sigma = default_sigma(params)
     grid = grid_for_spikes(spike_locations(lam, params.epsilon, params),
-                           default_sigma(params), config.h, PAD)
+                           sigma, config.h, PAD)
 
     def correction(s, phi0=None):
         xi = spike_locations(np.exp(s), params.epsilon, params)
@@ -337,6 +335,10 @@ def solve_reduced(params: ModelParams, constants: EnergyConstants,
     state = correction(s)
     for _ in range(MAX_NEWTON):
         if np.max(np.abs(state.c)) < TOL_C:
+            margin = min(state.xi[0] - grid.x0, grid.x1 - state.xi[-1])
+            if margin < default_window(sigma):
+                warnings.warn(f"solved spikes lie {margin:.1f} from the grid end, inside "
+                              f"the window {default_window(sigma):g}", stacklevel=2)
             return np.exp(s), state
         step = -np.linalg.solve(state.multiplier_jacobian(), state.c)
         norm_c = np.linalg.norm(state.c)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -265,6 +266,43 @@ def test_verify_pipeline_outputs(tmp_path):
     assert payload["sup_rel_near_peak"] < 0.2
     shot_header = (tmp_path / "verify" / "shot.csv").read_text().splitlines()[0]
     assert shot_header == "r,u"
+
+
+@pytest.mark.parametrize("k,eps,h", [(2, "0.01", "0.02"), (3, "0.01", "0.03")])
+def test_benchmark_reduce_cases_raise_no_warning(k, eps, h, tmp_path):
+    # the tower benchmark's cases: their solved spikes stay inside the window
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["reduce", "--N", "3", "--q", "4", "--V", "const:-1", "--k", str(k),
+                        "--eps", eps, "--h", h, "--out", str(tmp_path)]) == 0
+
+
+def test_impossible_grid_is_refused_before_allocation(tmp_path):
+    # q = 3.0000001, just above p^s = 3, gives sigma = 1e-7, and the window
+    # 10/sigma asks for 1e10 nodes (74.5 GiB per array); the grid refuses
+    # them before numpy allocates
+    with pytest.raises(SystemExit, match="^reduction failed: grid of 1e\\+10 nodes"):
+        run_cli(["reduce", "--q", "3.0000001", "--eps", "1e-2", "--out", str(tmp_path)])
+    assert run_cli(["sweep", "--q", "3.0000001", "--eps-list", "1e-2,5e-3",
+                    "--out", str(tmp_path)]) == 1
+    errors = json.loads((tmp_path / "sweep" / "sweep.json").read_text())["errors"]
+    assert set(errors) == {"0.01", "0.005"}
+    assert all(e.startswith("ValueError: grid of 1e+10 nodes") for e in errors.values())
+
+
+def test_constants_overflow_exits_with_one_line(tmp_path):
+    # at N = 34 the a2 integrand overflows math.exp; the console run ends
+    # in the CLI's one-line message, not in a traceback
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "bubbletower.cli", "constants", "--N", "34",
+                           "--q", "1.2", "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        "energy constants failed: integrand overflowed: math range error"]
+    assert not (tmp_path / "constants").exists()
 
 
 @pytest.mark.parametrize("command", ["reduce", "verify"])

@@ -12,6 +12,7 @@ from bubbletower import (Grid, GridFunction, ModelParams, PotentialSpec,
                          profile_d2U, profile_dU, spike_locations, star_norm,
                          tower_ansatz, critical_scales)
 from bubbletower.errors import TruncationError
+from bubbletower.field import MAX_GRID_NODES
 from conftest import make_params
 
 A1_N3 = math.sqrt(3.0) * math.pi / 8.0
@@ -147,6 +148,12 @@ def test_two_tower_interaction_calibration():
     r8, r10 = _interaction_ratio(8.0), _interaction_ratio(10.0)
     assert 0.8 < r8 < 1.2
     assert abs(r10 - 1.0) < abs(r8 - 1.0)
+
+
+def test_grid_refuses_more_nodes_than_its_ceiling():
+    assert Grid(0.0, 1.0, MAX_GRID_NODES).n == MAX_GRID_NODES
+    with pytest.raises(ValueError, match="ceiling"):
+        Grid(0.0, 1.0, MAX_GRID_NODES + 1)
 
 
 def test_energy_truncation_check():

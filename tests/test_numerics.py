@@ -16,8 +16,7 @@ from bubbletower import (ModelParams, PotentialSpec, ProjectedSolver, ReductionC
                          TowerField, assemble_solution, cli, grid_for_spikes, numerics,
                          solve_reduced)
 from bubbletower.errors import BubbleTowerError, ConditioningError, LapackUnavailableError
-from bubbletower.numerics import (brentq, dop853, not_a_knot_spline, tridiagonal_lu,
-                                  tridiagonal_solve)
+from bubbletower.numerics import TridiagonalLU, brentq, dop853, not_a_knot_spline
 from bubbletower.verifier import MAX_STEPS, _default_r_max
 
 # the benchmark's verify cases (q = 4, k = 1): potential, eps and a height
@@ -183,16 +182,16 @@ def _bands(n, seed):
 @pytest.mark.parametrize("n", [4, 2640, 6601])
 def test_tridiagonal_binding_matches_scipy(n):
     lower, diagonal, upper = _bands(n, n)
-    lu, info = tridiagonal_lu(lower, diagonal, upper)
+    lu = TridiagonalLU(lower, diagonal, upper)
     *ref, ref_info = dgttrf(lower, diagonal, upper)
-    assert info == ref_info == 0
+    assert lu.info == ref_info == 0
     for ours, theirs in zip(lu.factors, ref):
         assert np.array_equal(ours, theirs)
     rng = np.random.default_rng(n + 1)
     # a vector, one column, and C-ordered columns as ProjectedSolver passes Z
     for rhs in (rng.normal(size=n), rng.normal(size=(n, 1)),
                 np.ascontiguousarray(rng.normal(size=(n, 3)))):
-        x = tridiagonal_solve(lu, rhs)
+        x = lu.solve(rhs)
         x_ref, solve_info = dgttrs(*ref, rhs)
         assert solve_info == 0
         assert x.shape == x_ref.shape and x.flags.f_contiguous
@@ -203,14 +202,14 @@ def test_tridiagonal_binding_keeps_its_inputs():
     bands = _bands(50, 3)
     rhs = np.random.default_rng(4).normal(size=(50, 2))
     copies = [a.copy() for a in (*bands, rhs)]
-    lu, _ = tridiagonal_lu(*bands)
-    tridiagonal_solve(lu, rhs)
+    lu = TridiagonalLU(*bands)
+    lu.solve(rhs)
     for before, after in zip(copies, (*bands, rhs)):
         assert np.array_equal(before, after)
     with pytest.raises(ValueError):
-        tridiagonal_lu(bands[0][:-1], bands[1], bands[2])
+        TridiagonalLU(bands[0][:-1], bands[1], bands[2])
     with pytest.raises(ValueError):
-        tridiagonal_solve(lu, rhs[:-1])
+        lu.solve(rhs[:-1])
 
 
 def test_singular_tridiagonal_systems_raise():
@@ -221,7 +220,7 @@ def test_singular_tridiagonal_systems_raise():
     neumann = np.full(grid.n, 2.0 * a)
     neumann[[0, -1]] = a
     off = np.full(grid.n - 1, -a)
-    info = tridiagonal_lu(off, neumann, off)[1]
+    info = TridiagonalLU(off, neumann, off).info
     assert info == dgttrf(off, neumann, off)[-1] == grid.n
     params = ModelParams.make(3, 4.0, 1e-2, k=1, potential=PotentialSpec.constant(-1.0))
     with pytest.raises(ConditioningError, match="dgttrf info"):
@@ -241,8 +240,8 @@ def test_threads_factor_and_solve_to_identical_bits():
     cases = [diagonal, diagonal + 0.5]
 
     def run(diag):
-        lu, _ = tridiagonal_lu(off, diag, off)
-        return tridiagonal_solve(lu, field.z), tridiagonal_solve(lu, field.ubar.values)
+        lu = TridiagonalLU(off, diag, off)
+        return lu.solve(field.z), lu.solve(field.ubar.values)
 
     serial = [run(d) for d in cases]
     results = [[] for _ in range(4)]
@@ -275,7 +274,7 @@ def test_missing_lapack_is_a_typed_error_and_only_the_solver_needs_it(tmp_path, 
     monkeypatch.setattr(numerics, "LAPACK_DIRS", (str(tmp_path),))
     monkeypatch.setattr(numerics, "_lapack_routines", None)
     with pytest.raises(LapackUnavailableError) as exc:
-        tridiagonal_lu(np.ones(3), np.full(4, 3.0), np.ones(3))
+        TridiagonalLU(np.ones(3), np.full(4, 3.0), np.ones(3))
     assert isinstance(exc.value, BubbleTowerError)
     for name in (str(tmp_path), "scipy_dgttrf_64_", "scipy_dgttrs_64_"):
         assert name in str(exc.value)

@@ -138,6 +138,14 @@ def test_non_finite_integrand_fails_at_once():
     assert calls[0] <= 14 + 2 * 21
 
 
+@pytest.mark.parametrize("n_dim,q", [(34, 1.2), (3, 50.0)])
+def test_energy_constant_overflow_is_a_quadrature_error(n_dim, q):
+    # math.exp overflows in the a2 integrand U^{p*} e^x at N = 34 and in
+    # the a5_hat integrand U^{q+1} e^{-|p*-q| x} at q = 50
+    with pytest.raises(QuadratureConvergenceError, match="integrand overflowed"):
+        energy_constants(n_dim, q)
+
+
 @pytest.mark.parametrize("n_dim", range(3, 11))
 def test_closed_form_special_functions_match_scipy(n_dim):
     from scipy.special import betaln, digamma

@@ -203,6 +203,27 @@ def test_towers_converge_across_exponent_gaps(n_dim, q, k, eps, h):
     assert np.max(np.abs(state.c)) < 1e-8
 
 
+@pytest.mark.parametrize("q", [3.2, 3.3])
+def test_reduced_energy_near_the_lower_end_of_the_window(q):
+    # sigma = 0.2 and 0.3 weigh the star norm; phi decays like the
+    # profile, so the potential term is integrable on the truncated grid
+    params, config = make_params(q=q, eps=1e-2, k=1), ReductionConfig(h=0.02)
+    lam, state = solve_reduced(params, energy_constants(3, q), config)
+    assert np.max(np.abs(state.c)) < 1e-10
+    assert math.isfinite(reduced_energy(lam, params, config))
+
+
+def test_solve_reduced_warns_once_when_solved_spikes_near_the_grid_end():
+    # at gap 0.03 the solved spikes sit about 10 units beyond the closed-form
+    # ones, and the grid stays at Lambda*: 21.2 of the 30-unit window is left
+    params = make_params(q=4.97, eps=1e-2, k=2)
+    with pytest.warns(UserWarning) as record:
+        _, state = solve_reduced(params, energy_constants(3, 4.97), ReductionConfig(h=0.03))
+    assert np.max(np.abs(state.c)) < 1e-10
+    assert [str(w.message) for w in record] == [
+        "solved spikes lie 21.2 from the grid end, inside the window 30"]
+
+
 def test_reduced_energy_tends_to_leading_term(c4):
     vals = []
     for eps in (1e-2, 3e-3, 1e-3):
