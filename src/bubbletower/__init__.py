@@ -28,9 +28,9 @@ from .reduced_model import (EnergyBreakdown, TowerConfig, critical_scales,
                             reduced_functional_hess_diag, spike_locations,
                             tower_amplitudes)
 from .field import (Grid, GridFunction, SpikeFrame, TowerField, ansatz_residual,
-                    default_sigma, default_window, energy, full_operator,
-                    grid_for_spikes, kernel_directions, linearized_matrix,
-                    nonlinear_remainder, star_norm, tower_ansatz)
+                    default_sigma, energy, full_operator, grid_for_spikes,
+                    kernel_directions, linearized_matrix, nonlinear_remainder,
+                    star_norm, tower_ansatz)
 from .reduction import (ProjectedSolver, RadialSolution, ReductionConfig,
                         ReductionState, assemble_solution, check_window,
                         reduced_energy, solve_correction, solve_reduced,

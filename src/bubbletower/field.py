@@ -2,11 +2,11 @@
 
 Functions live on a uniform grid over a truncated interval with zero values
 outside.  Spikes are translates of U ~ exp(-|x|) and phi decays at the same
-rate (sigma weighs the star norm; it is no decay rate), so truncation at
-max(30, 10/sigma) beyond the outer spikes keeps boundary effects far below
-discretization error.  Second derivatives use the 3-point stencil with zero
-ghost values; the energy's kinetic term uses the matching staggered first
-difference (see energy).
+unit rate for every N and q (sigma weighs the star norm; it sizes no grid),
+so truncation WINDOW = 30 beyond the outer spikes keeps boundary effects
+far below discretization error.  Second derivatives use the 3-point stencil
+with zero ghost values; the energy's kinetic term uses the matching
+staggered first difference (see energy).
 
 TowerField is the one evaluator of a spike set's profiles: Ubar =
 sum_i U(. - xi_i), the kernel directions, U''(. - xi_i) and the analytic
@@ -39,7 +39,6 @@ __all__ = [
     "GridFunction",
     "SpikeFrame",
     "default_sigma",
-    "default_window",
     "grid_for_spikes",
     "tower_ansatz",
     "star_norm",
@@ -54,6 +53,8 @@ __all__ = [
 
 
 MAX_GRID_NODES = 10_000_000     # 80 MB per float array on the grid
+# 30 units past a spike U and phi have fallen to e^-30 ~ 1e-13 of it
+WINDOW = 30.0
 
 
 @dataclass(frozen=True)
@@ -140,14 +141,10 @@ def default_sigma(params: ModelParams) -> float:
     return 0.5 * min(1.0, p_star - 1.0, 2.0 * params.q - p_star - 1.0)
 
 
-def default_window(sigma: float) -> float:
-    return max(30.0, 10.0 / sigma)
-
-
-def grid_for_spikes(xi, sigma: float, h: float = 0.02, pad: float = 0.0) -> Grid:
-    """Truncated domain [xi_1 - W - pad, xi_k + W + pad] with W = max(30, 10/sigma)."""
+def grid_for_spikes(xi, h: float = 0.02, pad: float = 0.0) -> Grid:
+    """Truncated domain [xi_1 - W - pad, xi_k + W + pad] with W = WINDOW."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    w = default_window(sigma) + pad
+    w = WINDOW + pad
     return Grid.from_span(float(xi[0]) - w, float(xi[-1]) + w, h)
 
 

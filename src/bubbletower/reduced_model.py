@@ -139,11 +139,14 @@ def critical_scales(constants: EnergyConstants, params: ModelParams) -> np.ndarr
 
     Lambda_1* = [-a3 k / (a_pot V_ref gap)]^{1/gap} and
     Lambda_i* = (k-i+1) a3/a2 for i >= 2.  Requires the regime's sign
-    condition on the potential.
+    condition on the potential; WindowViolationError if Lambda_1* overflows.
     """
     params.check_hypotheses()
     a_v, gap, tail = _psi_coefficients(constants, params)
-    lam1 = (-constants.a3 * params.k / (a_v * gap)) ** (1.0 / gap)
+    try:
+        lam1 = (-constants.a3 * params.k / (a_v * gap)) ** (1.0 / gap)
+    except OverflowError:
+        raise WindowViolationError(f"Lambda_1* overflows at exponent gap {gap:.3g}") from None
     return np.concatenate(([lam1], tail / constants.a2))
 
 

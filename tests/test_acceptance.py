@@ -83,7 +83,7 @@ def test_criterion_03_interaction_calibration():
         xi = np.array([20.0, 20.0 + gap])
 
         def e_two(h):
-            g = grid_for_spikes(xi, 0.5, h=h)
+            g = grid_for_spikes(xi, h=h)
             ub = tower_ansatz(xi, g, params)
             return energy(GridFunction(g, ub.values, decay=(1.0, 1.0)), params)
 
@@ -154,7 +154,7 @@ def test_criterion_06_energy_expansion(c4, c7):
             for eps in eps_list:
                 params = _params(q, eps, k)
                 xi = spike_locations(lam, eps, params)
-                grid = grid_for_spikes(xi, default_sigma(params), h=0.005)
+                grid = grid_for_spikes(xi, h=0.005)
                 ub = tower_ansatz(xi, grid, params)
                 e_num = energy(GridFunction(grid, ub.values, decay=(1.0, 1.0)),
                                params)
@@ -176,7 +176,7 @@ def test_criterion_07_linear_theory(c4):
         lam = critical_scales(c4, params)
         xi = spike_locations(lam, eps, params)
         sigma = default_sigma(params)
-        grid = grid_for_spikes(xi, sigma, h=0.02)
+        grid = grid_for_spikes(xi, h=0.02)
         frame = SpikeFrame(xi, sigma)
         solver = ProjectedSolver(xi, params, grid, frame)
         z1 = GridFunction(grid, kernel_directions(xi, params, grid)[:, 0])
@@ -205,7 +205,7 @@ def test_criterion_08_reduction_smallness(c4):
         lam = critical_scales(c4, params)
         xi = spike_locations(lam, eps, params)
         sigma = default_sigma(params)
-        grid = grid_for_spikes(xi, sigma, h=0.02)
+        grid = grid_for_spikes(xi, h=0.02)
         frame = SpikeFrame(xi, sigma)
         res_norms.append(star_norm(ansatz_residual(xi, params, grid), frame))
         state = solve_correction(xi, params, ReductionConfig(h=0.02), grid=grid)

@@ -22,6 +22,16 @@ def read_manifest(path: Path):
     return json.loads((path / "manifest.json").read_text())
 
 
+def run_console(args):
+    """The CLI in a fresh interpreter, as a console run: (exit code, stderr lines)."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "bubbletower.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+    return proc.returncode, proc.stderr.splitlines()
+
+
 def test_parse_potential_presets():
     c = parse_potential("const:-1.5")
     assert c.v0 == c.v_inf == -1.5
@@ -278,30 +288,42 @@ def test_benchmark_reduce_cases_raise_no_warning(k, eps, h, tmp_path):
 
 
 def test_impossible_grid_is_refused_before_allocation(tmp_path):
-    # q = 3.0000001, just above p^s = 3, gives sigma = 1e-7, and the window
-    # 10/sigma asks for 1e10 nodes (74.5 GiB per array); the grid refuses
-    # them before numpy allocates
-    with pytest.raises(SystemExit, match="^reduction failed: grid of 1e\\+10 nodes"):
-        run_cli(["reduce", "--q", "3.0000001", "--eps", "1e-2", "--out", str(tmp_path)])
-    assert run_cli(["sweep", "--q", "3.0000001", "--eps-list", "1e-2,5e-3",
+    # 66 units of line at h = 1e-6 ask for 6.6e7 nodes (500 MB per array);
+    # the grid refuses them before numpy allocates
+    tiny_h = ["--q", "4", "--h", "1e-6", "--out", str(tmp_path)]
+    with pytest.raises(SystemExit, match="^reduction failed: grid of 6.6e\\+07 nodes "
+                                         "above the ceiling"):
+        run_cli(["reduce", "--eps", "1e-2", *tiny_h])
+    assert run_cli(["sweep", "--eps-list", "1e-2,5e-3", *tiny_h]) == 1
+    errors = json.loads((tmp_path / "sweep" / "sweep.json").read_text())["errors"]
+    assert set(errors) == {"0.01", "0.005"}
+    assert all(e.startswith("ValueError: grid of 6.6e+07 nodes") for e in errors.values())
+    # sigma = 1e-7 just above p^s = 3 weighs only the star norm: the grid
+    # keeps its 66 units, where a window of 10/sigma asked for 1e10 nodes
+    assert run_cli(["reduce", "--q", "3.0000001", "--eps", "1e-2", "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "reduce" / "reduction.json").read_text())
+    assert payload["converged"] and payload["grid"]["n"] == 3301
+    assert payload["star_norm_phi"] == pytest.approx(0.00825, rel=1e-3)
+
+
+def test_overflowing_critical_scale_exits_with_one_line(tmp_path):
+    # at exponent gap 5e-3 Lambda_1* = (...)^(1/gap) overflows a float: the
+    # console run ends in one line, and a sweep records each point
+    assert run_console(["predict", "--q", "4.995", "--eps", "1e-2", "--out", str(tmp_path)]) \
+        == (1, ["prediction failed: Lambda_1* overflows at exponent gap 0.005"])
+    assert run_cli(["sweep", "--q", "4.995", "--eps-list", "1e-2,5e-3",
                     "--out", str(tmp_path)]) == 1
     errors = json.loads((tmp_path / "sweep" / "sweep.json").read_text())["errors"]
     assert set(errors) == {"0.01", "0.005"}
-    assert all(e.startswith("ValueError: grid of 1e+10 nodes") for e in errors.values())
+    assert all(e.startswith("WindowViolationError: Lambda_1* overflows")
+               for e in errors.values())
 
 
 def test_constants_overflow_exits_with_one_line(tmp_path):
     # at N = 34 the a2 integrand overflows math.exp; the console run ends
     # in the CLI's one-line message, not in a traceback
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "bubbletower.cli", "constants", "--N", "34",
-                           "--q", "1.2", "--out", str(tmp_path)],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 1
-    assert proc.stderr.splitlines() == [
-        "energy constants failed: integrand overflowed: math range error"]
+    assert run_console(["constants", "--N", "34", "--q", "1.2", "--out", str(tmp_path)]) \
+        == (1, ["energy constants failed: integrand overflowed: math range error"])
     assert not (tmp_path / "constants").exists()
 
 

@@ -49,7 +49,7 @@ def test_tower_ansatz_single_translate():
 def test_tower_ansatz_peaks_near_spikes():
     params = make_params(eps=0.0, v=0.0, k=3)
     xi = np.array([12.0, 24.5, 40.0])
-    g = grid_for_spikes(xi, 0.5, h=0.02)
+    g = grid_for_spikes(xi, h=0.02)
     ub = tower_ansatz(xi, g, params)
     v = ub.values
     peaks = g.x[1:-1][(v[1:-1] > v[:-2]) & (v[1:-1] >= v[2:])
@@ -61,7 +61,7 @@ def test_tower_ansatz_peaks_near_spikes():
 def test_tower_ansatz_value_dominated_by_tails():
     params = make_params(eps=0.0, v=0.0, k=3)
     xi = np.array([12.0, 24.0, 37.0])
-    g = grid_for_spikes(xi, 0.5, h=0.01)
+    g = grid_for_spikes(xi, h=0.01)
     ub = tower_ansatz(xi, g, params)
     at_first = ub.values[int(round((xi[0] - g.x0) / g.h))]
     tail_sum = sum(profile_U(xi[0] - s, 3) for s in xi[1:])
@@ -133,7 +133,7 @@ def _interaction_ratio(gap, h=0.005):
     xi = np.array([20.0, 20.0 + gap])
 
     def e_two(step):
-        g = grid_for_spikes(xi, 0.5, h=step)
+        g = grid_for_spikes(xi, h=step)
         ub = tower_ansatz(xi, g, params)
         return energy(GridFunction(g, ub.values, decay=(1.0, 1.0)), params)
 
@@ -177,7 +177,7 @@ def test_residual_matches_definition_with_analytic_curvature():
     params = make_params(eps=2e-2, k=2, v=-1.0)
     lam = np.array([0.8, 0.3])
     xi = spike_locations(lam, params.epsilon, params)
-    g = grid_for_spikes(xi, 0.5, h=0.05)
+    g = grid_for_spikes(xi, h=0.05)
     x = g.x
     ubar = sum(profile_U(x - s, 3) for s in xi)
     d2 = sum(profile_d2U(x - s, 3) for s in xi)
@@ -197,7 +197,7 @@ def test_residual_star_norm_decreases_with_eps(c4):
         lam = critical_scales(c4, params)
         xi = spike_locations(lam, eps, params)
         sigma = default_sigma(params)
-        g = grid_for_spikes(xi, sigma, h=0.02)
+        g = grid_for_spikes(xi, h=0.02)
         frame = SpikeFrame(xi, sigma)
         vals.append(star_norm(ansatz_residual(xi, params, g), frame))
     assert vals[1] < vals[0]
@@ -206,7 +206,7 @@ def test_residual_star_norm_decreases_with_eps(c4):
 def test_nonlinear_remainder_zero_at_zero():
     params = make_params(eps=1e-2, k=1)
     xi = spike_locations([1.0], params.epsilon, params)
-    g = grid_for_spikes(xi, 0.5, h=0.05)
+    g = grid_for_spikes(xi, h=0.05)
     n_phi = nonlinear_remainder(GridFunction(g, np.zeros(g.n)), xi, params)
     assert np.max(np.abs(n_phi.values)) == 0.0
 
@@ -215,7 +215,7 @@ def test_nonlinear_remainder_quadratic_scaling():
     params = make_params(eps=1e-2, k=1)
     xi = spike_locations([1.0], params.epsilon, params)
     sigma = default_sigma(params)
-    g = grid_for_spikes(xi, sigma, h=0.02)
+    g = grid_for_spikes(xi, h=0.02)
     frame = SpikeFrame(xi, sigma)
     phi0 = np.exp(-0.5 * (g.x - xi[0]) ** 2)
     norms = []
@@ -233,7 +233,7 @@ def test_nonlinear_remainder_bound_with_fitted_constant():
     lam = critical_scales_or_default(params)
     xi = spike_locations(lam, params.epsilon, params)
     sigma = default_sigma(params)
-    g = grid_for_spikes(xi, sigma, h=0.05)
+    g = grid_for_spikes(xi, h=0.05)
     frame = SpikeFrame(xi, sigma)
     rng = np.random.default_rng(11)
     p_star, q = params.p_star, params.q
@@ -278,8 +278,7 @@ def test_energy_first_variation_matches_operator():
     # (E(psi+t phi) - E(psi-t phi))/(2t) against the discrete pairing
     params = make_params(eps=1e-2, k=1, v=-1.0)
     xi = spike_locations([0.8], params.epsilon, params)
-    sigma = default_sigma(params)
-    g = grid_for_spikes(xi, sigma, h=0.02)
+    g = grid_for_spikes(xi, h=0.02)
     psi_vals = tower_ansatz(xi, g, params).values
     phi_vals = 0.3 / np.cosh(g.x - xi[0] + 1.0)
     t = 1e-6
@@ -294,7 +293,7 @@ def test_energy_first_variation_matches_operator():
 def test_full_operator_consistent_with_matrix():
     params = make_params(eps=1e-2, k=1, v=-1.0)
     xi = spike_locations([0.8], params.epsilon, params)
-    g = grid_for_spikes(xi, 0.5, h=0.05)
+    g = grid_for_spikes(xi, h=0.05)
     ub = tower_ansatz(xi, g, params)
     # full operator linearized at Ubar equals the sparse matrix action
     rng = np.random.default_rng(2)
@@ -312,10 +311,9 @@ def test_analytic_and_discrete_residuals_differ_by_h_squared(q, k, c4, c7):
     params = make_params(q=q, eps=1e-2, k=k)
     xi = spike_locations(critical_scales(c4 if q == 4.0 else c7, params),
                          params.epsilon, params)
-    sigma = default_sigma(params)
     sups = []
     for h in (0.02, 0.01, 0.005):
-        g = grid_for_spikes(xi, sigma, h=h, pad=3.0)
+        g = grid_for_spikes(xi, h=h, pad=3.0)
         diff = ansatz_residual(xi, params, g).values \
             - full_operator(tower_ansatz(xi, g, params), params).values
         sups.append(np.max(np.abs(diff)))
@@ -331,7 +329,7 @@ def test_tower_field_matches_per_spike_profiles(n_dim, k):
     # ordered sum of profile_U and the per-spike profile_dU/profile_d2U columns
     params = make_params(q=(n_dim + 2) / (n_dim - 2) + 1.0, k=k, n_dim=n_dim)
     xi = 2.0 + 7.0 * np.arange(k)
-    g = grid_for_spikes(xi, default_sigma(params), h=0.05)
+    g = grid_for_spikes(xi, h=0.05)
     tower = TowerField(xi, params, g)
     ubar = np.zeros(g.n)
     for s in xi:
@@ -357,7 +355,7 @@ def test_tower_field_against_direct_formulas():
     params = ModelParams.make(3, 4.0, 2e-2, k=2,
                               potential=PotentialSpec.rational(-2.0, 1.0))
     xi = spike_locations(np.array([0.8, 0.3]), params.epsilon, params)
-    g = grid_for_spikes(xi, 0.5, h=0.05)
+    g = grid_for_spikes(xi, h=0.05)
     tower = TowerField(xi, params, g, sigma=0.5)
     x, p, q, beta = g.x, params.p, 4.0, params.beta
     ubar = sum(profile_U(x - s, 3) for s in xi)

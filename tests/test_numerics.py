@@ -215,7 +215,7 @@ def test_tridiagonal_binding_keeps_its_inputs():
 def test_singular_tridiagonal_systems_raise():
     # the Neumann Laplacian: rows sum to zero, and the last pivot of the
     # elimination (no row swaps on ties) is exactly zero
-    grid = grid_for_spikes(np.array([5.0]), 0.5, h=0.05)
+    grid = grid_for_spikes(np.array([5.0]), h=0.05)
     a = 1.0 / (grid.h * grid.h)
     neumann = np.full(grid.n, 2.0 * a)
     neumann[[0, -1]] = a
@@ -235,7 +235,7 @@ def test_threads_factor_and_solve_to_identical_bits():
     # sweep factors and solves on two threads, and ctypes releases the GIL
     field = TowerField(np.array([5.0, 9.0]), ModelParams.make(
         3, 4.0, 1e-2, k=2, potential=PotentialSpec.constant(-1.0)),
-        grid_for_spikes(np.array([5.0, 9.0]), 0.5, h=0.01))
+        grid_for_spikes(np.array([5.0, 9.0]), h=0.01))
     off, diagonal = field.off_diagonal, field.newton_system(np.zeros(field.z.shape[0]))[1]
     cases = [diagonal, diagonal + 0.5]
 

@@ -22,7 +22,7 @@ def _setup(eps=1e-2, k=1, q=4.0, h=0.02, c=None):
     lam = critical_scales(constants, params)
     xi = spike_locations(lam, eps, params)
     sigma = default_sigma(params)
-    grid = grid_for_spikes(xi, sigma, h=h)
+    grid = grid_for_spikes(xi, h=h)
     frame = SpikeFrame(xi, sigma)
     return params, constants, lam, xi, grid, frame
 
@@ -83,7 +83,7 @@ def test_nearly_coincident_spikes_raise_conditioning_error():
     params = make_params(eps=1e-2, k=2)
     # Z_1 and Z_2 agree to O(1e-6): the Schur complement has cond ~ 1e14
     xi = np.array([5.0, 5.0 + 1e-6])
-    grid = grid_for_spikes(xi, default_sigma(params), h=0.05)
+    grid = grid_for_spikes(xi, h=0.05)
     solver = ProjectedSolver(xi, params, grid)
     rng = np.random.default_rng(2)
     with pytest.raises(ConditioningError, match="Schur complement"):
@@ -194,6 +194,8 @@ def _gap_case(q, k, eps, n_dim=3, h=0.03):
     # N = 7 and 8: the paper's towers exist for every N >= 3
     _gap_case(1.6, 2, 5e-2, n_dim=7, h=0.02), _gap_case(1.75, 3, 1e-2, n_dim=7),
     _gap_case(1.9, 3, 5e-2, n_dim=8),
+    # N = 10: max|Z| = 114, so the orthogonality bound scales with Z
+    _gap_case(1.3, 3, 1e-3, n_dim=10),
 ])
 def test_towers_converge_across_exponent_gaps(n_dim, q, k, eps, h):
     # gap = |q - p*| runs from 0.1 to 1.5; below 1 the first spike sits
@@ -201,6 +203,19 @@ def test_towers_converge_across_exponent_gaps(n_dim, q, k, eps, h):
     params = make_params(q=q, eps=eps, k=k, n_dim=n_dim)
     _, state = solve_reduced(params, energy_constants(n_dim, q), ReductionConfig(h=h))
     assert np.max(np.abs(state.c)) < 1e-8
+
+
+@pytest.mark.parametrize("n_dim,q,k,nodes,lam_wide", [
+    (3, 3.05, 1, 3301, [0.38872727990780054]),
+    (10, 1.3, 2, 3819, [10241786.069395207, 0.0041143433189713315]),
+])
+def test_grid_size_does_not_follow_sigma(n_dim, q, k, nodes, lam_wide):
+    # sigma = 0.05 in both; a window of 10/sigma = 200 took 20,302 and
+    # 20,819 nodes for the Lambda recorded here, which 30 units keep
+    params = make_params(q=q, eps=1e-2, k=k, n_dim=n_dim)
+    lam, state = solve_reduced(params, energy_constants(n_dim, q), ReductionConfig(h=0.02))
+    assert state.phi.grid.n == nodes
+    np.testing.assert_allclose(lam, lam_wide, rtol=1e-10, atol=0.0)
 
 
 @pytest.mark.parametrize("q", [3.2, 3.3])
@@ -301,7 +316,7 @@ def test_degenerate_saddle_raises_conditioning_error(c4):
     params = make_params(eps=1e-2, k=1)
     # spikes far outside the domain leave numerically vanishing kernel
     # columns: the bordered system is effectively singular
-    grid = grid_for_spikes(np.array([5.0]), 0.5, h=0.1)
+    grid = grid_for_spikes(np.array([5.0]), h=0.1)
     solver = ProjectedSolver(np.array([80.0]), params, grid)
     rng = np.random.default_rng(1)
     with pytest.raises(ConditioningError):
@@ -387,12 +402,12 @@ def test_flat_regime_reduced_energy_has_no_critical_point(c7):
     # condition fails and the potential term only grows with the scale)
     eps = 2e-2
     samples = np.array([0.4, 0.7, 1.0, 1.4, 2.0])
-    from bubbletower import grid_for_spikes, spike_locations, default_sigma
+    from bubbletower import grid_for_spikes, spike_locations
 
     def landscape(v):
         params = make_params(q=7.0, eps=eps, k=1, v=v)
         xi0 = spike_locations(np.array([1.0]), eps, params)
-        grid = grid_for_spikes(xi0, default_sigma(params), h=0.02, pad=4.0)
+        grid = grid_for_spikes(xi0, h=0.02, pad=4.0)
         return params, np.array([reduced_energy(np.array([lam]), params,
                                                 ReductionConfig(h=0.02), grid=grid)
                                  for lam in samples])
