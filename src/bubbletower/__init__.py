@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 from .errors import (AssemblyError, BubbleTowerError, ConditioningError,
                      ConvergenceError, HypothesisViolationError,
                      LapackUnavailableError, QuadratureConvergenceError,
-                     RegimeMismatchError, TruncationError, WindowViolationError)
+                     RegimeMismatchError, WindowViolationError)
 from .profiles import (ModelParams, PotentialSpec, Regime, bubble_w,
                        critical_exponents, ef_forward, ef_inverse, ef_r_of_x,
                        ef_x_of_r, model_constants, profile_U, profile_d2U,

@@ -367,7 +367,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     sp.set_defaults(func=cmd_sweep)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    import warnings
+    with warnings.catch_warnings():
+        # one line per warning, without the line of source that Python's
+        # default format appends
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}",
+                                                         file=sys.stderr)
+        return args.func(args)
 
 
 if __name__ == "__main__":

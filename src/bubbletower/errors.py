@@ -17,10 +17,6 @@ class WindowViolationError(BubbleTowerError):
     """Spike locations violate the admissible configuration window."""
 
 
-class TruncationError(BubbleTowerError):
-    """The truncated domain cannot represent an integrand for this regime."""
-
-
 class QuadratureConvergenceError(BubbleTowerError):
     """Line quadrature missed its tolerance (panels, roundoff, non-finite f).
 

@@ -4,9 +4,13 @@ Functions live on a uniform grid over a truncated interval with zero values
 outside.  Spikes are translates of U ~ exp(-|x|) and phi decays at the same
 unit rate for every N and q (sigma weighs the star norm; it sizes no grid),
 so truncation WINDOW = 30 beyond the outer spikes keeps boundary effects
-far below discretization error.  Second derivatives use the 3-point stencil
-with zero ghost values; the energy's kinetic term uses the matching
-staggered first difference (see energy).
+far below discretization error.  At that rate the energy's potential term
+omega w_pot |psi|^{q+1} decays like exp(-(1 + p*)|x|) at one end and
+exp(-(2q + 1 - p*)|x|) at the other, both faster than exp(-2|x|) for every
+q > N/(N-2) that ModelParams admits, so it needs no integrability check.
+Second derivatives use the 3-point stencil with zero ghost values; the
+energy's kinetic term uses the matching staggered first difference (see
+energy).
 
 TowerField is the one evaluator of a spike set's profiles: Ubar =
 sum_i U(. - xi_i), the kernel directions, U''(. - xi_i) and the analytic
@@ -24,11 +28,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
-from .errors import TruncationError
 from .profiles import ModelParams, profile_U
 
 if TYPE_CHECKING:
@@ -94,17 +97,10 @@ class Grid:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Samples on a Grid, optionally declaring end decay rates.
-
-    A caller may declare the rates of exponential decay toward the two
-    truncation ends; only the energy's integrability check reads them, and
-    it takes the profile's (1, 1) when none is declared.  The library's own
-    grid functions (Ubar, phi, Ubar + phi) declare none.
-    """
+    """Finite samples on a Grid, read-only."""
 
     grid: Grid
     values: np.ndarray
-    decay: Optional[Tuple[float, float]] = None
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -167,29 +163,15 @@ def _weights(x: np.ndarray, params: ModelParams) -> Tuple[np.ndarray, np.ndarray
     """The weight pair (w_nl, omega w_pot) of the two powers.
 
     w_nl = exp(+eps x) in both regimes, since p - p* = s eps (see
-    ModelParams.p); w_pot = exp(-(p*-q)x) sub-q, exp(+(p*-q)x) super-q, and
-    omega w_pot is identically zero when V = 0.
+    ModelParams.p); w_pot = exp(-gap x) with the positive exponent gap
+    (ModelParams.exponent_gap: p* - q sub-q, q - p* super-q), as in the
+    shooter's right-hand side, and omega w_pot is identically zero when V = 0.
     """
     w_nl = np.exp(params.epsilon * x)
     if params.potential.bound == 0.0:
         return w_nl, np.zeros_like(w_nl)
-    w_pot = np.exp(-params.ef_sign * (params.p_star - params.q) * x)
+    w_pot = np.exp(-params.exponent_gap * x)
     return w_nl, params.omega(x) * w_pot
-
-
-def _check_potential_truncation(psi: GridFunction, params: ModelParams):
-    """Declared decay must beat the growth of the potential weight at both ends."""
-    if params.potential.bound == 0.0:
-        return
-    decay = psi.decay if psi.decay is not None else (1.0, 1.0)
-    p_star = params.p_star
-    qp = params.ef_sign * (p_star - params.q)   # weight is exp(-qp * x)
-    net_left = (params.q + 1.0) * decay[0] - qp
-    net_right = (params.q + 1.0) * decay[1] + qp
-    if net_left <= 0.0 or net_right <= 0.0:
-        raise TruncationError(
-            f"potential term not integrable at truncation ends: net decay rates "
-            f"({net_left:g}, {net_right:g}) must both be positive")
 
 
 def energy(psi: GridFunction, params: ModelParams) -> float:
@@ -206,7 +188,6 @@ def energy(psi: GridFunction, params: ModelParams) -> float:
     multipliers vanish are critical points of the reduced energy.  Both
     choices are second-order accurate like centered differences.
     """
-    _check_potential_truncation(psi, params)
     h = psi.grid.h
     vals = psi.values
     # staggered first difference including the two boundary half-cells
@@ -281,11 +262,10 @@ class TowerField:
     spike set and reused by every Newton step of the correction, it also
     holds x, the weights w_nl and omega w_pot, the off-diagonal -1/h^2 of
     -d^2, (-d^2 + 1) Ubar and the weight sum_i exp(-sigma |x - xi_i|) of
-    the star norm (sigma defaults to default_sigma(params)).
+    the star norm, sigma = default_sigma(params), in ``frame``.
     """
 
-    def __init__(self, xi, params: ModelParams, grid: Grid,
-                 sigma: Optional[float] = None):
+    def __init__(self, xi, params: ModelParams, grid: Grid):
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
         if np.any(np.diff(xi) <= 0.0):
             raise ValueError("spike locations must be strictly increasing")
@@ -302,7 +282,7 @@ class TowerField:
         # BLAS products Z^T A^-1 Z and d2u^T phi
         self.z = np.ascontiguousarray((-u * th).T)
         self.d2u = np.ascontiguousarray((u * (th * th - (1.0 - th * th) / m)).T)
-        self.frame = SpikeFrame(xi, default_sigma(params) if sigma is None else sigma)
+        self.frame = SpikeFrame(xi, default_sigma(params))
         self.star_weight = self.frame.weight(self.x)
         self.w_nl, self.w_pot = _weights(self.x, params)
         self.off_diagonal = np.full(grid.n - 1, -1.0 / (grid.h * grid.h))

@@ -14,11 +14,14 @@ the factors of the correction's last step (multiplier_jacobian).
 A run is set by the grid spacing h alone (ReductionConfig); sigma,
 default_sigma(params), only weighs the star norm, and the window constants,
 tolerances and limits are the constants below and field.WINDOW.
+solve_reduced warns when a solved spike ends less than WINDOW / 2 from a
+grid end.
 
 Each correction builds one field.TowerField for its spike set and hands it
-to the ProjectedSolver of every Newton step (``solver.field``): the
-operator's off-diagonal, Z and every step's right-hand side, Jacobian
-diagonal and increment norm come from it.  The ReductionState carries the
+to the ProjectedSolver of every Newton step, ProjectedSolver(field,
+diagonal), which takes the grid, Z and the operator's off-diagonal from it
+(``solver.field``); every step's right-hand side, Jacobian diagonal and
+increment norm come from it too.  The ReductionState carries the
 last step's solver, so the multiplier Jacobian reads its factors and U''
 columns and the energy and the sweep metrics its Ubar and analytic
 residual; no profile is evaluated twice.
@@ -161,23 +164,16 @@ class ProjectedSolver:
     Solves refuse an S whose 2-norm condition number exceeds 1e12 (nearly
     dependent Z columns).
 
-    L = -d^2 + 1 - W has the field's off-diagonals -1/h^2 and the main
-    diagonal ``diagonal``: that of the Jacobian at Ubar + phi
-    (TowerField.newton_system), at phi = 0 by default, which is the
-    linearized operator A of field.linearized_matrix.  The field, kept as
-    ``field``, is built here unless given (its star-norm sigma is that of
-    ``frame``, default_sigma(params) when none is given).
+    L = -d^2 + 1 - W has the off-diagonals -1/h^2 of the tower field
+    ``field`` and the main diagonal ``diagonal``: that of the Jacobian at
+    Ubar + phi (TowerField.newton_system), at phi = 0 by default, which is
+    the linearized operator A of field.linearized_matrix.  Z and the grid
+    are the field's.
     """
 
-    def __init__(self, xi, params: ModelParams, grid: Grid,
-                 frame: Optional[SpikeFrame] = None, *,
-                 field: Optional[TowerField] = None,
-                 diagonal: Optional[np.ndarray] = None):
-        if field is None:
-            field = TowerField(xi, params, grid,
-                               None if frame is None else frame.sigma)
+    def __init__(self, field: TowerField, diagonal: Optional[np.ndarray] = None):
         self.field = field
-        self.grid = grid
+        self.grid = grid = field.grid
         self.z = field.z
         if diagonal is None:
             diagonal = field.newton_system(np.zeros(grid.n))[1]
@@ -268,7 +264,7 @@ def solve_correction(xi, params: ModelParams,
         # the iteration lands on an exact discrete solution and c_i are the
         # multipliers that the outer Newton drives to zero
         rhs, diagonal = tower.newton_system(phi)
-        solver = ProjectedSolver(xi, params, grid, field=tower, diagonal=diagonal)
+        solver = ProjectedSolver(tower, diagonal)
         new_vals, c = solver.solve_values(rhs)
         inc = tower.star_norm(new_vals - phi)
         phi = new_vals
@@ -320,7 +316,8 @@ def solve_reduced(params: ModelParams, constants: EnergyConstants,
     (ReductionState.multiplier_jacobian), halved until |c| falls.  Returns
     (Lambda_eps, state at Lambda_eps); failures raise ConvergenceError with
     the last state.  The grid reaches WINDOW + PAD past the spikes at
-    Lambda*; a UserWarning says when solved spikes drift more than PAD.
+    Lambda*; a UserWarning names the margin when a solved spike ends less
+    than WINDOW / 2 from a grid end, where Lambda starts to feel the end.
     """
     lam = critical_scales(constants, params)
     # one fixed grid for the whole solve: the Jacobian differentiates in xi
@@ -336,10 +333,13 @@ def solve_reduced(params: ModelParams, constants: EnergyConstants,
     state = correction(s)
     for _ in range(MAX_NEWTON):
         if np.max(np.abs(state.c)) < TOL_C:
+            # Lambda feels the grid end only well inside the window: widening
+            # PAD to 30 moved it by at most 3e-11 relative where 17.8-21.6
+            # units were left, and by 1e-6 where 11.9 were (N = 3, q = 4.98)
             margin = min(state.xi[0] - grid.x0, grid.x1 - state.xi[-1])
-            if margin < WINDOW:
-                warnings.warn(f"solved spikes lie {margin:.1f} from the grid end, inside "
-                              f"the window {WINDOW:g}", stacklevel=2)
+            if margin < WINDOW / 2:
+                warnings.warn(f"solved spikes lie {margin:.1f} from the grid end, "
+                              f"less than half the window {WINDOW:g}", stacklevel=2)
             return np.exp(s), state
         step = -np.linalg.solve(state.multiplier_jacobian(), state.c)
         norm_c = np.linalg.norm(state.c)

@@ -14,7 +14,7 @@ from scipy.optimize import minimize
 
 from bubbletower import (Classification, GridFunction, ModelParams,
                          PotentialSpec, ProjectedSolver, ReductionConfig,
-                         Regime, SpikeFrame, ansatz_residual,
+                         Regime, SpikeFrame, TowerField, ansatz_residual,
                          assemble_solution, compare, critical_exponents,
                          critical_scales, default_sigma, energy,
                          energy_constants, energy_expansion, find_tower,
@@ -85,7 +85,7 @@ def test_criterion_03_interaction_calibration():
         def e_two(h):
             g = grid_for_spikes(xi, h=h)
             ub = tower_ansatz(xi, g, params)
-            return energy(GridFunction(g, ub.values, decay=(1.0, 1.0)), params)
+            return energy(GridFunction(g, ub.values), params)
 
         e_extrap = (4.0 * e_two(0.0025) - e_two(0.005)) / 3.0
         return (2.0 * a1 - e_extrap) / (a2 * math.exp(-gap))
@@ -156,8 +156,7 @@ def test_criterion_06_energy_expansion(c4, c7):
                 xi = spike_locations(lam, eps, params)
                 grid = grid_for_spikes(xi, h=0.005)
                 ub = tower_ansatz(xi, grid, params)
-                e_num = energy(GridFunction(grid, ub.values, decay=(1.0, 1.0)),
-                               params)
+                e_num = energy(GridFunction(grid, ub.values), params)
                 pred = energy_expansion(lam, eps, constants, params).total
                 ratios.append(abs(e_num - pred) / eps)
             decreasing = all(b < a for a, b in zip(ratios, ratios[1:]))
@@ -178,7 +177,7 @@ def test_criterion_07_linear_theory(c4):
         sigma = default_sigma(params)
         grid = grid_for_spikes(xi, h=0.02)
         frame = SpikeFrame(xi, sigma)
-        solver = ProjectedSolver(xi, params, grid, frame)
+        solver = ProjectedSolver(TowerField(xi, params, grid))
         z1 = GridFunction(grid, kernel_directions(xi, params, grid)[:, 0])
         phi, _ = solver.solve(z1)
         worst_orth = max(worst_orth, solver.orthogonality_defect(phi.values))

@@ -22,10 +22,10 @@ def read_manifest(path: Path):
     return json.loads((path / "manifest.json").read_text())
 
 
-def run_console(args):
+def run_console(args, **env_vars):
     """The CLI in a fresh interpreter, as a console run: (exit code, stderr lines)."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    env = {**os.environ, **env_vars, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "bubbletower.cli", *args],
                           capture_output=True, text=True, env=env, timeout=120)
@@ -325,6 +325,18 @@ def test_constants_overflow_exits_with_one_line(tmp_path):
     assert run_console(["constants", "--N", "34", "--q", "1.2", "--out", str(tmp_path)]) \
         == (1, ["energy constants failed: integrand overflowed: math range error"])
     assert not (tmp_path / "constants").exists()
+
+
+def test_grid_end_warning_reaches_the_console_as_one_line(tmp_path):
+    # 11.9 of the 30-unit window is left past the solved spikes; the console
+    # shows the warning alone, not followed by a line of the package's
+    # source, and with UserWarnings as errors the run fails
+    args = ["reduce", "--q", "4.98", "--k", "2", "--eps", "1e-2", "--h", "0.03",
+            "--out", str(tmp_path)]
+    assert run_console(args) == (0, [
+        "warning: solved spikes lie 11.9 from the grid end, less than half the window 30"])
+    code, lines = run_console(args, PYTHONWARNINGS="error::UserWarning")
+    assert code == 1 and lines[-1].startswith("UserWarning: solved spikes lie 11.9")
 
 
 @pytest.mark.parametrize("command", ["reduce", "verify"])

@@ -11,7 +11,6 @@ from bubbletower import (Grid, GridFunction, ModelParams, PotentialSpec,
                          linearized_matrix, nonlinear_remainder, profile_U,
                          profile_d2U, profile_dU, spike_locations, star_norm,
                          tower_ansatz, critical_scales)
-from bubbletower.errors import TruncationError
 from bubbletower.field import MAX_GRID_NODES
 from conftest import make_params
 
@@ -107,13 +106,13 @@ def test_star_norm_dominance_bounds():
 def test_energy_zero_function():
     params = make_params(eps=1e-2, k=1)
     g = Grid.from_span(-30.0, 30.0, 0.02)
-    assert energy(GridFunction(g, np.zeros(g.n), decay=(1.0, 1.0)), params) == 0.0
+    assert energy(GridFunction(g, np.zeros(g.n)), params) == 0.0
 
 
 def test_energy_of_profile_is_a1():
     params = make_params(eps=0.0, v=0.0)
     g = Grid.from_span(-35.0, 35.0, 0.02)
-    e_h = energy(GridFunction(g, profile_U(g.x, 3), decay=(1.0, 1.0)), params)
+    e_h = energy(GridFunction(g, profile_U(g.x, 3)), params)
     assert abs(e_h - A1_N3) < 5e-5
 
 
@@ -122,7 +121,7 @@ def test_energy_discretization_second_order():
     errs = []
     for h in (0.04, 0.02, 0.01):
         g = Grid.from_span(-35.0, 35.0, h)
-        e_h = energy(GridFunction(g, profile_U(g.x, 3), decay=(1.0, 1.0)), params)
+        e_h = energy(GridFunction(g, profile_U(g.x, 3)), params)
         errs.append(abs(e_h - A1_N3))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.2)
@@ -135,7 +134,7 @@ def _interaction_ratio(gap, h=0.005):
     def e_two(step):
         g = grid_for_spikes(xi, h=step)
         ub = tower_ansatz(xi, g, params)
-        return energy(GridFunction(g, ub.values, decay=(1.0, 1.0)), params)
+        return energy(GridFunction(g, ub.values), params)
 
     # Richardson in h: the gap-10 signal is ~1e-4, well below the plain
     # second-order quadrature bias at practical spacings
@@ -154,14 +153,6 @@ def test_grid_refuses_more_nodes_than_its_ceiling():
     assert Grid(0.0, 1.0, MAX_GRID_NODES).n == MAX_GRID_NODES
     with pytest.raises(ValueError, match="ceiling"):
         Grid(0.0, 1.0, MAX_GRID_NODES + 1)
-
-
-def test_energy_truncation_check():
-    params = make_params(eps=1e-2, k=1, v=-1.0)
-    g = Grid.from_span(-30.0, 30.0, 0.02)
-    weak = GridFunction(g, profile_U(g.x, 3), decay=(0.1, 0.1))
-    with pytest.raises(TruncationError):
-        energy(weak, params)
 
 
 def test_residual_vanishes_for_exact_profile():
@@ -282,10 +273,10 @@ def test_energy_first_variation_matches_operator():
     psi_vals = tower_ansatz(xi, g, params).values
     phi_vals = 0.3 / np.cosh(g.x - xi[0] + 1.0)
     t = 1e-6
-    up = GridFunction(g, psi_vals + t * phi_vals, decay=(1.0, 1.0))
-    dn = GridFunction(g, psi_vals - t * phi_vals, decay=(1.0, 1.0))
+    up = GridFunction(g, psi_vals + t * phi_vals)
+    dn = GridFunction(g, psi_vals - t * phi_vals)
     directional = (energy(up, params) - energy(dn, params)) / (2.0 * t)
-    psi = GridFunction(g, psi_vals, decay=(1.0, 1.0))
+    psi = GridFunction(g, psi_vals)
     pairing = g.h * float(np.sum(full_operator(psi, params).values * phi_vals))
     assert directional == pytest.approx(pairing, rel=1e-7)
 
@@ -351,28 +342,30 @@ def test_tower_field_rejects_non_increasing_spikes(xi):
 def test_tower_field_against_direct_formulas():
     # rational V: the remainder N(phi) and the Newton system J(phi) phi - F(phi),
     # diag J(phi) of one spike set, against the formulas written out with an
-    # x-dependent omega
-    params = ModelParams.make(3, 4.0, 2e-2, k=2,
-                              potential=PotentialSpec.rational(-2.0, 1.0))
-    xi = spike_locations(np.array([0.8, 0.3]), params.epsilon, params)
-    g = grid_for_spikes(xi, h=0.05)
-    tower = TowerField(xi, params, g, sigma=0.5)
-    x, p, q, beta = g.x, params.p, 4.0, params.beta
-    ubar = sum(profile_U(x - s, 3) for s in xi)
-    w_nl = np.exp(params.epsilon * x)
-    w_pot = params.omega(x) * np.exp(-(params.p_star - q) * x)
-    phi = 0.05 * np.sin(x) * SpikeFrame(xi, 0.5).weight(x)
-    b = np.maximum(ubar + phi, 0.0)
-    remainder = beta * (w_nl * (b ** p - ubar ** p - p * ubar ** (p - 1.0) * phi)
-                        - w_pot * (b ** q - ubar ** q - q * ubar ** (q - 1.0) * phi))
-    w_b = beta * (p * w_nl * b ** (p - 1.0) - q * w_pot * b ** (q - 1.0))
-    lap = np.concatenate(([0.0], ubar, [0.0]))
-    lin_ubar = -(lap[2:] - 2.0 * ubar + lap[:-2]) / g.h ** 2 + ubar
-    newton_rhs = beta * (w_nl * b ** p - w_pot * b ** q) - w_b * phi - lin_ubar
-    rhs, diagonal = tower.newton_system(phi)
-    for cached, direct in (
-            (nonlinear_remainder(GridFunction(g, phi), xi, params).values, remainder),
-            (rhs, newton_rhs),
-            (diagonal, 2.0 / g.h ** 2 + 1.0 - w_b)):
-        assert np.max(np.abs(cached - direct)) < 1e-12 * np.max(np.abs(direct))
-    assert tower.star_norm(phi) == star_norm(GridFunction(g, phi), SpikeFrame(xi, 0.5))
+    # x-dependent omega, in both regimes: the potential weight is
+    # exp(-|p* - q| x) for the concentrating q = 4 and the flat q = 7
+    for q in (4.0, 7.0):
+        params = ModelParams.make(3, q, 2e-2, k=2,
+                                  potential=PotentialSpec.rational(-2.0, 1.0))
+        xi = spike_locations(np.array([0.8, 0.3]), params.epsilon, params)
+        g = grid_for_spikes(xi, h=0.05)
+        tower = TowerField(xi, params, g)
+        x, p, beta = g.x, params.p, params.beta
+        ubar = sum(profile_U(x - s, 3) for s in xi)
+        w_nl = np.exp(params.epsilon * x)
+        w_pot = params.omega(x) * np.exp(-abs(params.p_star - q) * x)
+        phi = 0.05 * np.sin(x) * SpikeFrame(xi, 0.5).weight(x)
+        b = np.maximum(ubar + phi, 0.0)
+        remainder = beta * (w_nl * (b ** p - ubar ** p - p * ubar ** (p - 1.0) * phi)
+                            - w_pot * (b ** q - ubar ** q - q * ubar ** (q - 1.0) * phi))
+        w_b = beta * (p * w_nl * b ** (p - 1.0) - q * w_pot * b ** (q - 1.0))
+        lap = np.concatenate(([0.0], ubar, [0.0]))
+        lin_ubar = -(lap[2:] - 2.0 * ubar + lap[:-2]) / g.h ** 2 + ubar
+        newton_rhs = beta * (w_nl * b ** p - w_pot * b ** q) - w_b * phi - lin_ubar
+        rhs, diagonal = tower.newton_system(phi)
+        for cached, direct in (
+                (nonlinear_remainder(GridFunction(g, phi), xi, params).values, remainder),
+                (rhs, newton_rhs),
+                (diagonal, 2.0 / g.h ** 2 + 1.0 - w_b)):
+            assert np.max(np.abs(cached - direct)) < 1e-12 * np.max(np.abs(direct))
+        assert tower.star_norm(phi) == star_norm(GridFunction(g, phi), SpikeFrame(xi, 0.5))

@@ -224,7 +224,7 @@ def test_singular_tridiagonal_systems_raise():
     assert info == dgttrf(off, neumann, off)[-1] == grid.n
     params = ModelParams.make(3, 4.0, 1e-2, k=1, potential=PotentialSpec.constant(-1.0))
     with pytest.raises(ConditioningError, match="dgttrf info"):
-        ProjectedSolver(np.array([5.0]), params, grid, diagonal=neumann)
+        ProjectedSolver(TowerField(np.array([5.0]), params, grid), neumann)
     # a repeated knot leaves the spline system's first column zero
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(np.linalg.LinAlgError, match="dgttrf info 1"):

@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
 from bubbletower import (GridFunction,
-                         ProjectedSolver, ReductionConfig, SpikeFrame,
+                         ProjectedSolver, ReductionConfig, SpikeFrame, TowerField,
                          assemble_solution, check_window, critical_scales,
                          default_sigma, energy_constants, full_operator,
                          grid_for_spikes, kernel_directions, linearized_matrix,
@@ -30,14 +31,14 @@ def _setup(eps=1e-2, k=1, q=4.0, h=0.02, c=None):
 def test_projected_solve_orthogonality(c4):
     params, _, _, xi, grid, frame = _setup(c=c4)
     z1 = GridFunction(grid, kernel_directions(xi, params, grid)[:, 0])
-    solver = ProjectedSolver(xi, params, grid, frame)
+    solver = ProjectedSolver(TowerField(xi, params, grid))
     phi, c = solver.solve(z1)
     assert solver.orthogonality_defect(phi.values) < 1e-10
 
 
 def test_projected_solve_zero_rhs(c4):
     params, _, _, xi, grid, frame = _setup(c=c4)
-    phi, c = ProjectedSolver(xi, params, grid, frame).solve(
+    phi, c = ProjectedSolver(TowerField(xi, params, grid)).solve(
         GridFunction(grid, np.zeros(grid.n)))
     assert np.max(np.abs(phi.values)) == 0.0
     assert np.max(np.abs(c)) == 0.0
@@ -45,7 +46,7 @@ def test_projected_solve_zero_rhs(c4):
 
 def test_saddle_symmetry_and_multiplier_routes(c4):
     params, _, _, xi, grid, frame = _setup(k=2, eps=1e-2, c=c4, h=0.05)
-    solver = ProjectedSolver(xi, params, grid, frame)
+    solver = ProjectedSolver(TowerField(xi, params, grid))
     rng = np.random.default_rng(4)
     h_vals = rng.normal(size=grid.n) * frame.weight(grid.x)
     phi_vals, c_full = solver.solve_values(h_vals)
@@ -64,7 +65,7 @@ def test_bordered_solve_matches_saddle_lu(c4):
     for k in (1, 2, 3):
         for eps in (5e-2, 1e-2, 1e-3):
             params, _, _, xi, grid, frame = _setup(k=k, eps=eps, c=c4, h=0.05)
-            solver = ProjectedSolver(xi, params, grid, frame)
+            solver = ProjectedSolver(TowerField(xi, params, grid))
             z = kernel_directions(xi, params, grid)
             saddle = sp.bmat([[linearized_matrix(xi, params, grid), sp.csc_matrix(z)],
                               [sp.csc_matrix(z.T), None]], format="csc")
@@ -84,7 +85,7 @@ def test_nearly_coincident_spikes_raise_conditioning_error():
     # Z_1 and Z_2 agree to O(1e-6): the Schur complement has cond ~ 1e14
     xi = np.array([5.0, 5.0 + 1e-6])
     grid = grid_for_spikes(xi, h=0.05)
-    solver = ProjectedSolver(xi, params, grid)
+    solver = ProjectedSolver(TowerField(xi, params, grid))
     rng = np.random.default_rng(2)
     with pytest.raises(ConditioningError, match="Schur complement"):
         solver.solve_values(rng.normal(size=grid.n))
@@ -94,7 +95,7 @@ def test_operator_norm_probe_uniform_in_eps(c4):
     sups = []
     for eps in (1e-2, 1e-3):
         params, _, _, xi, grid, frame = _setup(eps=eps, k=2, c=c4)
-        solver = ProjectedSolver(xi, params, grid, frame)
+        solver = ProjectedSolver(TowerField(xi, params, grid))
         worst = 0.0
         for h_fn in probe_functions(grid, frame, 20, seed=123):
             phi, _ = solver.solve(h_fn)
@@ -154,10 +155,10 @@ def test_solver_sensitivity_in_spike_positions(c4):
     # difference quotients of T(h) in xi stay bounded as the step shrinks
     params, _, _, xi, grid, frame = _setup(eps=1e-2, k=1, c=c4)
     h_fn = probe_functions(grid, frame, 1, seed=9)[0]
-    base = ProjectedSolver(xi, params, grid, frame).solve(h_fn)[0]
+    base = ProjectedSolver(TowerField(xi, params, grid)).solve(h_fn)[0]
     sens = []
     for delta in (1e-3, 1e-4):
-        shifted = ProjectedSolver(xi + delta, params, grid, frame).solve(h_fn)[0]
+        shifted = ProjectedSolver(TowerField(xi + delta, params, grid)).solve(h_fn)[0]
         diff = GridFunction(grid, (shifted.values - base.values) / delta)
         sens.append(star_norm(diff, frame))
     assert 0.5 < sens[0] / sens[1] < 2.0
@@ -229,14 +230,20 @@ def test_reduced_energy_near_the_lower_end_of_the_window(q):
 
 
 def test_solve_reduced_warns_once_when_solved_spikes_near_the_grid_end():
-    # at gap 0.03 the solved spikes sit about 10 units beyond the closed-form
-    # ones, and the grid stays at Lambda*: 21.2 of the 30-unit window is left
-    params = make_params(q=4.97, eps=1e-2, k=2)
+    # the grid stays at Lambda*, and at gap 0.02 the outer solved spike sits
+    # 21.1 units beyond the closed-form one: 11.9 of the 30-unit window is
+    # left, and a wider pad moves Lambda by 1e-6 relative
+    params = make_params(q=4.98, eps=1e-2, k=2)
     with pytest.warns(UserWarning) as record:
-        _, state = solve_reduced(params, energy_constants(3, 4.97), ReductionConfig(h=0.03))
+        _, state = solve_reduced(params, energy_constants(3, 4.98), ReductionConfig(h=0.03))
     assert np.max(np.abs(state.c)) < 1e-10
     assert [str(w.message) for w in record] == [
-        "solved spikes lie 21.2 from the grid end, inside the window 30"]
+        "solved spikes lie 11.9 from the grid end, less than half the window 30"]
+    # at gap 0.03, 21.2 units are left, and a wider pad moves Lambda by 1e-11
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solve_reduced(make_params(q=4.97, eps=1e-2, k=2), energy_constants(3, 4.97),
+                      ReductionConfig(h=0.03))
 
 
 def test_reduced_energy_tends_to_leading_term(c4):
@@ -257,7 +264,7 @@ def test_reduced_energy_close_to_tower_energy(c4):
         params, _, lam, xi, grid, frame = _setup(eps=eps, k=1, c=c4)
         e_corr = reduced_energy(lam, params, ReductionConfig(h=0.02), grid=grid)
         ub = tower_ansatz(xi, grid, params)
-        e_tower = energy(GridFunction(grid, ub.values, decay=(1.0, 1.0)), params)
+        e_tower = energy(GridFunction(grid, ub.values), params)
         ratios.append(abs(e_corr - e_tower) / eps)
     assert ratios[1] < ratios[0]
 
@@ -317,7 +324,7 @@ def test_degenerate_saddle_raises_conditioning_error(c4):
     # spikes far outside the domain leave numerically vanishing kernel
     # columns: the bordered system is effectively singular
     grid = grid_for_spikes(np.array([5.0]), h=0.1)
-    solver = ProjectedSolver(np.array([80.0]), params, grid)
+    solver = ProjectedSolver(TowerField(np.array([80.0]), params, grid))
     rng = np.random.default_rng(1)
     with pytest.raises(ConditioningError):
         solver.solve_values(rng.normal(size=grid.n))
