@@ -79,7 +79,9 @@ def _solve_reduced(args):
     params, C = build_params(args), _energy_constants(args)
     try:
         return (params, C, *solve_reduced(params, C, ReductionConfig(h=args.h)))
-    except (BubbleTowerError, ValueError) as exc:    # ValueError: too few grid nodes
+    # ValueError: too few grid nodes; Warning: one that the warning filters
+    # turn into an error, such as solved spikes near a grid end
+    except (BubbleTowerError, ValueError, Warning) as exc:
         raise SystemExit(f"reduction failed: {exc}")
 
 
@@ -181,7 +183,7 @@ def cmd_reduce(args) -> int:
         "converged": state.converged,
         "orth_defect": state.orth_defect,
         "grid": {"x0": grid.x0, "h": grid.h, "n": grid.n},
-        "sigma": state.frame.sigma,
+        "sigma": state.field.frame.sigma,
         "eps": params.epsilon,
     }
     _write_artifacts(args, {"reduction.json": summary},
@@ -196,8 +198,7 @@ def cmd_verify(args) -> int:
     try:
         solution = assemble_solution(state, params)
         # the shooting finds its own height; the solved tower only seeds the scan
-        solved = TowerConfig(lam_eps, state.xi, tower_amplitudes(lam_eps, C, params),
-                             params.regime)
+        solved = TowerConfig(lam_eps, state.xi, tower_amplitudes(lam_eps, C, params))
         found = find_tower(params, solved)
     except BubbleTowerError as exc:
         raise SystemExit(f"verification failed: {exc}")

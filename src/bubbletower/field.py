@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
-from .profiles import ModelParams, profile_U
+from .profiles import _EXP_CLIP, ModelParams, profile_U
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -97,13 +97,13 @@ class Grid:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Finite samples on a Grid, read-only."""
+    """Finite samples on a Grid, read-only; a copy of the caller's values."""
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = np.array(self.values, dtype=float)
         if vals.shape != (self.grid.n,):
             raise ValueError("values shape does not match grid")
         if not np.all(np.isfinite(vals)):
@@ -114,13 +114,13 @@ class GridFunction:
 
 @dataclass(frozen=True)
 class SpikeFrame:
-    """Spike set and the weight exponent sigma of the weighted sup norm."""
+    """Spike set, copied read-only, and the exponent sigma of the weighted sup norm."""
 
     xi: np.ndarray
     sigma: float
 
     def __post_init__(self):
-        xi = np.asarray(self.xi, dtype=float)
+        xi = np.array(self.xi, dtype=float)
         xi.setflags(write=False)
         object.__setattr__(self, "xi", xi)
         if self.sigma <= 0.0:
@@ -163,15 +163,12 @@ def _weights(x: np.ndarray, params: ModelParams) -> Tuple[np.ndarray, np.ndarray
     """The weight pair (w_nl, omega w_pot) of the two powers.
 
     w_nl = exp(+eps x) in both regimes, since p - p* = s eps (see
-    ModelParams.p); w_pot = exp(-gap x) with the positive exponent gap
-    (ModelParams.exponent_gap: p* - q sub-q, q - p* super-q), as in the
-    shooter's right-hand side, and omega w_pot is identically zero when V = 0.
+    ModelParams.p); w_pot = exp(-gap x), gap = ModelParams.exponent_gap > 0,
+    its exponent clipped at _EXP_CLIP as in the shooter (from N = 3, q = 27
+    on it passes 709 at the grid's left end), so omega w_pot = 0 at V = 0.
     """
-    w_nl = np.exp(params.epsilon * x)
-    if params.potential.bound == 0.0:
-        return w_nl, np.zeros_like(w_nl)
-    w_pot = np.exp(-params.exponent_gap * x)
-    return w_nl, params.omega(x) * w_pot
+    w_pot = np.exp(np.minimum(-params.exponent_gap * x, _EXP_CLIP))
+    return np.exp(params.epsilon * x), params.omega(x) * w_pot
 
 
 def energy(psi: GridFunction, params: ModelParams) -> float:
@@ -266,10 +263,11 @@ class TowerField:
     """
 
     def __init__(self, xi, params: ModelParams, grid: Grid):
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
+        self.frame = SpikeFrame(np.atleast_1d(xi), default_sigma(params))
+        xi = self.xi = self.frame.xi
         if np.any(np.diff(xi) <= 0.0):
             raise ValueError("spike locations must be strictly increasing")
-        self.params, self.grid, self.x, self.xi = params, grid, grid.x, xi
+        self.params, self.grid, self.x = params, grid, grid.x
         m = (params.n_dim - 2) / 2.0
         shifted = self.x - xi[:, None]
         u = self._rows = profile_U(shifted, params.n_dim)
@@ -282,7 +280,6 @@ class TowerField:
         # BLAS products Z^T A^-1 Z and d2u^T phi
         self.z = np.ascontiguousarray((-u * th).T)
         self.d2u = np.ascontiguousarray((u * (th * th - (1.0 - th * th) / m)).T)
-        self.frame = SpikeFrame(xi, default_sigma(params))
         self.star_weight = self.frame.weight(self.x)
         self.w_nl, self.w_pot = _weights(self.x, params)
         self.off_diagonal = np.full(grid.n - 1, -1.0 / (grid.h * grid.h))

@@ -78,18 +78,17 @@ class PotentialSpec:
     slope: Callable[[float], float]
     v0: float
     v_inf: float
-    bound: float
     label: str = "custom"
 
     def __post_init__(self):
-        if not np.all(np.isfinite([self.v0, self.v_inf, self.bound])):
+        if not np.all(np.isfinite([self.v0, self.v_inf])):
             raise ValueError(f"potential values must be finite, got {self.label}")
 
     @staticmethod
     def constant(c: float) -> "PotentialSpec":
         return PotentialSpec(lambda r: np.full_like(np.asarray(r, dtype=float), c),
                              lambda r: c, lambda r: 0.0,
-                             v0=c, v_inf=c, bound=abs(c), label=f"const:{c:g}")
+                             v0=c, v_inf=c, label=f"const:{c:g}")
 
     @staticmethod
     def rational(a: float, b: float) -> "PotentialSpec":
@@ -116,11 +115,7 @@ class PotentialSpec:
                 return 2.0 * b / (r * r * r * (1.0 + r ** -2.0) ** 2)
             return 2.0 * b * r / (1.0 + r * r) ** 2
         return PotentialSpec(_eval, _at, _slope, v0=a, v_inf=a + b,
-                             bound=abs(a) + abs(b), label=f"rational:{a:g},{b:g}")
-
-    @staticmethod
-    def zero() -> "PotentialSpec":
-        return PotentialSpec.constant(0.0)
+                             label=f"rational:{a:g},{b:g}")
 
 
 @dataclass(frozen=True)
@@ -131,7 +126,7 @@ class ModelParams:
     q: float
     epsilon: float
     k: int = 1
-    potential: PotentialSpec = field(default_factory=PotentialSpec.zero)
+    potential: PotentialSpec = field(default_factory=lambda: PotentialSpec.constant(0.0))
 
     def __post_init__(self):
         if self.n_dim < 3:
@@ -151,7 +146,7 @@ class ModelParams:
              potential: Optional[PotentialSpec] = None) -> "ModelParams":
         """Build params; the potential defaults to V = 0."""
         if potential is None:
-            potential = PotentialSpec.zero()
+            potential = PotentialSpec.constant(0.0)
         return ModelParams(n_dim=n_dim, q=q, epsilon=epsilon, k=k,
                            potential=potential)
 
@@ -159,10 +154,6 @@ class ModelParams:
     def regime(self) -> Regime:
         """SUB_Q for q < p*, SUPER_Q for q > p*."""
         return Regime.SUB_Q if self.q < self.p_star else Regime.SUPER_Q
-
-    @property
-    def p_s(self) -> float:
-        return self.n_dim / (self.n_dim - 2)
 
     @property
     def p_star(self) -> float:

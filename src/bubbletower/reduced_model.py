@@ -36,16 +36,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TowerConfig:
-    """Scales Lambda, spike locations xi and tower amplitudes for one run."""
+    """Scales Lambda, spike locations xi and amplitudes of one run, as read-only copies."""
 
     lambdas: np.ndarray
     xi: np.ndarray
     alpha: np.ndarray
-    regime: Regime
 
     def __post_init__(self):
-        for arr in (self.lambdas, self.xi, self.alpha):
-            np.asarray(arr).setflags(write=False)
+        for name in ("lambdas", "xi", "alpha"):
+            object.__setattr__(self, name, np.array(getattr(self, name)))
+            getattr(self, name).setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,7 @@ def predicted_tower(params: ModelParams, constants: EnergyConstants) -> TowerCon
     lam = critical_scales(constants, params)
     xi = spike_locations(lam, params.epsilon, params)
     alpha = tower_amplitudes(lam, constants, params)
-    return TowerConfig(lambdas=lam, xi=xi, alpha=alpha, regime=params.regime)
+    return TowerConfig(lambdas=lam, xi=xi, alpha=alpha)
 
 
 def energy_expansion(lambdas, epsilon: float, constants: EnergyConstants,

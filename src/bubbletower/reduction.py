@@ -43,7 +43,7 @@ from .errors import (AssemblyError, ConditioningError, ConvergenceError,
                      WindowViolationError)
 # tower_ansatz is no longer called here; perfbench's span self-test reads
 # reduction.tower_ansatz, so the name stays importable
-from .field import (WINDOW, Grid, GridFunction, SpikeFrame, TowerField, energy,
+from .field import (WINDOW, Grid, GridFunction, TowerField, energy,
                     grid_for_spikes, tower_ansatz)
 from .profiles import ModelParams, Regime, ef_inverse, ef_r_of_x, ef_x_of_r
 from .numerics import PiecewisePolynomial, TridiagonalLU, not_a_knot_spline
@@ -105,10 +105,6 @@ class ReductionState:
     def xi(self) -> np.ndarray:
         return self.field.xi
 
-    @property
-    def frame(self) -> SpikeFrame:
-        return self.field.frame
-
     def multiplier_jacobian(self) -> np.ndarray:
         """dc/ds of the multipliers in s = log Lambda, on the correction's grid.
 
@@ -168,13 +164,12 @@ class ProjectedSolver:
     ``field`` and the main diagonal ``diagonal``: that of the Jacobian at
     Ubar + phi (TowerField.newton_system), at phi = 0 by default, which is
     the linearized operator A of field.linearized_matrix.  Z and the grid
-    are the field's.
+    are the field's (``solver.field``).
     """
 
     def __init__(self, field: TowerField, diagonal: Optional[np.ndarray] = None):
         self.field = field
-        self.grid = grid = field.grid
-        self.z = field.z
+        grid, z = field.grid, field.z
         if diagonal is None:
             diagonal = field.newton_system(np.zeros(grid.n))[1]
         off = field.off_diagonal
@@ -182,9 +177,9 @@ class ProjectedSolver:
         if self._lu.info != 0:
             raise ConditioningError(
                 f"operator factorization failed (n={grid.n}, "
-                f"k={self.z.shape[1]}, h={grid.h:g}): dgttrf info {self._lu.info}")
-        self._az = self._lu.solve(self.z)
-        self._schur = self.z.T @ self._az
+                f"k={z.shape[1]}, h={grid.h:g}): dgttrf info {self._lu.info}")
+        self._az = self._lu.solve(z)
+        self._schur = z.T @ self._az
         sv = np.linalg.svd(self._schur, compute_uv=False)
         self._schur_cond = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else math.inf
 
@@ -195,7 +190,7 @@ class ProjectedSolver:
                 f"{self._schur_cond:.2e}); kernel directions nearly dependent")
         y = self._lu.solve(rhs)
         try:
-            mu = np.linalg.solve(self._schur, self.z.T @ y)
+            mu = np.linalg.solve(self._schur, self.field.z.T @ y)
         except np.linalg.LinAlgError as exc:
             raise ConditioningError(
                 f"singular Schur complement Z^T A^-1 Z: {exc}") from exc
@@ -211,11 +206,11 @@ class ProjectedSolver:
 
     def solve(self, h_rhs: GridFunction) -> Tuple[GridFunction, np.ndarray]:
         vals, c = self.solve_values(h_rhs.values)
-        return GridFunction(self.grid, vals), c
+        return GridFunction(self.field.grid, vals), c
 
     def orthogonality_defect(self, phi_values: np.ndarray) -> float:
-        w = self.grid.trapezoid_weights()
-        return float(np.max(np.abs(self.z.T @ (w * phi_values))))
+        w = self.field.grid.trapezoid_weights()
+        return float(np.max(np.abs(self.field.z.T @ (w * phi_values))))
 
 
 def solve_correction(xi, params: ModelParams,
@@ -235,8 +230,8 @@ def solve_correction(xi, params: ModelParams,
     ConvergenceError with the last state after MAX_CORRECTION_STEPS steps;
     ConditioningError when max_i |Z_i^T phi| > TOL_ORTH max|Z| at the end.
     The start is phi0 projected onto Z^T phi = 0 (a correction of a nearby
-    spike set on the same grid), or zero, whose first step is the linear
-    solve A phi = -R + sum c_i Z_i.
+    spike set on the same grid); zero by default, whose first step is the
+    linear solve A phi = -R + sum c_i Z_i.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if params.epsilon > 0.0:
@@ -244,12 +239,8 @@ def solve_correction(xi, params: ModelParams,
     if grid is None:
         grid = grid_for_spikes(xi, config.h, PAD)
     tower = TowerField(xi, params, grid)
-
-    if phi0 is None:
-        phi = np.zeros(grid.n)
-    else:
-        z = tower.z
-        phi = phi0 - z @ np.linalg.solve(z.T @ z, z.T @ phi0)
+    z, phi = tower.z, np.zeros(grid.n) if phi0 is None else phi0
+    phi = phi - z @ np.linalg.solve(z.T @ z, z.T @ phi)
     c = np.zeros(xi.size)
     increments: list = []
     iterations = 0

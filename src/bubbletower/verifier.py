@@ -153,7 +153,7 @@ def shoot(u0: float, params: ModelParams) -> ShotProfile:
                             1e-10, 1e-20, MAX_STEPS)
     label = (Classification.DECAYING if code == 1 else
              Classification.CROSSING if v[-1] < 0.0 else Classification.BLOWING)
-    shot = ShotProfile(u0, x, v, dv, label, _ef_peaks(v), params)
+    shot = ShotProfile(u0, x, v, dv, label, _peak_indices(v).size, params)
     if code < 0:
         raise ConvergenceError(
             f"radial integration failed at r = {shot.r[-1]:.6g} "
@@ -232,10 +232,6 @@ def _septic_hermite(shot: ShotProfile) -> PiecewisePolynomial:
     c[:4] = _HERMITE_LEFT @ (derivs[:-1] * scale).T
     c[:3:-1] = _HERMITE_RIGHT @ (derivs[1:] * scale).T
     return PiecewisePolynomial(c, x, bernstein=True)
-
-
-def _ef_peaks(v: np.ndarray) -> int:
-    return _peak_indices(v).size
 
 
 def find_tower(params: ModelParams, guess: TowerConfig) -> ShotProfile:
@@ -382,7 +378,7 @@ def _shoot_flat_backward(c: float, params: ModelParams, x_hi: float,
     over = code != 1 and v[-1] >= 0.0
     x, v, dv = x[::-1], v[::-1], dv[::-1]
     return ShotProfile(c, x, v, dv, Classification.BLOWING if over else Classification.CROSSING,
-                       _ef_peaks(v), params)
+                       _peak_indices(v).size, params)
 
 
 def _first_event(k: int) -> Callable[[float], bool]:

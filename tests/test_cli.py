@@ -330,13 +330,30 @@ def test_constants_overflow_exits_with_one_line(tmp_path):
 def test_grid_end_warning_reaches_the_console_as_one_line(tmp_path):
     # 11.9 of the 30-unit window is left past the solved spikes; the console
     # shows the warning alone, not followed by a line of the package's
-    # source, and with UserWarnings as errors the run fails
+    # source, and with UserWarnings as errors the run fails in one line
     args = ["reduce", "--q", "4.98", "--k", "2", "--eps", "1e-2", "--h", "0.03",
             "--out", str(tmp_path)]
     assert run_console(args) == (0, [
         "warning: solved spikes lie 11.9 from the grid end, less than half the window 30"])
     code, lines = run_console(args, PYTHONWARNINGS="error::UserWarning")
-    assert code == 1 and lines[-1].startswith("UserWarning: solved spikes lie 11.9")
+    assert code == 1 and len(lines) == 1
+    assert lines[0].startswith("reduction failed: solved spikes lie 11.9")
+
+
+@pytest.mark.parametrize("q", ["27", "30", "40"])
+def test_large_exponent_gaps_reduce_and_sweep(q, tmp_path):
+    # N = 3, exponent gap 22 to 35: the potential weight passes exp's range
+    # at the grid's left end unless clipped; with warnings as errors both
+    # commands converge
+    model = ["--q", q, "--k", "2", "--h", "0.03", "--out", str(tmp_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["reduce", "--eps", "1e-2", *model]) == 0
+        assert run_cli(["sweep", "--eps-list", "1e-2,5e-3", "--workers", "1", *model]) == 0
+    reduced = json.loads((tmp_path / "reduce" / "reduction.json").read_text())
+    assert reduced["converged"] and max(map(abs, reduced["multipliers"])) < 1e-10
+    swept = json.loads((tmp_path / "sweep" / "sweep.json").read_text())
+    assert not swept["errors"] and len(swept["points"]) == 2
 
 
 @pytest.mark.parametrize("command", ["reduce", "verify"])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from bubbletower import (Grid, GridFunction, ModelParams, PotentialSpec,
                          default_sigma, energy, full_operator, grid_for_spikes,
                          linearized_matrix, nonlinear_remainder, profile_U,
                          profile_d2U, profile_dU, spike_locations, star_norm,
-                         tower_ansatz, critical_scales)
+                         tower_ansatz, critical_scales, energy_constants)
 from bubbletower.field import MAX_GRID_NODES
 from conftest import make_params
 
@@ -369,3 +370,47 @@ def test_tower_field_against_direct_formulas():
                 (diagonal, 2.0 / g.h ** 2 + 1.0 - w_b)):
             assert np.max(np.abs(cached - direct)) < 1e-12 * np.max(np.abs(direct))
         assert tower.star_norm(phi) == star_norm(GridFunction(g, phi), SpikeFrame(xi, 0.5))
+
+
+def test_constructors_copy_the_callers_arrays():
+    # each object keeps a read-only copy: the caller's array stays writable,
+    # and a later write to it does not reach the object
+    from bubbletower import TowerConfig
+    g = Grid(0.0, 0.5, 11)
+    vals, xi, lam, alpha = np.ones(11), np.array([1.0, 2.0]), np.ones(2), np.ones(2)
+    config = TowerConfig(lam, xi, alpha)
+    made = [(GridFunction(g, vals).values, vals), (SpikeFrame(xi, 0.5).xi, xi),
+            (TowerField(xi, make_params(k=2), g).xi, xi),
+            (config.lambdas, lam), (config.xi, xi), (config.alpha, alpha)]
+    for kept, given in made:
+        before = kept.copy()
+        given += 1.0
+        assert np.array_equal(kept, before) and not kept.flags.writeable
+
+
+def test_potential_weight_stays_finite_past_the_exponent_clip():
+    # N = 3, q = 40: the exponent gap 35 times the reduction grid's left end,
+    # x = -32.7, is about 1140, past exp's range; the clipped weight is
+    # finite, and exactly zero at the default V = 0
+    from bubbletower.field import _weights
+    x = np.linspace(-40.0, 40.0, 801)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, zero = _weights(x, ModelParams.make(3, 40.0, 1e-2))
+        _, w_pot = _weights(x, make_params(q=40.0))
+    assert zero.tobytes() == np.zeros_like(x).tobytes()
+    assert np.all(np.isfinite(w_pot)) and w_pot[0] == -np.exp(700.0)
+
+
+def test_potential_weight_below_the_clip_is_unclipped():
+    # the reduction grid at N = 3, q = 26, k = 2 (gap 21) reaches exponent
+    # 685, below the clip: its weights, so every output, keep their bits
+    from bubbletower.field import _weights
+    from bubbletower.reduction import PAD
+    params = make_params(q=26.0, k=2)
+    xi = spike_locations(critical_scales(energy_constants(3, 26.0), params),
+                         params.epsilon, params)
+    x = grid_for_spikes(xi, 0.03, PAD).x
+    expo = -params.exponent_gap * x
+    assert 680.0 < np.max(expo) < 700.0
+    assert _weights(x, params)[1].tobytes() == (params.omega(x) * np.exp(expo)).tobytes()

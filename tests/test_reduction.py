@@ -52,7 +52,7 @@ def test_saddle_symmetry_and_multiplier_routes(c4):
     phi_vals, c_full = solver.solve_values(h_vals)
     # block elimination: c = -(Z^T A^{-1} Z)^{-1} Z^T A^{-1} h
     lu = spla.splu(linearized_matrix(xi, params, grid))
-    z = solver.z
+    z = solver.field.z
     ainv_h = lu.solve(h_vals)
     ainv_z = np.column_stack([lu.solve(z[:, i]) for i in range(z.shape[1])])
     c_block = -np.linalg.solve(z.T @ ainv_z, z.T @ ainv_h)

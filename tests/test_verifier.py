@@ -54,7 +54,7 @@ def test_failed_integration_raises_convergence_error():
     const = PotentialSpec.constant(-1.0)
     broken = PotentialSpec(const.evaluate,
                            lambda r: math.nan if r > 2.0 else -1.0,
-                           const.slope, v0=-1.0, v_inf=-1.0, bound=1.0)
+                           const.slope, v0=-1.0, v_inf=-1.0)
     params = ModelParams.make(3, 4.0, 5e-2, potential=broken)
     with pytest.raises(ConvergenceError, match="failed at r = 2") as info:
         shoot(35.0, params)
@@ -73,7 +73,7 @@ def test_failed_flat_shot_counts_as_overshoot(c7):
     r_nan = math.exp(2.0 * (xi1 - 2.0))                  # N = 3: r = e^{2x}
     broken = PotentialSpec(const.evaluate,
                            lambda r: math.nan if r < r_nan else -1.0,
-                           const.slope, v0=-1.0, v_inf=-1.0, bound=1.0)
+                           const.slope, v0=-1.0, v_inf=-1.0)
     params = ModelParams.make(3, 7.0, 5e-2, potential=broken)
     shot = _shoot_flat_backward(params.gamma * math.exp(xi1), params,
                                 xi1 + 10.0, xi1 - 25.0)
@@ -197,8 +197,7 @@ def test_tall_tower_ef_image_matches_a_tight_reference():
     constants = energy_constants(3, 4.0)
     lam, state = solve_reduced(params, constants, ReductionConfig(h=0.03))
     found = find_tower(params, TowerConfig(lam, state.xi,
-                                           tower_amplitudes(lam, constants, params),
-                                           params.regime))
+                                           tower_amplitudes(lam, constants, params)))
     u0, p, q, beta, eps = float(found.u0), params.p, params.q, params.beta, params.epsilon
     gap = params.exponent_gap
     r0 = min(1e-6, 1e-3 * u0 ** (-0.5 * (p - 1.0)))
@@ -414,8 +413,7 @@ def test_kept_shot_past_the_tower_is_decaying():
     constants = energy_constants(6, 1.8)
     lam, state = solve_reduced(params, constants, ReductionConfig(h=0.02))
     found = find_tower(params, TowerConfig(lam, state.xi,
-                                           tower_amplitudes(lam, constants, params),
-                                           params.regime))
+                                           tower_amplitudes(lam, constants, params)))
     r_read = float(ef_r_of_x(state.xi[0] - 6.0, 6, params.regime))
     v = found.r ** 2 * found.u
     assert r_read < found.r[-1] < _default_r_max(params) and v[-1] > v[-2]
@@ -427,8 +425,9 @@ def test_kept_shot_must_decay_with_k_peaks(c4, monkeypatch):
     # a kept shot with another peak count than the tower's is not the tower:
     # find_tower raises with that shot as state instead of returning it
     import bubbletower.verifier as verifier_module
-    original = verifier_module._ef_peaks
-    monkeypatch.setattr(verifier_module, "_ef_peaks", lambda *args: original(*args) + 1)
+    original = verifier_module._peak_indices
+    monkeypatch.setattr(verifier_module, "_peak_indices",
+                        lambda v: np.append(original(v), v.size - 1))
     params = make_params(eps=5e-2, k=1)
     with pytest.raises(ConvergenceError, match="not decaying with 1") as info:
         find_tower(params, predicted_tower(params, c4))
