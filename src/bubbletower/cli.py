@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import dataclasses
 import json
 import os
@@ -34,6 +35,19 @@ from .reduction import (ReductionConfig, assemble_solution, solve_reduced,
 from .verifier import compare, find_tower
 
 _FMT = "%.17g"
+# what a library failure raises: a typed error, a ValueError from an
+# argument check (such as too few grid nodes), or a Warning that the warning
+# filters turn into an error (such as solved spikes near a grid end)
+_FAILURES = (BubbleTowerError, ValueError, Warning)
+
+
+@contextlib.contextmanager
+def _failing(prefix: str):
+    """End the run in one line, '<prefix>: <error>', on a library failure."""
+    try:
+        yield
+    except _FAILURES as exc:
+        raise SystemExit(f"{prefix}: {exc}")
 
 
 def parse_potential(spec: str) -> PotentialSpec:
@@ -54,35 +68,25 @@ def parse_potential(spec: str) -> PotentialSpec:
 
 def build_params(args) -> ModelParams:
     """Model parameters from the flags; exits unless the regime's hypothesis holds."""
-    try:
+    with _failing("invalid model parameters"):
         params = ModelParams.make(args.N, args.q, args.eps, k=args.k,
                                   potential=parse_potential(args.V))
-    except ValueError as exc:
-        raise SystemExit(f"invalid model parameters: {exc}")
-    try:
+    with _failing("hypothesis violation"):
         params.check_hypotheses()
-    except BubbleTowerError as exc:
-        raise SystemExit(f"hypothesis violation: {exc}")
     return params
 
 
 def _energy_constants(args):
-    """Energy constants for the flags; exits when N, q or tol admit none."""
-    try:
-        return energy_constants(args.N, args.q, tol=args.tol)
-    except (BubbleTowerError, ValueError) as exc:
-        raise SystemExit(f"energy constants failed: {exc}")
+    """Energy constants for the flags; exits when N and q admit none."""
+    with _failing("energy constants failed"):
+        return energy_constants(args.N, args.q)
 
 
 def _solve_reduced(args):
     """(params, constants, Lambda_eps, state) for the flags; exits if the reduction fails."""
     params, C = build_params(args), _energy_constants(args)
-    try:
+    with _failing("reduction failed"):
         return (params, C, *solve_reduced(params, C, ReductionConfig(h=args.h)))
-    # ValueError: too few grid nodes; Warning: one that the warning filters
-    # turn into an error, such as solved spikes near a grid end
-    except (BubbleTowerError, ValueError, Warning) as exc:
-        raise SystemExit(f"reduction failed: {exc}")
 
 
 def _json(obj) -> str:
@@ -149,10 +153,8 @@ def cmd_constants(args) -> int:
 def cmd_predict(args) -> int:
     params = build_params(args)
     C = _energy_constants(args)
-    try:
+    with _failing("prediction failed"):
         tower = predicted_tower(params, C)
-    except BubbleTowerError as exc:
-        raise SystemExit(f"prediction failed: {exc}")
     breakdown = energy_expansion(tower.lambdas, params.epsilon, C, params)
     payload = {
         "params": {"N": args.N, "q": args.q, "eps": args.eps, "k": args.k,
@@ -195,13 +197,11 @@ def cmd_reduce(args) -> int:
 
 def cmd_verify(args) -> int:
     params, C, lam_eps, state = _solve_reduced(args)
-    try:
+    with _failing("verification failed"):
         solution = assemble_solution(state, params)
         # the shooting finds its own height; the solved tower only seeds the scan
         solved = TowerConfig(lam_eps, state.xi, tower_amplitudes(lam_eps, C, params))
         found = find_tower(params, solved)
-    except BubbleTowerError as exc:
-        raise SystemExit(f"verification failed: {exc}")
     xi1, xik = float(state.xi[0]), float(state.xi[-1])
     metrics = compare(solution.ef, found.ef_image, (xi1 - 2.0, xi1 + 2.0))
     tower_metrics = compare(solution.ef, found.ef_image, (xi1 - 2.0, xik + 2.0))
@@ -234,7 +234,7 @@ def cmd_sweep(args) -> int:
             params = ModelParams.make(args.N, args.q, eps, k=args.k,
                                       potential=potential)
             return sweep_point(params, C, cfg)
-        except (BubbleTowerError, ValueError) as exc:    # record and continue
+        except _FAILURES as exc:    # record and continue
             return f"{type(exc).__name__}: {exc}"
 
     with concurrent.futures.ThreadPoolExecutor(max_workers=args.workers) as pool:
@@ -287,7 +287,6 @@ def _eps_list(text: str) -> str:
 def _add_constants_args(sp):
     sp.add_argument("--N", type=_DIMENSION, default=3, help="dimension (>= 3)")
     sp.add_argument("--q", type=_FINITE, required=True, help="competing exponent")
-    sp.add_argument("--tol", type=_UNIT, default=1e-12, help="quadrature tolerance")
 
 
 def _add_model_args(sp, eps_required=True):
@@ -303,36 +302,7 @@ def _add_grid_args(sp):
     sp.add_argument("--h", type=_POSITIVE, default=0.02, help="grid spacing")
 
 
-def _expand_config(argv):
-    """Replace --config FILE or --config=FILE by its key = value lines as flags right after
-    the subcommand, so explicit flags, which follow, win by argparse's last-wins rule."""
-    i = next((i for i, a in enumerate(argv) if a.partition("=")[0] == "--config"), None)
-    if i is None:
-        return argv
-    _, joined, path = argv[i].partition("=")
-    if not joined:
-        path = argv[i + 1] if i + 1 < len(argv) else ""
-    if not path:
-        raise SystemExit("--config needs a file path")
-    try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise SystemExit(f"--config: cannot read {path!r}: {exc}")
-    flags = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, val = line.partition("=")
-        key = key.strip().replace("_", "-")
-        if key != "command":
-            flags += ["--" + key, val.strip()]
-    argv = argv[:i] + argv[i + (1 if joined else 2):]
-    return argv[:1] + flags + argv[1:]
-
-
 def main(argv: Optional[List[str]] = None) -> int:
-    argv = _expand_config(list(sys.argv[1:] if argv is None else argv))
     parser = argparse.ArgumentParser(
         prog="bubbletower",
         description="Bubble-tower constructions for a competing-powers "

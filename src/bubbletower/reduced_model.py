@@ -57,7 +57,6 @@ class EnergyBreakdown:
     psi_term: float    # epsilon * Psi_k(Lambda)
     a4_term: float     # k * epsilon * beta * a4
     log_term: float    # the eps*log(eps) term
-    remainder: float = 0.0
 
 
 def _check_lambdas(lambdas, k):

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .numerics import PiecewisePolynomial, brentq, dop853
-from .profiles import ModelParams, Regime, ef_inverse, ef_r_of_x
+from .profiles import _EXP_CLIP, ModelParams, Regime, ef_inverse, ef_r_of_x
 from .reduced_model import TowerConfig
 
 __all__ = [
@@ -59,6 +59,8 @@ BRENT_RTOL = 4.0 * np.finfo(float).eps
 FLAT_RTOL = 2.0 * BRENT_RTOL
 # step budget of one shot; the checked shots take a few hundred steps
 MAX_STEPS = 100_000
+# the largest x whose e^x is a finite float
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 def __getattr__(name: str):
@@ -173,19 +175,19 @@ def _default_r_max(params: ModelParams) -> float:
 def _ef_rhs(params: ModelParams):
     """Right-hand side v'' of the transformed equation at (x, v, v'),
     v'' = v - beta (e^{eps x} v^p - V(r) e^{-a x} v^q), r = e^{-s x/m},
-    with a = |q - p*| and v clipped at 0; on Python floats.
+    with a = |q - p*|, v clipped at 0 and r's exponent at _EXP_CLIP; on Python floats.
     Python's ``**`` and math.exp raise OverflowError where numpy returns
     inf (far into a blow-up); dop853 rejects such a step.  The clip gives
     the bits of max(v, 0.0) for every v: at v = -0.0 and NaN, where the two
     clips differ, the bracket is +0.0 or NaN either way."""
     beta, p, q, eps = params.beta, params.p, params.q, params.epsilon
     neg_gap, ms = -params.exponent_gap, -params.ef_sign * (params.n_dim - 2) / 2.0
-    pot, exp = params.potential.at, math.exp
+    pot, exp, clip = params.potential.at, math.exp, _EXP_CLIP
 
     def rhs(x, v, dv):
         vv = v if v > 0.0 else 0.0
         t = x / ms
-        w_q = pot(exp(700.0 if t > 700.0 else t)) * exp(neg_gap * x)
+        w_q = pot(exp(clip if t > clip else t)) * exp(neg_gap * x)
         return v - beta * (exp(eps * x) * vv ** p - w_q * vv ** q)
 
     return rhs
@@ -266,11 +268,22 @@ def find_tower(params: ModelParams, guess: TowerConfig) -> ShotProfile:
 
     In both regimes the kept shot is DECAYING once it reaches r(xi_1 - 6),
     past the tower on its side; only it builds its interpolant.  Raises
-    ConvergenceError from _search, and with the kept shot as state unless
-    it is DECAYING with k peaks.
+    ConvergenceError before any shot if the scan's top value, its p-th power
+    (concentrating) or a flat shot's radius e^{x/m} passes float range; from
+    _search; and with the kept shot as state unless it is DECAYING with k
+    peaks.
     """
     xi1, xik = float(guess.xi[0]), float(guess.xi[-1])
-    if params.regime is Regime.SUB_Q:
+    sub = params.regime is Regime.SUB_Q
+    # in logs, before numpy meets an overflow: the scan's top value, 1.5 gamma
+    # sum e^{xi_j} or 1.5 gamma e^{xi_k}, and the largest exponent a shot needs
+    log_top = math.log(1.5 * params.gamma) + xik + (
+        math.log(sum(math.exp(x - xik) for x in guess.xi.tolist())) if sub else 0.0)
+    need = params.p * log_top if sub else max(log_top, 2.0 * (xik + 10.0) / (params.n_dim - 2))
+    if not need < _LOG_MAX:
+        raise ConvergenceError(f"seed {'height u0' if sub else 'decay coefficient c'} scanned to "
+                               f"e^{log_top:.6g}: a shot needs e^{need:.6g}, beyond float range")
+    if sub:
         u0_pred = params.gamma * float(np.sum(np.exp(guess.xi)))
         values = np.linspace(0.5 * u0_pred, 1.5 * u0_pred, SCAN_POINTS)
         r_max = _default_r_max(params)
@@ -282,11 +295,11 @@ def find_tower(params: ModelParams, guess: TowerConfig) -> ShotProfile:
         shoot_at = lambda c: _shoot_flat_backward(c, params, xik + 10.0, xi1 - 25.0)
         gap, rtol = _growing_mode, FLAT_RTOL
     crossing, staying = _search(shoot_at, gap, values, rtol)
-    kept = staying if params.regime is Regime.SUB_Q else crossing
+    kept = staying if sub else crossing
     r_read = float(ef_r_of_x(xi1 - 6.0, params.n_dim, params.regime))
     if kept.r[0] <= r_read <= kept.r[-1]:
         kept.classification = Classification.DECAYING
-    if params.regime is not Regime.SUB_Q:
+    if not sub:
         kept.u0 = float(kept.interpolant(max(r_read, kept.r[0])))
     if kept.classification is not Classification.DECAYING or kept.peak_count_ef != params.k:
         raise ConvergenceError(

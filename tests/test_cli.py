@@ -182,21 +182,6 @@ def test_sweep_determinism(tmp_path):
         == (tmp_path / "b" / "sweep" / "sweep.json").read_text()
 
 
-@pytest.mark.parametrize("config,flag", [
-    (["--config", "{}"], ["--h", "0.04"]),
-    (["--config", "{}"], ["--h=0.04"]),
-    (["--config={}"], ["--h", "0.04"]),
-], ids=["separate", "joined", "joined-config"])
-def test_config_file_defaults_and_flag_override(config, flag, tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("q = 4\neps = 5e-2\nV = const:-1\nh = 0.05\n")
-    out = tmp_path / "from_config"
-    run_cli(["reduce"] + [t.format(cfg) for t in config] + flag + ["--out", str(out)])
-    payload = json.loads((out / "reduce" / "reduction.json").read_text())
-    assert payload["grid"]["h"] == pytest.approx(0.04)   # flag wins over file
-    assert payload["eps"] == pytest.approx(5e-2)         # file supplied
-
-
 def test_output_root_from_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("BUBBLETOWER_OUT", str(tmp_path / "envroot"))
     run_cli(["constants", "--q", "4"])
@@ -368,6 +353,47 @@ def test_reduction_failure_exits_the_same_way(command, tmp_path, monkeypatch):
     assert not (tmp_path / command).exists()
 
 
+@pytest.mark.parametrize("failure", [ValueError("bad value"), UserWarning("noted")],
+                         ids=["ValueError", "UserWarning"])
+def test_library_failures_end_every_command_the_same_way(failure, tmp_path, monkeypatch):
+    # predict, verify and a sweep point catch one set of library failures:
+    # typed errors, ValueErrors and Warnings that the filters made errors
+    def failing(*args):
+        raise failure
+
+    for name in ("predicted_tower", "find_tower", "sweep_point"):
+        monkeypatch.setattr(cli, name, failing)
+    for argv, prefix in ((["predict"], "prediction"),
+                         (["verify", "--h", "0.05"], "verification")):
+        with pytest.raises(SystemExit, match=f"^{prefix} failed: {failure}$"):
+            run_cli(argv + ["--q", "4", "--eps", "5e-2", "--out", str(tmp_path)])
+        assert not (tmp_path / argv[0]).exists()
+    assert run_cli(["sweep", "--q", "4", "--eps-list", "1e-2,5e-3", "--workers", "1",
+                    "--out", str(tmp_path)]) == 1
+    errors = json.loads((tmp_path / "sweep" / "sweep.json").read_text())["errors"]
+    assert errors == {eps: f"{type(failure).__name__}: {failure}" for eps in ("0.01", "0.005")}
+
+
+@pytest.mark.parametrize("warnings_filter", [None, "error"], ids=["default", "error"])
+@pytest.mark.parametrize("model", [
+    ["--q", "4", "--k", "2", "--eps", "1e-200"],
+    ["--N", "10", "--q", "1.3", "--k", "2", "--eps", "1e-60"],
+    ["--q", "4", "--k", "1", "--eps", "1e-300"],
+    ["--q", "7", "--k", "2", "--eps", "1e-150"],
+], ids=["q4-k2", "n10-k2", "q4-k1-r0", "q7-k2"])
+def test_verify_beyond_float_range_exits_with_one_line(model, warnings_filter, tmp_path):
+    # the seed tower's heights (concentrating), its start radius, or a flat
+    # shot's radii pass a float's range: find_tower refuses the seed before
+    # any shot, so numpy never warns and the console shows one line
+    env = {"PYTHONWARNINGS": warnings_filter} if warnings_filter else {}
+    code, lines = run_console(["verify", *model, "--h", "0.05", "--out", str(tmp_path)],
+                              **env)
+    assert code == 1 and len(lines) == 1, lines
+    assert lines[0].startswith("verification failed: seed "), lines
+    assert "beyond float range" in lines[0]
+    assert not (tmp_path / "verify").exists()
+
+
 _FOOTPRINT_SCRIPT = """
 import json, sys
 from bubbletower import cli
@@ -490,6 +516,7 @@ def test_verify_n8_searches_on_the_search_value(tmp_path, monkeypatch):
     ["sweep", "--q", "4", "--eps-list", "1e-2,abc"],
     ["sweep", "--q", "4", "--eps-list", "1e-2,2e-2"],
     ["sweep", "--q", "4", "--eps-list", "1.5,1e-2"],
+    # --tol and --config are not flags: argparse refuses them
     ["constants", "--q", "4", "--tol", "0"],
     ["constants", "--N", "2", "--q", "4"],
     ["constants", "--q", "1"],

@@ -231,7 +231,7 @@ def test_energy_expansion_structure(c4):
     lam = critical_scales(c4, params)
     br = energy_expansion(lam, 1e-2, c4, params)
     assert br.total == pytest.approx(
-        br.leading + br.psi_term + br.a4_term + br.log_term + br.remainder,
+        br.leading + br.psi_term + br.a4_term + br.log_term,
         rel=1e-14)
     assert br.leading == pytest.approx(2.0 * c4.a1, rel=1e-14)
     # epsilon -> 0 limit of the total is k a1
