@@ -32,8 +32,7 @@ from .field import (Grid, GridFunction, SpikeFrame, TowerField, ansatz_residual,
                     kernel_directions, linearized_matrix, nonlinear_remainder,
                     star_norm, tower_ansatz)
 from .reduction import (ProjectedSolver, RadialSolution, ReductionConfig,
-                        ReductionState, assemble_solution, check_window,
-                        reduced_energy, solve_correction, solve_reduced,
-                        sweep_point)
+                        ReductionState, assemble_solution, reduced_energy,
+                        solve_correction, solve_reduced, sweep_point)
 from .verifier import (Classification, CompareMetrics, ShotProfile, compare,
                        find_tower, shoot)

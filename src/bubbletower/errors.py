@@ -14,7 +14,8 @@ class HypothesisViolationError(BubbleTowerError):
 
 
 class WindowViolationError(BubbleTowerError):
-    """Spike locations violate the admissible configuration window."""
+    """The scales place no spike set: xi does not increase from 0 (epsilon at
+    or above eps_max, reduced_model.spike_locations) or Lambda_1* overflows."""
 
 
 class QuadratureConvergenceError(BubbleTowerError):

@@ -73,6 +73,8 @@ def spike_locations(lambdas, epsilon: float, params: ModelParams) -> np.ndarray:
 
     xi_1 = -log(eps)/gap - log(Lambda_1), and each following gap is
     -log(eps) - log(Lambda_{i+1}), with gap = p*-q (sub) or q-p* (super).
+    So xi increases from 0 exactly when eps < eps_max = min(Lambda_1^-gap,
+    min_{i>=2} 1/Lambda_i); WindowViolationError names eps_max otherwise.
     """
     lam = _check_lambdas(lambdas, params.k)
     if not (0.0 < epsilon < 1.0):
@@ -83,8 +85,12 @@ def spike_locations(lambdas, epsilon: float, params: ModelParams) -> np.ndarray:
     for i in range(1, params.k):
         xi[i] = xi[i - 1] - log_eps - math.log(lam[i])
     if xi[0] <= 0.0 or np.any(np.diff(xi) <= 0.0):
+        # in logs: Lambda_1^-gap overflows for a small Lambda_1 at a wide gap
+        eps_max = math.exp(min([-params.exponent_gap * math.log(lam[0]),
+                                *(-np.log(lam[1:])).tolist()]))
         raise WindowViolationError(
-            f"epsilon={epsilon:g} too large: spike locations {xi} not increasing from 0")
+            f"epsilon={epsilon:g} too large: spike locations {xi} not increasing "
+            f"from 0; they increase for epsilon below {eps_max:.4g}")
     return xi
 
 

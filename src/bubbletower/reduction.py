@@ -12,10 +12,12 @@ v = Ubar + phi is a genuine discrete solution; dc/d log Lambda comes from
 the factors of the correction's last step (multiplier_jacobian).
 
 A run is set by the grid spacing h alone (ReductionConfig); sigma,
-default_sigma(params), only weighs the star norm, and the window constants,
-tolerances and limits are the constants below and field.WINDOW.
-solve_reduced warns when a solved spike ends less than WINDOW / 2 from a
-grid end.
+default_sigma(params), only weighs the star norm, and the truncation
+window, tolerances and limits are the constants below and field.WINDOW.
+No a-priori window restricts the spike set beyond spike_locations'
+increasing xi: the Newton solves, the orthogonality and Schur checks and
+the shooter decide whether a tower exists.  solve_reduced warns when a
+solved spike ends less than WINDOW / 2 from a grid end.
 
 Each correction builds one field.TowerField for its spike set and hands it
 to the ProjectedSolver of every Newton step, ProjectedSolver(field,
@@ -39,8 +41,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import (AssemblyError, ConditioningError, ConvergenceError,
-                     WindowViolationError)
+from .errors import AssemblyError, ConditioningError, ConvergenceError
 # tower_ansatz is no longer called here; perfbench's span self-test reads
 # reduction.tower_ansatz, so the name stays importable
 from .field import (WINDOW, Grid, GridFunction, TowerField, energy,
@@ -53,7 +54,6 @@ from .reduced_model import critical_scales, energy_expansion, spike_locations
 __all__ = [
     "ReductionConfig",
     "ReductionState",
-    "check_window",
     "ProjectedSolver",
     "solve_correction",
     "reduced_energy",
@@ -64,7 +64,6 @@ __all__ = [
 ]
 
 
-WINDOW_M = 10.0      # window constant M of check_window
 PAD = 3.0            # extra domain beyond field.WINDOW
 TOL_FP = 1e-11       # correction Newton increment, star norm
 TOL_ORTH = 1e-10     # max_i |Z_i^T phi| / max|Z| of a converged correction
@@ -122,31 +121,6 @@ class ReductionState:
         return np.linalg.solve(solver._schur, tower.z.T @ (tower.z @ lower - j_inv_w) - d)
 
 
-def check_window(xi, params: ModelParams):
-    """Admissible-configuration window for the spike set, M = WINDOW_M.
-
-    Gaps must exceed log(1/(M eps)) and the outermost spike must stay below
-    (1/gap + k - 1) log(1/eps) + k log M, with gap the exponent gap: the
-    critical spikes sit near log(1/eps)/gap, then log(1/eps) apart.  At
-    gap = 1 the outer bound is k log(M/eps).
-    """
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    eps, k = params.epsilon, params.k
-    if xi[0] <= 0.0:
-        raise WindowViolationError(f"first spike must be positive, got {xi[0]:g}")
-    if k >= 2:
-        min_gap = float(np.min(np.diff(xi)))
-        if min_gap <= math.log(1.0 / (WINDOW_M * eps)):
-            raise WindowViolationError(
-                f"minimal gap {min_gap:g} below window bound "
-                f"{math.log(1.0 / (WINDOW_M * eps)):g}")
-    outer = ((1.0 / params.exponent_gap + k - 1) * math.log(1.0 / eps)
-             + k * math.log(WINDOW_M))
-    if xi[-1] >= outer:
-        raise WindowViolationError(
-            f"outermost spike {xi[-1]:g} beyond window bound {outer:g}")
-
-
 class ProjectedSolver:
     """Block-elimination solver for the projected linear problem.
 
@@ -200,8 +174,8 @@ class ProjectedSolver:
         if not np.all(np.isfinite(sol)) or np.max(np.abs(sol)) > scale:
             raise ConditioningError(
                 f"projected solve degenerate (|sol| ~ {np.max(np.abs(sol)):.2e} "
-                f"for |rhs| ~ {np.max(np.abs(rhs)):.2e}); spike window violated "
-                "or grid too coarse")
+                f"for |rhs| ~ {np.max(np.abs(rhs)):.2e}); spikes nearly "
+                "coincide or grid too coarse")
         return phi, -mu
 
     def solve(self, h_rhs: GridFunction) -> Tuple[GridFunction, np.ndarray]:
@@ -234,8 +208,6 @@ def solve_correction(xi, params: ModelParams,
     linear solve A phi = -R + sum c_i Z_i.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if params.epsilon > 0.0:
-        check_window(xi, params)
     if grid is None:
         grid = grid_for_spikes(xi, config.h, PAD)
     tower = TowerField(xi, params, grid)

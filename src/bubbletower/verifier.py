@@ -47,16 +47,15 @@ __all__ = [
 
 # find_tower's scan before the search: values across the bracket
 SCAN_POINTS = 13
-# find_tower's outward search stops at this bracket width relative to u0;
-# the classification chatters within about 5e-13 relative of the separatrix
+# find_tower's searches stop at this bracket width relative to the value;
+# the classification chatters within about 5e-13 relative of the separatrix,
+# and the flat g changes sign at random within about 1e-12 of the kept c
 SEPARATRIX_RTOL = 1e-12
 # brentq's iteration budget; the concentrating searches take at most 12
-# steps, the flat ones 5 to 12 (N = 3, k = 1, 2, 3)
+# steps, the flat ones 5 or 6 (N = 3, q = 7, k = 1, 2, 3, eps = 1e-2)
 SEARCH_MAXITER = 100
 # brentq's relative tolerance, its smallest allowed value
 BRENT_RTOL = 4.0 * np.finfo(float).eps
-# the flat search's bracket width relative to c: a few ulps
-FLAT_RTOL = 2.0 * BRENT_RTOL
 # step budget of one shot; the checked shots take a few hundred steps
 MAX_STEPS = 100_000
 # the largest x whose e^x is a finite float
@@ -262,9 +261,10 @@ def find_tower(params: ModelParams, guess: TowerConfig) -> ShotProfile:
     each shot runs backward from xi_k + 10 to its first event, at the
     latest xi_1 - 25 (_shoot_flat_backward).  g is _growing_mode, constant
     on the linear far field, so Brent's method converges superlinearly, to
-    a bracket of FLAT_RTOL * c.  The kept shot is the g > 0 end: it follows
-    the decaying solution far below xi_1 before it dives through zero.  Its
-    u0 is read at r(xi_1 - 6), where u is flat.
+    the same relative bracket, within which g's sign can be noise.  The kept
+    shot is the g > 0 end: it follows the decaying solution far below xi_1
+    before it dives through zero.  Its u0 is read at r(xi_1 - 6), where u is
+    flat.
 
     In both regimes the kept shot is DECAYING once it reaches r(xi_1 - 6),
     past the tower on its side; only it builds its interpolant.  Raises
@@ -288,13 +288,13 @@ def find_tower(params: ModelParams, guess: TowerConfig) -> ShotProfile:
         values = np.linspace(0.5 * u0_pred, 1.5 * u0_pred, SCAN_POINTS)
         r_max = _default_r_max(params)
         shoot_at = lambda u0: shoot(u0, params)
-        gap, rtol = (lambda shot: _crossing_gap(shot, r_max)), SEPARATRIX_RTOL
+        gap = lambda shot: _crossing_gap(shot, r_max)
     else:
         c_pred = params.gamma * math.exp(xik)
         values = np.geomspace(0.5 * c_pred, 1.5 * c_pred, SCAN_POINTS)
         shoot_at = lambda c: _shoot_flat_backward(c, params, xik + 10.0, xi1 - 25.0)
-        gap, rtol = _growing_mode, FLAT_RTOL
-    crossing, staying = _search(shoot_at, gap, values, rtol)
+        gap = _growing_mode
+    crossing, staying = _search(shoot_at, gap, values)
     kept = staying if sub else crossing
     r_read = float(ef_r_of_x(xi1 - 6.0, params.n_dim, params.regime))
     if kept.r[0] <= r_read <= kept.r[-1]:
@@ -308,8 +308,7 @@ def find_tower(params: ModelParams, guess: TowerConfig) -> ShotProfile:
     return kept
 
 
-def _search(shoot_at: Callable, gap: Callable, values, rtol: float
-            ) -> Tuple[ShotProfile, ShotProfile]:
+def _search(shoot_at: Callable, gap: Callable, values) -> Tuple[ShotProfile, ShotProfile]:
     """The final g > 0 and g <= 0 shots of find_tower's search.
 
     shoot_at(value) makes a shot, shot once per value, and gap(shot) is its
@@ -317,9 +316,9 @@ def _search(shoot_at: Callable, gap: Callable, values, rtol: float
     after g > 0 (the separatrix lies above), down otherwise, then along the
     other leg.  The first shot whose sign differs from the middle's and its
     neighbour toward the middle bracket Brent's method, which runs to a
-    bracket of rtol times its larger end.  Brent's bracket is always the
-    latest trial with g > 0 and the latest with g <= 0, the state of a
-    ConvergenceError from the search.  Raises ConvergenceError, listing
+    bracket of SEPARATRIX_RTOL times its larger end.  Brent's bracket is
+    always the latest trial with g > 0 and the latest with g <= 0, the state
+    of a ConvergenceError from the search.  Raises ConvergenceError, listing
     every shot by increasing value, when the scan finds no change of sign.
     """
     cache, ends = {}, {}
@@ -345,7 +344,7 @@ def _search(shoot_at: Callable, gap: Callable, values, rtol: float
     near = values[change - 1 if change > middle else change + 1]
     pair = (near, values[change]) if up else (values[change], near)
     top = max(pair)
-    tol = rtol * top
+    tol = SEPARATRIX_RTOL * top
     try:
         brentq(g, *pair, xtol=tol - BRENT_RTOL * top, rtol=BRENT_RTOL,
                maxiter=SEARCH_MAXITER)

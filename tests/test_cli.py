@@ -440,8 +440,14 @@ def test_model_commands_import_no_scipy(tmp_path):
     (6, 3, 2, "1e-2", "0.02", "const:-1", 1e-3),
     # the N = 3 flat tower of the README's example; sup_rel measured 1.7e-5
     (3, 7, 1, "5e-2", "0.01", "const:-1", 1e-3),
+    # N = 9 and 10, whose closed-form spikes lie beyond the outer bound
+    # (1/gap + k - 1) log(1/eps) + k log 10 of an a-priori window
+    (9, 2.0, 2, "1e-2", "0.02", "const:-1", 1e-3),
+    (10, 1.9, 1, "1e-2", "0.02", "const:-1", 1e-3),
+    (10, 1.9, 2, "1e-2", "0.02", "const:-1", 1e-3),
 ], ids=["k1-rational", "k2-const", "k1-v0-positive",
-        "N4-k1", "N4-k2", "N5-k1", "N5-k2", "N6-k1", "N6-k2", "k1-const"])
+        "N4-k1", "N4-k2", "N5-k1", "N5-k2", "N6-k1", "N6-k2", "k1-const",
+        "N9-k2", "N10-k1", "N10-k2"])
 def test_verify_flat_regime(n_dim, q, k, eps, h, pot, max_sup, tmp_path):
     run_cli(["verify", "--N", str(n_dim), "--q", str(q), "--k", str(k), "--V", pot,
              "--eps", eps, "--h", h, "--out", str(tmp_path)])

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from bubbletower import (ModelParams, PotentialSpec, Regime, critical_scales,
-                         ef_inverse, energy_expansion, predicted_solution,
-                         predicted_tower, profile_U, reduced_functional,
-                         reduced_functional_grad, reduced_functional_hess_diag,
-                         spike_locations, tower_amplitudes)
+                         ef_inverse, energy_constants, energy_expansion,
+                         predicted_solution, predicted_tower, profile_U,
+                         reduced_functional, reduced_functional_grad,
+                         reduced_functional_hess_diag, spike_locations,
+                         tower_amplitudes)
 from bubbletower.errors import HypothesisViolationError, WindowViolationError
 from conftest import make_params
 
@@ -48,6 +49,12 @@ def test_spike_locations_errors():
         spike_locations([1.0, -2.0], 0.01, params)
     with pytest.raises(WindowViolationError):
         spike_locations([1.0, 300.0], 0.01, params)   # gap collapses
+    # the closed-form spikes at N = 9, q = 1.55, k = 2 increase from 0 only
+    # below eps_max = Lambda_1*^-gap = 0.0097897, which the message names
+    params = make_params(q=1.55, eps=0.01, k=2, n_dim=9)
+    lam = critical_scales(energy_constants(9, 1.55), params)
+    with pytest.raises(WindowViolationError, match=r"epsilon below 0\.00979$"):
+        spike_locations(lam, 0.01, params)
 
 
 def test_reduced_functional_k1_formula(c4):

@@ -7,12 +7,11 @@ import scipy.sparse.linalg as spla
 
 from bubbletower import (GridFunction,
                          ProjectedSolver, ReductionConfig, SpikeFrame, TowerField,
-                         assemble_solution, check_window, critical_scales,
-                         default_sigma, energy_constants, full_operator,
-                         grid_for_spikes, kernel_directions, linearized_matrix,
-                         reduced_energy, solve_correction, solve_reduced,
-                         spike_locations, star_norm, tower_ansatz)
-from bubbletower.errors import WindowViolationError
+                         assemble_solution, critical_scales, default_sigma,
+                         energy_constants, full_operator, grid_for_spikes,
+                         kernel_directions, linearized_matrix, reduced_energy,
+                         solve_correction, solve_reduced, spike_locations,
+                         star_norm, tower_ansatz)
 from conftest import make_params, probe_functions
 
 
@@ -164,18 +163,6 @@ def test_solver_sensitivity_in_spike_positions(c4):
     assert 0.5 < sens[0] / sens[1] < 2.0
 
 
-def test_window_constraint():
-    # q = 4 has exponent gap 1, where the outer bound is k log(M/eps)
-    p1, p2 = make_params(eps=1e-2, k=1), make_params(eps=1e-2, k=2)
-    check_window(np.array([4.0]), p1)
-    with pytest.raises(WindowViolationError):
-        check_window(np.array([-1.0]), p1)
-    with pytest.raises(WindowViolationError):
-        check_window(np.array([4.0, 5.0]), p2)   # gap too small
-    with pytest.raises(WindowViolationError):
-        check_window(np.array([40.0]), p1)       # beyond the window
-
-
 def _gap_case(q, k, eps, n_dim=3, h=0.03):
     # N = 3 cases keep the q-k-eps ids they had before N was a parameter
     tag = f"{q}-{k}-{eps}" if n_dim == 3 else f"N{n_dim}-{q}-{k}-{eps}"
@@ -197,10 +184,15 @@ def _gap_case(q, k, eps, n_dim=3, h=0.03):
     _gap_case(1.9, 3, 5e-2, n_dim=8),
     # N = 10: max|Z| = 114, so the orthogonality bound scales with Z
     _gap_case(1.3, 3, 1e-3, n_dim=10),
+    # flat N = 9 and 10: the closed-form spikes sit beyond any outer bound
+    # of the form (1/gap + k - 1) log(1/eps) + k log 10, yet they converge
+    _gap_case(2.0, 2, 1e-2, n_dim=9, h=0.02),
+    *(_gap_case(1.9, k, 1e-2, n_dim=10, h=0.02) for k in (1, 2)),
 ])
 def test_towers_converge_across_exponent_gaps(n_dim, q, k, eps, h):
     # gap = |q - p*| runs from 0.1 to 1.5; below 1 the first spike sits
-    # beyond k log(M/eps), so the window bound must follow the gap
+    # beyond k log(1/eps), log(1/eps)/gap from the origin, and no a-priori
+    # bound on the spike set stops the solve
     params = make_params(q=q, eps=eps, k=k, n_dim=n_dim)
     _, state = solve_reduced(params, energy_constants(n_dim, q), ReductionConfig(h=h))
     assert np.max(np.abs(state.c)) < 1e-8

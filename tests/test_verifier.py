@@ -256,8 +256,7 @@ def test_scan_walks_away_from_the_middle(eps, k, direction, c4, monkeypatch):
     # is the full scan's only change, so the search and the kept height are
     # those of a search run from that pair
     import bubbletower.verifier as verifier_module
-    from bubbletower.verifier import (SCAN_POINTS, SEPARATRIX_RTOL, _crossing_gap,
-                                      _default_r_max, _search)
+    from bubbletower.verifier import SCAN_POINTS, _crossing_gap, _default_r_max, _search
     params = make_params(eps=eps, k=k)
     tower = predicted_tower(params, c4)
     u0_pred = params.gamma * float(np.sum(np.exp(tower.xi)))
@@ -284,8 +283,7 @@ def test_scan_walks_away_from_the_middle(eps, k, direction, c4, monkeypatch):
     walk = list(range(middle, last + direction, direction))
     assert shot_heights[:len(walk)] == [heights[j] for j in walk]
     assert not set(heights) & set(shot_heights[len(walk):])
-    _, kept = _search(lambda u: original(u, params), gap, heights[i:i + 2],
-                      SEPARATRIX_RTOL)
+    _, kept = _search(lambda u: original(u, params), gap, heights[i:i + 2])
     assert found.u0 == kept.u0
 
 
