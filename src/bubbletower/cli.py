@@ -18,7 +18,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 import numpy.__config__
@@ -99,13 +99,17 @@ _LAPACK = {key: numpy.__config__.CONFIG["Build Dependencies"]["lapack"][key]
 
 
 def _write_artifacts(args, payloads: Dict[str, object],
-                     tables: Dict[str, Tuple[List[str], list]], shown) -> None:
+                     tables: Dict[str, Tuple[List[str], Union[np.ndarray, list]]],
+                     shown) -> None:
     """Write a command's JSON payloads, CSV tables and manifest; print shown.
 
     Every payload, shown (printed as JSON unless it is text) and the manifest
     are serialized first, so a non-finite number fails the run before any
-    file is written.  Each table is (header, rows) and is written with one
-    row template: strings as %s, numbers as %.17g.
+    file is written.  Each table is (header, rows), rows a 2-D float array
+    or a list of equal-length row lists, one value per header column.  Its
+    values, flattened in row order, go through one % template in one call:
+    the row template (strings as %s, numbers as %.17g, after the first
+    row's types) repeated once per row.
     """
     manifest = {
         "tool": "bubbletower",
@@ -125,11 +129,13 @@ def _write_artifacts(args, payloads: Dict[str, object],
     out = Path(args.out or os.environ.get("BUBBLETOWER_OUT", "runs")) / args.command
     out.mkdir(parents=True, exist_ok=True)
     for name, (header, rows) in tables.items():
-        lines = [",".join(header)]
-        if rows:
-            row = ",".join("%s" if isinstance(c, str) else _FMT for c in rows[0])
-            lines += [row % tuple(r) for r in rows]
-        (out / name).write_text("\n".join(lines) + "\n")
+        values = (rows.ravel().tolist() if isinstance(rows, np.ndarray)
+                  else [v for r in rows for v in r])
+        width = len(header)
+        row = "\n" + ",".join("%s" if isinstance(c, str) else _FMT
+                              for c in values[:width])
+        body = row * (len(values) // width) % tuple(values)
+        (out / name).write_text(",".join(header) + body + "\n")
     for name, text in texts.items():
         (out / name).write_text(text)
     print(shown)
@@ -189,7 +195,7 @@ def cmd_reduce(args) -> int:
         "eps": params.epsilon,
     }
     _write_artifacts(args, {"reduction.json": summary},
-                     {"profile.csv": (["x", "ubar", "phi", "v"], table.tolist())},
+                     {"profile.csv": (["x", "ubar", "phi", "v"], table)},
                      {k: summary[k] for k in ("lambda_eps", "multipliers",
                                               "star_norm_phi", "iterations")})
     return 0
@@ -216,7 +222,7 @@ def cmd_verify(args) -> int:
         "max_radial_residual": float(np.max(residual)),
         "multipliers": list(state.c),
     }
-    shot = np.column_stack((found.r, found.u)).tolist()
+    shot = np.column_stack((found.r, found.u))
     _write_artifacts(args, {"verify.json": payload},
                      {"shot.csv": (["r", "u"], shot)}, payload)
     return 0

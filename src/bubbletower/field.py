@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
@@ -127,8 +127,15 @@ class SpikeFrame:
             raise ValueError("sigma must be positive")
 
     def weight(self, x) -> np.ndarray:
+        """sum_i exp(-sigma |x - xi_i|) at each point of x, in x's shape.
+
+        The builtin sum adds the k rows exp(-sigma |xi_i - x|) in order, as
+        TowerField sums Ubar: k long vectorized passes, not the n length-k
+        reductions of a sum over a trailing spike axis.  The two agree bit
+        for bit below 8 spikes; numpy pairs the terms of longer sums.
+        """
         x = np.asarray(x, dtype=float)
-        return np.exp(-self.sigma * np.abs(x[..., None] - self.xi)).sum(axis=-1)
+        return sum(np.exp(-self.sigma * np.abs(np.subtract.outer(self.xi, x))))
 
 
 def default_sigma(params: ModelParams) -> float:
@@ -171,7 +178,8 @@ def _weights(x: np.ndarray, params: ModelParams) -> Tuple[np.ndarray, np.ndarray
     return np.exp(params.epsilon * x), params.omega(x) * w_pot
 
 
-def energy(psi: GridFunction, params: ModelParams) -> float:
+def energy(psi: GridFunction, params: ModelParams,
+           weights: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> float:
     """Ansatz energy on the truncated domain.
 
     0.5 int (psi'^2 + psi^2) - beta/(p+1) int w_nl |psi|^{p+1}
@@ -184,6 +192,9 @@ def energy(psi: GridFunction, params: ModelParams) -> float:
     grid function equals the discrete equation residual, so towers whose
     multipliers vanish are critical points of the reduced energy.  Both
     choices are second-order accurate like centered differences.
+
+    weights is the pair _weights(psi.grid.x, params) where the caller
+    already holds it (a TowerField's w_nl and w_pot on the same grid).
     """
     h = psi.grid.h
     vals = psi.values
@@ -192,7 +203,7 @@ def energy(psi: GridFunction, params: ModelParams) -> float:
     dv = np.diff(np.concatenate(([0.0], vals, [0.0]))) / h
     p = params.p
     beta = params.beta
-    w_nl, w_pot = _weights(psi.grid.x, params)
+    w_nl, w_pot = _weights(psi.grid.x, params) if weights is None else weights
     quad = 0.5 * h * (np.sum(dv * dv) + np.sum(vals * vals))
     av = np.abs(vals)
     term_nl = beta / (p + 1.0) * (h * np.sum(w_nl * av ** (p + 1.0)))

@@ -25,8 +25,8 @@ diagonal), which takes the grid, Z and the operator's off-diagonal from it
 (``solver.field``); every step's right-hand side, Jacobian diagonal and
 increment norm come from it too.  The ReductionState carries the
 last step's solver, so the multiplier Jacobian reads its factors and U''
-columns and the energy and the sweep metrics its Ubar and analytic
-residual; no profile is evaluated twice.
+columns and the energy and the sweep metrics its Ubar, weights and
+analytic residual; no profile or weight is evaluated twice.
 Within solve_reduced each correction starts from the phi of the accepted
 outer iterate.  sweep_point gives the trend metrics of one epsilon for
 ``sweep``.
@@ -169,11 +169,12 @@ class ProjectedSolver:
             raise ConditioningError(
                 f"singular Schur complement Z^T A^-1 Z: {exc}") from exc
         phi = y - self._az @ mu
-        sol = np.concatenate([phi, mu])
         scale = 1e12 * max(1.0, float(np.max(np.abs(rhs))))
-        if not np.all(np.isfinite(sol)) or np.max(np.abs(sol)) > scale:
+        # a NaN, like an inf, fails the <=
+        if not (np.max(np.abs(phi)) <= scale and np.max(np.abs(mu)) <= scale):
+            size = np.max(np.abs(np.concatenate([phi, mu])))
             raise ConditioningError(
-                f"projected solve degenerate (|sol| ~ {np.max(np.abs(sol)):.2e} "
+                f"projected solve degenerate (|sol| ~ {size:.2e} "
                 f"for |rhs| ~ {np.max(np.abs(rhs)):.2e}); spikes nearly "
                 "coincide or grid too coarse")
         return phi, -mu
@@ -211,8 +212,9 @@ def solve_correction(xi, params: ModelParams,
     if grid is None:
         grid = grid_for_spikes(xi, config.h, PAD)
     tower = TowerField(xi, params, grid)
-    z, phi = tower.z, np.zeros(grid.n) if phi0 is None else phi0
-    phi = phi - z @ np.linalg.solve(z.T @ z, z.T @ phi)
+    z, phi = tower.z, np.zeros(grid.n)
+    if phi0 is not None:
+        phi = phi0 - z @ np.linalg.solve(z.T @ z, z.T @ phi0)
     c = np.zeros(xi.size)
     increments: list = []
     iterations = 0
@@ -335,7 +337,8 @@ def sweep_point(params: ModelParams, constants: EnergyConstants,
     state = solve_correction(xi, params, config)
     tower = state.field
     res_star = tower.star_norm(tower.ansatz_residual().values)
-    gap = energy(tower.ubar, params) - energy_expansion(lam, eps, constants, params).total
+    gap = energy(tower.ubar, params, (tower.w_nl, tower.w_pot)) \
+        - energy_expansion(lam, eps, constants, params).total
     return {"eps": eps, "residual_star": res_star, "phi_star": state.star_norm_phi,
             "energy_gap_ratio": abs(gap) / eps}
 

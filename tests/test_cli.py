@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bubbletower import cli
+from bubbletower import (ModelParams, PotentialSpec, ReductionConfig, cli,
+                         solve_reduced)
 from bubbletower.cli import main, parse_potential
 from bubbletower.errors import ConvergenceError
 
@@ -125,24 +126,46 @@ def test_reduce_writes_no_solution_csv(tmp_path):
     assert not (tmp_path / "reduce" / "solution.csv").exists()
 
 
-def test_float_table_matches_per_value_format(tmp_path):
-    # the one row template per table gives the bytes of a per-value writer
-    def _fmt(x) -> str:
-        return "%.17g" % float(x)
+def _per_value_csv(header, table) -> bytes:
+    """The reference bytes: every value formatted on its own with %.17g."""
+    lines = [",".join(header)] + [",".join("%.17g" % float(v) for v in row)
+                                  for row in table]
+    return ("\n".join(lines) + "\n").encode()
 
+
+def test_float_table_matches_per_value_format(tmp_path):
+    # the one template per table gives the bytes of a per-value writer,
+    # whether the table arrives as an array or as row lists
     rng = np.random.default_rng(3)
     table = rng.normal(size=(200, 4)) * 10.0 ** rng.integers(-300, 300, (200, 4))
     table[0, :3] = (-0.0, 5e-324, 1.7976931348623157e308)
     header = ["x", "a", "b", "c"]
     named = [["a1", 0.5, 1e-13], ["c_n", 3.0 ** 0.25, 0.0]]
+    tables = {"a.csv": (header, table.tolist()), "array.csv": (header, table),
+              "one.csv": (header, table[:1]), "empty.csv": (header, table[:0]),
+              "b.csv": (["name", "v", "e"], named)}
     args = argparse.Namespace(command="tables", out=str(tmp_path))
-    cli._write_artifacts(args, {}, {"a.csv": (header, table.tolist()),
-                                    "b.csv": (["name", "v", "e"], named)}, {})
-    expected = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in table]
-    assert (tmp_path / "tables" / "a.csv").read_bytes() \
-        == ("\n".join(expected) + "\n").encode()
-    assert (tmp_path / "tables" / "b.csv").read_text().splitlines() == [
-        "name,v,e", "a1,0.5,1e-13", f"c_n,{_fmt(3.0 ** 0.25)},0"]
+    cli._write_artifacts(args, {}, tables, {})
+    out = tmp_path / "tables"
+    for name in ("a.csv", "array.csv"):
+        assert (out / name).read_bytes() == _per_value_csv(header, table)
+    assert (out / "one.csv").read_bytes() == _per_value_csv(header, table[:1])
+    assert (out / "empty.csv").read_bytes() == b"x,a,b,c\n"
+    assert (out / "b.csv").read_text().splitlines() == [
+        "name,v,e", "a1,0.5,1e-13", f"c_n,{'%.17g' % 3.0 ** 0.25},0"]
+
+
+def test_reduce_profile_csv_is_the_solved_tower(tmp_path, c4):
+    # x, Ubar, phi and Ubar + phi of the solved reduction, each value with
+    # %.17g, byte for byte
+    run_cli(["reduce", "--q", "4", "--eps", "5e-2", "--k", "1",
+             "--V", "const:-1", "--h", "0.05", "--out", str(tmp_path)])
+    params = ModelParams.make(3, 4.0, 5e-2, k=1, potential=PotentialSpec.constant(-1.0))
+    _, state = solve_reduced(params, c4, ReductionConfig(h=0.05))
+    ubar, phi = state.field.ubar.values, state.phi.values
+    columns = (state.phi.grid.x, ubar, phi, ubar + phi)
+    assert (tmp_path / "reduce" / "profile.csv").read_bytes() \
+        == _per_value_csv(["x", "ubar", "phi", "v"], zip(*columns))
 
 
 def test_sweep_requires_decreasing_eps(tmp_path):

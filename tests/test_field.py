@@ -89,6 +89,19 @@ def test_star_norm_homogeneity(c):
     assert nc == pytest.approx(abs(c) * n0, rel=1e-12, abs=1e-300)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_star_weight_keeps_the_per_point_sum_bits(k):
+    # the row sum equals the per-point sum over a trailing spike axis bit
+    # for bit (numpy sums fewer than 8 terms in order), at any shape of x
+    frame = SpikeFrame(np.arange(k) * 11.5 - 4.0, 0.37)
+    grid = Grid.from_span(-40.0, 40.0, 0.02).x
+    for x in (2.3, grid, grid[:-1].reshape(80, -1)):
+        direct = np.exp(-frame.sigma * np.abs(np.asarray(x)[..., None] - frame.xi)).sum(-1)
+        weight = frame.weight(x)
+        assert np.shape(weight) == np.shape(x)
+        assert np.asarray(weight).tobytes() == direct.tobytes()
+
+
 def test_star_norm_dominance_bounds():
     rng = np.random.default_rng(3)
     g = Grid.from_span(-12.0, 12.0, 0.05)
