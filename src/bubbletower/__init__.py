@@ -14,17 +14,15 @@ from .errors import (AssemblyError, BubbleTowerError, ConditioningError,
                      ConvergenceError, HypothesisViolationError,
                      LapackUnavailableError, QuadratureConvergenceError,
                      RegimeMismatchError, WindowViolationError)
-from .profiles import (ModelParams, PotentialSpec, Regime, bubble_w,
-                       critical_exponents, ef_forward, ef_inverse, ef_r_of_x,
-                       ef_x_of_r, model_constants, profile_U, profile_d2U,
-                       profile_dU)
+from .profiles import (ModelParams, PotentialSpec, Regime, critical_exponents,
+                       ef_inverse, ef_r_of_x, ef_x_of_r, model_constants,
+                       profile_U, profile_d2U, profile_dU)
 from .quadrature import (EnergyConstants, energy_constants, integrate_line,
                          profile_log_moment_closed_form,
                          profile_moment_closed_form)
 from .reduced_model import (EnergyBreakdown, TowerConfig, critical_scales,
-                            energy_expansion, predicted_solution,
-                            predicted_tower, reduced_functional,
-                            reduced_functional_grad,
+                            energy_expansion, predicted_tower,
+                            reduced_functional, reduced_functional_grad,
                             reduced_functional_hess_diag, spike_locations,
                             tower_amplitudes)
 from .field import (Grid, GridFunction, SpikeFrame, TowerField, ansatz_residual,
@@ -32,7 +30,7 @@ from .field import (Grid, GridFunction, SpikeFrame, TowerField, ansatz_residual,
                     kernel_directions, linearized_matrix, nonlinear_remainder,
                     star_norm, tower_ansatz)
 from .reduction import (ProjectedSolver, RadialSolution, ReductionConfig,
-                        ReductionState, assemble_solution, reduced_energy,
-                        solve_correction, solve_reduced, sweep_point)
+                        ReductionState, assemble_solution, solve_correction,
+                        solve_reduced, sweep_point)
 from .verifier import (Classification, CompareMetrics, ShotProfile, compare,
                        find_tower, shoot)

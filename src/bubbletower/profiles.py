@@ -1,8 +1,9 @@
 """Closed-form profiles, model constants and the Emden-Fowler change of variables.
 
-Everything in this module is exact (no grids): the standard-bubble family, its
-line profile U obtained by the Emden-Fowler substitution, and the forward /
-inverse transforms between radial functions of r > 0 and functions on the line.
+Everything in this module is exact (no grids): the line profile U, which the
+Emden-Fowler substitution makes of the standard bubble, the maps between r > 0
+and the line variable x, and the inverse transform of a function on the line
+to a radial function.
 """
 
 from __future__ import annotations
@@ -21,11 +22,9 @@ __all__ = [
     "ModelParams",
     "critical_exponents",
     "model_constants",
-    "bubble_w",
     "profile_U",
     "profile_dU",
     "profile_d2U",
-    "ef_forward",
     "ef_inverse",
     "ef_x_of_r",
     "ef_r_of_x",
@@ -205,16 +204,6 @@ class ModelParams:
         return self.potential.evaluate(ef_r_of_x(x, self.n_dim, self.regime))
 
 
-def bubble_w(lam: float, xi_center, y, n_dim: int) -> float:
-    """Standard bubble gamma_N (lam / (lam^2 + |y-xi|^2))^{(N-2)/2}."""
-    if lam <= 0:
-        raise ValueError("bubble scale must be positive")
-    gamma, _ = model_constants(n_dim)
-    d2 = np.sum((np.atleast_1d(np.asarray(y, dtype=float))
-                 - np.atleast_1d(np.asarray(xi_center, dtype=float))) ** 2)
-    return gamma * (lam / (lam * lam + d2)) ** ((n_dim - 2) / 2.0)
-
-
 def profile_U(x, n_dim: int):
     """Line profile U(x) = gamma_N (2 cosh(2x/(N-2)))^{-(N-2)/2}.
 
@@ -262,21 +251,6 @@ def ef_x_of_r(r, n_dim: int, regime: Regime):
     m = (n_dim - 2) / 2.0
     r = np.asarray(r, dtype=float)
     return -regime.ef_sign * m * np.log(r)
-
-
-def ef_forward(u: Callable, n_dim: int, regime: Regime = Regime.SUB_Q) -> Callable:
-    """Transform a radial function u(r) to v(x) = r^{(N-2)/2} u(r), r = r(x).
-
-    The result is an exact composition (no resampling); `u` must accept
-    numpy arrays of radii.
-    """
-    m = (n_dim - 2) / 2.0
-
-    def v(x):
-        r = ef_r_of_x(x, n_dim, regime)
-        return r ** m * u(r)
-
-    return v
 
 
 def ef_inverse(v: Callable, n_dim: int, regime: Regime = Regime.SUB_Q) -> Callable:

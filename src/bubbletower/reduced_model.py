@@ -1,4 +1,4 @@
-"""The finite-dimensional reduced functional, its critical point, and predictions.
+"""The finite-dimensional reduced functional, its critical point and the predicted tower.
 
 The tower is parameterized by k positive scales Lambda.  Spike locations on
 the line follow from (Lambda, epsilon); the reduced functional collects the
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -30,7 +29,6 @@ __all__ = [
     "tower_amplitudes",
     "predicted_tower",
     "energy_expansion",
-    "predicted_solution",
 ]
 
 
@@ -200,25 +198,3 @@ def energy_expansion(lambdas, epsilon: float, constants: EnergyConstants,
                            leading=leading, psi_term=psi_term,
                            a4_term=a4_term, log_term=log_term)
 
-
-def predicted_solution(params: ModelParams, constants: EnergyConstants) -> Callable:
-    """The explicit k-bubble superposition the construction produces.
-
-    Returns a callable u(r).  Identical (exactly, not asymptotically) to the
-    inverse Emden-Fowler transform of sum_i U(. - xi_i(Lambda*)).
-    """
-    params.check_hypotheses()
-    tower = predicted_tower(params, constants)
-    m = (params.n_dim - 2) / 2.0
-    gamma = params.gamma
-    p_star = params.p_star
-    # A_j = exp(+xi_j) sub-q (blow-up heights), exp(-xi_j) super-q (flat)
-    heights = np.exp(params.ef_sign * tower.xi)
-
-    def u(r):
-        r = np.asarray(r, dtype=float)
-        rr = r[..., None] ** 2 if r.ndim else r ** 2
-        terms = gamma * heights * (1.0 + heights ** (p_star - 1.0) * rr) ** (-m)
-        return terms.sum(axis=-1)
-
-    return u

@@ -5,8 +5,7 @@ the translation directions Z_i = U'(. - xi_i) projected out (block
 elimination of the bordered system through its k x k Schur complement, so
 only the tridiagonal operator is factored, by numerics.TridiagonalLU),
 (ii) Newton's method for the correction phi(xi), one such solve per step on
-the Jacobian at Ubar + phi, (iii) the reduced energy as a function of the
-scale parameters Lambda, and (iv) Newton's method in log Lambda on the
+the Jacobian at Ubar + phi, and (iii) Newton's method in log Lambda on the
 multipliers c_i of the correction until max|c| < TOL_C, so that
 v = Ubar + phi is a genuine discrete solution; dc/d log Lambda comes from
 the factors of the correction's last step (multiplier_jacobian).
@@ -56,7 +55,6 @@ __all__ = [
     "ReductionState",
     "ProjectedSolver",
     "solve_correction",
-    "reduced_energy",
     "solve_reduced",
     "sweep_point",
     "assemble_solution",
@@ -250,24 +248,6 @@ def solve_correction(xi, params: ModelParams,
         raise ConditioningError(
             f"orthogonality defect {result.orth_defect:.2e} above {bound:.2e}")
     return result
-
-
-def reduced_energy(lambdas, params: ModelParams,
-                   config: ReductionConfig = ReductionConfig(),
-                   grid: Optional[Grid] = None):
-    """Energy of the corrected ansatz at xi(Lambda).
-
-    At epsilon = 0 with a single spike the problem is translation invariant
-    and the spike sits at the origin; the result is then the single-profile
-    energy a1 up to discretization.
-    """
-    if params.epsilon == 0.0 and params.k == 1:
-        xi = np.zeros(1)
-    else:
-        xi = spike_locations(lambdas, params.epsilon, params)
-    state = solve_correction(xi, params, config, grid=grid)
-    return energy(GridFunction(state.phi.grid, state.field.ubar.values + state.phi.values),
-                  params)
 
 
 def solve_reduced(params: ModelParams, constants: EnergyConstants,

@@ -26,7 +26,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -269,7 +269,7 @@ def find_tower(params: ModelParams, guess: TowerConfig) -> ShotProfile:
     In both regimes the kept shot is DECAYING once it reaches r(xi_1 - 6),
     past the tower on its side; only it builds its interpolant.  Raises
     ConvergenceError before any shot if the scan's top value, its p-th power
-    (concentrating) or a flat shot's radius e^{x/m} passes float range; from
+    (concentrating) or a flat shot's e^x or radius e^{x/m} passes float range; from
     _search; and with the kept shot as state unless it is DECAYING with k
     peaks.
     """
@@ -279,7 +279,8 @@ def find_tower(params: ModelParams, guess: TowerConfig) -> ShotProfile:
     # sum e^{xi_j} or 1.5 gamma e^{xi_k}, and the largest exponent a shot needs
     log_top = math.log(1.5 * params.gamma) + xik + (
         math.log(sum(math.exp(x - xik) for x in guess.xi.tolist())) if sub else 0.0)
-    need = params.p * log_top if sub else max(log_top, 2.0 * (xik + 10.0) / (params.n_dim - 2))
+    need = params.p * log_top if sub else max(log_top, xik + 10.0,
+                                              2.0 * (xik + 10.0) / (params.n_dim - 2))
     if not need < _LOG_MAX:
         raise ConvergenceError(f"seed {'height u0' if sub else 'decay coefficient c'} scanned to "
                                f"e^{log_top:.6g}: a shot needs e^{need:.6g}, beyond float range")
@@ -413,20 +414,18 @@ def _first_event(k: int) -> Callable[[float], bool]:
 
 
 def _growing_mode(shot: ShotProfile) -> float:
-    """g = r^{N-1} u'/m at a flat shot's last step r[0] (m = (N-2)/2), which
-    is -b for b = e^x (v - v'), the coefficient of the mode e^{-x} of
-    v'' = v that grows toward the origin: positive at a zero, negative at a
-    minimum or at the ceiling."""
-    n_dim = shot.params.n_dim
-    return shot.r[0] ** (n_dim - 1.0) * shot.du[0] / ((n_dim - 2) / 2.0)
+    """g = e^x (v' - v) at a flat shot's last step x[0], which is -b for
+    b = e^x (v - v'), the coefficient of the mode e^{-x} of v'' = v that
+    grows toward the origin: positive at a zero, negative at a minimum or
+    at the ceiling.  It equals r^{N-1} u'/m (r = e^{x/m}, u = e^{-x} v,
+    m = (N-2)/2), whose power r^{N-1} would overflow first."""
+    return math.exp(shot.x[0]) * (shot.dv[0] - shot.v[0])
 
 
 @dataclass(frozen=True)
 class CompareMetrics:
     sup_rel: float
     l2_rel: float
-    peaks_a: List[Tuple[float, float]]
-    peaks_b: List[Tuple[float, float]]
 
 
 def compare(u_a: Callable, u_b: Callable, window: Tuple[float, float],
@@ -447,9 +446,4 @@ def compare(u_a: Callable, u_b: Callable, window: Tuple[float, float],
     diff = va - vb
     sup_rel = float(np.max(np.abs(diff))) / (scale_sup or 1.0)
     l2_rel = float(np.sqrt(np.mean(diff * diff))) / (scale_l2 or 1.0)
-
-    def peaks(vals):
-        return [(float(t[i]), float(vals[i])) for i in _peak_indices(vals)]
-
-    return CompareMetrics(sup_rel=sup_rel, l2_rel=l2_rel,
-                          peaks_a=peaks(va), peaks_b=peaks(vb))
+    return CompareMetrics(sup_rel=sup_rel, l2_rel=l2_rel)

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bubbletower import (ModelParams, PotentialSpec, Regime, bubble_w,
-                         critical_exponents, ef_forward, ef_inverse,
-                         model_constants, profile_U, profile_d2U, profile_dU)
+from bubbletower import (ModelParams, PotentialSpec, Regime, critical_exponents,
+                         ef_inverse, ef_r_of_x, model_constants, profile_U,
+                         profile_d2U, profile_dU)
 from bubbletower.errors import HypothesisViolationError
 
 GAMMA_3 = 3.0 ** 0.25
@@ -33,20 +33,6 @@ def test_model_constants(n, gamma, beta):
     g, b = model_constants(n)
     assert g == pytest.approx(gamma, rel=1e-15)
     assert b == pytest.approx(beta, rel=1e-15)
-
-
-def test_bubble_center_values():
-    assert bubble_w(1.0, 0.0, 0.0, 3) == pytest.approx(1.316074, abs=1e-6)
-    assert bubble_w(1.0, 0.0, 1.0, 3) == pytest.approx(GAMMA_3 / math.sqrt(2.0),
-                                                       rel=1e-14)
-    for lam in (0.3, 1.0, 4.7):
-        expected = GAMMA_3 * lam ** -0.5
-        assert bubble_w(lam, 0.0, 0.0, 3) == pytest.approx(expected, rel=1e-14)
-
-
-def test_bubble_rejects_nonpositive_scale():
-    with pytest.raises(ValueError):
-        bubble_w(0.0, 0.0, 1.0, 3)
 
 
 def test_profile_value_at_origin():
@@ -109,38 +95,22 @@ def test_profile_derivative_matches_finite_differences(x):
     assert err2 == pytest.approx(err1 / 4.0, rel=0.3)
 
 
-def test_ef_forward_unit_bubble_gives_profile():
-    v = ef_forward(lambda r: np.asarray([bubble_w(1.0, 0.0, ri, 3) for ri in np.atleast_1d(r)]),
-                   3, Regime.SUB_Q)
-    x = np.linspace(-20.0, 20.0, 641)
-    assert np.max(np.abs(v(x) - profile_U(x, 3))) < 1e-12
-
-
 def test_ef_forward_scaling_is_translation():
+    # the bubble of scale lam is the profile translated to x = -log(lam)/2
     lam = 2.0
-    v = ef_forward(lambda r: GAMMA_3 * (lam / (lam ** 2 + np.asarray(r) ** 2)) ** 0.5,
-                   3, Regime.SUB_Q)
-    x = np.linspace(-15.0, 15.0, 30001)
-    vals = v(x)
-    # locate the shift by peak alignment (parabolic refinement), not by formula
-    i = int(np.argmax(vals))
-    num = vals[i - 1] - vals[i + 1]
-    den = vals[i - 1] - 2.0 * vals[i] + vals[i + 1]
-    shift = x[i] + 0.5 * (x[i + 1] - x[i]) * num / den
-    assert np.max(np.abs(vals - profile_U(x - shift, 3))) < 1e-8
-    assert abs(abs(shift) - 0.5 * math.log(lam)) < 1e-6
-
-
-def test_ef_forward_zero_is_zero():
-    v = ef_forward(lambda r: np.zeros_like(np.asarray(r, dtype=float)), 3,
+    u = ef_inverse(lambda x: profile_U(np.asarray(x) + 0.5 * math.log(lam), 3), 3,
                    Regime.SUB_Q)
-    assert np.all(v(np.linspace(-5, 5, 11)) == 0.0)
+    r = np.geomspace(1e-3, 1e3, 601)
+    expected = GAMMA_3 * (lam / (lam ** 2 + r ** 2)) ** 0.5
+    assert np.max(np.abs(u(r) - expected) / expected) < 1e-12
 
 
 @pytest.mark.parametrize("regime", [Regime.SUB_Q, Regime.SUPER_Q])
 def test_ef_round_trip(regime):
+    # v(x) = r^{1/2} u(r) at r = r(x), read back at r by ef_inverse
     u = lambda r: GAMMA_3 * (1.0 / (1.0 + np.asarray(r) ** 2)) ** 0.5
-    back = ef_inverse(ef_forward(u, 3, regime), 3, regime)
+    v = lambda x: ef_r_of_x(x, 3, regime) ** 0.5 * u(ef_r_of_x(x, 3, regime))
+    back = ef_inverse(v, 3, regime)
     r = np.linspace(0.1, 10.0, 500)
     rel = np.abs(back(r) - u(r)) / u(r)
     assert np.max(rel) < 1e-12

@@ -8,10 +8,9 @@ from scipy.optimize import minimize
 
 from bubbletower import (ModelParams, PotentialSpec, Regime, critical_scales,
                          ef_inverse, energy_constants, energy_expansion,
-                         predicted_solution, predicted_tower, profile_U,
-                         reduced_functional, reduced_functional_grad,
-                         reduced_functional_hess_diag, spike_locations,
-                         tower_amplitudes)
+                         predicted_tower, profile_U, reduced_functional,
+                         reduced_functional_grad, reduced_functional_hess_diag,
+                         spike_locations, tower_amplitudes)
 from bubbletower.errors import HypothesisViolationError, WindowViolationError
 from conftest import make_params
 
@@ -260,17 +259,25 @@ def test_energy_expansion_log_coefficient_k1(c4, c7):
                                          rel=1e-12)
 
 
+def _transformed_tower(params, constants):
+    """u(r) of the predicted tower: ef_inverse of sum_j U(. - xi_j)."""
+    xi = predicted_tower(params, constants).xi
+    return ef_inverse(lambda x: sum(profile_U(np.asarray(x) - s, 3) for s in xi),
+                      3, params.regime)
+
+
 @pytest.mark.parametrize("q", [4.0, 7.0])
 def test_predicted_solution_equals_transformed_tower(q, c4, c7):
+    # the transformed tower is the sum of standard bubbles of heights
+    # A_j = e^{s xi_j}, gamma A_j (1 + A_j^{p*-1} r^2)^{-1/2} at N = 3
     C = c4 if q == 4.0 else c7
     params = ModelParams.make(3, q, 1e-2, k=2,
                               potential=PotentialSpec.constant(-1.0))
-    tower = predicted_tower(params, C)
-    u = predicted_solution(params, C)
-    v_line = lambda x: sum(profile_U(np.asarray(x) - s, 3) for s in tower.xi)
-    u_ref = ef_inverse(v_line, 3, params.regime)
+    heights = np.exp(params.ef_sign * predicted_tower(params, C).xi)
     r = np.geomspace(1e-6, 1e3, 200)
-    rel = np.abs(u(r) - u_ref(r)) / np.abs(u_ref(r))
+    bubbles = params.gamma * heights * (1.0 + heights ** 4 * r[:, None] ** 2) ** -0.5
+    u = _transformed_tower(params, C)
+    rel = np.abs(bubbles.sum(axis=1) - u(r)) / u(r)
     assert np.max(rel) < 1e-10
 
 
@@ -281,7 +288,7 @@ def test_predicted_peak_trends(c4, c7):
     for eps in (1e-2, 1e-3, 1e-4):
         sub = make_params(eps=eps, k=1)
         sup = make_params(q=7.0, eps=eps, k=1)
-        sub_peaks.append(float(predicted_solution(sub, c4)(r0)))
-        sup_peaks.append(float(predicted_solution(sup, c7)(r0)))
+        sub_peaks.append(float(_transformed_tower(sub, c4)(r0)))
+        sup_peaks.append(float(_transformed_tower(sup, c7)(r0)))
     assert sub_peaks[0] < sub_peaks[1] < sub_peaks[2]     # blow-up heights
     assert sup_peaks[0] > sup_peaks[1] > sup_peaks[2]     # flat heights

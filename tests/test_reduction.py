@@ -8,10 +8,9 @@ import scipy.sparse.linalg as spla
 from bubbletower import (GridFunction,
                          ProjectedSolver, ReductionConfig, SpikeFrame, TowerField,
                          assemble_solution, critical_scales, default_sigma,
-                         energy_constants, full_operator, grid_for_spikes,
-                         kernel_directions, linearized_matrix, reduced_energy,
-                         solve_correction, solve_reduced, spike_locations,
-                         star_norm, tower_ansatz)
+                         energy, energy_constants, full_operator, grid_for_spikes,
+                         kernel_directions, linearized_matrix, solve_correction,
+                         solve_reduced, spike_locations, star_norm, tower_ansatz)
 from conftest import make_params, probe_functions
 
 
@@ -25,6 +24,13 @@ def _setup(eps=1e-2, k=1, q=4.0, h=0.02, c=None):
     grid = grid_for_spikes(xi, h=h)
     frame = SpikeFrame(xi, sigma)
     return params, constants, lam, xi, grid, frame
+
+
+def _corrected_energy(xi, params, config, grid=None):
+    """energy(Ubar + phi) of the correction at the spike set xi."""
+    state = solve_correction(xi, params, config, grid=grid)
+    return energy(GridFunction(state.phi.grid, state.field.ubar.values + state.phi.values),
+                  params)
 
 
 def test_projected_solve_orthogonality(c4):
@@ -218,7 +224,7 @@ def test_reduced_energy_near_the_lower_end_of_the_window(q):
     params, config = make_params(q=q, eps=1e-2, k=1), ReductionConfig(h=0.02)
     lam, state = solve_reduced(params, energy_constants(3, q), config)
     assert np.max(np.abs(state.c)) < 1e-10
-    assert math.isfinite(reduced_energy(lam, params, config))
+    assert math.isfinite(_corrected_energy(state.xi, params, config))
 
 
 def test_solve_reduced_warns_once_when_solved_spikes_near_the_grid_end():
@@ -243,18 +249,18 @@ def test_reduced_energy_tends_to_leading_term(c4):
     for eps in (1e-2, 3e-3, 1e-3):
         params = make_params(eps=eps, k=1)
         lam = critical_scales(c4, params)
-        vals.append(reduced_energy(lam, params, ReductionConfig(h=0.02)))
+        vals.append(_corrected_energy(spike_locations(lam, eps, params), params,
+                                      ReductionConfig(h=0.02)))
     gaps = [abs(v - c4.a1) for v in vals]
     assert gaps[2] < gaps[1] < gaps[0]
 
 
 def test_reduced_energy_close_to_tower_energy(c4):
     # corrected energy differs from the pure tower energy by o(eps)
-    from bubbletower import energy
     ratios = []
     for eps in (1e-2, 1e-3):
         params, _, lam, xi, grid, frame = _setup(eps=eps, k=1, c=c4)
-        e_corr = reduced_energy(lam, params, ReductionConfig(h=0.02), grid=grid)
+        e_corr = _corrected_energy(xi, params, ReductionConfig(h=0.02), grid=grid)
         ub = tower_ansatz(xi, grid, params)
         e_tower = energy(GridFunction(grid, ub.values), params)
         ratios.append(abs(e_corr - e_tower) / eps)
@@ -305,8 +311,9 @@ def test_assembled_solution_properties(c4):
 
 
 def test_reduced_energy_unperturbed_single_bubble_is_a1():
+    # at eps = 0 the problem is translation invariant: the spike sits at 0
     params = make_params(eps=0.0, v=0.0, k=1)
-    val = reduced_energy(np.array([1.0]), params, ReductionConfig(h=0.01))
+    val = _corrected_energy([0.0], params, ReductionConfig(h=0.01))
     assert abs(val - math.sqrt(3.0) * math.pi / 8.0) < 2e-5
 
 
@@ -324,13 +331,15 @@ def test_degenerate_saddle_raises_conditioning_error(c4):
 
 def test_assembled_agrees_with_predicted_solution(c4):
     # sup agreement where the tallest bubble lives, improving as eps shrinks
-    from bubbletower import compare, predicted_solution
+    from bubbletower import compare, ef_inverse, predicted_tower, profile_U
     sups = []
     for eps in (5e-2, 1e-2):
         params = make_params(eps=eps, k=1)
         lam_eps, state = solve_reduced(params, c4, ReductionConfig(h=0.02))
         sol = assemble_solution(state, params)
-        pred = predicted_solution(params, c4)
+        xi = predicted_tower(params, c4).xi
+        pred = ef_inverse(lambda x: sum(profile_U(np.asarray(x) - s, 3) for s in xi),
+                          3, params.regime)
         # evenly spaced in log r
         ln_peak = -2.0 * float(state.xi[0])
         metrics = compare(lambda s: sol(np.exp(s)), lambda s: pred(np.exp(s)),
@@ -407,9 +416,10 @@ def test_flat_regime_reduced_energy_has_no_critical_point(c7):
         params = make_params(q=7.0, eps=eps, k=1, v=v)
         xi0 = spike_locations(np.array([1.0]), eps, params)
         grid = grid_for_spikes(xi0, h=0.02, pad=4.0)
-        return params, np.array([reduced_energy(np.array([lam]), params,
-                                                ReductionConfig(h=0.02), grid=grid)
-                                 for lam in samples])
+        return params, np.array([
+            _corrected_energy(spike_locations(np.array([lam]), eps, params), params,
+                              ReductionConfig(h=0.02), grid=grid)
+            for lam in samples])
 
     params, values = landscape(-1.0)
     diffs = np.diff(values)

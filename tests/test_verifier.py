@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from bubbletower import (Classification, ModelParams, PotentialSpec, bubble_w,
+from bubbletower import (Classification, ModelParams, PotentialSpec, ShotProfile,
                          compare, find_tower, predicted_tower, shoot)
 from bubbletower.errors import ConvergenceError
 from conftest import make_params
@@ -21,7 +21,7 @@ def test_shooting_reproduces_bubble_family(lam):
     u0 = GAMMA_3 * lam ** -0.5
     prof = shoot(u0, params)
     r = np.linspace(1e-3, 10.0, 400)
-    exact = np.array([bubble_w(lam, 0.0, ri, 3) for ri in r])
+    exact = GAMMA_3 * (lam / (lam ** 2 + r ** 2)) ** 0.5
     got = np.atleast_2d(prof.interpolant(r))[0]
     assert np.max(np.abs(got - exact)) < 1e-6
     assert prof.classification is Classification.DECAYING
@@ -115,6 +115,24 @@ def test_flat_stop_matches_the_sample_loop():
             assert rule(vs, k, 12) == j
             kinds.append(kind)
     assert all(kinds.count(kind) > 100 for kind in ("bound", "minimum", None))
+
+
+def test_growing_mode_stays_finite_far_out():
+    # a flat N = 3 shot whose last step x[0] lies at 200, where r = e^{2x} is
+    # finite but r^{N-1} is not: v = c e^{-x} + b e^{x} gives
+    # g = e^x (v' - v) = -2c
+    from bubbletower.verifier import _growing_mode
+    c, b = 3.0, 1e-174
+    x = np.array([200.0, 200.5, 201.0])
+    v, dv = c * np.exp(-x) + b * np.exp(x), -c * np.exp(-x) + b * np.exp(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        shot = ShotProfile(c, x, v, dv, Classification.CROSSING, 0,
+                           make_params(q=7.0, eps=1e-2, k=1))
+        g = _growing_mode(shot)
+    assert math.isfinite(g)
+    assert g == math.exp(x[0]) * (dv[0] - v[0])
+    assert g == pytest.approx(-2.0 * c, rel=1e-12)
 
 
 def test_find_tower_emits_no_warning(c4):
@@ -523,12 +541,13 @@ def test_compare_identical_and_scaled():
 
 
 def test_compare_peaks_table():
-    u = lambda x: 1.0 / np.cosh(np.asarray(x) - 1.0)
-    w = lambda x: 0.8 / np.cosh(np.asarray(x) + 1.0)
-    m = compare(u, w, (-4.0, 4.0))
-    assert len(m.peaks_a) == 1 and len(m.peaks_b) == 1
-    assert m.peaks_a[0][0] == pytest.approx(1.0, abs=0.02)
-    assert m.peaks_b[0][1] == pytest.approx(0.8, abs=0.01)
+    from bubbletower.verifier import _peak_indices
+    t = np.linspace(-4.0, 4.0, 512)
+    u, w = 1.0 / np.cosh(t - 1.0), 0.8 / np.cosh(t + 1.0)
+    peaks_u, peaks_w = _peak_indices(u), _peak_indices(w)
+    assert peaks_u.size == 1 and peaks_w.size == 1
+    assert t[peaks_u[0]] == pytest.approx(1.0, abs=0.02)
+    assert w[peaks_w[0]] == pytest.approx(0.8, abs=0.01)
 
 
 def test_compare_rejects_empty_window():
@@ -542,13 +561,15 @@ def test_two_tower_peak_heights_match_prediction(c4):
     # height ratios in the transformed variable within 25%
     from bubbletower import (ReductionConfig, assemble_solution, profile_U,
                              solve_reduced)
+    from bubbletower.verifier import _peak_indices
     params = make_params(eps=3e-2, k=2)
     lam_eps, state = solve_reduced(params, c4, ReductionConfig(h=0.02))
     sol = assemble_solution(state, params)
     tower = predicted_tower(params, c4)
-    pred_ef = lambda x: sum(profile_U(np.asarray(x) - s, 3) for s in tower.xi)
-    m = compare(sol.ef, pred_ef, (tower.xi[0] - 3.0, tower.xi[-1] + 3.0),
-                n=4001)
-    assert len(m.peaks_a) == 2 and len(m.peaks_b) == 2
-    for (xa, ha), (xb, hb) in zip(m.peaks_a, m.peaks_b):
-        assert abs(ha / hb - 1.0) < 0.25
+    x = np.linspace(tower.xi[0] - 3.0, tower.xi[-1] + 3.0, 4001)
+    solved = sol.ef(x)
+    pred = sum(profile_U(x - s, 3) for s in tower.xi)
+    peaks_solved, peaks_pred = _peak_indices(solved), _peak_indices(pred)
+    assert peaks_solved.size == 2 and peaks_pred.size == 2
+    for i, j in zip(peaks_solved, peaks_pred):
+        assert abs(solved[i] / pred[j] - 1.0) < 0.25
