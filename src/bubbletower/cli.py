@@ -51,17 +51,16 @@ def _failing(prefix: str):
 
 
 def parse_potential(spec: str) -> PotentialSpec:
-    """Presets: const:c and rational:a,b (V = a + b r^2/(1+r^2)), with finite values."""
+    """Presets: const:c, the pair (c, 0), and rational:a,b, with finite values."""
     kind, _, rest = spec.partition(":")
-    make, arity = {"const": (PotentialSpec.constant, 1),
-                   "rational": (PotentialSpec.rational, 2)}.get(kind, (None, 0))
-    if make is None:
+    arity = {"const": 1, "rational": 2}.get(kind)
+    if arity is None:
         raise SystemExit(f"unknown potential preset {kind!r} (use const:c or rational:a,b)")
     try:
         values = [float(t) for t in rest.split(",")]
         if len(values) != arity:
             raise ValueError(f"needs {arity} value(s)")
-        return make(*values)
+        return PotentialSpec(*values)
     except ValueError as exc:
         raise SystemExit(f"bad potential spec {spec!r}: {exc}")
 

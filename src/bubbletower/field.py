@@ -175,7 +175,7 @@ def _weights(x: np.ndarray, params: ModelParams) -> Tuple[np.ndarray, np.ndarray
     on it passes 709 at the grid's left end), so omega w_pot = 0 at V = 0.
     """
     w_pot = np.exp(np.minimum(-params.exponent_gap * x, _EXP_CLIP))
-    return np.exp(params.epsilon * x), params.omega(x) * w_pot
+    return np.exp(params.epsilon * x), params.omega(x)[0] * w_pot
 
 
 def energy(psi: GridFunction, params: ModelParams,

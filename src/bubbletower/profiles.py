@@ -2,15 +2,17 @@
 
 Everything in this module is exact (no grids): the line profile U, which the
 Emden-Fowler substitution makes of the standard bubble, the maps between r > 0
-and the line variable x, and the inverse transform of a function on the line
-to a radial function.
+and the line variable x, the inverse transform of a function on the line
+to a radial function, and the potential V = a + b r^2/(1+r^2), which the
+model reads only in the line variable (ModelParams.omega).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+import math
+from dataclasses import dataclass
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -64,57 +66,36 @@ def model_constants(n_dim: int):
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Bounded radial potential r -> V(r) with its two limiting values.
+    """Bounded radial potential V(r) = a + b r^2/(1+r^2), held as (a, b).
 
-    Two evaluators of the same V: ``evaluate`` takes and returns arrays (the
-    reduction's grids), ``at`` takes and returns one float (the shooter's
-    right-hand sides, called once per integrator stage).  ``slope`` is the
-    scalar V'(r), which the shooter's dense interpolant needs for u'''.
+    V(0) = a and V(inf) = a + b, the two values the constructions read
+    (ModelParams.v_ref); a constant c is (c, 0).  The model reads V only in
+    the line variable, where r^2 = e^{-cx} (ModelParams.omega).
     """
 
-    evaluate: Callable[[np.ndarray], np.ndarray]
-    at: Callable[[float], float]
-    slope: Callable[[float], float]
-    v0: float
-    v_inf: float
-    label: str = "custom"
+    a: float
+    b: float = 0.0
 
     def __post_init__(self):
-        if not np.all(np.isfinite([self.v0, self.v_inf])):
-            raise ValueError(f"potential values must be finite, got {self.label}")
+        if not all(map(math.isfinite, (self.a, self.b, self.v_inf))):
+            raise ValueError(f"potential values must be finite, got a={self.a:g}, b={self.b:g}")
+
+    @property
+    def v0(self) -> float:
+        return self.a
+
+    @property
+    def v_inf(self) -> float:
+        return self.a + self.b
 
     @staticmethod
     def constant(c: float) -> "PotentialSpec":
-        return PotentialSpec(lambda r: np.full_like(np.asarray(r, dtype=float), c),
-                             lambda r: c, lambda r: 0.0,
-                             v0=c, v_inf=c, label=f"const:{c:g}")
+        return PotentialSpec(c)
 
     @staticmethod
     def rational(a: float, b: float) -> "PotentialSpec":
         """V(r) = a + b r^2/(1+r^2); V(0) = a, V(inf) = a + b."""
-        # past r = 1 both evaluators use 1/(1 + 1/(r r)), which stays finite
-        # when r^2 overflows; only correctly rounded operations, so the
-        # array and the scalar form agree bit for bit
-        def _eval(r):
-            r = np.asarray(r, dtype=float)
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                frac = np.where(r > 1.0, 1.0 / (1.0 + 1.0 / (r * r)),
-                                r * r / (1.0 + r * r))
-            return a + b * frac
-
-        def _at(r):
-            frac = 1.0 / (1.0 + 1.0 / (r * r)) if r > 1.0 else r * r / (1.0 + r * r)
-            return a + b * frac
-
-        def _slope(r):
-            # V'(r) = 2b r/(1+r^2)^2; past r = 1 the form 2b/(r^3 (1+r^-2)^2)
-            # tends to 0 where (1+r^2)^2 would overflow (r*r*r gives inf,
-            # where r ** 3 would raise OverflowError)
-            if r > 1.0:
-                return 2.0 * b / (r * r * r * (1.0 + r ** -2.0) ** 2)
-            return 2.0 * b * r / (1.0 + r * r) ** 2
-        return PotentialSpec(_eval, _at, _slope, v0=a, v_inf=a + b,
-                             label=f"rational:{a:g},{b:g}")
+        return PotentialSpec(a, b)
 
 
 @dataclass(frozen=True)
@@ -125,7 +106,7 @@ class ModelParams:
     q: float
     epsilon: float
     k: int = 1
-    potential: PotentialSpec = field(default_factory=lambda: PotentialSpec.constant(0.0))
+    potential: PotentialSpec = PotentialSpec(0.0)
 
     def __post_init__(self):
         if self.n_dim < 3:
@@ -142,12 +123,9 @@ class ModelParams:
 
     @staticmethod
     def make(n_dim: int, q: float, epsilon: float, k: int = 1,
-             potential: Optional[PotentialSpec] = None) -> "ModelParams":
+             potential: PotentialSpec = PotentialSpec(0.0)) -> "ModelParams":
         """Build params; the potential defaults to V = 0."""
-        if potential is None:
-            potential = PotentialSpec.constant(0.0)
-        return ModelParams(n_dim=n_dim, q=q, epsilon=epsilon, k=k,
-                           potential=potential)
+        return ModelParams(n_dim, q, epsilon, k, potential)
 
     @property
     def regime(self) -> Regime:
@@ -199,9 +177,20 @@ class ModelParams:
                 f"{where} = {self.v_ref:g} must be negative for the "
                 f"{self.regime.value}-q construction")
 
-    def omega(self, x) -> np.ndarray:
-        """Potential read in the line variable: omega(x) = V(r(x))."""
-        return self.potential.evaluate(ef_r_of_x(x, self.n_dim, self.regime))
+    def omega(self, x) -> Tuple[np.ndarray, np.ndarray]:
+        """The potential read in the line variable and its x-derivative.
+
+        With r^2 = e^{-cx}, c = 4s/(N-2), returns omega = V(r(x)) =
+        a + b sigma and omega' = -c b sigma (1 - sigma), sigma =
+        1/(1 + e^{cx}), with cx clipped at _EXP_CLIP; 1 - sigma is formed as
+        e^{cx} sigma, which keeps its digits where sigma rounds to 1.  The
+        shooter's _ef_rhs forms omega with the same arithmetic on floats.
+        """
+        a, b = self.potential.a, self.potential.b
+        c = 4.0 * self.ef_sign / (self.n_dim - 2)
+        e = np.exp(np.minimum(c * np.asarray(x, dtype=float), _EXP_CLIP))
+        sigma = 1.0 / (1.0 + e)
+        return a + b * sigma, -c * b * sigma * (e * sigma)
 
 
 def profile_U(x, n_dim: int):

@@ -28,7 +28,8 @@ columns and the energy and the sweep metrics its Ubar, weights and
 analytic residual; no profile or weight is evaluated twice.
 Within solve_reduced each correction starts from the phi of the accepted
 outer iterate.  sweep_point gives the trend metrics of one epsilon for
-``sweep``.
+``sweep``.  RadialSolution.radial_residual checks the radial equation in
+the line variable, where its terms stay representable.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import numpy as np
 from .errors import AssemblyError, ConditioningError, ConvergenceError
 # tower_ansatz is no longer called here; perfbench's span self-test reads
 # reduction.tower_ansatz, so the name stays importable
-from .field import (WINDOW, Grid, GridFunction, TowerField, energy,
+from .field import (WINDOW, Grid, GridFunction, TowerField, _weights, energy,
                     grid_for_spikes, tower_ansatz)
 from .profiles import ModelParams, Regime, ef_inverse, ef_r_of_x, ef_x_of_r
 from .numerics import PiecewisePolynomial, TridiagonalLU, not_a_knot_spline
@@ -368,28 +369,22 @@ class RadialSolution:
         """Relative residual of the radial equation at the given radii.
 
         |u'' + (N-1)/r u' + u^p - V u^q|, p = params.p, over the sum of the
-        term magnitudes; derivatives come from the spline by the chain rule.
+        four term magnitudes, evaluated in the line variable x(r): with
+        u = r^{-m} v, m = (N-2)/2, each term is r^{-m-2} m^2 times
+        (1 + 1/m)(v + s v') + v'' + s v', -(2 + 1/m)(v + s v'),
+        beta w_nl v_+^p and -beta omega w_pot v_+^q (field._weights), whose
+        ratio stays meaningful where every term underflows in r.  A 0/0 is
+        NaN, not 0.  Derivatives come from the spline.
         """
-        r = np.asarray(radii, dtype=float)
         p = self.params
-        m = (p.n_dim - 2) / 2.0
-        s = p.ef_sign
-        x = ef_x_of_r(r, p.n_dim, p.regime)
-        v = self.spline(x)
-        dv = self.spline(x, 1)
-        d2v = self.spline(x, 2)
-        # u = r^{-m} v(x(r)), x = -s m log r
-        u = r ** (-m) * v
-        du = -m * r ** (-m - 1.0) * (v + s * dv)
-        d2u = r ** (-m - 2.0) * (m * (m + 1.0) * (v + s * dv)
-                                 + m * m * (d2v + s * dv))
-        t_lin = d2u + (p.n_dim - 1.0) / r * du
-        u_pos = np.maximum(u, 0.0)
-        t_nl = u_pos ** p.p
-        t_pot = -p.potential.evaluate(r) * u_pos ** p.q
-        denom = np.abs(d2u) + np.abs((p.n_dim - 1.0) / r * du) \
-            + np.abs(t_nl) + np.abs(t_pot)
-        return np.abs(t_lin + t_nl + t_pot) / np.maximum(denom, 1e-300)
+        m, s = (p.n_dim - 2) / 2.0, p.ef_sign
+        x = ef_x_of_r(np.asarray(radii, dtype=float), p.n_dim, p.regime)
+        v, dv, d2v = self.spline(x), self.spline(x, 1), self.spline(x, 2)
+        w_nl, w_pot = _weights(x, p)
+        v_pos, mixed = np.maximum(v, 0.0), v + s * dv
+        terms = ((1.0 + 1.0 / m) * mixed + d2v + s * dv, -(2.0 + 1.0 / m) * mixed,
+                 p.beta * w_nl * v_pos ** p.p, -p.beta * w_pot * v_pos ** p.q)
+        return np.abs(sum(terms)) / sum(np.abs(t) for t in terms)
 
     def peak_height(self, n_samples: int = 4000) -> float:
         """Max of u over the radial range mapped from the computed domain."""

@@ -3,8 +3,9 @@
 Every shot integrates v = r^{(N-2)/2} u in the Emden-Fowler variable x,
 r = e^{-s x/m} (s = +1 concentrating, -1 flat), where each spike of a
 tower is a translate of one O(1) profile, on one right-hand side
-(_ef_rhs).  A shot stops at its first event after the k-th peak of v
-(_first_event), a zero (CROSSING) or a minimum (BLOWING), as the radial
+(_ef_rhs), which reads V in x as ModelParams.omega does.  A shot stops at
+its first event after the k-th peak of v (_first_event), a zero
+(CROSSING) or a minimum (BLOWING), as the radial
 phase plane sorts them (Berestycki, Lions & Peletier, Indiana Univ. Math.
 J. 30, 1981).  The concentrating regime shoots outward from the origin;
 the flat regime, with no reachable forward dichotomy (deviations separate
@@ -109,7 +110,7 @@ class ShotProfile:
     def ef_image(self) -> PiecewisePolynomial:
         """v(x): the septic Hermite interpolant of the steps in x, which
         matches v and v' there, and v'' and v''' taken from the equation
-        (v''' needs V', the potential's ``slope``)."""
+        (v''' needs omega', from ModelParams.omega)."""
         return _septic_hermite(self)
 
     def interpolant(self, r) -> np.ndarray:
@@ -144,7 +145,7 @@ def shoot(u0: float, params: ModelParams) -> ShotProfile:
         raise ValueError("initial height must be positive and finite")
     p, m, s = params.p, 0.5 * (params.n_dim - 2.0), params.ef_sign
     r0 = min(1e-6, 1e-3 * u0 ** (-0.5 * (p - 1.0)))
-    curv = (u0 ** p - params.potential.at(0.0) * u0 ** params.q) / (2.0 * params.n_dim)
+    curv = (u0 ** p - params.potential.v0 * u0 ** params.q) / (2.0 * params.n_dim)
     u_start, du_start, w0 = u0 - curv * r0 * r0, -2.0 * curv * r0, r0 ** m
     event = _first_event(params.k)
     x, v, dv, code = dop853(_ef_rhs(params), -s * m * math.log(r0), w0 * u_start,
@@ -173,20 +174,21 @@ def _default_r_max(params: ModelParams) -> float:
 
 def _ef_rhs(params: ModelParams):
     """Right-hand side v'' of the transformed equation at (x, v, v'),
-    v'' = v - beta (e^{eps x} v^p - V(r) e^{-a x} v^q), r = e^{-s x/m},
-    with a = |q - p*|, v clipped at 0 and r's exponent at _EXP_CLIP; on Python floats.
-    Python's ``**`` and math.exp raise OverflowError where numpy returns
-    inf (far into a blow-up); dop853 rejects such a step.  The clip gives
-    the bits of max(v, 0.0) for every v: at v = -0.0 and NaN, where the two
-    clips differ, the bracket is +0.0 or NaN either way."""
+    v'' = v - beta (e^{eps x} v^p - omega e^{-a x} v^q), a = |q - p*|,
+    v clipped at 0, on Python floats; omega = V(r(x)) is ModelParams.omega's
+    arithmetic, inline (math.exp and numpy's exp differ in the last bit at
+    a few x).  Python's ``**`` and math.exp raise OverflowError where numpy
+    returns inf (far into a blow-up); dop853 rejects such a step.  The clip
+    gives the bits of max(v, 0.0) for every v: at v = -0.0 and NaN, where
+    the two clips differ, the bracket is +0.0 or NaN either way."""
     beta, p, q, eps = params.beta, params.p, params.q, params.epsilon
-    neg_gap, ms = -params.exponent_gap, -params.ef_sign * (params.n_dim - 2) / 2.0
-    pot, exp, clip = params.potential.at, math.exp, _EXP_CLIP
+    neg_gap, c = -params.exponent_gap, 4.0 * params.ef_sign / (params.n_dim - 2)
+    a, b, exp, clip = params.potential.a, params.potential.b, math.exp, _EXP_CLIP
 
     def rhs(x, v, dv):
         vv = v if v > 0.0 else 0.0
-        t = x / ms
-        w_q = pot(exp(clip if t > clip else t)) * exp(neg_gap * x)
+        t = c * x
+        w_q = (a + b * (1.0 / (1.0 + exp(clip if t > clip else t)))) * exp(neg_gap * x)
         return v - beta * (exp(eps * x) * vv ** p - w_q * vv ** q)
 
     return rhs
@@ -208,22 +210,21 @@ def _septic_hermite(shot: ShotProfile) -> PiecewisePolynomial:
 
     v'' is the right-hand side of _ef_rhs; v''' is its x-derivative,
     v' - beta ((eps v^p + p v^{p-1} v') e^{eps x} - W' v^q - q W v^{q-1} v')
-    with W = V(r) e^{-a x} and W' = (V'(r) r'(x) - a V(r)) e^{-a x}, v
-    clipped at 0.  On an interval [x_i, x_i + h] with scaled derivatives
-    d_l = h^l v^{(l)}/l! the Bernstein coefficients are c_j = sum_{l<=j}
-    C(j,l)/C(7,l) d_l(x_i) and c_{7-j} = sum_{l<=j} (-1)^l C(j,l)/C(7,l)
-    d_l(x_i + h), j = 0..3, computed for all intervals at once.
+    with W = omega e^{-a x} and W' = (omega' - a omega) e^{-a x}, omega and
+    omega' from ModelParams.omega, v clipped at 0.  On an interval
+    [x_i, x_i + h] with scaled derivatives d_l = h^l v^{(l)}/l! the
+    Bernstein coefficients are c_j = sum_{l<=j} C(j,l)/C(7,l) d_l(x_i) and
+    c_{7-j} = sum_{l<=j} (-1)^l C(j,l)/C(7,l) d_l(x_i + h), j = 0..3,
+    computed for all intervals at once.
     """
-    params, x, v, dv, r = shot.params, shot.x, shot.v, shot.dv, shot.r
+    params, x, v, dv = shot.params, shot.x, shot.v, shot.dv
     if x[0] > x[-1]:
-        x, v, dv, r = x[::-1], v[::-1], dv[::-1], r[::-1]
-    beta, p, q, eps = params.beta, params.p, params.q, params.epsilon
-    gap, ms = params.exponent_gap, -params.ef_sign * (params.n_dim - 2) / 2.0
+        x, v, dv = x[::-1], v[::-1], dv[::-1]
+    beta, p, q, eps, gap = params.beta, params.p, params.q, params.epsilon, params.exponent_gap
     vv, w_p, decay = np.maximum(v, 0.0), np.exp(eps * x), np.exp(-gap * x)
-    pot = params.potential.evaluate(r)
-    w_q = pot * decay
-    dw_q = (np.array([params.potential.slope(ri) for ri in r.tolist()]) * r / ms
-            - gap * pot) * decay
+    omega, d_omega = params.omega(x)
+    w_q = omega * decay
+    dw_q = (d_omega - gap * omega) * decay
     d2v = v - beta * (w_p * vv ** p - w_q * vv ** q)
     d3v = dv - beta * ((eps * vv ** p + p * vv ** (p - 1.0) * dv) * w_p
                        - dw_q * vv ** q - q * w_q * vv ** (q - 1.0) * dv)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,19 @@ def v_minus_one():
 
 def make_params(q=4.0, eps=1e-2, k=1, v=-1.0, n_dim=3):
     return ModelParams.make(n_dim, q, eps, k=k, potential=PotentialSpec.constant(v))
+
+
+def scalar_omega(params, x: float) -> float:
+    """omega(x) = V(r(x)) on floats, as verifier._ef_rhs forms it inline:
+    a + b/(1 + e^{cx}), c = 4s/(N-2), with cx clipped at 700."""
+    c = 4.0 * params.ef_sign / (params.n_dim - 2)
+    pot = params.potential
+    return pot.a + pot.b * (1.0 / (1.0 + math.exp(min(c * x, 700.0))))
+
+
+def potential_id(pot) -> str:
+    """The CLI spec of a potential's pair (a, b): const:a or rational:a,b."""
+    return f"const:{pot.a:g}" if pot.b == 0.0 else f"rational:{pot.a:g},{pot.b:g}"
 
 
 def probe_functions(grid, frame, count, seed):

@@ -189,7 +189,7 @@ def test_residual_matches_definition_with_analytic_curvature():
     p = params.p_star + params.epsilon
     direct = (-d2 + ubar
               - params.beta * (np.exp(params.epsilon * x) * ubar ** p
-                               - params.omega(x) * np.exp(-(params.p_star - 4.0) * x)
+                               - params.omega(x)[0] * np.exp(-(params.p_star - 4.0) * x)
                                * ubar ** 4.0))
     res = ansatz_residual(xi, params, g)
     assert np.max(np.abs(res.values - direct)) < 1e-12
@@ -367,7 +367,7 @@ def test_tower_field_against_direct_formulas():
         x, p, beta = g.x, params.p, params.beta
         ubar = sum(profile_U(x - s, 3) for s in xi)
         w_nl = np.exp(params.epsilon * x)
-        w_pot = params.omega(x) * np.exp(-abs(params.p_star - q) * x)
+        w_pot = params.omega(x)[0] * np.exp(-abs(params.p_star - q) * x)
         phi = 0.05 * np.sin(x) * SpikeFrame(xi, 0.5).weight(x)
         b = np.maximum(ubar + phi, 0.0)
         remainder = beta * (w_nl * (b ** p - ubar ** p - p * ubar ** (p - 1.0) * phi)
@@ -426,4 +426,4 @@ def test_potential_weight_below_the_clip_is_unclipped():
     x = grid_for_spikes(xi, 0.03, PAD).x
     expo = -params.exponent_gap * x
     assert 680.0 < np.max(expo) < 700.0
-    assert _weights(x, params)[1].tobytes() == (params.omega(x) * np.exp(expo)).tobytes()
+    assert _weights(x, params)[1].tobytes() == (params.omega(x)[0] * np.exp(expo)).tobytes()

@@ -54,9 +54,14 @@ def _ode_dop853(rhs, t0, y0, dy0, t_end, stop, rtol, atol, nsteps=MAX_STEPS):
 
 def _radial_rhs(params):
     """u'' of the radial equation at (r, u, u'), on Python floats, a test
-    problem for dop853: plain powers for u > 0, the signed ones otherwise.
-    Python's ``**`` raises OverflowError where numpy returns inf."""
-    p, q, n1, pot = params.p, params.q, params.n_dim - 1.0, params.potential.at
+    problem for dop853: plain powers for u > 0, the signed ones otherwise,
+    and V = a + b r^2/(1+r^2).  Python's ``**`` raises OverflowError where
+    numpy returns inf."""
+    p, q, n1 = params.p, params.q, params.n_dim - 1.0
+    a, b = params.potential.a, params.potential.b
+
+    def pot(r):
+        return a + b * (r * r / (1.0 + r * r))
 
     def rhs(r, u, du):
         if u > 0.0:
@@ -73,7 +78,7 @@ def _radial_shot(potential, eps, u0):
     params = ModelParams.make(3, 4.0, eps, k=1, potential=potential)
     p = params.p
     r0 = min(1e-6, 1e-3 * u0 ** (-0.5 * (p - 1.0)))
-    curv = (u0 ** p - potential.at(0.0) * u0 ** params.q) / (2.0 * params.n_dim)
+    curv = (u0 ** p - potential.v0 * u0 ** params.q) / (2.0 * params.n_dim)
     return (_radial_rhs(params), r0, u0 - curv * r0 * r0, -2.0 * curv * r0,
             _default_r_max(params), lambda t, y: y < 0.0 or y > 10.0 * u0, 1e-10, 1e-14 * u0)
 

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bubbletower import (ModelParams, PotentialSpec, Regime, critical_exponents,
-                         ef_inverse, ef_r_of_x, model_constants, profile_U,
-                         profile_d2U, profile_dU)
+                         ef_inverse, ef_r_of_x, ef_x_of_r, model_constants,
+                         profile_U, profile_d2U, profile_dU)
 from bubbletower.errors import HypothesisViolationError
+from conftest import potential_id, scalar_omega
 
 GAMMA_3 = 3.0 ** 0.25
 
@@ -161,10 +162,10 @@ def test_hypothesis_check_requires_negative_potential():
 def test_omega_reads_potential_through_the_change_of_variables():
     pot = PotentialSpec.rational(-2.0, 1.0)   # V(0)=-2, V(inf)=-1
     sub = ModelParams.make(3, 4.0, 1e-2, potential=pot)
-    assert sub.omega(40.0) == pytest.approx(-2.0, abs=1e-10)    # x large -> r -> 0
-    assert sub.omega(-40.0) == pytest.approx(-1.0, abs=1e-10)
+    assert sub.omega(40.0)[0] == pytest.approx(-2.0, abs=1e-10)    # x large -> r -> 0
+    assert sub.omega(-40.0)[0] == pytest.approx(-1.0, abs=1e-10)
     sup = ModelParams.make(3, 7.0, 1e-2, potential=pot)
-    assert sup.omega(40.0) == pytest.approx(-1.0, abs=1e-10)    # x large -> r -> inf
+    assert sup.omega(40.0)[0] == pytest.approx(-1.0, abs=1e-10)    # x large -> r -> inf
 
 
 @pytest.mark.parametrize("q", [4.0, 7.0])
@@ -193,7 +194,7 @@ def test_change_of_variables_maps_radial_to_line_equation(q):
     vx = v(x)
     residual = d2v - vx + beta * (np.exp(s * (p - params.p_star) * x)
                                   * np.abs(vx) ** (p - 1) * vx
-                                  - params.omega(x)
+                                  - params.omega(x)[0]
                                   * np.exp(-s * (params.p_star - q) * x)
                                   * np.abs(vx) ** (q - 1) * vx)
     scale = np.abs(d2v) + np.abs(vx) + 1e-12
@@ -201,61 +202,95 @@ def test_change_of_variables_maps_radial_to_line_equation(q):
 
 
 def test_rational_potential_extreme_radii():
+    # omega and omega' at the images in x of r = 0, 1e-300, 1, 1e200, e^600
+    # and inf, in both regimes: finite, with no warning, exactly V(0) and
+    # V(inf) at the two ends, and flat there
     pot = PotentialSpec.rational(-2.0, 1.0)
-    r = np.array([0.0, 1e-300, 1.0, 1e200, np.exp(600)])
-    vals = pot.evaluate(r)
-    assert np.all(np.isfinite(vals))
-    assert vals[0] == pytest.approx(-2.0)
-    assert vals[-1] == pytest.approx(-1.0)
+    r = np.array([0.0, 1e-300, 1.0, 1e200, np.exp(600), np.inf])
+    for q in (4.0, 7.0):
+        params = ModelParams.make(3, q, 1e-2, potential=pot)
+        with np.errstate(divide="ignore"):      # log 0 = -inf
+            x = ef_x_of_r(r, 3, params.regime)
+        omega, d_omega = params.omega(x)
+        assert np.all(np.isfinite(omega)) and np.all(np.isfinite(d_omega))
+        assert omega[0] == -2.0 and omega[-1] == -1.0
+        assert np.all(np.abs(d_omega[[0, -1]]) < 1e-300)
 
 
 @pytest.mark.parametrize("make,values", [
     (PotentialSpec.constant, (math.nan,)), (PotentialSpec.rational, (math.nan, -1.0)),
     (PotentialSpec.constant, (-math.inf,)), (PotentialSpec.rational, (-1.0, math.inf)),
-], ids=["const:nan", "rational:nan,-1", "const:-inf", "rational:-1,inf"])
+    (PotentialSpec.rational, (-1e308, -1e308)),
+], ids=["const:nan", "rational:nan,-1", "const:-inf", "rational:-1,inf",
+        "rational:-1e308,-1e308"])
 def test_non_finite_potential_values_are_refused(make, values):
-    # refused where the potential is made, not later by the model or solver
+    # refused where the potential is made, not later by the model or solver;
+    # a finite a and b whose sum V(inf) overflows are refused too
     with pytest.raises(ValueError, match="must be finite"):
         make(*values)
 
 
-@pytest.mark.parametrize("pot", [PotentialSpec.constant(-1.0),
-                                 PotentialSpec.rational(-2.0, 1.0),
-                                 PotentialSpec.rational(1.0, -2.0)],
-                         ids=lambda pot: pot.label)
+# a dimension and the two exponents q, one per regime, for each of N = 3, 5, 10
+_DIMENSIONS = [(3, (4.0, 7.0)), (5, (1.8, 2.5)), (10, (1.3, 1.9))]
+_POTENTIALS = [PotentialSpec.constant(-1.0), PotentialSpec.rational(-2.0, 1.0),
+               PotentialSpec.rational(1.0, -2.0)]
+
+
+def _omega_gap_bound(pot, omega) -> float:
+    # the scalar and the array form do the same correctly rounded operations
+    # on e^{cx}, where math.exp and numpy's exp may differ in the last bit:
+    # one ulp of b sigma.  Where V keeps one sign (|b sigma| <= |omega|) that
+    # is one ulp of omega; where it changes sign, a + b sigma cancels, and
+    # the gap is at most two ulps of |b|, many more of omega near its zero
+    if pot.a * pot.v_inf > 0.0:
+        return float(np.spacing(abs(omega)))
+    return 2.0 * float(np.spacing(abs(pot.b)))
+
+
+@pytest.mark.parametrize("pot", _POTENTIALS, ids=potential_id)
 @pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 1.0 + 1e-12, 2.0, 1e3, 1e200])
 def test_scalar_potential_matches_array_form(pot, r):
-    # the shooter reads V through `at`, the reduction through `evaluate`
-    got = pot.at(r)
-    assert type(got) is float
-    assert got == float(pot.evaluate(r))
+    # the shooter forms omega on floats (scalar_omega), the reduction and the
+    # interpolant read ModelParams.omega on arrays; compared at x(r) in both
+    # regimes at N = 3, 5, 10
+    for n_dim, qs in _DIMENSIONS:
+        for q in qs:
+            params = ModelParams.make(n_dim, q, 1e-2, potential=pot)
+            with np.errstate(divide="ignore"):      # log 0 = -inf
+                x = float(ef_x_of_r(r, n_dim, params.regime))
+            got = scalar_omega(params, x)
+            want = float(params.omega(np.array([x]))[0][0])
+            assert type(got) is float
+            assert abs(got - want) <= _omega_gap_bound(pot, want)
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
-def test_rational_potential_forms_agree_bitwise_above_one(seed):
-    # 2,000 log-uniform radii in (1, 1e8), evaluated as one array, so that
-    # numpy takes its vectorized loops, and one float at a time as the
-    # shooter does; a power r ** -2 split the two on about 4 in 10^4 radii
-    r = 10.0 ** np.random.default_rng(seed).uniform(0.0, 8.0, 2000)
-    r = r[r > 1.0]
+def test_scalar_and_array_omega_agree_within_one_ulp():
+    # 20,000 x across both ends of the potential, both regimes, N = 3, 5, 10,
+    # for two potentials of one sign: within one ulp, not bit for bit, since
+    # math.exp (the shooter's) and numpy's exp (the grid's) round e^{cx}
+    # differently at a few of the x
+    x = np.linspace(-60.0, 60.0, 20_000)
     for pot in (PotentialSpec.rational(-2.0, 1.0), PotentialSpec.rational(-0.5, -0.5)):
-        got = pot.evaluate(r)
-        assert got.tobytes() == np.array([pot.at(float(x)) for x in r]).tobytes()
+        for n_dim, qs in _DIMENSIONS:
+            for q in qs:
+                params = ModelParams.make(n_dim, q, 1e-2, potential=pot)
+                want = params.omega(x)[0]
+                got = np.array([scalar_omega(params, t) for t in x.tolist()])
+                assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
 
 
-@pytest.mark.parametrize("pot", [PotentialSpec.constant(-1.0),
-                                 PotentialSpec.rational(-2.0, 1.0),
-                                 PotentialSpec.rational(1.0, -2.0)],
-                         ids=lambda pot: pot.label)
+@pytest.mark.parametrize("pot", _POTENTIALS, ids=potential_id)
 @pytest.mark.parametrize("r", [0.5, 0.999, 1.001, 2.0, 1e6, 1e200])
 def test_potential_slope_matches_central_difference(pot, r):
-    # the shooter's interpolant reads V' through `slope`; the tolerance is
-    # the difference quotient's truncation plus its rounding error, which
-    # scales with the bound |a| + |b| of V = a + b r^2/(1+r^2)
-    bound = abs(pot.v0) + abs(pot.v_inf - pot.v0)
-    h = 1e-3 * r
-    fd = (pot.at(r + h) - pot.at(r - h)) / (2.0 * h)
-    got = pot.slope(r)
-    assert type(got) is float
-    assert abs(got - fd) <= 1e-5 * abs(got) + 4.0 * np.finfo(float).eps * bound / h
+    # the shooter's interpolant reads omega' (ModelParams.omega), checked at
+    # x(r) in both regimes at N = 3, 5, 10; the tolerance is the difference
+    # quotient's truncation plus its rounding error, which scales with the
+    # bound |a| + |b| of omega
+    bound, h = abs(pot.a) + abs(pot.b), 1e-3
+    for n_dim, qs in _DIMENSIONS:
+        for q in qs:
+            params = ModelParams.make(n_dim, q, 1e-2, potential=pot)
+            x = float(ef_x_of_r(r, n_dim, params.regime))
+            omega, d_omega = params.omega(np.array([x - h, x, x + h]))
+            fd, got = (omega[2] - omega[0]) / (2.0 * h), d_omega[1]
+            assert abs(got - fd) <= 1e-5 * abs(got) + 4.0 * np.finfo(float).eps * bound / h

@@ -310,6 +310,22 @@ def test_assembled_solution_properties(c4):
     assert sol(np.array([r_hi / 1e4]))[()] < 1e-3
 
 
+def test_radial_residual_survives_where_the_radial_terms_underflow(c7):
+    # flat towers at eps = 1e-150 and 1e-290 sit at x ~ 170 and 330, where
+    # u = r^{-1/2} v and every term of the radial equation underflow in r;
+    # read in the line variable the residual is the eps = 1e-100 one, not 0
+    def max_residual(eps):
+        params = make_params(q=7.0, eps=eps, k=1)
+        _, state = solve_reduced(params, c7, ReductionConfig(h=0.05))
+        sol = assemble_solution(state, params)
+        return float(np.max(sol.radial_residual(sol.residual_radii(100))))
+
+    ref = max_residual(1e-100)
+    assert 1e-3 < ref < 1e-2
+    for eps in (1e-150, 1e-290):
+        assert max_residual(eps) == pytest.approx(ref, rel=1e-2)
+
+
 def test_reduced_energy_unperturbed_single_bubble_is_a1():
     # at eps = 0 the problem is translation invariant: the spike sits at 0
     params = make_params(eps=0.0, v=0.0, k=1)

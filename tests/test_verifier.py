@@ -10,7 +10,7 @@ from scipy.integrate import solve_ivp
 from bubbletower import (Classification, ModelParams, PotentialSpec, ShotProfile,
                          compare, find_tower, predicted_tower, shoot)
 from bubbletower.errors import ConvergenceError
-from conftest import make_params
+from conftest import make_params, scalar_omega
 
 GAMMA_3 = 3.0 ** 0.25
 
@@ -48,36 +48,41 @@ def test_find_tower_builds_one_interpolant(q, c4, c7, monkeypatch):
     assert len(built) == 1
 
 
-def test_failed_integration_raises_convergence_error():
-    # V turns NaN past r = 2: the integrator cannot take a step there, and
-    # the shot must say so with a typed error, not a warning
-    const = PotentialSpec.constant(-1.0)
-    broken = PotentialSpec(const.evaluate,
-                           lambda r: math.nan if r > 2.0 else -1.0,
-                           const.slope, v0=-1.0, v_inf=-1.0)
-    params = ModelParams.make(3, 4.0, 5e-2, potential=broken)
+def _nan_rhs_where(monkeypatch, broken):
+    """Make verifier._ef_rhs return NaN at every x where broken(x) holds."""
+    import bubbletower.verifier as verifier_module
+    original = verifier_module._ef_rhs
+
+    def patched(params):
+        rhs = original(params)
+        return lambda x, v, dv: math.nan if broken(x) else rhs(x, v, dv)
+
+    monkeypatch.setattr(verifier_module, "_ef_rhs", patched)
+
+
+def test_failed_integration_raises_convergence_error(monkeypatch):
+    # the right-hand side turns NaN past r = 2 (x < -log(2)/2 at N = 3): the
+    # integrator cannot take a step there, and the shot must say so with a
+    # typed error, not a warning
+    _nan_rhs_where(monkeypatch, lambda x: x < -0.5 * math.log(2.0))
+    params = make_params(eps=5e-2)
     with pytest.raises(ConvergenceError, match="failed at r = 2") as info:
         shoot(35.0, params)
     r_last, u_last, du_last = info.value.state
     assert 1.0 < r_last <= 2.0 and math.isfinite(u_last)
 
 
-def test_failed_flat_shot_counts_as_overshoot(c7):
-    # V turns NaN below x = xi_1 - 2, where v is still well above zero: the
-    # backward shot fails there, and a flat shot that stops above zero
-    # before x_lo is an overshoot, not an undershoot
+def test_failed_flat_shot_counts_as_overshoot(c7, monkeypatch):
+    # the right-hand side turns NaN below x = xi_1 - 2, where v is still well
+    # above zero: the backward shot fails there, and a flat shot that stops
+    # above zero before x_lo is an overshoot, not an undershoot
     from bubbletower.verifier import _shoot_flat_backward
-    const = PotentialSpec.constant(-1.0)
     params = make_params(q=7.0, eps=5e-2, k=1)
     xi1 = float(predicted_tower(params, c7).xi[0])
-    r_nan = math.exp(2.0 * (xi1 - 2.0))                  # N = 3: r = e^{2x}
-    broken = PotentialSpec(const.evaluate,
-                           lambda r: math.nan if r < r_nan else -1.0,
-                           const.slope, v0=-1.0, v_inf=-1.0)
-    params = ModelParams.make(3, 7.0, 5e-2, potential=broken)
+    _nan_rhs_where(monkeypatch, lambda x: x < xi1 - 2.0)
     shot = _shoot_flat_backward(params.gamma * math.exp(xi1), params,
                                 xi1 + 10.0, xi1 - 25.0)
-    assert shot.r[0] >= r_nan and shot.u[0] > 0.0
+    assert shot.r[0] >= math.exp(2.0 * (xi1 - 2.0)) and shot.u[0] > 0.0   # N = 3: r = e^{2x}
     assert shot.classification is Classification.BLOWING
 
 
@@ -481,21 +486,17 @@ def _same_bits(a: float, b: float) -> bool:
                                        PotentialSpec.rational(-2.0, 1.0)],
                          ids=["const", "rational"])
 def test_ef_rhs_matches_the_clipped_formula(q, potential):
-    # both regimes' right-hand side, r = e^{-s x/m} and the gap's sign
-    # taken from the regime; the clip at 0 gives the bits of the formula
-    # with max(v, 0.0), written out, for every v
+    # both regimes' right-hand side, omega in x (scalar_omega) and the gap's
+    # sign taken from the regime; the clip at 0 gives the bits of the
+    # formula with max(v, 0.0), written out, for every v
     from bubbletower.verifier import _ef_rhs
     params = ModelParams.make(3, q, 5e-2, potential=potential)
-    beta, p, eps, pot = params.beta, params.p, params.epsilon, potential.at
-    m = (params.n_dim - 2) / 2.0
-    if q < params.p_star:
-        gap, ms = params.p_star - q, -m
-    else:
-        gap, ms = q - params.p_star, m
+    beta, p, eps = params.beta, params.p, params.epsilon
+    gap = params.p_star - q if q < params.p_star else q - params.p_star
 
     def reference(x, v, dv):
         clipped = max(v, 0.0)
-        w_q = pot(math.exp(min(x / ms, 700.0))) * math.exp(-gap * x)
+        w_q = scalar_omega(params, x) * math.exp(-gap * x)
         return v - beta * (math.exp(eps * x) * clipped ** p - w_q * clipped ** q)
 
     rhs = _ef_rhs(params)
