@@ -15,7 +15,6 @@ import contextlib
 import dataclasses
 import json
 import os
-import sys
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -37,7 +36,8 @@ from .verifier import compare, find_tower
 _FMT = "%.17g"
 # what a library failure raises: a typed error, a ValueError from an
 # argument check (such as too few grid nodes), or a Warning that the warning
-# filters turn into an error (such as solved spikes near a grid end)
+# filters turn into an error (such as a numpy overflow RuntimeWarning under
+# PYTHONWARNINGS=error)
 _FAILURES = (BubbleTowerError, ValueError, Warning)
 
 
@@ -343,13 +343,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     sp.set_defaults(func=cmd_sweep)
 
     args = parser.parse_args(argv)
-    import warnings
-    with warnings.catch_warnings():
-        # one line per warning, without the line of source that Python's
-        # default format appends
-        warnings.showwarning = lambda message, *_: print(f"warning: {message}",
-                                                         file=sys.stderr)
-        return args.func(args)
+    return args.func(args)
 
 
 if __name__ == "__main__":

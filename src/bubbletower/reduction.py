@@ -15,8 +15,8 @@ default_sigma(params), only weighs the star norm, and the truncation
 window, tolerances and limits are the constants below and field.WINDOW.
 No a-priori window restricts the spike set beyond spike_locations'
 increasing xi: the Newton solves, the orthogonality and Schur checks and
-the shooter decide whether a tower exists.  solve_reduced warns when a
-solved spike ends less than WINDOW / 2 from a grid end.
+the shooter decide whether a tower exists.  solve_reduced rebuilds the
+grid whenever a correction's spikes come within WINDOW of an end.
 
 Each correction builds one field.TowerField for its spike set and hands it
 to the ProjectedSolver of every Newton step, ProjectedSolver(field,
@@ -35,7 +35,6 @@ the line variable, where its terms stay representable.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field as dataclass_field
 from typing import Optional, Tuple
 
@@ -203,9 +202,9 @@ def solve_correction(xi, params: ModelParams,
     Nonlinear Problems, 2004), falls below TOL_FP, and raises
     ConvergenceError with the last state after MAX_CORRECTION_STEPS steps;
     ConditioningError when max_i |Z_i^T phi| > TOL_ORTH max|Z| at the end.
-    The start is phi0 projected onto Z^T phi = 0 (a correction of a nearby
-    spike set on the same grid); zero by default, whose first step is the
-    linear solve A phi = -R + sum c_i Z_i.
+    The start is phi0, values on grid, projected onto Z^T phi = 0 (a
+    correction of a nearby spike set); zero by default, whose first step is
+    the linear solve A phi = -R + sum c_i Z_i.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if grid is None:
@@ -262,36 +261,34 @@ def solve_reduced(params: ModelParams, constants: EnergyConstants,
     (ReductionState.multiplier_jacobian), halved until |c| falls.  Returns
     (Lambda_eps, state at Lambda_eps); failures raise ConvergenceError with
     the last state.  The grid reaches WINDOW + PAD past the spikes at
-    Lambda*; a UserWarning names the margin when a solved spike ends less
-    than WINDOW / 2 from a grid end, where Lambda starts to feel the end.
+    Lambda*, and is rebuilt so around a correction's spikes that come within
+    WINDOW of an end; the accepted phi is interpolated onto its nodes.
     """
     lam = critical_scales(constants, params)
-    # one fixed grid for the whole solve: the Jacobian differentiates in xi
-    # with the nodes held still, and each correction starts from the
-    # accepted iterate's phi on it
+    # the Jacobian differentiates in xi with the nodes held still, so the
+    # grid moves only when the spikes come within WINDOW of an end
     grid = grid_for_spikes(spike_locations(lam, params.epsilon, params), config.h, PAD)
 
-    def correction(s, phi0=None):
+    def correction(s, phi: Optional[GridFunction] = None):
+        nonlocal grid
         xi = spike_locations(np.exp(s), params.epsilon, params)
-        return solve_correction(xi, params, config, grid, phi0)
+        if min(xi[0] - grid.x0, grid.x1 - xi[-1]) < WINDOW:
+            grid = grid_for_spikes(xi, config.h, PAD)
+        if phi is not None and phi.grid is not grid:
+            # phi has decayed to ~e^-WINDOW at the old ends: zero beyond them
+            phi = GridFunction(grid, np.interp(grid.x, phi.grid.x, phi.values, 0.0, 0.0))
+        return solve_correction(xi, params, config, grid, None if phi is None else phi.values)
 
     s = np.log(lam)
     state = correction(s)
     for _ in range(MAX_NEWTON):
         if np.max(np.abs(state.c)) < TOL_C:
-            # Lambda feels the grid end only well inside the window: widening
-            # PAD to 30 moved it by at most 3e-11 relative where 17.8-21.6
-            # units were left, and by 1e-6 where 11.9 were (N = 3, q = 4.98)
-            margin = min(state.xi[0] - grid.x0, grid.x1 - state.xi[-1])
-            if margin < WINDOW / 2:
-                warnings.warn(f"solved spikes lie {margin:.1f} from the grid end, "
-                              f"less than half the window {WINDOW:g}", stacklevel=2)
             return np.exp(s), state
         step = -np.linalg.solve(state.multiplier_jacobian(), state.c)
         norm_c = np.linalg.norm(state.c)
         for halvings in range(12):
             ds = 0.5 ** halvings * step
-            trial = correction(s + ds, state.phi.values)
+            trial = correction(s + ds, state.phi)
             if np.linalg.norm(trial.c) < norm_c:
                 break
         else:

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ from bubbletower import (GridFunction,
                          energy, energy_constants, full_operator, grid_for_spikes,
                          kernel_directions, linearized_matrix, solve_correction,
                          solve_reduced, spike_locations, star_norm, tower_ansatz)
+from bubbletower.field import WINDOW
 from conftest import make_params, probe_functions
 
 
@@ -227,21 +227,28 @@ def test_reduced_energy_near_the_lower_end_of_the_window(q):
     assert math.isfinite(_corrected_energy(state.xi, params, config))
 
 
-def test_solve_reduced_warns_once_when_solved_spikes_near_the_grid_end():
-    # the grid stays at Lambda*, and at gap 0.02 the outer solved spike sits
-    # 21.1 units beyond the closed-form one: 11.9 of the 30-unit window is
-    # left, and a wider pad moves Lambda by 1e-6 relative
-    params = make_params(q=4.98, eps=1e-2, k=2)
-    with pytest.warns(UserWarning) as record:
-        _, state = solve_reduced(params, energy_constants(3, 4.98), ReductionConfig(h=0.03))
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n_dim,q,k,eps,h", [
+    (9, 1.55, 2, 1e-3, 0.02),
+    (9, 1.55, 3, 1e-3, 0.02),
+    (3, 4.98, 2, 1e-2, 0.03),
+    (3, 4.97, 2, 1e-2, 0.03),
+])
+def test_grid_follows_the_solved_spikes(n_dim, q, k, eps, h, monkeypatch):
+    # at small exponent gaps the solved spikes drift 10-36 units past the
+    # closed-form ones, beyond PAD: the grid is rebuilt around them, so
+    # they keep the window and Lambda agrees with a solve on a grid 30
+    # units wider, where a fixed grid stopped on the orthogonality check
+    # (N = 9) or moved Lambda by 1e-6 (q = 4.98)
+    import bubbletower.reduction as reduction_module
+    params, constants = make_params(q=q, eps=eps, k=k, n_dim=n_dim), energy_constants(n_dim, q)
+    lam, state = solve_reduced(params, constants, ReductionConfig(h=h))
     assert np.max(np.abs(state.c)) < 1e-10
-    assert [str(w.message) for w in record] == [
-        "solved spikes lie 11.9 from the grid end, less than half the window 30"]
-    # at gap 0.03, 21.2 units are left, and a wider pad moves Lambda by 1e-11
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        solve_reduced(make_params(q=4.97, eps=1e-2, k=2), energy_constants(3, 4.97),
-                      ReductionConfig(h=0.03))
+    grid = state.phi.grid
+    assert state.xi[0] - grid.x0 >= WINDOW and grid.x1 - state.xi[-1] >= WINDOW
+    monkeypatch.setattr(reduction_module, "PAD", 30.0)
+    lam_wide, _ = solve_reduced(params, constants, ReductionConfig(h=h))
+    np.testing.assert_allclose(lam, lam_wide, rtol=1e-9, atol=0.0)
 
 
 def test_reduced_energy_tends_to_leading_term(c4):
