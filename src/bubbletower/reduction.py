@@ -258,11 +258,14 @@ def solve_reduced(params: ModelParams, constants: EnergyConstants,
     the closed-form maximizer Lambda* of Psi (critical_scales, which checks
     the regime's hypothesis; epsilon must lie in (0, 1)).  Each step is
     ds = -(dc/ds)^-1 c with dc/ds from the correction at s
-    (ReductionState.multiplier_jacobian), halved until |c| falls.  Returns
-    (Lambda_eps, state at Lambda_eps); failures raise ConvergenceError with
-    the last state.  The grid reaches WINDOW + PAD past the spikes at
-    Lambda*, and is rebuilt so around a correction's spikes that come within
-    WINDOW of an end; the accepted phi is interpolated onto its nodes.
+    (ReductionState.multiplier_jacobian), halved until |c| falls; a trial
+    whose correction raises ConvergenceError or ConditioningError is
+    rejected like one whose |c| grows.  Returns (Lambda_eps, state at
+    Lambda_eps); failures raise ConvergenceError with the last accepted
+    state, after 12 rejected trials chained to the last one's error.  The
+    grid reaches WINDOW + PAD past the spikes at Lambda*, and is rebuilt so
+    around a correction's spikes that come within WINDOW of an end; the
+    accepted phi is interpolated onto its nodes.
     """
     lam = critical_scales(constants, params)
     # the Jacobian differentiates in xi with the nodes held still, so the
@@ -286,15 +289,21 @@ def solve_reduced(params: ModelParams, constants: EnergyConstants,
             return np.exp(s), state
         step = -np.linalg.solve(state.multiplier_jacobian(), state.c)
         norm_c = np.linalg.norm(state.c)
+        failure = None
         for halvings in range(12):
             ds = 0.5 ** halvings * step
-            trial = correction(s + ds, state.phi)
+            try:
+                trial = correction(s + ds, state.phi)
+            except (ConvergenceError, ConditioningError) as exc:
+                failure = exc
+                continue
+            failure = None
             if np.linalg.norm(trial.c) < norm_c:
                 break
         else:
             raise ConvergenceError(
                 f"line search found no |c| below {norm_c:.3e} along {step} "
-                f"from log Lambda = {s}", state=state)
+                f"from log Lambda = {s}", state=state) from failure
         s, state = s + ds, trial
     raise ConvergenceError(
         f"max|c| = {np.max(np.abs(state.c)):.2e} not below {TOL_C:g} after "

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bubbletower import (ModelParams, PotentialSpec, ReductionConfig, cli,
                          solve_reduced)
@@ -166,6 +168,113 @@ def test_reduce_profile_csv_is_the_solved_tower(tmp_path, c4):
     columns = (state.phi.grid.x, ubar, phi, ubar + phi)
     assert (tmp_path / "reduce" / "profile.csv").read_bytes() \
         == _per_value_csv(["x", "ubar", "phi", "v"], zip(*columns))
+
+
+def _encoded_csv(header, table) -> bytes:
+    """The header line and the array encoder's lines, as the writer joins them."""
+    table = np.asarray(table, dtype=float).reshape(-1, len(header))
+    return (",".join(header) + "\n").encode() + bytes(cli._float_csv(table, len(header)))
+
+
+def _bits(patterns) -> np.ndarray:
+    return np.array(patterns, dtype=np.uint64).view(np.float64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=60))
+def test_encoder_matches_per_value_format_on_bit_patterns(patterns):
+    # every exponent, subnormals, signed zeros, infinities and NaN payloads
+    table = _bits(patterns)
+    assert _encoded_csv(["v"], table) == _per_value_csv(["v"], table[:, None])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(), st.floats()), min_size=1, max_size=30))
+def test_encoder_matches_per_value_format_on_floats(rows):
+    table = np.array(rows)
+    assert _encoded_csv(["a", "b"], table) == _per_value_csv(["a", "b"], table)
+
+
+def test_encoder_matches_per_value_format_at_hard_values():
+    # powers of ten and their neighbours, where log10 misjudges the exponent
+    # and the product rounds at an end of [1e16, 1e17); integers near 2**53
+    # and 10**17, where 17 digits are exact; the extremes and the specials
+    tens = 10.0 ** np.arange(-300, 301)
+    near = np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
+    ints = np.concatenate([2.0 ** 53 + np.arange(-40, 41), 1e17 + 16.0 * np.arange(-40, 41),
+                           1e16 + 2.0 * np.arange(-40, 41)])
+    specials = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                1.7976931348623157e308, np.inf, -np.inf, np.nan, 0.1, 0.5, 1.0]
+    values = np.concatenate([near, -near, ints, -ints, specials])
+    for width in (1, 3):
+        table = values[:values.size // width * width].reshape(-1, width)
+        header = [f"c{j}" for j in range(width)]
+        assert _encoded_csv(header, table) == _per_value_csv(header, table)
+
+
+def test_small_float_table_with_specials_writes_the_reference_bytes(tmp_path):
+    # a shot.csv-sized table (2 columns, 80 rows) of ordinary values with
+    # nan, +-inf, +-0.0 and subnormals mixed in, through the writer and
+    # through the encoder itself
+    rng = np.random.default_rng(11)
+    table = rng.normal(size=(80, 2)) * 10.0 ** rng.integers(-30, 30, (80, 2))
+    table.flat[::7] = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -1.5e-310,
+                       4e-320, 1e-5, -1e-4, 0.001, 1e16, 1e17, 123456789.0,
+                       -2.5, 1e300, 7e-300, 0.1, -0.2, 3.0, 1e-280, 9.99e289, 1.2e290][:23]
+    header = ["r", "u"]
+    assert _encoded_csv(header, table) == _per_value_csv(header, table)
+    args = argparse.Namespace(command="tables", out=str(tmp_path))
+    cli._write_artifacts(args, {}, {"shot.csv": (header, table)}, {})
+    assert (tmp_path / "tables" / "shot.csv").read_bytes() == _per_value_csv(header, table)
+
+
+def test_writer_encodes_only_float_arrays_of_the_crossover_size(tmp_path, monkeypatch):
+    encoded = []
+    original = cli._float_csv
+
+    def counted(values, width):
+        encoded.append(values.size)
+        return original(values, width)
+
+    monkeypatch.setattr(cli, "_float_csv", counted)
+    big = np.linspace(-3.0, 3.0, cli._ENCODE_MIN).reshape(-1, 1)
+    tables = {"big.csv": (["x"], big), "small.csv": (["x"], big[1:]),
+              "rows.csv": (["x"], big.tolist())}
+    cli._write_artifacts(argparse.Namespace(command="tables", out=str(tmp_path)),
+                         {}, tables, {})
+    assert encoded == [cli._ENCODE_MIN]
+    for name, rows in (("big.csv", big), ("small.csv", big[1:]), ("rows.csv", big)):
+        assert (tmp_path / "tables" / name).read_bytes() == _per_value_csv(["x"], rows)
+
+
+def test_row_list_tables_keep_their_bytes(tmp_path):
+    # constants.csv, with its name column, and sweep.csv go through the
+    # % template, one value at a time as %s or %.17g
+    run_cli(["constants", "--q", "4", "--out", str(tmp_path)])
+    payload = json.loads((tmp_path / "constants" / "constants.json").read_text())
+    lines = ["constant,value,err"] + [
+        f"{name},{'%.17g' % val},{'%.17g' % payload['err'].get(name, 0.0)}"
+        for name, val in payload["values"].items() if val is not None]
+    assert (tmp_path / "constants" / "constants.csv").read_text() == "\n".join(lines) + "\n"
+    run_cli(["sweep", "--q", "4", "--k", "1", "--eps-list", "1e-2,5e-3", "--h", "0.05",
+             "--workers", "2", "--out", str(tmp_path)])
+    points = json.loads((tmp_path / "sweep" / "sweep.json").read_text())["points"]
+    columns = ["eps", "residual_star", "phi_star", "energy_gap_ratio"]
+    assert (tmp_path / "sweep" / "sweep.csv").read_bytes() == _per_value_csv(
+        columns, [[p[c] for c in columns] for p in points])
+
+
+def test_manifest_records_stage_times(tmp_path):
+    run_cli(["reduce", "--q", "4", "--eps", "5e-2", "--h", "0.05", "--out", str(tmp_path)])
+    manifest = read_manifest(tmp_path / "reduce")
+    stages = manifest["stages"]
+    assert set(stages) == {"run_s", "tables_s"}
+    assert 0.0 < stages["tables_s"] < stages["run_s"] < 60.0
+    assert "started" not in manifest["config"]
+    # a writer called without main has no command start to measure from
+    cli._write_artifacts(argparse.Namespace(command="tables", out=str(tmp_path)),
+                         {}, {}, {})
+    assert read_manifest(tmp_path / "tables")["stages"]["run_s"] is None
 
 
 def test_sweep_requires_decreasing_eps(tmp_path):

@@ -579,3 +579,33 @@ def test_correction_step_cap_raises_with_state(c4, monkeypatch):
     assert state is not None and not state.converged
     assert state.iterations == 2 and len(state.increments) == 2
     assert state.phi.grid == grid
+
+
+def test_failed_trial_correction_is_a_rejected_step():
+    # at N = 7, q = 1.5, eps = 5e-2 the first full Newton step lands where the
+    # correction Newton diverges (increments 80.4, 94.8, 252.6); halving that
+    # step, as for a trial whose |c| grows, reaches the tower
+    params = make_params(q=1.5, eps=5e-2, k=1, n_dim=7)
+    _, state = solve_reduced(params, energy_constants(7, 1.5), ReductionConfig(h=0.02))
+    assert state.converged and np.max(np.abs(state.c)) < 1e-11
+
+
+def test_line_search_of_failed_trials_raises_with_the_accepted_state(c4, monkeypatch):
+    import bubbletower.reduction as reduction_module
+    from bubbletower.errors import ConditioningError, ConvergenceError
+    original = reduction_module.solve_correction
+    calls = []
+
+    def failing_trials(*args, **kwargs):
+        calls.append(1)
+        if len(calls) > 1:
+            raise ConditioningError(f"trial {len(calls) - 1} failed")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(reduction_module, "solve_correction", failing_trials)
+    with pytest.raises(ConvergenceError, match="line search found no") as info:
+        solve_reduced(make_params(eps=1e-2, k=2), c4, ReductionConfig(h=0.02))
+    assert len(calls) == 13          # the start and 12 halvings
+    assert isinstance(info.value.__cause__, ConditioningError)
+    assert str(info.value.__cause__) == "trial 12 failed"
+    assert info.value.state is not None and info.value.state.converged
