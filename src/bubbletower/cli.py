@@ -5,6 +5,8 @@ one writer, _write_artifacts, which also writes a manifest capturing the full
 configuration into the output directory, so reruns with the same manifest
 reproduce the numbers bit for bit (timestamps and stage times aside).  A
 non-finite number in any JSON output fails the run before a file is written.
+The flags are declared once (_FLAGS, _COMMANDS); main builds the parser on
+its first call and reuses it for the rest of the process.
 
 CSV numbers read as ``'%.17g' % v``.  Large float-array tables go through
 _float_csv, which computes the same bytes in numpy: the 17 digits come from
@@ -19,6 +21,7 @@ import argparse
 import concurrent.futures
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -34,8 +37,7 @@ from .errors import BubbleTowerError
 from .field import tower_ansatz  # noqa: F401  read by perfbench's span self-test
 from .profiles import ModelParams, PotentialSpec
 from .quadrature import energy_constants
-from .reduced_model import (TowerConfig, energy_expansion, predicted_tower,
-                            tower_amplitudes)
+from .reduced_model import energy_expansion, predicted_tower
 from .reduction import (ReductionConfig, assemble_solution, solve_reduced,
                         sweep_point)
 from .verifier import compare, find_tower
@@ -89,10 +91,10 @@ def _energy_constants(args):
 
 
 def _solve_reduced(args):
-    """(params, constants, Lambda_eps, state) for the flags; exits if the reduction fails."""
+    """(params, Lambda_eps, state) for the flags; exits if the reduction fails."""
     params, C = build_params(args), _energy_constants(args)
     with _failing("reduction failed"):
-        return (params, C, *solve_reduced(params, C, ReductionConfig(h=args.h)))
+        return (params, *solve_reduced(params, C, ReductionConfig(h=args.h)))
 
 
 def _json(obj) -> str:
@@ -331,7 +333,8 @@ def _write_artifacts(args, payloads: Dict[str, object],
     Each table is (header, rows), rows a 2-D float array or a list of
     equal-length row lists, one value per header column.  The manifest's
     stages hold run_s, the command's time before this writer (None unless
-    main started it), and tables_s, the time to encode the tables.
+    main started it), and tables_s, the time to encode the tables.  An
+    OSError from mkdir or a write ends the run in one line.
     """
     started = time.perf_counter()
     csv = {name: ((",".join(header) + "\n").encode(), _csv_body(rows, len(header)))
@@ -341,7 +344,7 @@ def _write_artifacts(args, payloads: Dict[str, object],
         "tool": "bubbletower",
         "version": __version__,
         "numpy": np.__version__, "lapack": _LAPACK,
-        "config": {k: v for k, v in vars(args).items() if k not in ("func", "started")},
+        "config": {k: v for k, v in vars(args).items() if k != "started"},
         "outputs": sorted([*payloads, *tables]),
         "stages": {"run_s": None if command_start is None else started - command_start,
                    "tables_s": time.perf_counter() - started},
@@ -355,13 +358,16 @@ def _write_artifacts(args, payloads: Dict[str, object],
     except ValueError:
         raise SystemExit("non-finite value in output; run failed")
     out = Path(args.out or os.environ.get("BUBBLETOWER_OUT", "runs")) / args.command
-    out.mkdir(parents=True, exist_ok=True)
-    for name, (header, body) in csv.items():
-        with open(out / name, "wb") as f:
-            f.write(header)
-            f.write(body)
-    for name, text in texts.items():
-        (out / name).write_text(text)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, (header, body) in csv.items():
+            with open(out / name, "wb") as f:
+                f.write(header)
+                f.write(body)
+        for name, text in texts.items():
+            (out / name).write_text(text)
+    except OSError as exc:
+        raise SystemExit(f"cannot write artifacts: {exc}")
     print(shown)
 
 
@@ -402,7 +408,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    params, _, lam_eps, state = _solve_reduced(args)
+    params, lam_eps, state = _solve_reduced(args)
     grid = state.phi.grid
     ubar, phi = state.field.ubar.values, state.phi.values
     table = np.column_stack((grid.x, ubar, phi, ubar + phi))
@@ -426,12 +432,11 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    params, C, lam_eps, state = _solve_reduced(args)
+    params, _, state = _solve_reduced(args)
     with _failing("verification failed"):
         solution = assemble_solution(state, params)
-        # the shooting finds its own height; the solved tower only seeds the scan
-        solved = TowerConfig(lam_eps, state.xi, tower_amplitudes(lam_eps, C, params))
-        found = find_tower(params, solved)
+        # the shooting finds its own height; the solved spikes only seed the scan
+        found = find_tower(params, state)
     xi1, xik = float(state.xi[0]), float(state.xi[-1])
     metrics = compare(solution.ef, found.ef_image, (xi1 - 2.0, xi1 + 2.0))
     tower_metrics = compare(solution.ef, found.ef_image, (xi1 - 2.0, xik + 2.0))
@@ -514,62 +519,52 @@ def _eps_list(text: str) -> str:
     return text
 
 
-def _add_constants_args(sp):
-    sp.add_argument("--N", type=_DIMENSION, default=3, help="dimension (>= 3)")
-    sp.add_argument("--q", type=_FINITE, required=True, help="competing exponent")
+# every flag's add_argument keywords, declared once
+_FLAGS = {
+    "--out": dict(type=str, default=None,
+                  help="output root (default $BUBBLETOWER_OUT or ./runs)"),
+    "--N": dict(type=_DIMENSION, default=3, help="dimension (>= 3)"),
+    "--q": dict(type=_FINITE, required=True, help="competing exponent"),
+    "--eps": dict(type=_UNIT, required=True, help="supercritical shift"),
+    "--k": dict(type=_COUNT, default=1, help="tower height"),
+    "--V": dict(type=str, default="const:-1", help="potential preset (const:c | rational:a,b)"),
+    "--h": dict(type=_POSITIVE, default=0.02, help="grid spacing"),
+    "--eps-list": dict(type=_eps_list, required=True,
+                       help="comma-separated decreasing epsilon values"),
+    "--workers": dict(type=_COUNT, default=4, help="threads that solve the sweep's points"),
+}
+# each command's handler, help and flags; every command also takes --out,
+# listed first in its --help
+_MODEL = ("--N", "--q", "--eps", "--k", "--V")
+_COMMANDS = {
+    "constants": (cmd_constants, "energy constants table", ("--N", "--q")),
+    "predict": (cmd_predict, "closed-form tower prediction", _MODEL),
+    "reduce": (cmd_reduce, "run the discretized reduction", (*_MODEL, "--h")),
+    "verify": (cmd_verify, "reduction + independent shooting", (*_MODEL, "--h")),
+    "sweep": (cmd_sweep, "trend metrics over decreasing epsilon",
+              ("--N", "--q", "--k", "--V", "--h", "--eps-list", "--workers")),
+}
 
 
-def _add_model_args(sp, eps_required=True):
-    _add_constants_args(sp)
-    if eps_required:
-        sp.add_argument("--eps", type=_UNIT, required=True, help="supercritical shift")
-    sp.add_argument("--k", type=_COUNT, default=1, help="tower height")
-    sp.add_argument("--V", type=str, default="const:-1",
-                    help="potential preset (const:c | rational:a,b)")
-
-
-def _add_grid_args(sp):
-    sp.add_argument("--h", type=_POSITIVE, default=0.02, help="grid spacing")
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command tree of _COMMANDS and _FLAGS, built on the first main call."""
+    parser = argparse.ArgumentParser(
+        prog="bubbletower",
+        description="Bubble-tower constructions for a competing-powers semilinear equation: "
+                    "constants, predictions, reduction runs and shooting verification.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, what, flags) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=what)
+        for flag in ("--out", *flags):
+            sp.add_argument(flag, **_FLAGS[flag])
+    return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="bubbletower",
-        description="Bubble-tower constructions for a competing-powers "
-                    "semilinear equation: constants, predictions, reduction "
-                    "runs and shooting verification.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", type=str, default=None,
-                        help="output root (default $BUBBLETOWER_OUT or ./runs)")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("constants", help="energy constants table", parents=[common])
-    _add_constants_args(sp)
-    sp.set_defaults(func=cmd_constants)
-
-    sp = sub.add_parser("predict", help="closed-form tower prediction", parents=[common])
-    _add_model_args(sp)
-    sp.set_defaults(func=cmd_predict)
-
-    # reduce and verify take the same flags and share one reduction step
-    for name, what, func in (("reduce", "run the discretized reduction", cmd_reduce),
-                             ("verify", "reduction + independent shooting", cmd_verify)):
-        sp = sub.add_parser(name, help=what, parents=[common])
-        _add_model_args(sp)
-        _add_grid_args(sp)
-        sp.set_defaults(func=func)
-
-    sp = sub.add_parser("sweep", help="trend metrics over decreasing epsilon", parents=[common])
-    _add_model_args(sp, eps_required=False)
-    _add_grid_args(sp)
-    sp.add_argument("--eps-list", dest="eps_list", type=_eps_list, required=True,
-                    help="comma-separated decreasing epsilon values")
-    sp.add_argument("--workers", type=_COUNT, default=4)
-    sp.set_defaults(func=cmd_sweep)
-
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     args.started = time.perf_counter()
-    return args.func(args)
+    return _COMMANDS[args.command][0](args)
 
 
 if __name__ == "__main__":

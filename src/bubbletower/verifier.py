@@ -34,7 +34,6 @@ import numpy as np
 from .errors import ConvergenceError
 from .numerics import PiecewisePolynomial, brentq, dop853
 from .profiles import _EXP_CLIP, ModelParams, Regime, ef_inverse, ef_r_of_x
-from .reduced_model import TowerConfig
 
 __all__ = [
     "Classification",
@@ -236,11 +235,12 @@ def _septic_hermite(shot: ShotProfile) -> PiecewisePolynomial:
     return PiecewisePolynomial(c, x, bernstein=True)
 
 
-def find_tower(params: ModelParams, guess: TowerConfig) -> ShotProfile:
+def find_tower(params: ModelParams, guess) -> ShotProfile:
     """Locate the k-peak decaying solution near a seed tower.
 
-    The seed is the tower a reduction has just solved, where one exists,
-    else the closed-form prediction.  Each shot defines a functional g,
+    The seed is the tower a reduction has just solved (its ReductionState),
+    where one exists, else the closed-form prediction (a TowerConfig); only
+    its spike locations guess.xi are read.  Each shot defines a functional g,
     positive below the separatrix (the crossing side) and negative above
     it.  _search scans SCAN_POINTS values across a +-50% bracket around the
     seed, from its middle, to the first change of sign of g, and then runs

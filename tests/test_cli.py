@@ -677,3 +677,128 @@ def test_bad_grid_and_run_arguments_exit_at_parse_time(argv, tmp_path):
     with pytest.raises(SystemExit):
         run_cli(argv + ["--out", str(tmp_path)])
     assert not (tmp_path / argv[0]).exists()
+
+
+def _built_parser(monkeypatch):
+    """The parser main parses with, caught as main calls parse_args."""
+    class Caught(Exception):
+        pass
+
+    def catch(self, args=None, namespace=None):
+        raise Caught(self)
+
+    with monkeypatch.context() as patched, pytest.raises(Caught) as info:
+        patched.setattr(argparse.ArgumentParser, "parse_args", catch)
+        main(["constants"])
+    return info.value.args[0]
+
+
+_OUT = ("--out", "out", None, False, "str")
+_MODEL = {_OUT, ("--N", "N", 3, False, "int"), ("--q", "q", None, True, "float"),
+          ("--k", "k", 1, False, "int"), ("--V", "V", "const:-1", False, "str")}
+_EPS = ("--eps", "eps", None, True, "float")
+_H = ("--h", "h", 0.02, False, "float")
+
+
+def test_parser_pins_every_flag(monkeypatch):
+    # each subcommand's (option, dest, default, required, type name); the
+    # dests are the manifest's config keys
+    parser = _built_parser(monkeypatch)
+    assert parser.prog == "bubbletower"
+    sub, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert sub.dest == "command" and sub.required
+    flags = {name: {(s, a.dest, a.default, a.required, getattr(a.type, "__name__", None))
+                    for a in sp._actions if a.dest != "help" for s in a.option_strings}
+             for name, sp in sub.choices.items()}
+    assert flags == {
+        "constants": {_OUT, ("--N", "N", 3, False, "int"), ("--q", "q", None, True, "float")},
+        "predict": _MODEL | {_EPS},
+        "reduce": _MODEL | {_EPS, _H},
+        "verify": _MODEL | {_EPS, _H},
+        "sweep": _MODEL | {_H, ("--eps-list", "eps_list", None, True, "_eps_list"),
+                           ("--workers", "workers", 4, False, "int")},
+    }
+
+
+def test_main_builds_one_parser_per_process(tmp_path, monkeypatch):
+    # the root and its five subcommands, once for any number of main calls
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._parser.cache_clear()
+    for _ in range(2):
+        assert run_cli(["constants", "--q", "4", "--out", str(tmp_path)]) == 0
+    assert sorted(built) == ["bubbletower", *(f"bubbletower {name}" for name in sorted(
+        ("constants", "predict", "reduce", "verify", "sweep")))]
+
+
+_IMPORT_SCRIPT = """
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+
+def counted(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+
+argparse.ArgumentParser.__init__ = counted
+import bubbletower.cli
+print(len(built))
+"""
+
+
+def test_import_builds_no_parser():
+    # a fresh interpreter: importing the CLI constructs no ArgumentParser
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_SCRIPT], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
+
+
+@pytest.mark.parametrize("command", [[], ["constants"], ["predict"], ["reduce"],
+                                     ["verify"], ["sweep"]],
+                         ids=["root", "constants", "predict", "reduce", "verify", "sweep"])
+def test_help_exits_zero(command, capsys):
+    with pytest.raises(SystemExit) as info:
+        run_cli([*command, "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith(" ".join(["usage: bubbletower", *command]))
+
+
+def test_unwritable_output_ends_in_one_line(tmp_path):
+    # --out names a file, so the command's directory cannot be made; and a
+    # directory in place of a table cannot be opened for writing
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    taken = tmp_path / "taken"
+    (taken / "constants" / "constants.csv").mkdir(parents=True)
+    for out in (blocker, taken):
+        argv = ["constants", "--q", "4", "--out", str(out)]
+        with pytest.raises(SystemExit, match="^cannot write artifacts: ") as info:
+            run_cli(argv)
+        assert info.value.code != 0
+        code, lines = run_console(argv)
+        assert code == 1 and len(lines) == 1, lines
+        assert lines[0].startswith("cannot write artifacts: ")
+    assert blocker.read_text() == ""
+
+
+def test_readme_flag_tables_match_the_parser(monkeypatch):
+    # each command's README table lists its flags in --help order, and says
+    # "required" exactly where the parser requires the flag
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    sub, = (a for a in _built_parser(monkeypatch)._actions
+            if isinstance(a, argparse._SubParsersAction))
+    for name, sp in sub.choices.items():
+        start = readme.index(f"| `{name}` flag | value | default |") + 2
+        rows = [line.split(" | ") for line in readme[start:readme.index("", start)]]
+        assert [(row[0].strip("|` "), row[-1].strip("| ") == "required") for row in rows] \
+            == [(a.option_strings[0], a.required) for a in sp._actions if a.dest != "help"]

@@ -161,7 +161,7 @@ def test_closed_form_special_functions_match_scipy(n_dim):
         digamma(0.5 * n_dim) - digamma(float(n_dim)), rel=1e-14)
 
 
-@pytest.mark.parametrize("n_dim", [3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("n_dim", [3, 4, 5, 6, 7, 8, 9, 10])
 def test_energy_constants_every_dimension_within_err_of_closed_forms(n_dim):
     # the integrals grow with N (int U^{p*+1} is about 48 at N = 5), so an
     # absolute quadrature target alone would sit below roundoff
