@@ -357,9 +357,18 @@ def _write_artifacts(args, payloads: Dict[str, object],
             shown = _json(shown)
     except ValueError:
         raise SystemExit("non-finite value in output; run failed")
-    out = Path(args.out or os.environ.get("BUBBLETOWER_OUT", "runs")) / args.command
+    out = Path(args.out or os.environ.get("BUBBLETOWER_OUT") or "runs") / args.command
+    # a rerun first removes the files that the directory's manifest lists,
+    # so the directory ends up holding what the new manifest lists and the
+    # files that the CLI never wrote; a listed path that leaves the
+    # directory, such as ../x, names none of its files
+    previous = set()
+    with contextlib.suppress(OSError, ValueError, KeyError, TypeError):
+        previous = set(json.loads((out / "manifest.json").read_text())["outputs"])
     try:
         out.mkdir(parents=True, exist_ok=True)
+        for path in [p for p in out.iterdir() if p.name in previous and p.is_file()]:
+            path.unlink()
         for name, (header, body) in csv.items():
             with open(out / name, "wb") as f:
                 f.write(header)
@@ -387,8 +396,7 @@ def cmd_constants(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    params = build_params(args)
-    C = _energy_constants(args)
+    params, C = build_params(args), _energy_constants(args)
     with _failing("prediction failed"):
         tower = predicted_tower(params, C)
     breakdown = energy_expansion(tower.lambdas, params.epsilon, C, params)
@@ -439,7 +447,8 @@ def cmd_verify(args) -> int:
         found = find_tower(params, state)
     xi1, xik = float(state.xi[0]), float(state.xi[-1])
     metrics = compare(solution.ef, found.ef_image, (xi1 - 2.0, xi1 + 2.0))
-    tower_metrics = compare(solution.ef, found.ef_image, (xi1 - 2.0, xik + 2.0))
+    tower_metrics = (metrics if xik == xi1     # the same window at k = 1
+                     else compare(solution.ef, found.ef_image, (xi1 - 2.0, xik + 2.0)))
     residual = solution.radial_residual(solution.residual_radii(100))
     payload = {
         "shot_u0": found.u0,

@@ -303,21 +303,61 @@ def test_sweep_reports_slopes(q, k, tmp_path):
     assert payload["slopes"]["phi_star"] >= 0.5
 
 
-def test_sweep_determinism(tmp_path):
-    args = ["sweep", "--q", "4", "--k", "1", "--V", "const:-1",
-            "--eps-list", "1e-2,5e-3", "--h", "0.05", "--workers", "2"]
-    run_cli(args + ["--out", str(tmp_path / "a")])
-    run_cli(args + ["--out", str(tmp_path / "b")])
-    assert (tmp_path / "a" / "sweep" / "sweep.csv").read_text() \
-        == (tmp_path / "b" / "sweep" / "sweep.csv").read_text()
-    assert (tmp_path / "a" / "sweep" / "sweep.json").read_text() \
-        == (tmp_path / "b" / "sweep" / "sweep.json").read_text()
+@pytest.mark.parametrize("args", [
+    ["sweep", "--q", "4", "--k", "1", "--V", "const:-1", "--eps-list", "1e-2,5e-3",
+     "--h", "0.05", "--workers", "2"],
+    ["reduce", "--q", "4", "--k", "2", "--eps", "1e-2", "--h", "0.02"],
+    ["verify", "--q", "4", "--eps", "5e-2", "--h", "0.01"],
+], ids=["sweep", "reduce", "verify"])
+def test_sweep_determinism(args, tmp_path):
+    # a rerun into another directory writes the same files with the same
+    # bytes, manifest.json (which holds the time and --out) aside
+    for run in ("a", "b"):
+        assert run_cli(args + ["--out", str(tmp_path / run)]) == 0
+    a, b = (sorted((tmp_path / run / args[0]).iterdir()) for run in ("a", "b"))
+    assert [p.name for p in a] == [p.name for p in b]
+    assert len(a) >= 3
+    for path_a, path_b in zip(a, b):
+        if path_a.name != "manifest.json":
+            assert path_a.read_bytes() == path_b.read_bytes(), path_a.name
 
 
 def test_output_root_from_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("BUBBLETOWER_OUT", str(tmp_path / "envroot"))
     run_cli(["constants", "--q", "4"])
     assert (tmp_path / "envroot" / "constants" / "constants.csv").exists()
+    # an empty value counts as unset: the default ./runs, not the working
+    # directory itself
+    monkeypatch.setenv("BUBBLETOWER_OUT", "")
+    monkeypatch.chdir(tmp_path / "envroot")
+    run_cli(["constants", "--q", "4"])
+    assert (tmp_path / "envroot" / "runs" / "constants" / "constants.csv").exists()
+    assert sorted(p.name for p in (tmp_path / "envroot").iterdir()) == ["constants", "runs"]
+
+
+def test_rerun_replaces_the_previous_outputs(tmp_path):
+    # the second sweep lists point_0.02.json and point_0.01.json; the first
+    # run's point_0.005.json goes, and a file the CLI never wrote stays
+    sweep = ["sweep", "--q", "4", "--k", "1", "--h", "0.05", "--workers", "1",
+             "--out", str(tmp_path)]
+    assert run_cli([*sweep, "--eps-list", "1e-2,5e-3"]) == 0
+    out = tmp_path / "sweep"
+    (out / "notes.txt").write_text("mine")
+    assert run_cli([*sweep, "--eps-list", "2e-2,1e-2"]) == 0
+    outputs = read_manifest(out)["outputs"]
+    assert "point_0.02.json" in outputs and "point_0.005.json" not in outputs
+    assert sorted(p.name for p in out.iterdir()) \
+        == sorted([*outputs, "manifest.json", "notes.txt"])
+    # a manifest whose outputs leave the directory removes nothing there
+    for name in ("x", "y"):
+        (tmp_path / name).write_text("outside")
+    manifest = read_manifest(out)
+    manifest["outputs"] += ["../x", str(tmp_path / "y"), "..", ""]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    assert run_cli([*sweep, "--eps-list", "2e-2,1e-2"]) == 0
+    assert (tmp_path / "x").read_text() == (tmp_path / "y").read_text() == "outside"
+    assert sorted(p.name for p in out.iterdir()) \
+        == sorted([*outputs, "manifest.json", "notes.txt"])
 
 
 def test_sweep_point_files_are_distinct_for_close_eps(tmp_path):
@@ -444,14 +484,23 @@ def test_constants_overflow_exits_with_one_line(tmp_path):
     assert not (tmp_path / "constants").exists()
 
 
-def test_small_gap_tower_reduces_with_every_warning_an_error(tmp_path):
-    # at exponent gap 0.02 the solved spikes drift 19-21 units past the
-    # closed-form ones; the grid follows them, so the console run ends
-    # with nothing on stderr
-    args = ["reduce", "--q", "4.98", "--k", "2", "--eps", "1e-2", "--h", "0.03",
-            "--out", str(tmp_path)]
-    assert run_console(args, PYTHONWARNINGS="error") == (0, [])
-    assert json.loads((tmp_path / "reduce" / "reduction.json").read_text())["converged"]
+@pytest.mark.parametrize("command", ["reduce", "verify"])
+@pytest.mark.parametrize("model", [
+    ["--q", "4.98", "--k", "2", "--eps", "1e-2", "--h", "0.03"],
+    ["--N", "9", "--q", "1.55", "--k", "2", "--eps", "1e-3", "--h", "0.02"],
+], ids=["q4.98", "N9-q1.55"])
+def test_small_gap_tower_reduces_with_every_warning_an_error(command, model, tmp_path):
+    # at exponent gaps 0.02 (N = 3) and 0.021 (N = 9) the solved spikes
+    # drift 19-22 units past the closed-form ones; the grid follows them, so
+    # the console run ends with nothing on stderr, and the shot decays with
+    # both peaks
+    assert run_console([command, *model, "--out", str(tmp_path)],
+                       PYTHONWARNINGS="error") == (0, [])
+    if command == "reduce":
+        assert json.loads((tmp_path / "reduce" / "reduction.json").read_text())["converged"]
+    else:
+        payload = json.loads((tmp_path / "verify" / "verify.json").read_text())
+        assert payload["classification"] == "decaying" and payload["ef_peaks"] == 2
 
 
 @pytest.mark.parametrize("q", ["27", "30", "40"])
@@ -523,6 +572,36 @@ def test_verify_beyond_float_range_exits_with_one_line(model, warnings_filter, t
     assert not (tmp_path / "verify").exists()
 
 
+def test_flat_verify_at_eps_1e_290_neither_overflows_nor_reads_a_zero_residual(tmp_path):
+    # the flat k = 1 seed passes float range, and its growing-mode
+    # coefficient must not overflow; the radial residual, taken in the line
+    # variable, must not read 0.0, the 0/0 of a residual taken in r, where
+    # every term underflows at this eps
+    code, lines = run_console(["verify", "--q", "7", "--k", "1", "--eps", "1e-290",
+                               "--h", "0.05", "--out", str(tmp_path)],
+                              PYTHONWARNINGS="error")
+    assert (code, lines) == (0, [])
+    payload = json.loads((tmp_path / "verify" / "verify.json").read_text())
+    assert payload["max_radial_residual"] != 0.0
+
+
+def test_verify_compares_one_window_at_k1(tmp_path, monkeypatch):
+    # at k = 1 the near-peak and tower windows are both [xi_1 - 2, xi_1 + 2]
+    windows = []
+    original = cli.compare
+
+    def counted(ef, image, window):
+        windows.append(window)
+        return original(ef, image, window)
+
+    monkeypatch.setattr(cli, "compare", counted)
+    for k, calls in ((1, 1), (2, 2)):
+        windows.clear()
+        assert run_cli(["verify", "--q", "4", "--k", str(k), "--eps", "3e-2", "--h", "0.05",
+                        "--out", str(tmp_path)]) == 0
+        assert len(windows) == calls
+
+
 _FOOTPRINT_SCRIPT = """
 import json, sys
 from bubbletower import cli
@@ -574,9 +653,12 @@ def test_model_commands_import_no_scipy(tmp_path):
     (9, 2.0, 2, "1e-2", "0.02", "const:-1", 1e-3),
     (10, 1.9, 1, "1e-2", "0.02", "const:-1", 1e-3),
     (10, 1.9, 2, "1e-2", "0.02", "const:-1", 1e-3),
+    # V = 0.5 - 1.5 r^2/(1+r^2) changes sign; sup_rel_tower measured 1.2e-4
+    (3, 7, 2, "1e-2", "0.02", "rational:0.5,-1.5", 1e-3),
 ], ids=["k1-rational", "k2-const", "k1-v0-positive",
         "N4-k1", "N4-k2", "N5-k1", "N5-k2", "N6-k1", "N6-k2", "k1-const",
-        "N9-k2", "N10-k1", "N10-k2"])
+        "N9-k2", "N10-k1", "N10-k2", "k2-sign-changing"])
+@pytest.mark.filterwarnings("error::UserWarning")
 def test_verify_flat_regime(n_dim, q, k, eps, h, pot, max_sup, tmp_path):
     run_cli(["verify", "--N", str(n_dim), "--q", str(q), "--k", str(k), "--V", pot,
              "--eps", eps, "--h", h, "--out", str(tmp_path)])
@@ -606,10 +688,14 @@ _CONCENTRATING_GRID = [(n_dim, q, k, eps, "0.02", "const:-1", 1e-2 if n_dim == 3
     # exponent gap p* - q = 0.2 (the other gap case, N = 6, q = 1.8, k = 1,
     # eps = 5e-2, is in the grid)
     (3, "4.8", 1, "1e-2", "0.03", "const:-1", 1e-3),
+    # tall towers at eps = 1e-3; sup_rel_tower measured 3.5e-4 and 5.0e-5
+    (3, "4", 3, "1e-3", "0.03", "const:-1", 1e-3),
+    (10, "1.3", 3, "1e-3", "0.03", "const:-1", 1e-3),
 ], ids=["2-3e-2-0.01-const:-1-0.01", "3-1e-2-0.02-const:-1-0.01",
         "1-5e-2-0.01-rational:-1,2-0.2",
         *(f"N{n}-q{q}-k{k}-{eps}" for n, q, k, eps, *_ in _CONCENTRATING_GRID),
-        "gap-N3-q4.8-k1-1e-2"])
+        "gap-N3-q4.8-k1-1e-2", "tall-N3-q4-k3-1e-3", "tall-N10-q1.3-k3-1e-3"])
+@pytest.mark.filterwarnings("error::UserWarning")
 def test_verify_concentrating(n_dim, q, k, eps, h, pot, max_sup, tmp_path):
     run_cli(["verify", "--N", str(n_dim), "--q", q, "--k", str(k), "--V", pot,
              "--eps", eps, "--h", h, "--out", str(tmp_path)])
