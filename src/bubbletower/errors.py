@@ -14,8 +14,8 @@ class HypothesisViolationError(BubbleTowerError):
 
 
 class WindowViolationError(BubbleTowerError):
-    """The scales place no spike set: xi does not increase from 0 (epsilon at
-    or above eps_max, reduced_model.spike_locations) or Lambda_1* overflows."""
+    """The scales place no spike set: spike_locations' gaps collapse (epsilon
+    at or above 1/max_{i>=2} Lambda_i) or Lambda_1* overflows."""
 
 
 class QuadratureConvergenceError(BubbleTowerError):

@@ -69,10 +69,10 @@ def _check_lambdas(lambdas, k):
 def spike_locations(lambdas, epsilon: float, params: ModelParams) -> np.ndarray:
     """Spike locations xi(Lambda): first at log(1/eps)/gap, then gaps of log(1/eps).
 
-    xi_1 = -log(eps)/gap - log(Lambda_1), and each following gap is
-    -log(eps) - log(Lambda_{i+1}), with gap = p*-q (sub) or q-p* (super).
-    So xi increases from 0 exactly when eps < eps_max = min(Lambda_1^-gap,
-    min_{i>=2} 1/Lambda_i); WindowViolationError names eps_max otherwise.
+    xi_1 = -log(eps)/gap - log(Lambda_1), gap = p*-q (sub) or q-p* (super),
+    may have either sign.  Then xi_{i+1} - xi_i = -log(eps) - log(Lambda_{i+1}),
+    positive exactly when eps < eps_max = 1/max_{i>=2} Lambda_i, which
+    WindowViolationError names otherwise; one spike is never refused.
     """
     lam = _check_lambdas(lambdas, params.k)
     if not (0.0 < epsilon < 1.0):
@@ -82,13 +82,10 @@ def spike_locations(lambdas, epsilon: float, params: ModelParams) -> np.ndarray:
     xi[0] = -log_eps / params.exponent_gap - math.log(lam[0])
     for i in range(1, params.k):
         xi[i] = xi[i - 1] - log_eps - math.log(lam[i])
-    if xi[0] <= 0.0 or np.any(np.diff(xi) <= 0.0):
-        # in logs: Lambda_1^-gap overflows for a small Lambda_1 at a wide gap
-        eps_max = math.exp(min([-params.exponent_gap * math.log(lam[0]),
-                                *(-np.log(lam[1:])).tolist()]))
+    if np.any(np.diff(xi) <= 0.0):
         raise WindowViolationError(
-            f"epsilon={epsilon:g} too large: spike locations {xi} not increasing "
-            f"from 0; they increase for epsilon below {eps_max:.4g}")
+            f"epsilon={epsilon:g} too large: spike locations not increasing; "
+            f"they increase for epsilon below {1.0 / np.max(lam[1:]):.4g}")
     return xi
 
 

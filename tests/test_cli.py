@@ -102,11 +102,17 @@ def test_predict_rejects_wrong_sign_potential(tmp_path):
 
 
 def test_predict_exits_when_eps_is_too_large_for_k(tmp_path):
-    # at eps = 0.9 the three spike locations are not increasing from 0
-    with pytest.raises(SystemExit, match="prediction failed: .*not increasing"):
-        run_cli(["predict", "--q", "4", "--eps", "0.9", "--k", "3",
+    # at N = 3, q = 4 the closed-form spike gaps collapse only from k = 12,
+    # above eps_max = a2/(11 a3) = 0.926; at k = 3, eps = 0.9 they increase
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["predict", "--q", "4", "--eps", "0.95", "--k", "12",
                  "--out", str(tmp_path)])
+    assert len(str(exc.value).splitlines()) == 1
+    assert str(exc.value).startswith("prediction failed: epsilon=0.95 too large")
+    assert str(exc.value).endswith("epsilon below 0.926")
     assert not (tmp_path / "predict").exists()
+    assert run_cli(["predict", "--q", "4", "--eps", "0.9", "--k", "3",
+                    "--out", str(tmp_path)]) == 0
 
 
 def test_reduce_outputs(tmp_path):

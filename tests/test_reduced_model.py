@@ -46,14 +46,15 @@ def test_spike_locations_errors():
     params = make_params(eps=0.01, k=2)
     with pytest.raises(ValueError):
         spike_locations([1.0, -2.0], 0.01, params)
-    with pytest.raises(WindowViolationError):
-        spike_locations([1.0, 300.0], 0.01, params)   # gap collapses
-    # the closed-form spikes at N = 9, q = 1.55, k = 2 increase from 0 only
-    # below eps_max = Lambda_1*^-gap = 0.0097897, which the message names
+    # the gap collapses; the message names eps_max = 1/Lambda_2 = 1/300
+    with pytest.raises(WindowViolationError, match=r"epsilon below 0\.003333$"):
+        spike_locations([1.0, 300.0], 0.01, params)
+    # the closed-form spikes at N = 9, q = 1.55, k = 2 increase from a first
+    # spike below 0; the sign of xi_1 is not a reason to refuse them
     params = make_params(q=1.55, eps=0.01, k=2, n_dim=9)
     lam = critical_scales(energy_constants(9, 1.55), params)
-    with pytest.raises(WindowViolationError, match=r"epsilon below 0\.00979$"):
-        spike_locations(lam, 0.01, params)
+    xi = spike_locations(lam, 0.01, params)
+    assert xi[0] < 0.0 < xi[1] - xi[0]
 
 
 def test_reduced_functional_k1_formula(c4):
