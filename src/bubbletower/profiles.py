@@ -59,7 +59,11 @@ def model_constants(n_dim: int):
     """Return (gamma_N, beta) = ((N(N-2))^{(N-2)/4}, (2/(N-2))^2)."""
     if n_dim < 3:
         raise ValueError(f"dimension must be >= 3, got {n_dim}")
-    gamma = (n_dim * (n_dim - 2.0)) ** ((n_dim - 2.0) / 4.0)
+    try:
+        gamma = (n_dim * (n_dim - 2.0)) ** ((n_dim - 2.0) / 4.0)
+    except OverflowError:
+        raise ValueError(
+            f"gamma_N = (N(N-2))^((N-2)/4) passes the float range at N = {n_dim}") from None
     beta = (2.0 / (n_dim - 2.0)) ** 2
     return gamma, beta
 

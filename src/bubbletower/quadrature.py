@@ -227,43 +227,34 @@ def energy_constants(n_dim: int, q: float, tol: float = 1e-12) -> EnergyConstant
         # neither a5 (q < p*) nor a5_hat (q > p*) exists at q = p*
         raise ValueError(f"need q > p^s = {p_s:g} and q != p* = {p_star:g}, got q={q:g}")
     gamma, beta = model_constants(n_dim)
-    err: Dict[str, float] = {}
-    m = (n_dim - 2) / 2.0
+    m, log_gamma = (n_dim - 2) / 2.0, math.log(gamma)
 
-    # profile_U on one Python float: integrate_line calls the integrands
-    # one point at a time, and math skips numpy's scalar overhead
-    def U(x):
-        t = abs(x / m)
-        return gamma * math.exp(-m * (t + math.log1p(math.exp(-2.0 * t))))
+    def moment(s: float, c: float, j: int = 0):
+        """int U^s (log U)^j e^{-cx} dx and its error bound.  U ~ gamma e^{-|x|}
+        sets the decay rates s -+ c; (log U)^j ~ |x|^j costs a slack of j/2.
+        The integrand is one exp of a log, so no factor overflows on its own,
+        and it runs on Python floats: integrate_line calls it point by point."""
+        def f(x):
+            log_u = log_gamma - abs(x) - m * math.log1p(math.exp(-2.0 * abs(x / m)))
+            return log_u ** j * math.exp(s * log_u - c * x)
+        return integrate_line(f, s - c - 0.5 * j, s + c - 0.5 * j, tol)
 
-    s = p_star + 1.0
-    # int U^{p*+1}; testing -U'' + U = beta U^{p*} against U gives
-    # int (U'^2 + U^2) = beta int U^{p*+1}, so a1 needs no other integral
-    i_crit, e_crit = integrate_line(lambda x: U(x) ** s, s, s, tol)
-    # int U^{p*} e^{x}
-    i_inter, e_inter = integrate_line(lambda x: U(x) ** p_star * math.exp(x),
-                                      s, p_star - 1.0, tol)
-    # int U^{p*+1} log U: log U ~ -|x| for large |x|, absorbed in a slack rate
-    i_log, e_log = integrate_line(lambda x: (u := U(x)) ** s * math.log(u),
-                                  p_star + 0.5, p_star + 0.5, tol)
-
-    a1 = beta * (0.5 - 1.0 / s) * i_crit
-    a2 = beta * gamma * i_inter
-    a3 = beta / s * i_crit
-    a4 = i_crit / s ** 2 - i_log / s
-    err["a1"] = beta * (0.5 - 1.0 / s) * e_crit
-    err["a2"] = beta * gamma * e_inter
-    err["a3"] = beta / s * e_crit
-    err["a4"] = e_crit / s ** 2 + e_log / s
-
-    # int U^{q+1} e^{-|p*-q| x}, a5 for q < p* and a5_hat above; it decays
-    # at rate q+1-|p*-q| to the left and q+1+|p*-q| to the right
-    r, c = q + 1.0, abs(p_star - q)
-    val, e5 = integrate_line(lambda x: U(x) ** r * math.exp(-c * x), r - c, r + c, tol)
-    fifth = {"a5": None, "a5_hat": None}
-    name = "a5" if q < p_star else "a5_hat"
-    fifth[name] = beta / r * val
-    err[name] = beta / r * e5
-
-    return EnergyConstants(n_dim=n_dim, q=q, a1=a1, a2=a2, a3=a3, a4=a4,
-                           c_n=gamma, err=err, **fifth)
+    s, r, c = p_star + 1.0, q + 1.0, abs(p_star - q)
+    # testing -U'' + U = beta U^{p*} against U gives int (U'^2 + U^2) =
+    # beta int U^{p*+1}, so a1 needs no other integral than a3
+    crit = moment(s, 0.0)
+    terms = {
+        "a1": [(beta * (0.5 - 1.0 / s), crit)],
+        "a2": [(beta * gamma, moment(p_star, -1.0))],
+        "a3": [(beta / s, crit)],
+        "a4": [(1.0 / s ** 2, crit), (-1.0 / s, moment(s, 0.0, 1))],
+        # a5 for q < p*, a5_hat above
+        "a5" if q < p_star else "a5_hat": [(beta / r, moment(r, c))],
+    }
+    values = {name: math.fsum(k * i for k, (i, _) in t) for name, t in terms.items()}
+    err = {name: math.fsum(abs(k) * e for k, (_, e) in t) for name, t in terms.items()}
+    # k I can pass the float range where I does not: a2 = beta gamma I does from N = 145
+    if over := [name for name in terms if not math.isfinite(values[name] + err[name])]:
+        raise QuadratureConvergenceError(f"{', '.join(over)} overflowed", math.inf, math.inf)
+    return EnergyConstants(n_dim=n_dim, q=q, c_n=gamma, err=err,
+                           **{"a5": None, "a5_hat": None, **values})

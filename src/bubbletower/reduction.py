@@ -68,6 +68,11 @@ TOL_ORTH = 1e-10     # max_i |Z_i^T phi| / max|Z| of a converged correction
 TOL_C = 1e-10        # max|c| that stops solve_reduced
 MAX_CORRECTION_STEPS = 10
 MAX_NEWTON = 40
+# an outer step that keeps more than STALL_RATIO of |c| stalls, and MAX_STALLS
+# in a row stop solve_reduced: a Lambda that runs away keeps 0.97-0.98 a step,
+# while no converging reduction measured stalled twice in a row
+STALL_RATIO = 0.5
+MAX_STALLS = 3
 
 
 @dataclass(frozen=True)
@@ -262,7 +267,9 @@ def solve_reduced(params: ModelParams, constants: EnergyConstants,
     whose correction raises ConvergenceError or ConditioningError is
     rejected like one whose |c| grows.  Returns (Lambda_eps, state at
     Lambda_eps); failures raise ConvergenceError with the last accepted
-    state, after 12 rejected trials chained to the last one's error.  The
+    state, after 12 rejected trials chained to the last one's error, after
+    MAX_STALLS accepted steps in a row that each keep more than STALL_RATIO
+    of |c| (a Lambda that runs away), or after MAX_NEWTON steps.  The
     grid reaches WINDOW + PAD past the spikes at Lambda*, and is rebuilt so
     around a correction's spikes that come within WINDOW of an end; the
     accepted phi is interpolated onto its nodes.
@@ -284,6 +291,7 @@ def solve_reduced(params: ModelParams, constants: EnergyConstants,
 
     s = np.log(lam)
     state = correction(s)
+    stalls = 0
     for _ in range(MAX_NEWTON):
         if np.max(np.abs(state.c)) < TOL_C:
             return np.exp(s), state
@@ -305,6 +313,11 @@ def solve_reduced(params: ModelParams, constants: EnergyConstants,
                 f"line search found no |c| below {norm_c:.3e} along {step} "
                 f"from log Lambda = {s}", state=state) from failure
         s, state = s + ds, trial
+        stalls = stalls + 1 if np.linalg.norm(trial.c) > STALL_RATIO * norm_c else 0
+        if stalls == MAX_STALLS:
+            raise ConvergenceError(
+                f"max|c| = {np.max(np.abs(state.c)):.2e} fell by less than half in each of "
+                f"{MAX_STALLS} steps, Lambda running away to {np.exp(s)}", state=state)
     raise ConvergenceError(
         f"max|c| = {np.max(np.abs(state.c)):.2e} not below {TOL_C:g} after "
         f"{MAX_NEWTON} steps, at Lambda = {np.exp(s)}", state=state)

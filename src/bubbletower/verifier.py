@@ -238,9 +238,11 @@ def _septic_hermite(shot: ShotProfile) -> PiecewisePolynomial:
 def find_tower(params: ModelParams, guess) -> ShotProfile:
     """Locate the k-peak decaying solution near a seed tower.
 
-    The seed is the tower a reduction has just solved (its ReductionState),
-    where one exists, else the closed-form prediction (a TowerConfig); only
-    its spike locations guess.xi are read.  Each shot defines a functional g,
+    The seed is the bubble sum's value at the spike locations guess.xi.
+    Where guess is the tower a reduction has just solved (a ReductionState),
+    that value is scaled by (Ubar + phi)/Ubar past the last spike, read by
+    interpolation on the state's grid; a closed-form prediction (a
+    TowerConfig) keeps it.  Each shot defines a functional g,
     positive below the separatrix (the crossing side) and negative above
     it.  _search scans SCAN_POINTS values across a +-50% bracket around the
     seed, from its middle, to the first change of sign of g, and then runs
@@ -249,8 +251,9 @@ def find_tower(params: ModelParams, guess) -> ShotProfile:
     shooting each value once.  Labels do not steer the search.
 
     Concentrating regime: the value is the initial height u0, seeded at
-    gamma sum e^{xi_j}; a shot stops at its first zero or minimum of v
-    after the k-th peak, or at r_max (shoot).  g is _crossing_gap, whose
+    gamma sum e^{xi_j} (the ratio read at xi_k + 20, where u is flat); a
+    shot stops at its first zero or minimum of v after the k-th peak, or at
+    r_max (shoot).  g is _crossing_gap, whose
     root is the height whose far-field zero sits at r_max (_default_r_max
     says why r_max stays).  The search stops at a bracket of SEPARATRIX_RTOL
     * u0: g is noise within about 5e-13 relative of the root at eps >= 1e-2,
@@ -258,7 +261,8 @@ def find_tower(params: ModelParams, guess) -> ShotProfile:
     relative away.  The kept shot is the g <= 0 end of the final bracket.
 
     Flat regime: the value is the decay coefficient c of v ~ c e^{-x}
-    beyond the last spike, scanned geometrically around gamma e^{xi_k};
+    beyond the last spike, scanned geometrically around gamma e^{xi_k} (the
+    ratio read at xi_k + 10, where the shots start);
     each shot runs backward from xi_k + 10 to its first event, at the
     latest xi_1 - 25 (_shoot_flat_backward).  g is _growing_mode, constant
     on the linear far field, so Brent's method converges superlinearly, to
@@ -276,9 +280,14 @@ def find_tower(params: ModelParams, guess) -> ShotProfile:
     """
     xi1, xik = float(guess.xi[0]), float(guess.xi[-1])
     sub = params.regime is Regime.SUB_Q
-    # in logs, before numpy meets an overflow: the scan's top value, 1.5 gamma
-    # sum e^{xi_j} or 1.5 gamma e^{xi_k}, and the largest exponent a shot needs
-    log_top = math.log(1.5 * params.gamma) + xik + (
+    scale = 1.0
+    if (phi := getattr(guess, "phi", None)) is not None:
+        ubar = guess.field.ubar.values
+        scale = float(np.interp(xik + (20.0 if sub else 10.0), phi.grid.x,
+                                (ubar + phi.values) / ubar))
+    # in logs, before numpy meets an overflow: the scan's top value, 1.5 times
+    # the seed, and the largest exponent a shot needs
+    log_top = math.log(1.5 * params.gamma * scale) + xik + (
         math.log(sum(math.exp(x - xik) for x in guess.xi.tolist())) if sub else 0.0)
     need = params.p * log_top if sub else max(log_top, xik + 10.0,
                                               2.0 * (xik + 10.0) / (params.n_dim - 2))
@@ -286,13 +295,13 @@ def find_tower(params: ModelParams, guess) -> ShotProfile:
         raise ConvergenceError(f"seed {'height u0' if sub else 'decay coefficient c'} scanned to "
                                f"e^{log_top:.6g}: a shot needs e^{need:.6g}, beyond float range")
     if sub:
-        u0_pred = params.gamma * float(np.sum(np.exp(guess.xi)))
+        u0_pred = scale * params.gamma * float(np.sum(np.exp(guess.xi)))
         values = np.linspace(0.5 * u0_pred, 1.5 * u0_pred, SCAN_POINTS)
         r_max = _default_r_max(params)
         shoot_at = lambda u0: shoot(u0, params)
         gap = lambda shot: _crossing_gap(shot, r_max)
     else:
-        c_pred = params.gamma * math.exp(xik)
+        c_pred = scale * params.gamma * math.exp(xik)
         values = np.geomspace(0.5 * c_pred, 1.5 * c_pred, SCAN_POINTS)
         shoot_at = lambda c: _shoot_flat_backward(c, params, xik + 10.0, xi1 - 25.0)
         gap = _growing_mode

@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import json
 import os
 import subprocess
@@ -216,6 +217,51 @@ def test_encoder_matches_per_value_format_at_hard_values():
         table = values[:values.size // width * width].reshape(-1, width)
         header = [f"c{j}" for j in range(width)]
         assert _encoded_csv(header, table) == _per_value_csv(header, table)
+
+
+def _first_difference(got: bytes, want: bytes) -> str:
+    a, b = got.splitlines(), want.splitlines()
+    line = next(i for i, (x, y) in enumerate(zip(a + [b""], b + [b""])) if x != y)
+    return f"line {line} reads {a[line:line + 1]}, not {b[line:line + 1]}"
+
+
+def _assert_encodes_exactly(table: np.ndarray) -> None:
+    """cli._float_csv on a 2-D float table, byte for byte as '%.17g' writes it."""
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    want = (row * table.shape[0] % tuple(table.ravel().tolist())).encode()
+    got = bytes(cli._float_csv(table, table.shape[1]))
+    assert got == want, _first_difference(got, want)
+
+
+def test_encoder_is_exact_on_a_million_random_bit_patterns():
+    # 2**20 seeded bit patterns: every exponent, subnormals, signed zeros,
+    # infinities and NaN payloads
+    bits = np.random.default_rng(20240).integers(0, 2 ** 64, 2 ** 20, dtype=np.uint64,
+                                                 endpoint=False)
+    _assert_encodes_exactly(bits.view(np.float64).reshape(-1, 4))
+
+
+def test_encoder_is_exact_on_every_benchmark_table(tmp_path, monkeypatch):
+    # every table that the six benchmark cases write at seed 0, whatever
+    # its size, with the cases' argv read from perfbench/cases.py
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    cases = importlib.import_module("cases")
+    sizes, body = [], cli._csv_body
+
+    def checked(rows, width):
+        table = np.asarray(rows, dtype=np.float64).reshape(-1, width)
+        _assert_encodes_exactly(table)
+        sizes.append(table.size)
+        return body(rows, width)
+
+    monkeypatch.setattr(cli, "_csv_body", checked)
+    argvs = [case.argv for workload in ("tower", "verify", "sweep")
+             for case in cases.build(workload, 0).cases]
+    assert len(argvs) == 6
+    for argv in argvs:
+        assert run_cli([*argv, "--out", str(tmp_path)]) == 0
+    # profile.csv of each reduce, shot.csv of each verify, sweep.csv of each sweep
+    assert len(sizes) == 6 and min(sizes) > 0
 
 
 def test_small_float_table_with_specials_writes_the_reference_bytes(tmp_path):
@@ -483,11 +529,35 @@ def test_overflowing_critical_scale_exits_with_one_line(tmp_path):
 
 
 def test_constants_overflow_exits_with_one_line(tmp_path):
-    # at N = 34 the a2 integrand overflows math.exp; the console run ends
-    # in the CLI's one-line message, not in a traceback
-    assert run_console(["constants", "--N", "34", "--q", "1.2", "--out", str(tmp_path)]) \
+    # at N = 200 an integrand of the constants overflows math.exp; the
+    # console run ends in the CLI's one-line message, not in a traceback
+    assert run_console(["constants", "--N", "200", "--q", "1.2", "--out", str(tmp_path)]) \
         == (1, ["energy constants failed: integrand overflowed: math range error"])
     assert not (tmp_path / "constants").exists()
+
+
+def test_constants_past_the_old_overflow_exit_zero(tmp_path):
+    # at N = 34 the factors U^{p*} and e^x of the a2 integrand each pass
+    # exp's range, and at flat q = 50 those of a5_hat; as one exp of a log
+    # neither integrand overflows, and the q = 50 two-spike tower reduces
+    assert run_cli(["constants", "--N", "34", "--q", "1.2", "--out", str(tmp_path)]) == 0
+    assert run_cli(["reduce", "--q", "50", "--k", "2", "--eps", "1e-2", "--h", "0.03",
+                    "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "reduce" / "reduction.json").read_text())
+    assert payload["converged"] and max(map(abs, payload["multipliers"])) < 1e-10
+
+
+@pytest.mark.parametrize("argv", [["constants"], ["predict", "--eps", "1e-2"],
+                                  ["reduce", "--eps", "1e-2"], ["verify", "--eps", "1e-2"],
+                                  ["sweep", "--eps-list", "1e-2,5e-3"]],
+                         ids=["constants", "predict", "reduce", "verify", "sweep"])
+def test_model_commands_past_gamma_range_end_in_one_line(argv, tmp_path):
+    # gamma_N = (N(N-2))^{(N-2)/4} passes the float range at N = 258
+    with pytest.raises(SystemExit) as exc:
+        run_cli([*argv, "--N", "258", "--q", "1.0117", "--out", str(tmp_path)])
+    assert str(exc.value) == ("energy constants failed: gamma_N = (N(N-2))^((N-2)/4) "
+                              "passes the float range at N = 258")
+    assert not (tmp_path / argv[0]).exists()
 
 
 @pytest.mark.parametrize("command", ["reduce", "verify"])
@@ -731,6 +801,17 @@ def test_verify_n8_searches_on_the_search_value(tmp_path, monkeypatch):
     assert payload["classification"] == "decaying"
     assert payload["ef_peaks"] == 2
     assert len(heights) <= 16
+
+
+def test_verify_seeds_the_scan_from_the_corrected_tower(tmp_path):
+    # N = 10, q = 1.45, k = 1: the found height is 0.4082 of the bubble
+    # sum's gamma e^{xi_1}, below a +-50% scan around that (every shot
+    # blows up); (Ubar + phi)/Ubar of the solved tower reads 0.4083
+    assert run_cli(["verify", "--N", "10", "--q", "1.45", "--k", "1", "--eps", "1e-2",
+                    "--h", "0.02", "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "verify" / "verify.json").read_text())
+    assert payload["classification"] == "decaying" and payload["ef_peaks"] == 1
+    assert payload["sup_rel_tower"] < 1e-4
 
 
 @pytest.mark.parametrize("argv", [

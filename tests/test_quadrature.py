@@ -138,12 +138,31 @@ def test_non_finite_integrand_fails_at_once():
     assert calls[0] <= 14 + 2 * 21
 
 
-@pytest.mark.parametrize("n_dim,q", [(34, 1.2), (3, 50.0)])
-def test_energy_constant_overflow_is_a_quadrature_error(n_dim, q):
-    # math.exp overflows in the a2 integrand U^{p*} e^x at N = 34 and in
-    # the a5_hat integrand U^{q+1} e^{-|p*-q| x} at q = 50
+@pytest.mark.parametrize("n_dim,q", [(34, 1.2), (3, 50.0), (3, 100.0)])
+def test_energy_constants_past_exp_range_meet_closed_forms(n_dim, q):
+    # the factors U^{p*} and e^x of a2 pass exp's range at N = 34, and
+    # U^{q+1} and e^{-|p*-q| x} of a5_hat at q = 50; each integrand is one
+    # exp of a log, so the constants lie within err of the Beta closed forms
+    p_s, p_star = critical_exponents(n_dim)
+    gamma, beta = model_constants(n_dim)
+    C = energy_constants(n_dim, q)
+    fifth = "a5" if q < p_star else "a5_hat"
+    exact = {
+        "a2": beta * gamma * profile_moment_closed_form(p_star, -1.0, n_dim),
+        "a3": beta / (p_star + 1.0) * profile_moment_closed_form(p_star + 1.0, 0.0, n_dim),
+        fifth: beta / (q + 1.0) * profile_moment_closed_form(q + 1.0, abs(p_star - q), n_dim),
+    }
+    for name, value in exact.items():
+        assert abs(getattr(C, name) - value) <= C.err[name], name
+
+
+def test_energy_constants_past_float_range_are_a_quadrature_error():
+    # a2 = beta gamma int U^{p*} e^x is past the float range from N = 145,
+    # though the integral is not; at N = 200 the integrand itself overflows
+    with pytest.raises(QuadratureConvergenceError, match="^a2 overflowed$"):
+        energy_constants(145, 1.02)
     with pytest.raises(QuadratureConvergenceError, match="integrand overflowed"):
-        energy_constants(n_dim, q)
+        energy_constants(200, 1.0152)
 
 
 @pytest.mark.parametrize("n_dim", range(3, 11))

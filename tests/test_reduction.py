@@ -532,6 +532,24 @@ def test_unconverged_outer_solve_raises_with_state(c4, monkeypatch):
     assert info.value.state is not None and info.value.state.converged
 
 
+def test_runaway_lambda_stops_with_the_last_accepted_state():
+    # N = 9, q = 1.55, k = 1, eps = 5e-2: each outer step keeps 97-98% of
+    # |c| while xi_1 drifts off to -infinity; without the stall stop the
+    # solve takes all 40 steps (42 corrections, about 1 s) to Lambda_1 = 6.5e111
+    import time
+    from bubbletower.errors import ConvergenceError
+    params = make_params(q=1.55, eps=5e-2, n_dim=9)
+    constants = energy_constants(9, 1.55)
+    started = time.perf_counter()
+    with pytest.raises(ConvergenceError, match="fell by less than half in each of 3 steps, "
+                                               "Lambda running away to") as info:
+        solve_reduced(params, constants, ReductionConfig(h=0.02))
+    assert time.perf_counter() - started < 0.5
+    state = info.value.state
+    assert state.converged and f"max|c| = {np.max(np.abs(state.c)):.2e}" in str(info.value)
+    assert len(str(info.value).splitlines()) == 1
+
+
 @pytest.mark.parametrize("k,eps,h", [(1, 1e-2, 0.02), (2, 1e-2, 0.02), (3, 1e-2, 0.03)])
 def test_newton_correction_is_a_discrete_solution(k, eps, h, c4):
     # F(phi) = full_operator(Ubar + phi) equals sum_i c_i Z_i to rounding,
