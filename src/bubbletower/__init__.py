@@ -16,7 +16,7 @@ from .errors import (AssemblyError, BubbleTowerError, ConditioningError,
                      RegimeMismatchError, WindowViolationError)
 from .profiles import (ModelParams, PotentialSpec, Regime, critical_exponents,
                        ef_inverse, ef_r_of_x, ef_x_of_r, model_constants,
-                       profile_U, profile_d2U, profile_dU)
+                       profile_U, profile_d2U, profile_derivatives, profile_dU)
 from .quadrature import (EnergyConstants, energy_constants, integrate_line,
                          profile_log_moment_closed_form,
                          profile_moment_closed_form)
@@ -26,8 +26,7 @@ from .reduced_model import (EnergyBreakdown, TowerConfig, critical_scales,
                             reduced_functional_hess_diag, spike_locations,
                             tower_amplitudes)
 from .field import (Grid, GridFunction, SpikeFrame, TowerField, ansatz_residual,
-                    default_sigma, energy, full_operator, grid_for_spikes,
-                    kernel_directions, linearized_matrix, nonlinear_remainder,
+                    default_sigma, energy, grid_for_spikes, kernel_directions,
                     star_norm, tower_ansatz)
 from .reduction import (ProjectedSolver, RadialSolution, ReductionConfig,
                         ReductionState, assemble_solution, solve_correction,

@@ -20,22 +20,19 @@ on every step; each step asks it only for the Newton right-hand side and
 the Jacobian's diagonal at Ubar + phi (newton_system).  tower_ansatz,
 kernel_directions, ansatz_residual and nonlinear_remainder read one built
 for the call.  That Jacobian is the one linearization: linearized_matrix
-is its matrix at phi = 0, and nonlinear_remainder the quadratic remainder
-around Ubar.
+returns its three bands at phi = 0, and nonlinear_remainder the quadratic
+remainder around Ubar.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .profiles import _EXP_CLIP, ModelParams, profile_U
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
+from .profiles import _EXP_CLIP, ModelParams, profile_derivatives
 
 __all__ = [
     "Grid",
@@ -244,14 +241,12 @@ def nonlinear_remainder(phi: GridFunction, xi, params: ModelParams) -> GridFunct
     return GridFunction(phi.grid, params.beta * (n1 - n2))
 
 
-def linearized_matrix(xi, params: ModelParams, grid: Grid) -> sp.csc_matrix:
-    """Sparse symmetric matrix of the operator linearized at the tower, with
+def linearized_matrix(xi, params: ModelParams, grid: Grid) -> Tuple[np.ndarray, ...]:
+    """Bands (sub, main, super) of the operator linearized at the tower, with
     zero end values: the Jacobian J(0) of TowerField.newton_system."""
-    import scipy.sparse as sp
     tower = TowerField(xi, params, grid)
     off = tower.off_diagonal
-    main = tower.newton_system(np.zeros(grid.n))[1]
-    return sp.diags([off, main, off], offsets=(-1, 0, 1), format="csc")
+    return off, tower.newton_system(np.zeros(grid.n))[1], off
 
 
 def kernel_directions(xi, params: ModelParams, grid: Grid) -> np.ndarray:
@@ -262,13 +257,12 @@ def kernel_directions(xi, params: ModelParams, grid: Grid) -> np.ndarray:
 class TowerField:
     """One spike set's tower on one grid, and what derives from it.
 
-    The only evaluator of the translated profiles: one profile_U and one
-    tanh call on the k x n array x - xi_i give the rows U_i = U(. - xi_i) and
-    th_i = tanh((. - xi_i)/m), m = (N-2)/2, and from them Ubar = sum_i U_i,
-    the kernel directions Z_i = U_i' = -U_i th_i and the second derivatives
-    U_i'' = U_i (th_i^2 - (1 - th_i^2)/m) as n x k columns.  Built once per
-    spike set and reused by every Newton step of the correction, it also
-    holds x, the weights w_nl and omega w_pot, the off-diagonal -1/h^2 of
+    The only evaluator of the translated profiles: one profile_derivatives
+    call on the k x n array x - xi_i gives the rows U_i = U(. - xi_i), U_i'
+    and U_i'', and from them Ubar = sum_i U_i, the kernel directions
+    Z_i = U_i' and the second derivatives U_i'' as n x k columns.  Built
+    once per spike set and reused by every Newton step of the correction, it
+    also holds x, the weights w_nl and omega w_pot, the off-diagonal -1/h^2 of
     -d^2, (-d^2 + 1) Ubar and the weight sum_i exp(-sigma |x - xi_i|) of
     the star norm, sigma = default_sigma(params), in ``frame``.
     """
@@ -279,18 +273,16 @@ class TowerField:
         if np.any(np.diff(xi) <= 0.0):
             raise ValueError("spike locations must be strictly increasing")
         self.params, self.grid, self.x = params, grid, grid.x
-        m = (params.n_dim - 2) / 2.0
-        shifted = self.x - xi[:, None]
-        u = self._rows = profile_U(shifted, params.n_dim)
-        th = np.tanh(shifted / m)
+        u, du, d2u = profile_derivatives(self.x - xi[:, None], params.n_dim)
+        self._rows = u
         # the builtin sum adds the rows in order, as the per-spike sums
         # did; np.sum(axis=0) pairs them and rounds differently
         ubar = sum(u)
         self.ubar = GridFunction(grid, ubar)
         # C-contiguous n x k: transposed views round differently in the
         # BLAS products Z^T A^-1 Z and d2u^T phi
-        self.z = np.ascontiguousarray((-u * th).T)
-        self.d2u = np.ascontiguousarray((u * (th * th - (1.0 - th * th) / m)).T)
+        self.z = np.ascontiguousarray(du.T)
+        self.d2u = np.ascontiguousarray(d2u.T)
         self.star_weight = self.frame.weight(self.x)
         self.w_nl, self.w_pot = _weights(self.x, params)
         self.off_diagonal = np.full(grid.n - 1, -1.0 / (grid.h * grid.h))

@@ -25,6 +25,7 @@ __all__ = [
     "critical_exponents",
     "model_constants",
     "profile_U",
+    "profile_derivatives",
     "profile_dU",
     "profile_d2U",
     "ef_inverse",
@@ -213,22 +214,26 @@ def profile_U(x, n_dim: int):
     return out if out.ndim else float(out)
 
 
-def profile_dU(x, n_dim: int):
-    """Derivative U'(x) = -U(x) tanh(2x/(N-2)); odd, vanishes at 0."""
+def profile_derivatives(x, n_dim: int):
+    """(U, U', U'') from one profile_U and one tanh call: with th = tanh(x/m),
+    m = (N-2)/2, U' = -U th and U'' = U (th^2 - (1 - th^2)/m); floats for a
+    scalar x."""
     m = (n_dim - 2) / 2.0
     x = np.asarray(x, dtype=float)
-    out = -profile_U(x, n_dim) * np.tanh(x / m)
-    return out if out.ndim else float(out)
+    u = profile_U(x, n_dim)
+    th = np.tanh(x / m)
+    out = (u, -u * th, u * (th * th - (1.0 - th * th) / m))
+    return out if x.ndim else tuple(map(float, out))
+
+
+def profile_dU(x, n_dim: int):
+    """Derivative U'(x) = -U(x) tanh(2x/(N-2)) (profile_derivatives)."""
+    return profile_derivatives(x, n_dim)[1]
 
 
 def profile_d2U(x, n_dim: int):
-    """Second derivative in closed form: U (tanh^2(x/m) - sech^2(x/m)/m)."""
-    m = (n_dim - 2) / 2.0
-    x = np.asarray(x, dtype=float)
-    th = np.tanh(x / m)
-    sech2 = 1.0 - th * th
-    out = profile_U(x, n_dim) * (th * th - sech2 / m)
-    return out if out.ndim else float(out)
+    """Second derivative U''(x) in closed form (profile_derivatives)."""
+    return profile_derivatives(x, n_dim)[2]
 
 
 def ef_r_of_x(x, n_dim: int, regime: Regime):

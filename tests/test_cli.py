@@ -680,7 +680,8 @@ def test_verify_compares_one_window_at_k1(tmp_path, monkeypatch):
 
 _FOOTPRINT_SCRIPT = """
 import json, sys
-from bubbletower import cli
+import numpy as np
+from bubbletower import ModelParams, PotentialSpec, cli, field
 out = sys.argv[1]
 for argv in (["constants", "--q", "4"],
              ["predict", "--q", "4", "--eps", "1e-2", "--k", "2"],
@@ -688,6 +689,12 @@ for argv in (["constants", "--q", "4"],
              ["sweep", "--q", "4", "--eps-list", "1e-2,5e-3", "--h", "0.05"]):
     assert cli.main(argv + ["--out", out]) == 0
 assert cli.main(["verify", "--q", "4", "--eps", "5e-2", "--k", "1", "--out", out]) == 0
+params = ModelParams.make(3, 4.0, 1e-2, k=2, potential=PotentialSpec(-1.0))
+xi, grid = np.array([-1.0, 4.0]), field.Grid.from_span(-31.0, 34.0, 0.05)
+tower = field.TowerField(xi, params, grid)
+bands = field.linearized_matrix(xi, params, grid)
+assert len(bands) == 3 and all(np.array_equal(band, want) for band, want in zip(
+    bands, (tower.off_diagonal, tower.newton_system(np.zeros(grid.n))[1], tower.off_diagonal)))
 print(json.dumps(sorted(name for name in sys.modules
                         if name == "scipy" or name.startswith("scipy."))))
 """
@@ -695,7 +702,7 @@ print(json.dumps(sorted(name for name in sys.modules
 
 def test_model_commands_import_no_scipy(tmp_path):
     # a fresh interpreter: constants, predict, reduce, sweep and verify
-    # load no scipy module
+    # load no scipy module, nor does field.linearized_matrix
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}

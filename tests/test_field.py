@@ -3,16 +3,17 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bubbletower import (Grid, GridFunction, ModelParams, PotentialSpec,
                          SpikeFrame, TowerField, ansatz_residual,
-                         default_sigma, energy, full_operator, grid_for_spikes,
-                         linearized_matrix, nonlinear_remainder, profile_U,
+                         default_sigma, energy, grid_for_spikes, profile_U,
                          profile_d2U, profile_dU, spike_locations, star_norm,
                          tower_ansatz, critical_scales, energy_constants)
-from bubbletower.field import MAX_GRID_NODES
+from bubbletower.field import (MAX_GRID_NODES, full_operator, linearized_matrix,
+                               nonlinear_remainder)
 from conftest import make_params
 
 A1_N3 = math.sqrt(3.0) * math.pi / 8.0
@@ -273,7 +274,8 @@ def test_linearized_kernel_direction():
     errs = []
     for h in (0.02, 0.01):
         g = Grid.from_span(-30.0, 30.0, h)
-        out = linearized_matrix([0.0], params, g) @ profile_dU(g.x, 3)
+        out = sp.diags(linearized_matrix([0.0], params, g), offsets=(-1, 0, 1)) \
+            @ profile_dU(g.x, 3)
         errs.append(np.max(np.abs(out)))
     assert errs[0] < 2e-2
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.25)
@@ -305,7 +307,7 @@ def test_full_operator_consistent_with_matrix():
     phi = 1e-7 * rng.normal(size=g.n)
     lhs = full_operator(GridFunction(g, ub.values + phi), params).values \
         - full_operator(ub, params).values
-    rhs = linearized_matrix(xi, params, g) @ phi
+    rhs = sp.diags(linearized_matrix(xi, params, g), offsets=(-1, 0, 1)) @ phi
     assert np.max(np.abs(lhs - rhs)) < 1e-7 * np.max(np.abs(rhs))
 
 
@@ -383,6 +385,15 @@ def test_tower_field_against_direct_formulas():
                 (diagonal, 2.0 / g.h ** 2 + 1.0 - w_b)):
             assert np.max(np.abs(cached - direct)) < 1e-12 * np.max(np.abs(direct))
         assert tower.star_norm(phi) == star_norm(GridFunction(g, phi), SpikeFrame(xi, 0.5))
+
+
+def test_field_only_operators_live_in_the_field_module():
+    # no library code calls them; they stay importable from bubbletower.field
+    import bubbletower
+    from bubbletower import field
+    for name in ("full_operator", "nonlinear_remainder", "linearized_matrix"):
+        assert not hasattr(bubbletower, name)
+        assert name in field.__all__ and callable(getattr(field, name))
 
 
 def test_constructors_copy_the_callers_arrays():

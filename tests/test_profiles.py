@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from bubbletower import (ModelParams, PotentialSpec, Regime, critical_exponents,
                          ef_inverse, ef_r_of_x, ef_x_of_r, model_constants,
-                         profile_U, profile_d2U, profile_dU)
+                         profile_U, profile_d2U, profile_derivatives, profile_dU)
 from bubbletower.errors import HypothesisViolationError
 from conftest import potential_id, scalar_omega
 
@@ -94,6 +94,26 @@ def test_profile_derivative_matches_finite_differences(x):
     err2 = abs((profile_U(x + h / 2, 3) - profile_U(x - h / 2, 3)) / h
                - profile_dU(x, 3))
     assert err2 == pytest.approx(err1 / 4.0, rel=0.3)
+
+
+@pytest.mark.parametrize("n", [3, 4, 6, 10])
+def test_profile_derivatives_are_the_profile_functions_bit_for_bit(n):
+    # (U, U', U'') from one call equal profile_U, profile_dU and profile_d2U
+    # and the closed forms -U th and U (th^2 - (1 - th^2)/m), th = tanh(x/m),
+    # on an array and on scalars, where each is a float
+    m = (n - 2) / 2.0
+    x = np.linspace(-400.0, 400.0, 2001)
+    u, du, d2u = profile_derivatives(x, n)
+    th = np.tanh(x / m)
+    for got, want in ((u, profile_U(x, n)), (du, profile_dU(x, n)), (d2u, profile_d2U(x, n)),
+                      (du, -profile_U(x, n) * th),
+                      (d2u, profile_U(x, n) * (th * th - (1.0 - th * th) / m))):
+        assert np.array_equal(got, want)
+    for xs in (-3.5, 0.0, 0.25, 700.0):
+        scalars = profile_derivatives(xs, n)
+        assert all(type(v) is float for v in scalars)
+        assert scalars == (profile_U(xs, n), profile_dU(xs, n), profile_d2U(xs, n))
+        assert scalars == tuple(float(v[0]) for v in profile_derivatives(np.array([xs]), n))
 
 
 def test_ef_forward_scaling_is_translation():

@@ -2,15 +2,16 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from bubbletower import (GridFunction,
                          ProjectedSolver, ReductionConfig, SpikeFrame, TowerField,
                          assemble_solution, critical_scales, default_sigma,
-                         energy, energy_constants, full_operator, grid_for_spikes,
-                         kernel_directions, linearized_matrix, solve_correction,
+                         energy, energy_constants, grid_for_spikes,
+                         kernel_directions, reduced_functional_grad, solve_correction,
                          solve_reduced, spike_locations, star_norm, tower_ansatz)
-from bubbletower.field import WINDOW
+from bubbletower.field import WINDOW, full_operator, linearized_matrix
 from conftest import make_params, probe_functions
 
 
@@ -56,7 +57,8 @@ def test_saddle_symmetry_and_multiplier_routes(c4):
     h_vals = rng.normal(size=grid.n) * frame.weight(grid.x)
     phi_vals, c_full = solver.solve_values(h_vals)
     # block elimination: c = -(Z^T A^{-1} Z)^{-1} Z^T A^{-1} h
-    lu = spla.splu(linearized_matrix(xi, params, grid))
+    lu = spla.splu(sp.diags(linearized_matrix(xi, params, grid), offsets=(-1, 0, 1),
+                            format="csc"))
     z = solver.field.z
     ainv_h = lu.solve(h_vals)
     ainv_z = np.column_stack([lu.solve(z[:, i]) for i in range(z.shape[1])])
@@ -66,13 +68,13 @@ def test_saddle_symmetry_and_multiplier_routes(c4):
 
 def test_bordered_solve_matches_saddle_lu(c4):
     # the block elimination against a direct LU of the bordered system
-    import scipy.sparse as sp
     for k in (1, 2, 3):
         for eps in (5e-2, 1e-2, 1e-3):
             params, _, _, xi, grid, frame = _setup(k=k, eps=eps, c=c4, h=0.05)
             solver = ProjectedSolver(TowerField(xi, params, grid))
             z = kernel_directions(xi, params, grid)
-            saddle = sp.bmat([[linearized_matrix(xi, params, grid), sp.csc_matrix(z)],
+            a = sp.diags(linearized_matrix(xi, params, grid), offsets=(-1, 0, 1))
+            saddle = sp.bmat([[a, sp.csc_matrix(z)],
                               [sp.csc_matrix(z.T), None]], format="csc")
             rng = np.random.default_rng(10 * k)
             h_vals = rng.normal(size=grid.n) * frame.weight(grid.x)
@@ -374,8 +376,7 @@ def test_assembled_agrees_with_predicted_solution(c4):
 
 def test_saddle_matrix_is_symmetric(c4):
     params, _, _, xi, grid, _ = _setup(k=2, eps=1e-2, c=c4, h=0.05)
-    import scipy.sparse as sp
-    a = sp.bmat([[linearized_matrix(xi, params, grid),
+    a = sp.bmat([[sp.diags(linearized_matrix(xi, params, grid), offsets=(-1, 0, 1)),
                   sp.csc_matrix(kernel_directions(xi, params, grid))],
                  [sp.csc_matrix(kernel_directions(xi, params, grid).T), None]],
                 format="csc")
@@ -627,3 +628,35 @@ def test_line_search_of_failed_trials_raises_with_the_accepted_state(c4, monkeyp
     assert isinstance(info.value.__cause__, ConditioningError)
     assert str(info.value.__cause__) == "trial 12 failed"
     assert info.value.state is not None and info.value.state.converged
+
+
+def _gradient_ratios(n_dim, q, eps):
+    # c_1 / (eps dPsi/ds_1), s = log Lambda, from one correction each at
+    # Lambda = 0.8 Lambda* and 1.25 Lambda* (k = 1, V = -1, h = 0.02)
+    params, constants = make_params(q=q, eps=eps, k=1, n_dim=n_dim), energy_constants(n_dim, q)
+    ratios = []
+    for factor in (0.8, 1.25):
+        lam = factor * critical_scales(constants, params)
+        c = solve_correction(spike_locations(lam, eps, params), params, ReductionConfig(0.02)).c
+        ratios.append(c[0] / (eps * lam[0] * reduced_functional_grad(lam, constants, params)[0]))
+    return ratios
+
+
+@pytest.mark.parametrize("n_dim,qs", [(3, (4.0, 7.0)), (4, (2.5, 2.8)), (5, (2.0,)),
+                                      (6, (1.6, 1.8))])
+def test_multipliers_tend_to_kappa_times_the_reduced_gradient(n_dim, qs):
+    # the reduction's identity c = kappa_N eps dPsi/ds + o(eps): the two
+    # ratios' relative spread falls 6.8-7.7x from eps = 1e-3 to 1e-4, and at
+    # 1e-4 their mean kappa_N depends on N, not on q or the regime (measured
+    # 1.469 at N = 3, 0.749 and 0.747 at N = 4, 0.233 at N = 5, 0.0519 and
+    # 0.0518 at N = 6)
+    kappas = []
+    for q in qs:
+        spreads = []
+        for eps in (1e-3, 1e-4):
+            r = _gradient_ratios(n_dim, q, eps)
+            spreads.append(abs(r[0] - r[1]) / abs(0.5 * (r[0] + r[1])))
+        assert spreads[0] >= 5.0 * spreads[1]
+        kappas.append(0.5 * (r[0] + r[1]))
+    assert min(kappas) > 0.0
+    assert max(kappas) <= 1.01 * min(kappas)
